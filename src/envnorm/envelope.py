@@ -20,8 +20,6 @@ oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .liealg import CarrierMismatchError, GVector, LieAlgebra, SplitDecomposition
 
 Word = tuple  # sequence of basis indices; () is the unit word
@@ -322,25 +320,35 @@ def _inversions(rank, w) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _straighten_word(algebra: LieAlgebra, rank: tuple[int, ...], w: tuple):
-    """Normal form of the single word w as a {word: scalar} map.
+def _straighten_word(algebra: LieAlgebra, rank: tuple[int, ...], w: tuple) -> tuple:
+    """Normal form of the single word w as immutable (word, scalar) pairs.
 
-    Cached per (algebra, rank, word); callers must treat the result as
-    read-only.  Recursion: rewrite the leftmost inversion, then recurse on
-    the swapped word and on each bracket-expansion word.
+    Memoized per (rank, word) on the algebra, so the memo is freed with it.
+    Recursion: rewrite the leftmost inversion, then recurse on the swapped
+    word and on each bracket-expansion word.
     """
+    memo = algebra._straighten_memo
+    key = (rank, w)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     pos = _leftmost_inversion(rank, w)
     if pos is None:
-        return {w: algebra.ring.one}
-    x, y = w[pos], w[pos + 1]
-    head, tail = w[:pos], w[pos + 2:]
-    out = dict(_straighten_word(algebra, rank, head + (y, x) + tail))
-    for k, c in enumerate(algebra.table[x][y]):
-        if c:
-            for w2, c2 in _straighten_word(algebra, rank, head + (k,) + tail).items():
-                _acc(out, w2, c * c2)
-    return out
+        result = ((w, algebra.ring.one),)
+    else:
+        x, y = w[pos], w[pos + 1]
+        head, tail = w[:pos], w[pos + 2:]
+        result = _straighten_word(algebra, rank, head + (y, x) + tail)
+        row = algebra.table[x][y]
+        if any(row):  # commuting letters share the swapped word's form
+            out = dict(result)
+            for k, c in enumerate(row):
+                if c:
+                    for w2, c2 in _straighten_word(algebra, rank, head + (k,) + tail):
+                        _acc(out, w2, c * c2)
+            result = tuple(out.items())
+    memo[key] = result
+    return result
 
 
 def _straighten_counting(u: EnvElement, rank, stats: dict) -> EnvElement:
@@ -385,7 +393,7 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
         return _straighten_counting(u, rank, stats)
     out: dict = {}
     for w, c in u.terms.items():
-        for w2, c2 in _straighten_word(u.algebra, rank, w).items():
+        for w2, c2 in _straighten_word(u.algebra, rank, w):
             _acc(out, w2, c * c2)
     return EnvElement(u.algebra, out)
 
@@ -406,11 +414,11 @@ def state_canon(s: StateElement) -> StateElement:
     for (w1, w2), c in s.terms.items():
         left = _straighten_word(alg, rank, w1)
         right = _straighten_word(alg, rank, w2)
-        for x1, c1 in left.items():
+        for x1, c1 in left:
             cc = c * c1
             if not cc:
                 continue
-            for x2, c2 in right.items():
+            for x2, c2 in right:
                 _acc(out, (x1, x2), cc * c2)
     return StateElement(s.split, out)
 

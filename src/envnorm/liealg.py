@@ -50,7 +50,8 @@ class LieAlgebra:
     it until :func:`validate_algebra` says the Lie axioms hold.
     """
 
-    __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors")
+    __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors",
+                 "_straighten_memo", "__weakref__")
 
     def __init__(self, ring: Ring, basis_names, table):
         basis = tuple(basis_names)
@@ -83,6 +84,7 @@ class LieAlgebra:
             coords[i] = ring.one
             vecs.append(GVector(self, tuple(coords)))
         self._basis_vectors = tuple(vecs)
+        self._straighten_memo: dict = {}  # envelope._straighten_word: (rank, word) -> form
 
     @classmethod
     def from_brackets(cls, ring: Ring, basis_names, brackets) -> "LieAlgebra":

@@ -14,6 +14,14 @@ word w to (w acting on 1 (x) 1) -- extended linearly and canonicalized --
 is the normal-ordering section: it inverts the factor multiplication that
 merges a state back into the envelope.
 
+The recursion reads w2 only to append it in the base case, so g.(w1, w2)
+is g.(w1, ()) with w2 appended (right-linearity, one of the checked
+identities), and by linearity in g the whole action is fixed by the basis
+kernel e_i.(w1, ()).  Each :class:`ActionContext` memoizes that kernel per
+(basis index, left word) as immutable tuples, computed straight from the
+structure table.  Its values are exact, so every result equals the plain
+recursion's, and the memo is freed with the context.
+
 Intermediate states are deliberately *not* canonicalized between recursion
 steps (the recursion is defined on tensor-level representatives; only the
 final result is reduced).  The check_* functions verify, at exact equality,
@@ -23,8 +31,6 @@ action law, and mutual inverseness against the straightening oracle.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .envelope import (
     EnvElement,
@@ -55,9 +61,12 @@ class OracleMismatchError(RuntimeError):
 
 
 class ActionContext:
-    """A validated (algebra, split) pair that all operations here run in."""
+    """A validated (algebra, split) pair that all operations here run in.
 
-    __slots__ = ("algebra", "split")
+    It owns the memoized basis kernel: reuse one context across calls to
+    share that work, and drop it to free the memory."""
+
+    __slots__ = ("algebra", "split", "_kernel", "__weakref__")
 
     def __init__(self, algebra: LieAlgebra, split: SplitDecomposition, validate: bool = True):
         if split.algebra is not algebra:
@@ -71,6 +80,7 @@ class ActionContext:
                 raise ValueError(f"invalid split:\n{report}")
         self.algebra = algebra
         self.split = split
+        self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, ())
 
     def unit_state(self) -> StateElement:
         return StateElement.unit(self.split)
@@ -79,26 +89,28 @@ class ActionContext:
         return f"ActionContext({self.algebra!r}, {self.split})"
 
 
-def _act_pair(ctx: ActionContext, g: GVector, w1: tuple, w2: tuple) -> dict:
-    """g acting on the single state term (w1, w2); {state key: scalar} map."""
-    split = ctx.split
+def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
+    """e_i acting on (w1, ()) as ((u1, u2), c) pairs, memoized on ctx;
+    the recursion step is e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t))."""
+    key = (i, w1)
+    hit = ctx._kernel.get(key)
+    if hit is not None:
+        return hit
     if not w1:
-        out = {}
-        for i, c in g.support():
-            if split.side_of(i) == 1:
-                out[((i,), w2)] = c
-            else:
-                out[((), (i,) + w2)] = c
-        return out
-    x, rest = w1[0], w1[1:]
-    out: dict = {}
-    gb = ctx.algebra.bracket(g, ctx.algebra.basis_vector(x))
-    if not gb.is_zero():
-        for key, c in _act_pair(ctx, gb, rest, w2).items():
-            _acc(out, key, c)
-    for (u1, u2), c in _act_pair(ctx, g, rest, w2).items():
-        _acc(out, ((x,) + u1, u2), c)
-    return out
+        pair = ((i,), ()) if ctx.split.side_of(i) == 1 else ((), (i,))
+        result = ((pair, ctx.algebra.ring.one),)
+    else:
+        x, rest = w1[0], w1[1:]
+        out: dict = {}
+        for k, b in enumerate(ctx.algebra.table[i][x]):
+            if b:
+                for pair, c in _basis_action(ctx, k, rest):
+                    _acc(out, pair, b * c)
+        for (u1, u2), c in _basis_action(ctx, i, rest):
+            _acc(out, ((x,) + u1, u2), c)
+        result = tuple(out.items())
+    ctx._kernel[key] = result
+    return result
 
 
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
@@ -108,10 +120,13 @@ def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
         raise CarrierMismatchError("vector from a different algebra")
     if s.split is not ctx.split:
         raise CarrierMismatchError("state from a different split")
+    support = tuple(g.support())
     out: dict = {}
     for (w1, w2), c in s.terms.items():
-        for key, c2 in _act_pair(ctx, g, w1, w2).items():
-            _acc(out, key, c * c2)
+        for i, gi in support:
+            cg = c * gi
+            for (u1, u2), c2 in _basis_action(ctx, i, w1):
+                _acc(out, (u1, u2 + w2), cg * c2)
     return StateElement(ctx.split, out)
 
 
@@ -123,22 +138,15 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     return s
 
 
-@lru_cache(maxsize=None)
-def _section_word(ctx: ActionContext, word: tuple) -> StateElement:
-    # act_word(word, 1 (x) 1), memoized over suffixes; tensor-level result.
-    if not word:
-        return StateElement.unit(ctx.split)
-    return act(ctx, ctx.algebra.basis_vector(word[0]), _section_word(ctx, word[1:]))
-
-
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     """The normal-ordering section: linear extension of
     w -> (w acting on 1 (x) 1), returned in canonical form."""
     if u.algebra is not ctx.algebra:
         raise CarrierMismatchError("element over a different algebra")
+    unit = ctx.unit_state()
     out: dict = {}
     for w, c in u.terms.items():
-        for key, c2 in _section_word(ctx, w).terms.items():
+        for key, c2 in act_word(ctx, w, unit).terms.items():
             _acc(out, key, c * c2)
     return state_canon(StateElement(ctx.split, out))
 

@@ -218,4 +218,5 @@ def test_criterion_8_cli_golden():
         with redirect_stdout(buf):
             code = main(["check", "--builtin", "--seed", "42"])
         assert code == 0
-        assert "TOTAL entries=8" in buf.getvalue()
+        expected = (GOLDEN / "check_builtin_seed42.txt").read_bytes()
+        assert buf.getvalue().encode("utf-8") == expected

@@ -1,12 +1,21 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 import envnorm.normalform as normalform
-from envnorm.checks import builtin_examples, relator_variant, sl2_algebra
+from envnorm.checks import (
+    builtin_examples,
+    relator_variant,
+    sl2_algebra,
+    sl_algebra,
+    sl_triangular_split,
+)
 from envnorm.envelope import (
     EnvElement,
     StateElement,
+    _acc,
     env_eq,
     mu_state,
     state_canon,
@@ -80,6 +89,55 @@ def test_act_is_linear(ctx):
         assert act(ctx, g.scale(a), s) == act(ctx, g, s).scale(a)
         assert act(ctx, g, s + t) == act(ctx, g, s) + act(ctx, g, t)
         assert act(ctx, g, s.scale(a)) == act(ctx, g, s).scale(a)
+
+
+def _reference_pair(c, g, w1, w2):
+    """The unmemoized recursion, bracket by bracket, as a {state key: scalar} map."""
+    if not w1:
+        out = {}
+        for i, coeff in g.support():
+            if c.split.side_of(i) == 1:
+                out[((i,), w2)] = coeff
+            else:
+                out[((), (i,) + w2)] = coeff
+        return out
+    x, rest = w1[0], w1[1:]
+    out = {}
+    gb = c.algebra.bracket(g, c.algebra.basis_vector(x))
+    if not gb.is_zero():
+        for key, coeff in _reference_pair(c, gb, rest, w2).items():
+            _acc(out, key, coeff)
+    for (u1, u2), coeff in _reference_pair(c, g, rest, w2).items():
+        _acc(out, ((x,) + u1, u2), coeff)
+    return out
+
+
+@pytest.mark.parametrize("name", [e.name for e in REG.entries()])
+def test_act_matches_unmemoized_recursion(name):
+    entry = REG[name]
+    c = ActionContext(entry.algebra, entry.split, validate=False)
+    rng = random.Random(f"kernel-{name}")
+    for _ in range(200):
+        g = _rand_vector(rng, c)
+        while len(tuple(g.support())) < 2:
+            g = _rand_vector(rng, c)
+        s = _rand_state(rng, c, 4)
+        expected: dict = {}
+        for (w1, w2), coeff in s.terms.items():
+            for key, c2 in _reference_pair(c, g, w1, w2).items():
+                _acc(expected, key, coeff * c2)
+        assert act(c, g, s).terms == expected
+
+
+def test_memos_are_freed_with_the_context():
+    alg = sl_algebra(3, Z)
+    c = ActionContext(alg, sl_triangular_split(alg, 3))
+    result = normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
+    assert c._kernel and alg._straighten_memo
+    refs = (weakref.ref(c), weakref.ref(alg))
+    del alg, c, result
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_act_word(ctx):
