@@ -42,6 +42,7 @@ from .liealg import (
     SplitDecomposition,
     ValidationReport,
     Violation,
+    validate,
     validate_algebra,
     validate_split,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "state_canon",
     "state_eq",
     "straighten",
+    "validate",
     "validate_algebra",
     "validate_split",
 ]

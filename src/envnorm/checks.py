@@ -22,8 +22,7 @@ from .liealg import (
     GVector,
     LieAlgebra,
     SplitDecomposition,
-    validate_algebra,
-    validate_split,
+    validate,
 )
 from .normalform import (
     ActionContext,
@@ -409,13 +408,11 @@ def _case_rng(cfg: SuiteConfig, entry: RegistryEntry, prop: str, index: int) -> 
 
 
 def _prop_validate(cfg: SuiteConfig, entry: RegistryEntry, ctx) -> PropertyResult:
-    rep = validate_algebra(entry.algebra)
-    rep2 = validate_split(entry.algebra, entry.split.part1, entry.split.part2)
-    lines = tuple(rep.lines() + rep2.lines())
-    if lines:
+    report = validate(entry.algebra, entry.split)
+    if not report.ok:
         return PropertyResult(
             entry.name, "validate", 0, 1,
-            failures=(PropertyFailure(0, lines),),
+            failures=(PropertyFailure(0, tuple(report.lines())),),
         )
     return PropertyResult(entry.name, "validate", 1, 0)
 

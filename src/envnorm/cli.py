@@ -34,7 +34,7 @@ from .checks import (
     run_suite,
 )
 from .envelope import EnvElement, StateElement, straighten
-from .liealg import LieAlgebra, SplitDecomposition, validate_algebra, validate_split
+from .liealg import LieAlgebra, SplitDecomposition, validate
 from .normalform import ActionContext, OracleMismatchError, normal_order
 from .ring import Ring, Scalar, make_ring
 
@@ -430,31 +430,18 @@ def _read_spec(path: str) -> AlgebraSpec:
     return parse_spec(text)
 
 
-def _validated(spec: AlgebraSpec):
-    algebra, split = spec.build()
-    report = validate_algebra(algebra)
-    report2 = validate_split(algebra, split.part1, split.part2)
-    lines = report.lines() + report2.lines()
-    return algebra, split, lines
-
-
 def _cmd_validate(args) -> int:
-    spec = _read_spec(args.file)
-    _algebra, _split, lines = _validated(spec)
-    if lines:
-        for line in lines:
-            print(line)
-        return 1
-    print("ok")
-    return 0
+    algebra, split = _read_spec(args.file).build()
+    report = validate(algebra, split)
+    print(report)
+    return 0 if report.ok else 1
 
 
 def _cmd_normal_order(args) -> int:
-    spec = _read_spec(args.file)
-    algebra, split, bad = _validated(spec)
-    if bad:
-        for line in bad:
-            print(line, file=sys.stderr)
+    algebra, split = _read_spec(args.file).build()
+    report = validate(algebra, split)
+    if not report.ok:
+        print(report, file=sys.stderr)
         return 1
     u = parse_expr(args.expr, algebra)
     ctx = ActionContext(algebra, split, validate=False)
@@ -465,11 +452,10 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_straighten(args) -> int:
-    spec = _read_spec(args.file)
-    algebra, _split, bad = _validated(spec)
-    if bad:
-        for line in bad:
-            print(line, file=sys.stderr)
+    algebra, split = _read_spec(args.file).build()
+    report = validate(algebra, split)
+    if not report.ok:
+        print(report, file=sys.stderr)
         return 1
     u = parse_expr(args.expr, algebra)
     order = None

@@ -39,28 +39,94 @@ def _acc(d: dict, key, c) -> None:
             del d[key]
 
 
-class EnvElement:
+class _Combination:
+    """Finite {key: scalar} combination over a fixed carrier: the linear
+    arithmetic shared by :class:`EnvElement` and :class:`StateElement`.
+    Subclasses keep the carrier in their own slot and build results through
+    their own constructor, so every result passes its checks."""
+
+    __slots__ = ("terms",)
+    _mismatch = ""  # CarrierMismatchError message
+
+    def _carrier(self):
+        raise NotImplementedError
+
+    @classmethod
+    def zero(cls, carrier):
+        return cls(carrier)
+
+    def _like(self, terms=None):
+        """A combination over the same carrier, built through the subclass's checks."""
+        return type(self)(self._carrier(), terms)
+
+    def _check(self, other) -> None:
+        if self._carrier() is not other._carrier():
+            raise CarrierMismatchError(self._mismatch)
+
+    def _combine(self, other, negate: bool):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _acc(out, key, -c if negate else c)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, coeff):
+        c = self.algebra.ring.scalar(coeff)
+        if not c:
+            return self._like()
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, coeff):
+        return self.scale(coeff)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self}>"
+
+
+class EnvElement(_Combination):
     """Finite scalar combination of words over the full basis."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
+    _mismatch = "elements over different algebras"
 
     def __init__(self, algebra: LieAlgebra, terms=None):
         clean = {}
         if terms:
             n = algebra.dim
+            scalar = algebra.ring.scalar
             for w, c in terms.items():
                 w = tuple(w)
                 for letter in w:
                     if not (0 <= letter < n):
                         raise ValueError(f"letter {letter} outside basis")
+                c = scalar(c)
                 if c:
                     clean[w] = c
         self.algebra = algebra
         self.terms = clean
 
-    @classmethod
-    def zero(cls, algebra: LieAlgebra) -> "EnvElement":
-        return cls(algebra)
+    def _carrier(self):
+        return self.algebra
 
     @classmethod
     def unit(cls, algebra: LieAlgebra) -> "EnvElement":
@@ -68,60 +134,17 @@ class EnvElement:
 
     @classmethod
     def word(cls, algebra: LieAlgebra, letters, coeff=1) -> "EnvElement":
-        return cls(algebra, {tuple(letters): algebra.ring.scalar(coeff)})
+        return cls(algebra, {tuple(letters): coeff})
 
     @classmethod
     def from_vector(cls, v: GVector) -> "EnvElement":
         """The vector as a sum of one-letter words."""
         return cls(v.algebra, {(i,): c for i, c in v.support()})
 
-    def _check(self, other: "EnvElement") -> None:
-        if self.algebra is not other.algebra:
-            raise CarrierMismatchError("elements over different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, c)
-        return EnvElement(self.algebra, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, -c)
-        return EnvElement(self.algebra, out)
-
-    def __neg__(self):
-        return EnvElement(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, coeff) -> "EnvElement":
-        c = self.algebra.ring.scalar(coeff)
-        if not c:
-            return EnvElement(self.algebra)
-        return EnvElement(self.algebra, {w: c * v for w, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, EnvElement):
             return env_mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
-
-    def __eq__(self, other):
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Maximal word length; -1 for the zero element."""
@@ -141,19 +164,21 @@ class EnvElement:
             bits.append(f"{c} * {word}")
         return " + ".join(bits)
 
-    def __repr__(self):
-        return f"EnvElement<{self}>"
 
-
-class StateElement:
+class StateElement(_Combination):
     """Combination of pairs (word over part 1) (x) (word over part 2)."""
 
-    __slots__ = ("split", "terms")
+    __slots__ = ("split",)
+    _mismatch = "states over different splits"
 
     def __init__(self, split: SplitDecomposition, terms=None):
+        # The letter check runs on every construction, internal ones too: it
+        # is what stops a split that was never validated from producing
+        # states with letters on the wrong side.
         clean = {}
         if terms:
             names = split.algebra.basis
+            scalar = split.algebra.ring.scalar
             for (w1, w2), c in terms.items():
                 w1, w2 = tuple(w1), tuple(w2)
                 for letter in w1:
@@ -162,18 +187,18 @@ class StateElement:
                 for letter in w2:
                     if split.side_of(letter) != 2:
                         raise ValueError(f"letter {names[letter]} not in part 2")
+                c = scalar(c)
                 if c:
                     clean[(w1, w2)] = c
         self.split = split
         self.terms = clean
 
+    def _carrier(self):
+        return self.split
+
     @property
     def algebra(self) -> LieAlgebra:
         return self.split.algebra
-
-    @classmethod
-    def zero(cls, split: SplitDecomposition) -> "StateElement":
-        return cls(split)
 
     @classmethod
     def unit(cls, split: SplitDecomposition) -> "StateElement":
@@ -181,50 +206,7 @@ class StateElement:
 
     @classmethod
     def term(cls, split: SplitDecomposition, w1, w2, coeff=1) -> "StateElement":
-        return cls(split, {(tuple(w1), tuple(w2)): split.algebra.ring.scalar(coeff)})
-
-    def _check(self, other: "StateElement") -> None:
-        if self.split is not other.split:
-            raise CarrierMismatchError("states over different splits")
-
-    def __add__(self, other):
-        if not isinstance(other, StateElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return StateElement(self.split, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, StateElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, -c)
-        return StateElement(self.split, out)
-
-    def __neg__(self):
-        return StateElement(self.split, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, coeff) -> "StateElement":
-        c = self.algebra.ring.scalar(coeff)
-        if not c:
-            return StateElement(self.split)
-        return StateElement(self.split, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
-
-    def __eq__(self, other):
-        if not isinstance(other, StateElement):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls(split, {(tuple(w1), tuple(w2)): coeff})
 
     def left_degree(self) -> int:
         """Maximal left-word length; -1 for the zero state."""
@@ -264,9 +246,6 @@ class StateElement:
     def __str__(self):
         strs = self.term_strings()
         return " + ".join(strs) if strs else "0"
-
-    def __repr__(self):
-        return f"StateElement<{self}>"
 
 
 def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
@@ -310,22 +289,15 @@ def _leftmost_inversion(rank, w):
     return None
 
 
-def _inversions(rank, w) -> int:
-    count = 0
-    for i in range(len(w)):
-        ri = rank[w[i]]
-        for j in range(i + 1, len(w)):
-            if ri > rank[w[j]]:
-                count += 1
-    return count
-
-
-def _straighten_word(algebra: LieAlgebra, rank: tuple[int, ...], w: tuple) -> tuple:
+def _straighten_word(algebra: LieAlgebra, rank: tuple[int, ...], w: tuple,
+                     stats=None) -> tuple:
     """Normal form of the single word w as immutable (word, scalar) pairs.
 
     Memoized per (rank, word) on the algebra, so the memo is freed with it.
     Recursion: rewrite the leftmost inversion, then recurse on the swapped
-    word and on each bracket-expansion word.
+    word and on each bracket-expansion word.  With ``stats`` a dict, each
+    rewrite performed here adds 1 to "steps" and the words it spawns to
+    "spawned"; a word already in the memo costs nothing.
     """
     memo = algebra._straighten_memo
     key = (rank, w)
@@ -338,62 +310,35 @@ def _straighten_word(algebra: LieAlgebra, rank: tuple[int, ...], w: tuple) -> tu
     else:
         x, y = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
-        result = _straighten_word(algebra, rank, head + (y, x) + tail)
         row = algebra.table[x][y]
+        if stats is not None:
+            stats["steps"] += 1
+            stats["spawned"] += 1 + sum(1 for c in row if c)
+        result = _straighten_word(algebra, rank, head + (y, x) + tail, stats)
         if any(row):  # commuting letters share the swapped word's form
             out = dict(result)
             for k, c in enumerate(row):
                 if c:
-                    for w2, c2 in _straighten_word(algebra, rank, head + (k,) + tail):
+                    for w2, c2 in _straighten_word(algebra, rank, head + (k,) + tail, stats):
                         _acc(out, w2, c * c2)
             result = tuple(out.items())
     memo[key] = result
     return result
 
 
-def _straighten_counting(u: EnvElement, rank, stats: dict) -> EnvElement:
-    """Uncached worklist straightening that counts rewrites and asserts the
-    termination measure: every rewrite strictly decreases
-    (degree, inversion count) lexicographically for the word it touches."""
-    alg = u.algebra
-    out: dict = {}
-    pending = list(u.terms.items())
-    steps = stats.get("steps", 0)
-    spawned = stats.get("spawned", 0)
-    while pending:
-        w, c = pending.pop()
-        pos = _leftmost_inversion(rank, w)
-        if pos is None:
-            _acc(out, w, c)
-            continue
-        steps += 1
-        parent = (len(w), _inversions(rank, w))
-        x, y = w[pos], w[pos + 1]
-        head, tail = w[:pos], w[pos + 2:]
-        children = [(head + (y, x) + tail, c)]
-        for k, gamma in enumerate(alg.table[x][y]):
-            if gamma:
-                children.append((head + (k,) + tail, c * gamma))
-        for w2, c2 in children:
-            assert (len(w2), _inversions(rank, w2)) < parent
-            spawned += 1
-            pending.append((w2, c2))
-    stats["steps"] = steps
-    stats["spawned"] = spawned
-    return EnvElement(alg, out)
-
-
 def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     """PBW canonical form: every word nondecreasing w.r.t. ``order``
     (default: declaration order), obtained by exhaustive rewriting of
-    adjacent inversions.  With ``stats`` a dict, runs the instrumented
-    uncached path and records rewrite counts into it."""
+    adjacent inversions.  With ``stats`` a dict, adds to its "steps" the
+    rewrites this call performs and to its "spawned" the words they spawn;
+    words straightened before (the memo lives on the algebra) count zero."""
     rank = _rank_key(u.algebra, order)
     if stats is not None:
-        return _straighten_counting(u, rank, stats)
+        stats.setdefault("steps", 0)
+        stats.setdefault("spawned", 0)
     out: dict = {}
     for w, c in u.terms.items():
-        for w2, c2 in _straighten_word(u.algebra, rank, w):
+        for w2, c2 in _straighten_word(u.algebra, rank, w, stats):
             _acc(out, w2, c * c2)
     return EnvElement(u.algebra, out)
 

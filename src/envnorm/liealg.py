@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import Ring, Scalar
+from .ring import Ring
 
 
 class CarrierMismatchError(ValueError):
@@ -82,7 +82,7 @@ class LieAlgebra:
         for i in range(n):
             coords = list(unit)
             coords[i] = ring.one
-            vecs.append(GVector(self, tuple(coords)))
+            vecs.append(GVector(self, coords))
         self._basis_vectors = tuple(vecs)
         self._straighten_memo: dict = {}  # envelope._straighten_word: (rank, word) -> form
 
@@ -119,17 +119,16 @@ class LieAlgebra:
         return self._basis_vectors[i]
 
     def zero_vector(self) -> "GVector":
-        return GVector(self, tuple([self.ring.zero] * self.dim))
+        return GVector(self, [self.ring.zero] * self.dim)
 
     def vector(self, coords) -> "GVector":
         """GVector from a full coordinate sequence or a sparse {index|name: coeff} map."""
         if isinstance(coords, dict):
             full = [self.ring.zero] * self.dim
             for key, val in coords.items():
-                i = self.index[key] if isinstance(key, str) else key
-                full[i] = self.ring.scalar(val)
-            return GVector(self, tuple(full))
-        return GVector(self, tuple(self.ring.scalar(c) for c in coords))
+                full[self.index[key] if isinstance(key, str) else key] = val
+            coords = full
+        return GVector(self, coords)
 
     def bracket(self, v: "GVector", w: "GVector") -> "GVector":
         """Bilinear extension of the structure table."""
@@ -149,7 +148,7 @@ class LieAlgebra:
                 for k, c in enumerate(row[j]):
                     if c:
                         out[k] = out[k] + ab * c
-        return GVector(self, tuple(out))
+        return GVector(self, out)
 
     def change_ring(self, ring: Ring) -> "LieAlgebra":
         """Same basis and table with coefficients reinterpreted in ``ring``.
@@ -173,11 +172,11 @@ class GVector:
 
     __slots__ = ("algebra", "coords")
 
-    def __init__(self, algebra: LieAlgebra, coords: tuple[Scalar, ...]):
+    def __init__(self, algebra: LieAlgebra, coords):
         if len(coords) != algebra.dim:
             raise ValueError("coordinate vector has the wrong length")
         self.algebra = algebra
-        self.coords = coords
+        self.coords = tuple(map(algebra.ring.scalar, coords))
 
     def _check(self, other: "GVector") -> None:
         if self.algebra is not other.algebra:
@@ -275,6 +274,17 @@ class SplitDecomposition:
 
     def __repr__(self):
         return f"SplitDecomposition({self})"
+
+
+def validate(algebra: LieAlgebra, split: SplitDecomposition) -> ValidationReport:
+    """The one validation entry point: the algebra's violations (alternating,
+    Jacobi), then the split's (partition, closure), in one report."""
+    if split.algebra is not algebra:
+        raise CarrierMismatchError("split belongs to a different algebra")
+    return ValidationReport(
+        validate_algebra(algebra).violations
+        + validate_split(algebra, split.part1, split.part2).violations
+    )
 
 
 def validate_algebra(alg: LieAlgebra) -> ValidationReport:

@@ -48,8 +48,7 @@ from .liealg import (
     GVector,
     LieAlgebra,
     SplitDecomposition,
-    validate_algebra,
-    validate_split,
+    validate as _validate,  # ActionContext's keyword shadows the plain name
 )
 
 
@@ -72,12 +71,9 @@ class ActionContext:
         if split.algebra is not algebra:
             raise CarrierMismatchError("split belongs to a different algebra")
         if validate:
-            report = validate_algebra(algebra)
+            report = _validate(algebra, split)
             if not report.ok:
-                raise ValueError(f"invalid algebra:\n{report}")
-            report = validate_split(algebra, split.part1, split.part2)
-            if not report.ok:
-                raise ValueError(f"invalid split:\n{report}")
+                raise ValueError(f"invalid algebra or split:\n{report}")
         self.algebra = algebra
         self.split = split
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, ())

@@ -29,7 +29,7 @@ class Scalar:
         self.value = value
 
     def _check(self, other: "Scalar") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"cannot combine scalars from {self.ring} and {other.ring}"
             )
@@ -124,7 +124,7 @@ class Ring:
     def scalar(self, raw) -> Scalar:
         """Canonical scalar from a raw int/Fraction (or a scalar of this ring)."""
         if isinstance(raw, Scalar):
-            if raw.ring != self:
+            if raw.ring is not self and raw.ring != self:
                 raise RingMismatchError(f"scalar from {raw.ring} used in {self}")
             return raw
         return Scalar(self, self.normalize(raw))

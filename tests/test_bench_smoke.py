@@ -1,18 +1,21 @@
-"""Runs the benchmark's traced suite workload at toy size, so that a change
-to a name the benchmark's tracer wraps fails here rather than in the
-benchmark."""
+"""Runs each of the benchmark's workloads traced at toy size, so that a
+change to a name the benchmark's tracer wraps or calls fails here rather
+than in the benchmark."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_small_suite_runs_and_checks_out():
+@pytest.mark.parametrize("workload", ["suite", "degree_sweep", "request_stream"])
+def test_traced_small_workload_runs_and_checks_out(workload):
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "suite", "--seed", "1",
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1",
          "--small", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from envnorm.checks import builtin_examples, heisenberg_algebra, sl2_algebra
+from envnorm.checks import builtin_examples, heisenberg_algebra, sl2_algebra, sl_algebra
 from envnorm.envelope import (
     EnvElement,
     StateElement,
@@ -14,8 +14,9 @@ from envnorm.envelope import (
     state_eq,
     straighten,
 )
-from envnorm.liealg import SplitDecomposition
-from envnorm.ring import make_ring
+from envnorm.liealg import GVector, SplitDecomposition
+from envnorm.normalform import ActionContext, act, normal_order
+from envnorm.ring import RingMismatchError, make_ring
 
 Z = make_ring("Z")
 REG = builtin_examples()
@@ -108,29 +109,109 @@ def test_straighten_respects_product_mod_canonicalization(sl2):
         assert direct == canon_first
 
 
-def test_straighten_termination_counts():
-    alg = REG["sl3_Z"].algebra
-    branching = 1 + max(
-        sum(1 for c in alg.table[i][j] if c)
-        for i in range(alg.dim)
-        for j in range(alg.dim)
+def _inversions(rank, w) -> int:
+    return sum(
+        1 for i in range(len(w)) for j in range(i + 1, len(w)) if rank[w[i]] > rank[w[j]]
     )
+
+
+def _worklist_straighten(u):
+    """Uncached leftmost-inversion rewriting under the declaration order,
+    independent of the memoized routine.  Asserts that every rewrite strictly
+    decreases (degree, inversion count) lexicographically for the word it
+    touches; returns (canonical form, rewrite count)."""
+    alg = u.algebra
+    rank = tuple(range(alg.dim))
+    out: dict = {}
+    pending = list(u.terms.items())
+    steps = 0
+    while pending:
+        w, c = pending.pop()
+        pos = next((i for i in range(len(w) - 1) if rank[w[i]] > rank[w[i + 1]]), None)
+        if pos is None:
+            out[w] = out[w] + c if w in out else c
+            continue
+        steps += 1
+        parent = (len(w), _inversions(rank, w))
+        x, y = w[pos], w[pos + 1]
+        head, tail = w[:pos], w[pos + 2:]
+        children = [(head + (y, x) + tail, c)]
+        for k, gamma in enumerate(alg.table[x][y]):
+            if gamma:
+                children.append((head + (k,) + tail, c * gamma))
+        for w2, c2 in children:
+            assert (len(w2), _inversions(rank, w2)) < parent
+            pending.append((w2, c2))
+    return EnvElement(alg, out), steps
+
+
+def test_straighten_termination_counts():
+    branching = None
     rng = random.Random(13)
     for _ in range(40):
+        alg = sl_algebra(3, Z)  # fresh, so its straightening memo starts empty
+        if branching is None:
+            branching = 1 + max(
+                sum(1 for c in alg.table[i][j] if c)
+                for i in range(alg.dim)
+                for j in range(alg.dim)
+            )
         d = rng.randint(0, 6)
-        word = tuple(rng.choices(range(alg.dim), k=d))
+        u = EnvElement.word(alg, tuple(rng.choices(range(alg.dim), k=d)))
         stats = {}
-        straighten(EnvElement.word(alg, word), stats=stats)
-        # every rewrite lex-decreases (degree, inversions): asserted inside;
-        # generous a-priori ceiling on the total rewrite count
+        straighten(u, stats=stats)
+        # generous a-priori ceiling on the total rewrite count; the memo never
+        # rewrites more than the uncached worklist (which asserts the measure)
         assert stats["steps"] <= max(1, d * d) * branching**d
+        assert stats["steps"] <= _worklist_straighten(u)[1]
 
 
-def test_counting_path_agrees_with_cached_path(sl2):
-    rng = random.Random(14)
-    for _ in range(50):
-        u = _random_elt(rng, sl2, 5)
-        assert straighten(u, stats={}) == straighten(u)
+def test_counting_path_agrees_with_cached_path():
+    for name in ("sl2_Z", "sl3_Z", "sl3_Z4"):
+        alg = REG[name].algebra
+        rng = random.Random(14)
+        for _ in range(50):
+            u = _random_elt(rng, alg, 5)
+            expected, _steps = _worklist_straighten(u)
+            assert straighten(u) == expected, name
+            assert straighten(u, stats={}) == expected, name
+
+
+def test_straighten_counts_only_new_rewrites():
+    alg = sl_algebra(3, Z)
+    u = EnvElement.word(alg, tuple(reversed(range(alg.dim))))
+    stats = {}
+    first = straighten(u, stats=stats)
+    assert stats["steps"] > 0 and stats["spawned"] >= stats["steps"]
+    counted = dict(stats)
+    assert straighten(u, stats=stats) == first
+    assert stats == counted  # every word is in the algebra's memo now
+
+
+def test_constructors_coerce_raw_coefficients():
+    sl2 = sl2_algebra(Z)
+    split = SplitDecomposition(sl2, (F,), (E, H))
+    ctx = ActionContext(sl2, split)
+    u = EnvElement(sl2, {(E, F): 3})
+    assert normal_order(ctx, u) == normal_order(ctx, EnvElement.word(sl2, (E, F), 3))
+    s = StateElement(split, {((F,), (E,)): 2})
+    assert normal_order(ctx, mu_state(s)) == StateElement.term(split, (F,), (E,), 2)
+    g = GVector(sl2, (1, 0, 0))
+    assert act(ctx, g, ctx.unit_state()) == act(ctx, sl2.basis_vector(E), ctx.unit_state())
+    assert sl2.bracket(g, sl2.basis_vector(F)) == sl2.basis_vector(H)
+
+    z4 = make_ring("Zmod 4")
+    sl2_4 = sl2.change_ring(z4)
+    split4 = SplitDecomposition(sl2_4, (F,), (E, H))
+    assert EnvElement(sl2_4, {(E, F): 4}).is_zero()
+    assert StateElement(split4, {((F,), (E,)): 4}).is_zero()
+    assert GVector(sl2_4, (4, 0, 0)).is_zero()
+    with pytest.raises(RingMismatchError):
+        EnvElement(sl2_4, {(E,): Z.one})
+    with pytest.raises(RingMismatchError):
+        StateElement(split4, {((F,), ()): Z.one})
+    with pytest.raises(RingMismatchError):
+        GVector(sl2_4, (Z.one, z4.zero, z4.zero))
 
 
 def _sl2_irrep(n):

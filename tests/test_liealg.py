@@ -8,9 +8,11 @@ from envnorm.liealg import (
     CarrierMismatchError,
     LieAlgebra,
     SplitDecomposition,
+    validate,
     validate_algebra,
     validate_split,
 )
+from envnorm.normalform import ActionContext
 from envnorm.ring import make_ring
 
 Z = make_ring("Z")
@@ -160,6 +162,25 @@ def test_validate_split_examples(sl2):
     assert validate_split(sl2, (0, 1, 2), ()).ok         # g = g + 0
     assert not validate_split(sl2, (0,), (2,)).ok        # f unassigned
     assert not validate_split(sl2, (0, 1), (1, 2)).ok    # f in both
+
+
+def test_validate_reports_algebra_then_split():
+    # [e,f] = e + h breaks Jacobi, and {e,f} | {h} is not closed under it
+    bad = LieAlgebra.from_brackets(
+        Z, ("e", "f", "h"),
+        {("e", "f"): {"e": 1, "h": 1}, ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}},
+    )
+    split = SplitDecomposition(bad, (0, 1), (2,))
+    of_algebra = validate_algebra(bad).violations
+    of_split = validate_split(bad, (0, 1), (2,)).violations
+    assert of_algebra and of_split
+    assert validate(bad, split).violations == of_algebra + of_split
+    assert {v.kind for v in of_algebra} == {"jacobi"}
+    assert {v.kind for v in of_split} == {"closure"}
+    with pytest.raises(ValueError) as exc:
+        ActionContext(bad, split)
+    assert "jacobi violation" in str(exc.value)
+    assert "closure violation" in str(exc.value)
 
 
 def test_split_projectors(sl2):
