@@ -35,24 +35,11 @@ from .normalform import (
 )
 from .ring import Ring, make_ring
 
-PROPERTY_NAMES = (
-    "validate",
-    "oracle",
-    "inverse",
-    "lie_action",
-    "filtration",
-    "right_linearity",
-    "mu_compat",
-    "well_defined",
-)
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
     cases: int = 50
     max_degree: int = 4
-    rings: tuple[str, ...] | None = None
     properties: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -303,39 +290,35 @@ def _word_drops(w: tuple):
         yield w[:pos] + w[pos + 1:]
 
 
+def _pair_drops(key: tuple):
+    w1, w2 = key
+    for shorter in _word_drops(w1):
+        yield (shorter, w2)
+    for shorter in _word_drops(w2):
+        yield (w1, shorter)
+
+
+# combination type -> the keys one letter shorter than a given key
+_KEY_DROPS = {EnvElement: _word_drops, StateElement: _pair_drops}
+
+
 def _moves(value):
     """Candidate strictly-smaller replacements for one instance part."""
-    if isinstance(value, EnvElement):
-        keys = sorted(value.terms, key=lambda w: (len(w), w))
-        for w in keys:
-            rest = {k: c for k, c in value.terms.items() if k != w}
-            yield EnvElement(value.algebra, rest)
-        for w in keys:
-            for shorter in _word_drops(w):
-                rest = {k: c for k, c in value.terms.items() if k != w}
-                _merge = dict(rest)
-                c = value.terms[w]
-                prev = _merge.get(shorter)
-                _merge[shorter] = c if prev is None else prev + c
-                yield EnvElement(value.algebra, _merge)
-    elif isinstance(value, StateElement):
-        keys = sorted(value.terms, key=lambda k: (len(k[0]), k[0], len(k[1]), k[1]))
-        for key in keys:
-            rest = {k: c for k, c in value.terms.items() if k != key}
-            yield StateElement(value.split, rest)
-        for key in keys:
-            w1, w2 = key
-            c = value.terms[key]
-            for shorter in _word_drops(w1):
-                rest = {k: v for k, v in value.terms.items() if k != key}
-                prev = rest.get((shorter, w2))
-                rest[(shorter, w2)] = c if prev is None else prev + c
-                yield StateElement(value.split, rest)
-            for shorter in _word_drops(w2):
-                rest = {k: v for k, v in value.terms.items() if k != key}
-                prev = rest.get((w1, shorter))
-                rest[(w1, shorter)] = c if prev is None else prev + c
-                yield StateElement(value.split, rest)
+    key_drops = _KEY_DROPS.get(type(value))
+    if key_drops is not None:
+        terms = value.sorted_terms()
+
+        def without(key):
+            return {k: c for k, c in value.terms.items() if k != key}
+
+        for key, _c in terms:
+            yield value._like(without(key))
+        for key, c in terms:
+            for shorter in key_drops(key):
+                rest = without(key)
+                prev = rest.get(shorter)
+                rest[shorter] = c if prev is None else prev + c
+                yield value._like(rest)
     elif isinstance(value, GVector):
         zero = value.algebra.ring.zero
         for i, _c in value.support():
@@ -407,154 +390,6 @@ def _case_rng(cfg: SuiteConfig, entry: RegistryEntry, prop: str, index: int) -> 
     return random.Random(_child_seed(cfg.seed, entry.name, prop, index))
 
 
-def _prop_validate(cfg: SuiteConfig, entry: RegistryEntry, ctx) -> PropertyResult:
-    report = validate(entry.algebra, entry.split)
-    if not report.ok:
-        return PropertyResult(
-            entry.name, "validate", 0, 1,
-            failures=(PropertyFailure(0, tuple(report.lines())),),
-        )
-    return PropertyResult(entry.name, "validate", 1, 0)
-
-
-def _run_random(name, cfg, entry, draw, passes) -> PropertyResult:
-    # a predicate that raises counts as a failing case (keeps the suite
-    # total when validation was deselected on a broken entry)
-    def fails(inst):
-        try:
-            return not passes(inst)
-        except Exception:
-            return True
-
-    passed = failed = 0
-    failures = []
-    for k in range(cfg.cases):
-        rng = _case_rng(cfg, entry, name, k)
-        inst = draw(rng)
-        if not fails(inst):
-            passed += 1
-            continue
-        failed += 1
-        small = shrink(inst, fails)
-        desc = list(_render_instance(entry, small))
-        try:
-            passes(small)
-        except Exception as exc:
-            desc.append(f"raised {type(exc).__name__}: {exc}")
-        failures.append(PropertyFailure(k, tuple(desc), small))
-    return PropertyResult(entry.name, name, passed, failed, failures=tuple(failures))
-
-
-def _prop_oracle(cfg, entry, ctx) -> PropertyResult:
-    def draw(rng):
-        return {"u": _draw_env(rng, entry.algebra, cfg.max_degree)}
-
-    def passes(inst):
-        u = inst["u"]
-        return state_eq(section_s(ctx, u), oracle_normal_order(u, ctx.split))
-
-    return _run_random("oracle", cfg, entry, draw, passes)
-
-
-def _prop_inverse(cfg, entry, ctx) -> PropertyResult:
-    def draw(rng):
-        return {
-            "u": _draw_env(rng, entry.algebra, cfg.max_degree),
-            "s": _draw_state(rng, entry.split, cfg.max_degree),
-        }
-
-    def passes(inst):
-        first, second = check_inverse(ctx, inst["u"], inst["s"])
-        return first and second
-
-    return _run_random("inverse", cfg, entry, draw, passes)
-
-
-def _prop_lie_action(cfg, entry, ctx) -> PropertyResult:
-    # exhaustive over ordered basis pairs, random over states
-    alg = entry.algebra
-    pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-    passed = failed = 0
-    failures = []
-    for k in range(cfg.cases):
-        rng = _case_rng(cfg, entry, "lie_action", k)
-        s = _draw_state(rng, entry.split, cfg.max_degree)
-        try:
-            bad = next(
-                (
-                    (i, j)
-                    for i, j in pairs
-                    if not check_lie_action(ctx, alg.basis_vector(i), alg.basis_vector(j), s)
-                ),
-                None,
-            )
-        except Exception as exc:
-            failed += 1
-            desc = (*_render_instance(entry, {"s": s}),
-                    f"raised {type(exc).__name__}: {exc}")
-            failures.append(PropertyFailure(k, desc, {"s": s}))
-            continue
-        if bad is None:
-            passed += 1
-            continue
-        failed += 1
-        gi, gj = bad
-
-        def still_fails(inst):
-            try:
-                return not check_lie_action(
-                    ctx, alg.basis_vector(gi), alg.basis_vector(gj), inst["s"]
-                )
-            except Exception:
-                return True
-
-        small = shrink({"s": s, "g": gi, "h": gj}, still_fails)
-        failures.append(
-            PropertyFailure(k, _render_instance(entry, small), small)
-        )
-    return PropertyResult(entry.name, "lie_action", passed, failed, failures=tuple(failures))
-
-
-def _prop_filtration(cfg, entry, ctx) -> PropertyResult:
-    def draw(rng):
-        return {
-            "g": _draw_vector(rng, entry.algebra),
-            "s": _draw_state(rng, entry.split, cfg.max_degree),
-        }
-
-    def passes(inst):
-        return check_filtration(ctx, inst["g"], inst["s"])
-
-    return _run_random("filtration", cfg, entry, draw, passes)
-
-
-def _prop_right_linearity(cfg, entry, ctx) -> PropertyResult:
-    def draw(rng):
-        return {
-            "g": _draw_vector(rng, entry.algebra),
-            "w1": _draw_word(rng, entry.split.part1, cfg.max_degree),
-            "m": _draw_word(rng, entry.split.part2, cfg.max_degree),
-        }
-
-    def passes(inst):
-        return check_right_linearity(ctx, inst["g"], inst["w1"], inst["m"])
-
-    return _run_random("right_linearity", cfg, entry, draw, passes)
-
-
-def _prop_mu_compat(cfg, entry, ctx) -> PropertyResult:
-    def draw(rng):
-        return {
-            "g": _draw_vector(rng, entry.algebra),
-            "s": _draw_state(rng, entry.split, cfg.max_degree),
-        }
-
-    def passes(inst):
-        return check_mu_compat(ctx, inst["g"], inst["s"])
-
-    return _run_random("mu_compat", cfg, entry, draw, passes)
-
-
 def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
                     x: int, y: int, coeff) -> EnvElement:
     """u plus coeff * (the word ``host`` with the two-sided relator
@@ -571,53 +406,150 @@ def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
     return u + extra
 
 
-def _prop_well_defined(cfg, entry, ctx) -> PropertyResult:
-    alg = entry.algebra
-    part1 = entry.split.part1
+# Each draw(rng, cfg, entry) returns one case's instances; a case fails at its
+# first instance whose holds(ctx, inst) returns False or raises.
+
+def _draw_u(rng, cfg, entry):
+    return [{"u": _draw_env(rng, entry.algebra, cfg.max_degree)}]
+
+
+def _draw_u_s(rng, cfg, entry):
+    return [{
+        "u": _draw_env(rng, entry.algebra, cfg.max_degree),
+        "s": _draw_state(rng, entry.split, cfg.max_degree),
+    }]
+
+
+def _draw_g_s(rng, cfg, entry):
+    return [{
+        "g": _draw_vector(rng, entry.algebra),
+        "s": _draw_state(rng, entry.split, cfg.max_degree),
+    }]
+
+
+def _draw_pairs(rng, cfg, entry):
+    # exhaustive over ordered basis pairs, random over states
+    s = _draw_state(rng, entry.split, cfg.max_degree)
+    dim = entry.algebra.dim
+    return [{"s": s, "g": i, "h": j} for i in range(dim) for j in range(dim)]
+
+
+def _draw_g_w1_m(rng, cfg, entry):
+    return [{
+        "g": _draw_vector(rng, entry.algebra),
+        "w1": _draw_word(rng, entry.split.part1, cfg.max_degree),
+        "m": _draw_word(rng, entry.split.part2, cfg.max_degree),
+    }]
+
+
+def _draw_relator(rng, cfg, entry):
+    # no part-1 letters to splice relators into: the case holds vacuously
+    alg, part1 = entry.algebra, entry.split.part1
     if not part1:
-        # no part-1 letters to splice relators into; vacuously true
-        return PropertyResult(entry.name, "well_defined", cfg.cases, 0)
-
-    def draw(rng):
-        host = _draw_word(rng, range(alg.dim), cfg.max_degree)
-        return {
-            "u": _draw_env(rng, alg, cfg.max_degree),
-            "host": host,
-            "pos": rng.randint(0, len(host)),
-            "x": rng.choice(part1),
-            "y": rng.choice(part1),
-            "coeff": _draw_coeff(rng, alg.ring),
-        }
-
-    def passes(inst):
-        u = inst["u"]
-        u2 = relator_variant(alg, u, inst["host"], inst["pos"], inst["x"],
-                             inst["y"], inst["coeff"])
-        return state_eq(section_s(ctx, u), section_s(ctx, u2))
-
-    return _run_random("well_defined", cfg, entry, draw, passes)
+        return []
+    host = _draw_word(rng, range(alg.dim), cfg.max_degree)
+    return [{
+        "u": _draw_env(rng, alg, cfg.max_degree),
+        "host": host,
+        "pos": rng.randint(0, len(host)),
+        "x": rng.choice(part1),
+        "y": rng.choice(part1),
+        "coeff": _draw_coeff(rng, alg.ring),
+    }]
 
 
-_PROPERTY_RUNNERS = {
-    "validate": _prop_validate,
-    "oracle": _prop_oracle,
-    "inverse": _prop_inverse,
-    "lie_action": _prop_lie_action,
-    "filtration": _prop_filtration,
-    "right_linearity": _prop_right_linearity,
-    "mu_compat": _prop_mu_compat,
-    "well_defined": _prop_well_defined,
+def _holds_oracle(ctx, inst):
+    u = inst["u"]
+    return state_eq(section_s(ctx, u), oracle_normal_order(u, ctx.split))
+
+
+def _holds_inverse(ctx, inst):
+    first, second = check_inverse(ctx, inst["u"], inst["s"])
+    return first and second
+
+
+def _holds_lie_action(ctx, inst):
+    basis_vector = ctx.algebra.basis_vector
+    return check_lie_action(ctx, basis_vector(inst["g"]), basis_vector(inst["h"]), inst["s"])
+
+
+def _holds_filtration(ctx, inst):
+    return check_filtration(ctx, inst["g"], inst["s"])
+
+
+def _holds_right_linearity(ctx, inst):
+    return check_right_linearity(ctx, inst["g"], inst["w1"], inst["m"])
+
+
+def _holds_mu_compat(ctx, inst):
+    return check_mu_compat(ctx, inst["g"], inst["s"])
+
+
+def _holds_well_defined(ctx, inst):
+    u = inst["u"]
+    u2 = relator_variant(ctx.algebra, u, inst["host"], inst["pos"], inst["x"],
+                         inst["y"], inst["coeff"])
+    return state_eq(section_s(ctx, u), section_s(ctx, u2))
+
+
+_PROPERTIES = {  # name -> (draw, holds), in report order
+    "oracle": (_draw_u, _holds_oracle),
+    "inverse": (_draw_u_s, _holds_inverse),
+    "lie_action": (_draw_pairs, _holds_lie_action),
+    "filtration": (_draw_g_s, _holds_filtration),
+    "right_linearity": (_draw_g_w1_m, _holds_right_linearity),
+    "mu_compat": (_draw_g_s, _holds_mu_compat),
+    "well_defined": (_draw_relator, _holds_well_defined),
 }
+
+PROPERTY_NAMES = ("validate",) + tuple(_PROPERTIES)
 
 
 def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
                  ctx: ActionContext | None = None) -> PropertyResult:
-    """Run a single named property for one entry."""
-    if name not in _PROPERTY_RUNNERS:
+    """Run a single named property for one entry.
+
+    Every random property goes through the same loop: draw each case's
+    instances, fail the case at its first failing instance, shrink that
+    instance and render it with the exception it raises, if any."""
+    if name == "validate":
+        report = validate(entry.algebra, entry.split)
+        if report.ok:
+            return PropertyResult(entry.name, name, 1, 0)
+        return PropertyResult(
+            entry.name, name, 0, 1, failures=(PropertyFailure(0, tuple(report.lines())),)
+        )
+    if name not in _PROPERTIES:
         raise ValueError(f"unknown property {name!r}")
-    if name != "validate" and ctx is None:
+    if ctx is None:
         ctx = ActionContext(entry.algebra, entry.split, validate=False)
-    return _PROPERTY_RUNNERS[name](cfg, entry, ctx)
+    draw, holds = _PROPERTIES[name]
+
+    # a predicate that raises counts as a failing instance (keeps the suite
+    # total when validation was deselected on a broken entry)
+    def fails(inst):
+        try:
+            return not holds(ctx, inst)
+        except Exception:
+            return True
+
+    passed = failed = 0
+    failures = []
+    for k in range(cfg.cases):
+        instances = draw(_case_rng(cfg, entry, name, k), cfg, entry)
+        bad = next((inst for inst in instances if fails(inst)), None)
+        if bad is None:
+            passed += 1
+            continue
+        failed += 1
+        small = shrink(bad, fails)
+        desc = list(_render_instance(entry, small))
+        try:
+            holds(ctx, small)
+        except Exception as exc:
+            desc.append(f"raised {type(exc).__name__}: {exc}")
+        failures.append(PropertyFailure(k, tuple(desc), small))
+    return PropertyResult(entry.name, name, passed, failed, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -671,30 +603,22 @@ class SuiteReport:
 
 
 def run_suite(cfg: SuiteConfig, registry: ExampleRegistry) -> SuiteReport:
-    """Run every selected property for every (ring-filtered) entry.
+    """Run every selected property for every entry.
 
     A failed validation gates the entry: dependent properties are reported
     as skipped.  Other failures never abort the run."""
     results = []
     props = cfg.properties or PROPERTY_NAMES
     for entry in registry.entries():
-        if cfg.rings is not None and entry.ring.descriptor() not in cfg.rings:
-            continue
         per: list[PropertyResult] = []
         gated = False
-        ctx = None
         for name in props:
-            if name == "validate":
-                r = _prop_validate(cfg, entry, None)
-                per.append(r)
-                if r.failed:
-                    gated = True
-                continue
             if gated:
                 per.append(PropertyResult(entry.name, name, 0, 0, skipped=True))
                 continue
-            if ctx is None:
-                ctx = ActionContext(entry.algebra, entry.split, validate=False)
-            per.append(_PROPERTY_RUNNERS[name](cfg, entry, ctx))
+            r = run_property(name, cfg, entry)
+            per.append(r)
+            if name == "validate" and r.failed:
+                gated = True
         results.append((entry.name, tuple(per)))
     return SuiteReport(cfg, tuple(results))

@@ -13,8 +13,11 @@ Expressions:  expr := term (('+'|'-') term)*
               factor := name | '1' | '(' expr ')'
               coeff := integer | integer '/' integer   (fractions in Q only)
 
+Expressions nest at most 200 parentheses deep.
+
 Exit codes: 0 success / all properties pass; 1 validation failure;
-2 parse error; 3 property or oracle counterexample.
+2 parse error (too-deep nesting included); 3 property or oracle
+counterexample.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .ring import Ring, Scalar, make_ring
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CONT = _NAME_START | set("0123456789_")
 _OPS = set("*+-/()")
+_MAX_NESTING = 200  # parenthesis levels; each costs three parser frames
 
 
 class ParseError(ValueError):
@@ -97,6 +101,7 @@ class _Tokens:
         self.toks = tokens
         self.i = 0
         self.line = line
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self):
         return self.toks[self.i]
@@ -148,9 +153,13 @@ def _expr_factor(ts: _Tokens, algebra: LieAlgebra) -> EnvElement:
         ts.next()
         return EnvElement.unit(algebra)
     if ts.eat_op("("):
+        if ts.depth == _MAX_NESTING:
+            raise ParseError("expression nested too deeply", ts.line, col)
+        ts.depth += 1
         inner = _expr_sum(ts, algebra)
         if not ts.eat_op(")"):
             ts.error("expected ')'")
+        ts.depth -= 1
         return inner
     ts.error("expected a basis name, '1' or '('")
 
@@ -437,13 +446,22 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_normal_order(args) -> int:
+def _load_expr(args):
+    """The validated algebra and split of ``args.file`` and ``args.expr``
+    parsed over them; None after printing the validation report to stderr."""
     algebra, split = _read_spec(args.file).build()
     report = validate(algebra, split)
     if not report.ok:
         print(report, file=sys.stderr)
+        return None
+    return algebra, split, parse_expr(args.expr, algebra)
+
+
+def _cmd_normal_order(args) -> int:
+    loaded = _load_expr(args)
+    if loaded is None:
         return 1
-    u = parse_expr(args.expr, algebra)
+    algebra, split, u = loaded
     ctx = ActionContext(algebra, split, validate=False)
     result = normal_order(ctx, u, check=not args.no_oracle)
     for line in state_lines(result):
@@ -452,12 +470,10 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_straighten(args) -> int:
-    algebra, split = _read_spec(args.file).build()
-    report = validate(algebra, split)
-    if not report.ok:
-        print(report, file=sys.stderr)
+    loaded = _load_expr(args)
+    if loaded is None:
         return 1
-    u = parse_expr(args.expr, algebra)
+    algebra, _split, u = loaded
     order = None
     if args.order:
         if sorted(args.order) != sorted(algebra.basis):

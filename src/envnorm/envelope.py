@@ -146,10 +146,6 @@ class EnvElement(_Combination):
             return env_mul(self, other)
         return self.scale(other)
 
-    def degree(self) -> int:
-        """Maximal word length; -1 for the zero element."""
-        return max((len(w) for w in self.terms), default=-1)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 

@@ -118,9 +118,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> "GVector":
         return self._basis_vectors[i]
 
-    def zero_vector(self) -> "GVector":
-        return GVector(self, [self.ring.zero] * self.dim)
-
     def vector(self, coords) -> "GVector":
         """GVector from a full coordinate sequence or a sparse {index|name: coeff} map."""
         if isinstance(coords, dict):
@@ -247,9 +244,6 @@ class SplitDecomposition:
 
     def side_of(self, i: int) -> int:
         return self._side[i]
-
-    def letters(self, which: int) -> tuple[int, ...]:
-        return self.part1 if which == 1 else self.part2
 
     def split_order(self) -> tuple[int, ...]:
         """Total order putting every part-1 index before every part-2 index,

@@ -108,14 +108,6 @@ def test_run_suite_all_pass_and_reproducible():
     assert report.render() == run_suite(cfg, reg).render()  # byte identical
 
 
-def test_ring_filter():
-    reg = builtin_examples()
-    cfg = SuiteConfig(seed=1, cases=2, max_degree=2, rings=("Zmod 4",),
-                      properties=("validate",))
-    report = run_suite(cfg, reg)
-    assert [name for name, _r in report.results] == ["sl3_Z4"]
-
-
 def test_corrupted_entry_gates_dependent_properties():
     reg = ExampleRegistry([_corrupted_sl2_entry()])
     cfg = SuiteConfig(seed=42, cases=3, max_degree=3)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from envnorm.checks import sl2_algebra
+from envnorm.checks import RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra
 from envnorm.cli import (
     ParseError,
     format_spec,
@@ -14,6 +14,7 @@ from envnorm.cli import (
     state_lines,
 )
 from envnorm.envelope import EnvElement, env_eq
+from envnorm.normalform import ActionContext, check_lie_action
 from envnorm.ring import make_ring
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,6 +151,24 @@ def test_parse_expr_fraction_needs_q(sl2):
 def test_parse_expr_rejects(bad, sl2):
     with pytest.raises(ParseError):
         parse_expr(bad, sl2)
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "e" + ")" * depth
+
+
+def test_parse_expr_nesting_bound(sl2):
+    assert parse_expr(_nested(200), sl2) == EnvElement.word(sl2, (0,))
+    with pytest.raises(ParseError) as err:
+        parse_expr(_nested(201), sl2)
+    assert "nested too deeply" in str(err.value)
+
+
+@pytest.mark.parametrize("command", ["normal-order", "straighten"])
+def test_deep_nesting_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, str(GOLDEN / "sl2.alg"), "--expr", _nested(2000))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nested too deeply" in err
 
 
 def test_parse_expr_never_crashes(sl2):
@@ -291,6 +310,59 @@ def test_check_property_failure_exits_3(capsys):
     )
     assert code == 3
     assert "FAIL lie_action" in out
+
+
+_RANDOM_PROPS = "oracle,inverse,lie_action,filtration,right_linearity,mu_compat,well_defined"
+
+
+@pytest.mark.parametrize(
+    "alg,props,name",
+    [
+        ("sl2_bad_jacobi.alg", _RANDOM_PROPS, "check_sl2_bad_jacobi_cases5.txt"),
+        ("sl2_bad_alternating.alg", _RANDOM_PROPS, "check_sl2_bad_alternating_cases5.txt"),
+        (
+            "sl2_bad_split.alg",
+            _RANDOM_PROPS.replace("lie_action,", ""),
+            "check_sl2_bad_split_cases5.txt",
+        ),
+    ],
+)
+def test_check_failure_report_golden(capsys, alg, props, name):
+    code, out, err = run_cli(
+        capsys, "check", str(GOLDEN / alg), "--props", props, "--cases", "5"
+    )
+    assert (code, err) == (3, "")
+    assert out == golden(name)
+
+
+def test_raising_lie_action_failures_are_shrunk():
+    # the same cases as `check sl2_bad_split.alg --props lie_action --cases 5`
+    algebra, split = parse_spec(golden("sl2_bad_split.alg")).build()
+    entry = RegistryEntry("sl2_bad_split", algebra, split)
+    result = run_property("lie_action", SuiteConfig(seed=42, cases=5, max_degree=3), entry)
+    ctx = ActionContext(algebra, split, validate=False)
+
+    def check(inst):
+        g, h = algebra.basis_vector(inst["g"]), algebra.basis_vector(inst["h"])
+        return check_lie_action(ctx, g, h, inst["s"])
+
+    def fails(inst):
+        try:
+            return not check(inst)
+        except Exception:
+            return True
+
+    raising = [f for f in result.failures if f.description[-1].startswith("raised ")]
+    assert raising
+    for failure in raising:
+        inst = failure.instance
+        assert {"g", "h"} <= set(inst)
+        assert failure.description[:2] == (
+            f"g = {algebra.basis[inst['g']]}", f"h = {algebra.basis[inst['h']]}",
+        )
+        with pytest.raises(ValueError):
+            check(inst)
+        assert shrink(inst, fails) == inst  # no single move keeps the failure
 
 
 def test_check_needs_exactly_one_source(capsys):
