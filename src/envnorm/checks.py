@@ -39,7 +39,7 @@ from .ring import Ring, make_ring
 class SuiteConfig:
     seed: int = 42
     cases: int = 50
-    max_degree: int = 4
+    max_degree: int = 3
     properties: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -226,6 +226,11 @@ def _child_seed(seed: int, *parts) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _case_rng(cfg: SuiteConfig, entry: RegistryEntry, label: str, index: int) -> random.Random:
+    """The rng of draw ``index`` for a property or generation kind ``label``."""
+    return random.Random(_child_seed(cfg.seed, entry.name, label, index))
+
+
 def _draw_coeff(rng: random.Random, ring: Ring):
     # small coefficients on purpose: |n| <= 9, denominators <= 9
     if ring.kind == "Q" and rng.random() < 0.5:
@@ -269,7 +274,7 @@ def generate(kind: str, cfg: SuiteConfig, entry: RegistryEntry, index: int = 0):
     """Draw number ``index`` of the given kind ("word", "vector", "state",
     "element") for an entry; identical (seed, kind, index) gives an
     identical object."""
-    rng = random.Random(_child_seed(cfg.seed, entry.name, kind, index))
+    rng = _case_rng(cfg, entry, kind, index)
     if kind == "word":
         return _draw_word(rng, range(entry.algebra.dim), cfg.max_degree)
     if kind == "vector":
@@ -298,8 +303,13 @@ def _pair_drops(key: tuple):
         yield (w1, shorter)
 
 
-# combination type -> the keys one letter shorter than a given key
-_KEY_DROPS = {EnvElement: _word_drops, StateElement: _pair_drops}
+def _no_drops(key):
+    return ()
+
+
+# combination type -> the keys one letter shorter than a given key (a vector's
+# basis index has none, so a vector only drops terms)
+_KEY_DROPS = {EnvElement: _word_drops, StateElement: _pair_drops, GVector: _no_drops}
 
 
 def _moves(value):
@@ -319,12 +329,6 @@ def _moves(value):
                 prev = rest.get(shorter)
                 rest[shorter] = c if prev is None else prev + c
                 yield value._like(rest)
-    elif isinstance(value, GVector):
-        zero = value.algebra.ring.zero
-        for i, _c in value.support():
-            coords = list(value.coords)
-            coords[i] = zero
-            yield GVector(value.algebra, tuple(coords))
     elif isinstance(value, tuple):
         yield from _word_drops(value)
 
@@ -386,10 +390,6 @@ class PropertyResult:
     failures: tuple[PropertyFailure, ...] = ()
 
 
-def _case_rng(cfg: SuiteConfig, entry: RegistryEntry, prop: str, index: int) -> random.Random:
-    return random.Random(_child_seed(cfg.seed, entry.name, prop, index))
-
-
 def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
                     x: int, y: int, coeff) -> EnvElement:
     """u plus coeff * (the word ``host`` with the two-sided relator
@@ -400,9 +400,8 @@ def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
     extra = EnvElement.word(algebra, head + (x, y) + tail, coeff) - EnvElement.word(
         algebra, head + (y, x) + tail, coeff
     )
-    for k, gamma in enumerate(algebra.table[x][y]):
-        if gamma:
-            extra = extra - EnvElement(algebra, {head + (k,) + tail: coeff * gamma})
+    for k, gamma in algebra.table[x][y]:
+        extra = extra - EnvElement(algebra, {head + (k,) + tail: coeff * gamma})
     return u + extra
 
 

@@ -37,7 +37,7 @@ from .checks import (
     run_suite,
 )
 from .envelope import EnvElement, StateElement, straighten
-from .liealg import LieAlgebra, SplitDecomposition, validate
+from .liealg import LieAlgebra, SplitDecomposition, _acc, validate
 from .normalform import ActionContext, OracleMismatchError, normal_order
 from .ring import Ring, Scalar, make_ring
 
@@ -228,33 +228,32 @@ def parse_expr(text: str, algebra: LieAlgebra, line: int = 1) -> EnvElement:
 class AlgebraSpec:
     """Parsed, canonicalized algebra description.
 
-    Brackets are stored as ((i, j), coords) with i <= j, zero combinations
-    dropped and the reversed orientation implied; this makes
-    parse -> print -> parse the identity."""
+    Brackets are stored as ((i, j), pairs) with i <= j, ``pairs`` the
+    (k, c) terms with c != 0 in increasing k (the form of
+    ``LieAlgebra.table``), zero combinations dropped and the reversed
+    orientation implied; this makes parse -> print -> parse the identity."""
 
     ring: Ring
     basis: tuple[str, ...]
-    brackets: tuple[tuple[tuple[int, int], tuple[Scalar, ...]], ...]
+    brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, Scalar], ...]], ...]
     part1: tuple[int, ...]
     part2: tuple[int, ...]
 
     def build(self) -> tuple[LieAlgebra, SplitDecomposition]:
-        n = len(self.basis)
-        zero = self.ring.zero
-        table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (i, j), coords in self.brackets:
-            table[i][j] = list(coords)
-            if i != j:
-                table[j][i] = [-c for c in coords]
-        algebra = LieAlgebra(self.ring, self.basis, table)
+        names = self.basis
+        algebra = LieAlgebra.from_brackets(self.ring, names, {
+            (names[i], names[j]): {names[k]: c for k, c in pairs}
+            for (i, j), pairs in self.brackets
+        })
         return algebra, SplitDecomposition(algebra, self.part1, self.part2)
 
 
-def _parse_lincomb(text: str, lineno: int, ring: Ring, index: dict) -> list[Scalar]:
+def _parse_lincomb(text: str, lineno: int, ring: Ring, index: dict) -> tuple:
     """Lie-algebra-valued linear combination: term (('+'|'-') term)* with
-    term := ['-'] [coeff '*'] name; the bare literal 0 is the zero combination."""
+    term := ['-'] [coeff '*'] name; the bare literal 0 is the zero combination.
+    Returns the (index, coefficient) pairs with coefficient != 0, by index."""
     ts = _Tokens(_tokenize(text, lineno), lineno)
-    coords = [ring.zero] * len(index)
+    terms: dict = {}
     first = True
     while True:
         kind, tok, _col = ts.peek()
@@ -285,10 +284,8 @@ def _parse_lincomb(text: str, lineno: int, ring: Ring, index: dict) -> list[Scal
         ts.next()
         if tok not in index:
             raise ParseError(f"unknown name {tok!r}", lineno, col)
-        i = index[tok]
-        add = coeff if sign > 0 else -coeff
-        coords[i] = coords[i] + add
-    return coords
+        _acc(terms, index[tok], coeff if sign > 0 else -coeff)
+    return tuple(sorted(terms.items()))
 
 
 _VALID_NAME = lambda s: bool(s) and s[0] in _NAME_START and all(c in _NAME_CONT for c in s)
@@ -299,7 +296,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     ring: Ring | None = None
     basis: list[str] = []
     index: dict[str, int] = {}
-    declared: dict[tuple[int, int], tuple[list[Scalar], int]] = {}
+    declared: dict[tuple[int, int], tuple[tuple, int]] = {}
     split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -379,12 +376,12 @@ def parse_spec(text: str) -> AlgebraSpec:
         raise ParseError("missing split line")
 
     # canonicalize: key pairs by (min, max); check double orientations negate
-    canon: dict[tuple[int, int], list[Scalar]] = {}
-    for (i, j), (coords, lineno) in sorted(declared.items()):
+    canon: dict[tuple[int, int], tuple] = {}
+    for (i, j), (pairs, lineno) in sorted(declared.items()):
         if i <= j:
-            key, value = (i, j), coords
+            key, value = (i, j), pairs
         else:
-            key, value = (j, i), [-c for c in coords]
+            key, value = (j, i), tuple((k, -c) for k, c in pairs)
         if key in canon:
             if canon[key] != value:
                 a, b = basis[i], basis[j]
@@ -394,11 +391,7 @@ def parse_spec(text: str) -> AlgebraSpec:
                 )
         else:
             canon[key] = value
-    brackets = tuple(
-        (key, tuple(coords))
-        for key, coords in sorted(canon.items())
-        if any(coords)
-    )
+    brackets = tuple((key, pairs) for key, pairs in sorted(canon.items()) if pairs)
     return AlgebraSpec(ring, tuple(basis), brackets, split[0], split[1])
 
 
@@ -406,10 +399,8 @@ def format_spec(spec: AlgebraSpec) -> str:
     """Canonical text for an AlgebraSpec; parse(format_spec(s)) == s."""
     lines = [f"ring {spec.ring.descriptor()}"]
     lines.append("basis " + " ".join(spec.basis))
-    for (i, j), coords in spec.brackets:
-        combo = " + ".join(
-            f"{c}*{spec.basis[k]}" for k, c in enumerate(coords) if c
-        )
+    for (i, j), pairs in spec.brackets:
+        combo = " + ".join(f"{c}*{spec.basis[k]}" for k, c in pairs)
         lines.append(f"bracket {spec.basis[i]} {spec.basis[j]} = {combo}")
     left = " ".join(spec.basis[i] for i in spec.part1)
     right = " ".join(spec.basis[i] for i in spec.part2)
@@ -539,9 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the property suite")
     p.add_argument("file", nargs="?")
     p.add_argument("--builtin", action="store_true", help="use the builtin registry")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--max-deg", type=int, default=3)
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p.add_argument("--cases", type=int, default=SuiteConfig.cases)
+    p.add_argument("--max-deg", type=int, default=SuiteConfig.max_degree)
     p.add_argument("--props", help="comma-separated property subset "
                                    f"(of: {', '.join(PROPERTY_NAMES)})")
     p.set_defaults(func=_cmd_check)

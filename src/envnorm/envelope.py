@@ -20,87 +20,16 @@ oracle.
 
 from __future__ import annotations
 
-from .liealg import CarrierMismatchError, GVector, LieAlgebra, SplitDecomposition
+from .liealg import (
+    CarrierMismatchError,
+    GVector,
+    LieAlgebra,
+    SplitDecomposition,
+    _acc,
+    _Combination,
+)
 
 Word = tuple  # sequence of basis indices; () is the unit word
-
-
-def _acc(d: dict, key, c) -> None:
-    """Accumulate coefficient c onto d[key], dropping the key when it cancels."""
-    prev = d.get(key)
-    if prev is None:
-        if c:
-            d[key] = c
-    else:
-        s = prev + c
-        if s:
-            d[key] = s
-        else:
-            del d[key]
-
-
-class _Combination:
-    """Finite {key: scalar} combination over a fixed carrier: the linear
-    arithmetic shared by :class:`EnvElement` and :class:`StateElement`.
-    Subclasses keep the carrier in their own slot and build results through
-    their own constructor, so every result passes its checks."""
-
-    __slots__ = ("terms",)
-    _mismatch = ""  # CarrierMismatchError message
-
-    def _carrier(self):
-        raise NotImplementedError
-
-    @classmethod
-    def zero(cls, carrier):
-        return cls(carrier)
-
-    def _like(self, terms=None):
-        """A combination over the same carrier, built through the subclass's checks."""
-        return type(self)(self._carrier(), terms)
-
-    def _check(self, other) -> None:
-        if self._carrier() is not other._carrier():
-            raise CarrierMismatchError(self._mismatch)
-
-    def _combine(self, other, negate: bool):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, -c if negate else c)
-        return self._like(out)
-
-    def __add__(self, other):
-        return self._combine(other, False)
-
-    def __sub__(self, other):
-        return self._combine(other, True)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def scale(self, coeff):
-        c = self.algebra.ring.scalar(coeff)
-        if not c:
-            return self._like()
-        return self._like({k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return f"{type(self).__name__}<{self}>"
 
 
 class EnvElement(_Combination):
@@ -309,14 +238,13 @@ def _straighten_word(algebra: LieAlgebra, rank: tuple[int, ...], w: tuple,
         row = algebra.table[x][y]
         if stats is not None:
             stats["steps"] += 1
-            stats["spawned"] += 1 + sum(1 for c in row if c)
+            stats["spawned"] += 1 + len(row)
         result = _straighten_word(algebra, rank, head + (y, x) + tail, stats)
-        if any(row):  # commuting letters share the swapped word's form
+        if row:  # commuting letters share the swapped word's form
             out = dict(result)
-            for k, c in enumerate(row):
-                if c:
-                    for w2, c2 in _straighten_word(algebra, rank, head + (k,) + tail, stats):
-                        _acc(out, w2, c * c2)
+            for k, c in row:
+                for w2, c2 in _straighten_word(algebra, rank, head + (k,) + tail, stats):
+                    _acc(out, w2, c * c2)
             result = tuple(out.items())
     memo[key] = result
     return result

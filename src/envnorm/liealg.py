@@ -43,11 +43,91 @@ class ValidationReport:
         return "ok" if self.ok else "\n".join(self.lines())
 
 
-class LieAlgebra:
-    """Finite free basis plus the table c[i][j] = coordinates of [e_i, e_j].
+def _acc(d: dict, key, c) -> None:
+    """Accumulate coefficient c onto d[key], dropping the key when it cancels."""
+    prev = d.get(key)
+    if prev is None:
+        if c:
+            d[key] = c
+    else:
+        s = prev + c
+        if s:
+            d[key] = s
+        else:
+            del d[key]
 
-    The table is stored fully (n x n x n scalars); nothing is assumed about
-    it until :func:`validate_algebra` says the Lie axioms hold.
+
+class _Combination:
+    """Finite {key: scalar} combination over a fixed carrier: the linear
+    arithmetic shared by :class:`GVector` and the envelope's element types.
+    Subclasses keep the carrier in their own slot and build results through
+    their own constructor, so every result passes its checks."""
+
+    __slots__ = ("terms",)
+    _mismatch = ""  # CarrierMismatchError message
+
+    def _carrier(self):
+        raise NotImplementedError
+
+    @classmethod
+    def zero(cls, carrier):
+        return cls(carrier)
+
+    def _like(self, terms=None):
+        """A combination over the same carrier, built through the subclass's checks."""
+        return type(self)(self._carrier(), terms)
+
+    def _check(self, other) -> None:
+        if self._carrier() is not other._carrier():
+            raise CarrierMismatchError(self._mismatch)
+
+    def _combine(self, other, negate: bool):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _acc(out, key, -c if negate else c)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, coeff):
+        c = self.algebra.ring.scalar(coeff)
+        if not c:
+            return self._like()
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, coeff):
+        return self.scale(coeff)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self}>"
+
+
+class LieAlgebra:
+    """Finite free basis plus the structure constants of [e_i, e_j].
+
+    The constructor takes the dense n x n x n table; ``table[i][j]`` keeps
+    the sparse form of [e_i, e_j] = sum c e_k: the (k, c) pairs with c != 0,
+    in increasing k.  Nothing is assumed about the table until
+    :func:`validate_algebra` says the Lie axioms hold.
     """
 
     __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors",
@@ -74,16 +154,10 @@ class LieAlgebra:
             for cell in row:
                 if len(cell) != n:
                     raise ValueError("structure table must be n x n x n")
-                cells.append(tuple(ring.scalar(c) for c in cell))
+                cells.append(tuple((k, c) for k, c in enumerate(map(ring.scalar, cell)) if c))
             rows.append(tuple(cells))
         self.table = tuple(rows)
-        unit = [ring.zero] * n
-        vecs = []
-        for i in range(n):
-            coords = list(unit)
-            coords[i] = ring.one
-            vecs.append(GVector(self, coords))
-        self._basis_vectors = tuple(vecs)
+        self._basis_vectors = tuple(GVector(self, {i: ring.one}) for i in range(n))
         self._straighten_memo: dict = {}  # envelope._straighten_word: (rank, word) -> form
 
     @classmethod
@@ -121,30 +195,20 @@ class LieAlgebra:
     def vector(self, coords) -> "GVector":
         """GVector from a full coordinate sequence or a sparse {index|name: coeff} map."""
         if isinstance(coords, dict):
-            full = [self.ring.zero] * self.dim
-            for key, val in coords.items():
-                full[self.index[key] if isinstance(key, str) else key] = val
-            coords = full
+            coords = {self.index[k] if isinstance(k, str) else k: c for k, c in coords.items()}
         return GVector(self, coords)
 
     def bracket(self, v: "GVector", w: "GVector") -> "GVector":
         """Bilinear extension of the structure table."""
         if v.algebra is not self or w.algebra is not self:
             raise CarrierMismatchError("bracket operands from a different algebra")
-        out = [self.ring.zero] * self.dim
-        for i, a in enumerate(v.coords):
-            if not a:
-                continue
+        out: dict = {}
+        for i, a in v.terms.items():
             row = self.table[i]
-            for j, b in enumerate(w.coords):
-                if not b:
-                    continue
+            for j, b in w.terms.items():
                 ab = a * b
-                if not ab:
-                    continue
-                for k, c in enumerate(row[j]):
-                    if c:
-                        out[k] = out[k] + ab * c
+                for k, c in row[j]:
+                    _acc(out, k, ab * c)
         return GVector(self, out)
 
     def change_ring(self, ring: Ring) -> "LieAlgebra":
@@ -154,71 +218,65 @@ class LieAlgebra:
         """
         if self.ring.kind != "Z":
             raise ValueError("change_ring expects an integral table")
-        table = [
-            [[cell.value for cell in row_cell] for row_cell in row]
-            for row in self.table
-        ]
+        n = self.dim
+        table = [[[0] * n for _j in range(n)] for _i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k, c in self.table[i][j]:
+                    table[i][j][k] = c.value
         return LieAlgebra(ring, self.basis, table)
 
     def __repr__(self):
         return f"LieAlgebra({self.ring.descriptor()}, basis={'/'.join(self.basis)})"
 
 
-class GVector:
-    """Element of the algebra as a coordinate vector over the basis."""
+class GVector(_Combination):
+    """Element of the algebra as a sparse {basis index: nonzero scalar} map.
 
-    __slots__ = ("algebra", "coords")
+    Built from a full coordinate sequence or an {index: coefficient} map;
+    the linear arithmetic is the shared combination base's."""
 
-    def __init__(self, algebra: LieAlgebra, coords):
-        if len(coords) != algebra.dim:
+    __slots__ = ("algebra",)
+    _mismatch = "vectors from different algebras"
+
+    def __init__(self, algebra: LieAlgebra, coords=None):
+        n = algebra.dim
+        if coords is None:
+            items = ()
+        elif isinstance(coords, dict):
+            items = coords.items()
+            for i in coords:
+                if not (0 <= i < n):
+                    raise ValueError(f"index {i} outside basis")
+        elif len(coords) != n:
             raise ValueError("coordinate vector has the wrong length")
+        else:
+            items = enumerate(coords)
+        scalar = algebra.ring.scalar
+        clean = {}
+        for i, c in items:
+            c = scalar(c)
+            if c:
+                clean[i] = c
         self.algebra = algebra
-        self.coords = tuple(map(algebra.ring.scalar, coords))
+        self.terms = clean
 
-    def _check(self, other: "GVector") -> None:
-        if self.algebra is not other.algebra:
-            raise CarrierMismatchError("vectors from different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return GVector(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return GVector(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return GVector(self.algebra, tuple(-a for a in self.coords))
-
-    def scale(self, coeff) -> "GVector":
-        c = self.algebra.ring.scalar(coeff)
-        return GVector(self.algebra, tuple(c * a for a in self.coords))
+    def _carrier(self):
+        return self.algebra
 
     def bracket(self, other: "GVector") -> "GVector":
         return self.algebra.bracket(self, other)
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
+    def sorted_terms(self):
+        """Pairs (index, coefficient) of the nonzero coordinates, in index order."""
+        return sorted(self.terms.items())
 
-    def support(self):
-        """Pairs (index, coefficient) of the nonzero coordinates."""
-        for i, c in enumerate(self.coords):
-            if c:
-                yield i, c
-
-    def __eq__(self, other):
-        if not isinstance(other, GVector):
-            return NotImplemented
-        self._check(other)
-        return self.coords == other.coords
+    support = sorted_terms
 
     def __str__(self):
         names = self.algebra.basis
         bits = [f"{c}*{names[i]}" for i, c in self.support()]
         return " + ".join(bits) if bits else "0"
-
-    def __repr__(self):
-        return f"GVector({self})"
 
 
 class SplitDecomposition:
@@ -254,11 +312,8 @@ class SplitDecomposition:
         """Zero all coordinates outside part ``which``."""
         if v.algebra is not self.algebra:
             raise CarrierMismatchError("vector from a different algebra")
-        zero = self.algebra.ring.zero
-        coords = tuple(
-            c if self._side[i] == which else zero for i, c in enumerate(v.coords)
-        )
-        return GVector(self.algebra, coords)
+        return GVector(self.algebra,
+                       {i: c for i, c in v.terms.items() if self._side[i] == which})
 
     def __str__(self):
         names = self.algebra.basis
@@ -286,17 +341,19 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     names = alg.basis
     n = alg.dim
     found: list[Violation] = []
+
+    def cell(i, j):
+        return GVector(alg, dict(alg.table[i][j]))
+
     for i in range(n):
-        if any(alg.table[i][i]):
-            vec = GVector(alg, alg.table[i][i])
+        if alg.table[i][i]:
             found.append(
                 Violation("alternating", (names[i], names[i]),
-                          f"[{names[i]},{names[i]}] = {vec}, expected 0")
+                          f"[{names[i]},{names[i]}] = {cell(i, i)}, expected 0")
             )
     for i in range(n):
         for j in range(i + 1, n):
-            s = tuple(a + b for a, b in zip(alg.table[i][j], alg.table[j][i]))
-            if any(s):
+            if not (cell(i, j) + cell(j, i)).is_zero():
                 found.append(
                     Violation("alternating", (names[i], names[j]),
                               f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]")
@@ -341,8 +398,8 @@ def validate_split(alg: LieAlgebra, part1, part2) -> ValidationReport:
         members = set(part)
         for i in part:
             for j in part:
-                for k, c in enumerate(alg.table[i][j]):
-                    if c and k not in members:
+                for k, c in alg.table[i][j]:
+                    if k not in members:
                         found.append(
                             Violation(
                                 "closure", (names[i], names[j]),

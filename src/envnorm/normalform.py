@@ -35,7 +35,6 @@ from __future__ import annotations
 from .envelope import (
     EnvElement,
     StateElement,
-    _acc,
     env_eq,
     env_mul,
     mu_state,
@@ -48,6 +47,7 @@ from .liealg import (
     GVector,
     LieAlgebra,
     SplitDecomposition,
+    _acc,
     validate as _validate,  # ActionContext's keyword shadows the plain name
 )
 
@@ -98,10 +98,9 @@ def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
     else:
         x, rest = w1[0], w1[1:]
         out: dict = {}
-        for k, b in enumerate(ctx.algebra.table[i][x]):
-            if b:
-                for pair, c in _basis_action(ctx, k, rest):
-                    _acc(out, pair, b * c)
+        for k, b in ctx.algebra.table[i][x]:
+            for pair, c in _basis_action(ctx, k, rest):
+                _acc(out, pair, b * c)
         for (u1, u2), c in _basis_action(ctx, i, rest):
             _acc(out, ((x,) + u1, u2), c)
         result = tuple(out.items())

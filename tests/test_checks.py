@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +9,13 @@ from envnorm.checks import (
     RegistryEntry,
     SuiteConfig,
     builtin_examples,
+    _moves,
     generate,
     run_property,
     run_suite,
     sl2_algebra,
 )
+from envnorm.cli import parse_spec
 from envnorm.envelope import EnvElement, StateElement
 from envnorm.liealg import LieAlgebra, SplitDecomposition, validate_algebra, validate_split
 from envnorm.normalform import ActionContext, check_lie_action, section_s
@@ -165,3 +168,23 @@ def test_suite_total_on_nonclosed_split_without_validation():
 def test_run_property_unknown_name():
     with pytest.raises(ValueError):
         run_property("bogus", SuiteConfig(seed=1), _corrupted_sl2_entry())
+
+
+def test_vector_moves_drop_one_term_in_index_order():
+    alg = sl2_algebra(Z)
+    v = alg.vector({"e": 3, "f": -1, "h": 2})
+    assert [str(m) for m in _moves(v)] == ["-1*f + 2*h", "3*e + 2*h", "3*e + -1*f"]
+
+
+def test_default_config_is_the_cli_check():
+    # SuiteConfig's defaults are `envnorm check`'s: the same cases, the same report
+    golden = Path(__file__).parent / "golden"
+    text = run_suite(SuiteConfig(), builtin_examples()).render() + "\n"
+    assert text == (golden / "check_builtin_seed42.txt").read_text(encoding="utf-8")
+    # the builtin report passes at any degree; a failure report shows the draws
+    algebra, split = parse_spec((golden / "sl2_bad_jacobi.alg").read_text(encoding="utf-8")).build()
+    props = tuple(p for p in PROPERTY_NAMES if p != "validate")
+    cfg = SuiteConfig(cases=5, properties=props)
+    report = run_suite(cfg, ExampleRegistry([RegistryEntry("sl2_bad_jacobi", algebra, split)]))
+    expected = (golden / "check_sl2_bad_jacobi_cases5.txt").read_text(encoding="utf-8")
+    assert report.render() + "\n" == expected

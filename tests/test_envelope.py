@@ -136,9 +136,8 @@ def _worklist_straighten(u):
         x, y = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
         children = [(head + (y, x) + tail, c)]
-        for k, gamma in enumerate(alg.table[x][y]):
-            if gamma:
-                children.append((head + (k,) + tail, c * gamma))
+        for k, gamma in alg.table[x][y]:
+            children.append((head + (k,) + tail, c * gamma))
         for w2, c2 in children:
             assert (len(w2), _inversions(rank, w2)) < parent
             pending.append((w2, c2))
@@ -152,7 +151,7 @@ def test_straighten_termination_counts():
         alg = sl_algebra(3, Z)  # fresh, so its straightening memo starts empty
         if branching is None:
             branching = 1 + max(
-                sum(1 for c in alg.table[i][j] if c)
+                len(alg.table[i][j])
                 for i in range(alg.dim)
                 for j in range(alg.dim)
             )
@@ -400,7 +399,6 @@ def _relator_tweak(rng, alg, u):
     extra = EnvElement.word(alg, head + (x, y) + tail, c) - EnvElement.word(
         alg, head + (y, x) + tail, c
     )
-    for k, gamma in enumerate(alg.table[x][y]):
-        if gamma:
-            extra = extra - EnvElement(alg, {head + (k,) + tail: c * gamma})
+    for k, gamma in alg.table[x][y]:
+        extra = extra - EnvElement(alg, {head + (k,) + tail: c * gamma})
     return u + extra

@@ -1,11 +1,14 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from envnorm.checks import sl2_algebra, sl_algebra
+from envnorm.checks import builtin_examples, sl2_algebra, sl_algebra
+from envnorm.cli import parse_spec
 from envnorm.liealg import (
     CarrierMismatchError,
+    GVector,
     LieAlgebra,
     SplitDecomposition,
     validate,
@@ -57,7 +60,7 @@ def test_sl2_table_matches_matrix_commutators(sl2):
         expected = _sl2_decompose(_commutator(SL2_MATS[a], SL2_MATS[b]))
         got = sl2.bracket(sl2.basis_vector(sl2.index[a]), sl2.basis_vector(sl2.index[b]))
         for name, coeff in expected.items():
-            assert got.coords[sl2.index[name]] == Z.scalar(coeff), (a, b)
+            assert got.terms.get(sl2.index[name], Z.zero) == Z.scalar(coeff), (a, b)
 
 
 def test_sl2_validates(sl2):
@@ -148,9 +151,7 @@ def test_mod_q_reduction_commutes_with_bracket(q):
         raw_w = [rng.randint(-9, 9) for _ in range(alg.dim)]
         over_z = alg.bracket(alg.vector(raw_v), alg.vector(raw_w))
         reduced_then = alg_q.bracket(alg_q.vector(raw_v), alg_q.vector(raw_w))
-        assert [ring_q.normalize(c.value) for c in over_z.coords] == [
-            c.value for c in reduced_then.coords
-        ]
+        assert alg_q.vector({i: c.value for i, c in over_z.terms.items()}) == reduced_then
 
 
 def test_validate_split_examples(sl2):
@@ -228,3 +229,36 @@ def test_from_brackets_rejects_inconsistent_orientations():
 def test_table_shape_checked():
     with pytest.raises(ValueError):
         LieAlgebra(Z, ("a", "b"), [[[0, 0], [0, 0]]])  # missing row
+
+
+def test_vector_constructor_checks_its_input(sl2):
+    assert GVector(sl2, (0, 3, 0)) == GVector(sl2, {1: 3}) == sl2.vector({"f": 3})
+    with pytest.raises(ValueError):
+        GVector(sl2, (1, 2))  # wrong length
+    with pytest.raises(ValueError):
+        GVector(sl2, {3: 1})  # index outside the basis
+
+
+def test_sl2_built_three_ways_agrees():
+    from_brackets = sl2_algebra(Z)
+    golden = Path(__file__).parent / "golden" / "sl2.alg"
+    parsed, _split = parse_spec(golden.read_text(encoding="utf-8")).build()
+    dense = LieAlgebra(Z, ("e", "f", "h"), [
+        [[0, 0, 0], [0, 0, 1], [-2, 0, 0]],
+        [[0, 0, -1], [0, 0, 0], [0, 2, 0]],
+        [[2, 0, 0], [0, -2, 0], [0, 0, 0]],
+    ])
+    algs = (from_brackets, parsed, dense)
+    for alg in algs[1:]:
+        assert alg.basis == from_brackets.basis
+        assert alg.table == from_brackets.table
+    for i, j in itertools.product(range(3), repeat=2):
+        got = [tuple(a.bracket(a.basis_vector(i), a.basis_vector(j)).support()) for a in algs]
+        assert got[0] == got[1] == got[2], (i, j)
+    # every stored cell holds only nonzero terms, by increasing k, including
+    # the Zmod reductions where entries vanish
+    for entry in builtin_examples().entries():
+        for row in entry.algebra.table:
+            for cell in row:
+                assert all(c for _k, c in cell), entry.name
+                assert [k for k, _c in cell] == sorted({k for k, _c in cell}), entry.name
