@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from envnorm import (
     ActionContext,
     EnvElement,
+    StateElement,
     act,
     builtin_examples,
     env_eq,
@@ -33,7 +34,7 @@ ctx = ActionContext(entry.algebra, entry.split)
 E, F, H = 0, 1, 2
 
 # one recursion step in the open: e acting on f (x) 1 peels off [e,f] = h
-step = act(ctx, entry.algebra.basis_vector(E), ctx.unit_state().prepend_left(F))
+step = act(ctx, entry.algebra.basis_vector(E), StateElement.term(entry.split, (F,), ()))
 print("e * (f (x) 1)      =", step)
 
 # the full normal order of e f: the classical  ef = fe + h

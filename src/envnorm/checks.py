@@ -175,7 +175,7 @@ def sl_algebra(n: int, ring: Ring) -> LieAlgebra:
     names, mats = _sl_basis(n)
     dim = len(names)
     table = [
-        [_sl_coords(n, _commutator(mats[i], mats[j])) for j in range(dim)]
+        [enumerate(_sl_coords(n, _commutator(mats[i], mats[j]))) for j in range(dim)]
         for i in range(dim)
     ]
     return LieAlgebra(ring, names, table)

@@ -425,8 +425,8 @@ def state_lines(s: StateElement) -> list[str]:
 def _read_spec(path: str) -> AlgebraSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     return parse_spec(text)
 
 

@@ -102,16 +102,15 @@ class StateElement(_Combination):
         # states with letters on the wrong side.
         clean = {}
         if terms:
-            names = split.algebra.basis
+            part1, part2 = split.part1_set, split.part2_set
             scalar = split.algebra.ring.scalar
             for (w1, w2), c in terms.items():
                 w1, w2 = tuple(w1), tuple(w2)
-                for letter in w1:
-                    if split.side_of(letter) != 1:
-                        raise ValueError(f"letter {names[letter]} not in part 1")
-                for letter in w2:
-                    if split.side_of(letter) != 2:
-                        raise ValueError(f"letter {names[letter]} not in part 2")
+                if not (part1.issuperset(w1) and part2.issuperset(w2)):
+                    which, letter = next((which, letter) for which, word, part
+                                         in ((1, w1, part1), (2, w2, part2))
+                                         for letter in word if letter not in part)
+                    raise ValueError(f"letter {split.algebra.basis[letter]} not in part {which}")
                 c = scalar(c)
                 if c:
                     clean[(w1, w2)] = c
@@ -136,12 +135,6 @@ class StateElement(_Combination):
     def left_degree(self) -> int:
         """Maximal left-word length; -1 for the zero state."""
         return max((len(w1) for (w1, _w2) in self.terms), default=-1)
-
-    def prepend_left(self, letter: int) -> "StateElement":
-        return StateElement(
-            self.split,
-            {((letter,) + w1, w2): c for (w1, w2), c in self.terms.items()},
-        )
 
     def append_right(self, word) -> "StateElement":
         """Right-multiply by a part-2 word (appended to every right factor)."""

@@ -124,9 +124,10 @@ class _Combination:
 class LieAlgebra:
     """Finite free basis plus the structure constants of [e_i, e_j].
 
-    The constructor takes the dense n x n x n table; ``table[i][j]`` keeps
-    the sparse form of [e_i, e_j] = sum c e_k: the (k, c) pairs with c != 0,
-    in increasing k.  Nothing is assumed about the table until
+    ``table[i][j]`` lists the (k, c) pairs of [e_i, e_j] = sum c e_k.  The
+    constructor takes any iterable of pairs per cell, coerces each c into
+    the ring and sums repeated k; it stores the pairs with c != 0, in
+    increasing k.  Nothing is assumed about the table until
     :func:`validate_algebra` says the Lie axioms hold.
     """
 
@@ -144,17 +145,18 @@ class LieAlgebra:
         self.basis = basis
         self.dim = n
         self.index = {name: i for i, name in enumerate(basis)}
-        if len(table) != n:
-            raise ValueError("structure table must be n x n x n")
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError("structure table must be n x n")
         rows = []
         for row in table:
-            if len(row) != n:
-                raise ValueError("structure table must be n x n x n")
             cells = []
             for cell in row:
-                if len(cell) != n:
-                    raise ValueError("structure table must be n x n x n")
-                cells.append(tuple((k, c) for k, c in enumerate(map(ring.scalar, cell)) if c))
+                acc: dict = {}
+                for k, c in cell:
+                    if not (0 <= k < n):
+                        raise ValueError(f"index {k} outside basis")
+                    _acc(acc, k, ring.scalar(c))
+                cells.append(tuple(sorted(acc.items())))
             rows.append(tuple(cells))
         self.table = tuple(rows)
         self._basis_vectors = tuple(GVector(self, {i: ring.one}) for i in range(n))
@@ -171,23 +173,21 @@ class LieAlgebra:
         basis = tuple(basis_names)
         index = {name: i for i, name in enumerate(basis)}
         n = len(basis)
-        zero = ring.zero
-        table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        seen = {}
+        table = [[{} for _ in range(n)] for _ in range(n)]
+        given = set()
         for (a, b), combo in brackets.items():
             i, j = index[a], index[b]
-            coords = [zero] * n
+            cell: dict = {}
             for name, coeff in combo.items():
-                coords[index[name]] = ring.scalar(coeff)
-            if (j, i) in seen and i != j:
-                expected = [-c for c in seen[(j, i)]]
-                if coords != expected:
+                _acc(cell, index[name], ring.scalar(coeff))
+            if (j, i) in given and i != j:
+                if cell != {k: -c for k, c in table[j][i].items()}:
                     raise ValueError(f"brackets for ({a},{b}) and ({b},{a}) do not negate")
-            seen[(i, j)] = coords
-            table[i][j] = coords
-            if i != j and (j, i) not in seen:
-                table[j][i] = [-c for c in coords]
-        return cls(ring, basis, table)
+            given.add((i, j))
+            table[i][j] = cell
+            if i != j and (j, i) not in given:
+                table[j][i] = {k: -c for k, c in cell.items()}
+        return cls(ring, basis, [[cell.items() for cell in row] for row in table])
 
     def basis_vector(self, i: int) -> "GVector":
         return self._basis_vectors[i]
@@ -218,13 +218,9 @@ class LieAlgebra:
         """
         if self.ring.kind != "Z":
             raise ValueError("change_ring expects an integral table")
-        n = self.dim
-        table = [[[0] * n for _j in range(n)] for _i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k, c in self.table[i][j]:
-                    table[i][j][k] = c.value
-        return LieAlgebra(ring, self.basis, table)
+        return LieAlgebra(ring, self.basis, [
+            [[(k, c.value) for k, c in cell] for cell in row] for row in self.table
+        ])
 
     def __repr__(self):
         return f"LieAlgebra({self.ring.descriptor()}, basis={'/'.join(self.basis)})"
@@ -282,7 +278,7 @@ class GVector(_Combination):
 class SplitDecomposition:
     """Two-block partition of the basis; projectors are coordinate masks."""
 
-    __slots__ = ("algebra", "part1", "part2", "_side")
+    __slots__ = ("algebra", "part1", "part2", "part1_set", "part2_set")
 
     def __init__(self, algebra: LieAlgebra, part1, part2):
         p1 = tuple(sorted(set(part1)))
@@ -293,15 +289,12 @@ class SplitDecomposition:
         self.algebra = algebra
         self.part1 = p1
         self.part2 = p2
-        side = [0] * n
-        for i in p1:
-            side[i] = 1
-        for i in p2:
-            side[i] = 2
-        self._side = tuple(side)
+        self.part1_set = frozenset(p1)
+        self.part2_set = frozenset(p2)
 
     def side_of(self, i: int) -> int:
-        return self._side[i]
+        """1 or 2, the part holding basis index i."""
+        return 1 if i in self.part1_set else 2
 
     def split_order(self) -> tuple[int, ...]:
         """Total order putting every part-1 index before every part-2 index,
@@ -312,8 +305,8 @@ class SplitDecomposition:
         """Zero all coordinates outside part ``which``."""
         if v.algebra is not self.algebra:
             raise CarrierMismatchError("vector from a different algebra")
-        return GVector(self.algebra,
-                       {i: c for i, c in v.terms.items() if self._side[i] == which})
+        part = self.part1_set if which == 1 else self.part2_set
+        return GVector(self.algebra, {i: c for i, c in v.terms.items() if i in part})
 
     def __str__(self):
         names = self.algebra.basis
@@ -340,37 +333,34 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     """Exhaustive alternating + Jacobi check; empty report means usable."""
     names = alg.basis
     n = alg.dim
+    table = alg.table
     found: list[Violation] = []
-
-    def cell(i, j):
-        return GVector(alg, dict(alg.table[i][j]))
-
     for i in range(n):
-        if alg.table[i][i]:
+        if table[i][i]:
             found.append(
                 Violation("alternating", (names[i], names[i]),
-                          f"[{names[i]},{names[i]}] = {cell(i, i)}, expected 0")
+                          f"[{names[i]},{names[i]}] = {GVector(alg, dict(table[i][i]))}, "
+                          "expected 0")
             )
     for i in range(n):
         for j in range(i + 1, n):
-            if not (cell(i, j) + cell(j, i)).is_zero():
+            if dict(table[i][j]) != {k: -c for k, c in table[j][i]}:
                 found.append(
                     Violation("alternating", (names[i], names[j]),
                               f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]")
                 )
-    bv = alg.basis_vector
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                total = (
-                    alg.bracket(alg.bracket(bv(i), bv(j)), bv(k))
-                    + alg.bracket(alg.bracket(bv(j), bv(k)), bv(i))
-                    + alg.bracket(alg.bracket(bv(k), bv(i)), bv(j))
-                )
-                if not total.is_zero():
+                total: dict = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in table[a][b]:
+                        for p, y in table[m][c]:
+                            _acc(total, p, x * y)
+                if total:
                     found.append(
                         Violation("jacobi", (names[i], names[j], names[k]),
-                                  f"cyclic bracket sum = {total}, expected 0")
+                                  f"cyclic bracket sum = {GVector(alg, total)}, expected 0")
                     )
     return ValidationReport(tuple(found))
 

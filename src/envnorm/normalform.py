@@ -108,6 +108,18 @@ def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
     return result
 
 
+def _act_terms(ctx: ActionContext, support, terms: dict) -> dict:
+    """g, given by its (index, scalar) support pairs, acting on the
+    {(w1, w2): c} terms of a state; the result is a plain dict of that shape."""
+    out: dict = {}
+    for (w1, w2), c in terms.items():
+        for i, gi in support:
+            cg = c * gi
+            for (u1, u2), c2 in _basis_action(ctx, i, w1):
+                _acc(out, (u1, u2 + w2), cg * c2)
+    return out
+
+
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
     """Left action of g on a state representative (see module docstring).
     Linear in both arguments; the result is not canonicalized."""
@@ -115,22 +127,19 @@ def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
         raise CarrierMismatchError("vector from a different algebra")
     if s.split is not ctx.split:
         raise CarrierMismatchError("state from a different split")
-    support = tuple(g.support())
-    out: dict = {}
-    for (w1, w2), c in s.terms.items():
-        for i, gi in support:
-            cg = c * gi
-            for (u1, u2), c2 in _basis_action(ctx, i, w1):
-                _acc(out, (u1, u2 + w2), cg * c2)
-    return StateElement(ctx.split, out)
+    return StateElement(ctx.split, _act_terms(ctx, tuple(g.support()), s.terms))
 
 
 def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     """Iterated action of a word over the full basis: letters act right to
     left (innermost first); the empty word acts as the identity."""
+    if s.split is not ctx.split:
+        raise CarrierMismatchError("state from a different split")
+    one = ctx.algebra.ring.one
+    terms = s.terms
     for letter in reversed(tuple(word)):
-        s = act(ctx, ctx.algebra.basis_vector(letter), s)
-    return s
+        terms = _act_terms(ctx, ((letter, one),), terms)
+    return StateElement(ctx.split, terms)
 
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:

@@ -279,6 +279,20 @@ def test_parse_error_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("validate",),
+    ("normal-order", "--expr", "e"),
+    ("straighten", "--expr", "e"),
+    ("check",),
+])
+def test_non_utf8_spec_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(golden("sl2.alg").encode("utf-8") + b"# caf\xe9 \xff\n")
+    code, _out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_builtin_small(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--builtin", "--seed", "42", "--cases", "3", "--max-deg", "2"

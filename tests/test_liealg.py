@@ -7,10 +7,12 @@ import pytest
 from envnorm.checks import builtin_examples, sl2_algebra, sl_algebra
 from envnorm.cli import parse_spec
 from envnorm.liealg import (
+    Violation,
     CarrierMismatchError,
     GVector,
     LieAlgebra,
     SplitDecomposition,
+    ValidationReport,
     validate,
     validate_algebra,
     validate_split,
@@ -228,7 +230,28 @@ def test_from_brackets_rejects_inconsistent_orientations():
 
 def test_table_shape_checked():
     with pytest.raises(ValueError):
-        LieAlgebra(Z, ("a", "b"), [[[0, 0], [0, 0]]])  # missing row
+        LieAlgebra(Z, ("a", "b"), [[[], []]])  # missing row
+    with pytest.raises(ValueError):
+        LieAlgebra(Z, ("a", "b"), [[[], []], [[]]])  # short row
+
+
+def test_table_cells_are_checked_and_normalised():
+    for k in (2, -1):
+        with pytest.raises(ValueError, match="outside basis"):
+            LieAlgebra(Z, ("a", "b"), [[[], [(k, 1)]], [[], []]])
+    # zeros dropped, repeated k summed (cancelling ones dropped), pairs sorted by k
+    alg = LieAlgebra(Z, ("a", "b", "c"), [
+        [[(1, 0)], [(2, 1), (0, 3), (2, 4)], [(1, 5), (1, -5)]],
+        [[(2, -5), (0, -3)], [], []],
+        [[], [], []],
+    ])
+    assert alg.table[0] == ((), ((0, Z.scalar(3)), (2, Z.scalar(5))), ())
+    assert alg.table[1][0] == ((0, Z.scalar(-3)), (2, Z.scalar(-5)))
+    assert alg.table == alg.change_ring(Z).table
+    z2 = alg.change_ring(make_ring("Zmod 2"))
+    assert [cell for row in z2.table for cell in row if cell] == [
+        ((0, z2.ring.one), (2, z2.ring.one)), ((0, z2.ring.one), (2, z2.ring.one))
+    ]
 
 
 def test_vector_constructor_checks_its_input(sl2):
@@ -243,12 +266,12 @@ def test_sl2_built_three_ways_agrees():
     from_brackets = sl2_algebra(Z)
     golden = Path(__file__).parent / "golden" / "sl2.alg"
     parsed, _split = parse_spec(golden.read_text(encoding="utf-8")).build()
-    dense = LieAlgebra(Z, ("e", "f", "h"), [
-        [[0, 0, 0], [0, 0, 1], [-2, 0, 0]],
-        [[0, 0, -1], [0, 0, 0], [0, 2, 0]],
-        [[2, 0, 0], [0, -2, 0], [0, 0, 0]],
+    pairs = LieAlgebra(Z, ("e", "f", "h"), [
+        [[], [(2, 1)], [(0, -2)]],
+        [[(2, -1)], [], [(1, 2)]],
+        [[(0, 2)], [(1, -2)], []],
     ])
-    algs = (from_brackets, parsed, dense)
+    algs = (from_brackets, parsed, pairs)
     for alg in algs[1:]:
         assert alg.basis == from_brackets.basis
         assert alg.table == from_brackets.table
@@ -262,3 +285,82 @@ def test_sl2_built_three_ways_agrees():
             for cell in row:
                 assert all(c for _k, c in cell), entry.name
                 assert [k for k, _c in cell] == sorted({k for k, _c in cell}), entry.name
+
+
+# -- reference: validate_algebra written on brackets of basis vectors --
+
+def _reference_validate_algebra(alg):
+    """The alternating and Jacobi checks through the public bracket, one
+    GVector per cell and per bracket, violations in the library's order."""
+    names = alg.basis
+    n = alg.dim
+    found = []
+
+    def cell(i, j):
+        return GVector(alg, dict(alg.table[i][j]))
+
+    for i in range(n):
+        if alg.table[i][i]:
+            found.append(
+                Violation("alternating", (names[i], names[i]),
+                          f"[{names[i]},{names[i]}] = {cell(i, i)}, expected 0")
+            )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (cell(i, j) + cell(j, i)).is_zero():
+                found.append(
+                    Violation("alternating", (names[i], names[j]),
+                              f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]")
+                )
+    bv = alg.basis_vector
+    for i, j, k in itertools.product(range(n), repeat=3):
+        total = (
+            alg.bracket(alg.bracket(bv(i), bv(j)), bv(k))
+            + alg.bracket(alg.bracket(bv(j), bv(k)), bv(i))
+            + alg.bracket(alg.bracket(bv(k), bv(i)), bv(j))
+        )
+        if not total.is_zero():
+            found.append(
+                Violation("jacobi", (names[i], names[j], names[k]),
+                          f"cyclic bracket sum = {total}, expected 0")
+            )
+    return ValidationReport(tuple(found))
+
+
+def _corrupted_algebras():
+    """The corrupted sl2 tables of these tests, plus seeded corruptions of
+    sl2 over Q and sl3 over Z and Z/4, some of them breaking only the
+    off-diagonal alternation (a cell overwritten without its mirror)."""
+    sl2_data = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}}
+    out = [
+        LieAlgebra.from_brackets(Z, ("e", "f", "h"), {("e", "f"): {"e": 1}, **sl2_data}),
+        LieAlgebra.from_brackets(Z, ("e", "f", "h"), {("e", "f"): {"e": 1, "h": 1}, **sl2_data}),
+        LieAlgebra.from_brackets(Z, ("e", "f", "h"),
+                                 {("e", "f"): {"h": 1}, ("e", "e"): {"h": 1}, **sl2_data}),
+    ]
+    rng = random.Random(2024)
+    fresh = (lambda: sl2_algebra(make_ring("Q")),
+             lambda: sl_algebra(3, Z),
+             lambda: sl_algebra(3, Z).change_ring(make_ring("Zmod 4")))
+    for build in fresh:
+        for _ in range(4):
+            bad = build()
+            table = [list(row) for row in bad.table]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(bad.dim), rng.randrange(bad.dim)
+                ks = sorted(rng.sample(range(bad.dim), rng.randint(0, 2)))
+                table[i][j] = tuple((k, bad.ring.scalar(rng.randint(1, 3))) for k in ks)
+            bad.table = tuple(tuple(row) for row in table)
+            out.append(bad)
+    return out
+
+
+def test_validate_algebra_matches_bracket_reference():
+    algs = [entry.algebra for entry in builtin_examples().entries()]
+    for path in sorted((Path(__file__).parent / "golden").glob("*.alg")):
+        algs.append(parse_spec(path.read_text(encoding="utf-8")).build()[0])
+    corrupted = _corrupted_algebras()
+    for alg in algs + corrupted:
+        assert validate_algebra(alg).lines() == _reference_validate_algebra(alg).lines(), alg
+    # a random overwrite may leave a valid table, but nearly all are caught
+    assert sum(not validate_algebra(alg).ok for alg in corrupted) >= len(corrupted) - 1

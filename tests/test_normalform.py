@@ -21,7 +21,7 @@ from envnorm.envelope import (
     state_canon,
     state_eq,
 )
-from envnorm.liealg import SplitDecomposition
+from envnorm.liealg import CarrierMismatchError, SplitDecomposition
 from envnorm.normalform import (
     ActionContext,
     OracleMismatchError,
@@ -145,6 +145,38 @@ def test_act_word(ctx):
     assert act_word(ctx, (), s) == s
     assert act_word(ctx, (E, F), ctx.unit_state()) == term(ctx, (), (H,)) + term(ctx, (F,), (E,))
     assert act_word(ctx, (F,), ctx.unit_state()) == term(ctx, (F,), ())
+    other = SplitDecomposition(ctx.algebra, ctx.split.part1, ctx.split.part2)
+    with pytest.raises(CarrierMismatchError):
+        act_word(ctx, (), StateElement.unit(other))  # checked even for the empty word
+
+
+def _act_word_by_letters(c, word, s):
+    """act_word's definition: public act with one basis vector per letter,
+    rightmost letter first."""
+    for letter in reversed(word):
+        s = act(c, c.algebra.basis_vector(letter), s)
+    return s
+
+
+@pytest.mark.parametrize("name", [e.name for e in REG.entries()])
+def test_act_word_matches_letter_by_letter_act(name):
+    entry = REG[name]
+    c = ActionContext(entry.algebra, entry.split, validate=False)
+    rng = random.Random(f"word-{name}")
+    for _ in range(50):
+        word = tuple(rng.choices(range(c.algebra.dim), k=rng.randint(0, 5)))
+        s = _rand_state(rng, c, 3)
+        got = act_word(c, word, s)
+        assert type(got) is StateElement and got.split is c.split
+        assert got.terms == _act_word_by_letters(c, word, s).terms, word
+
+
+def test_act_word_matches_letter_by_letter_act_on_a_long_word():
+    entry = REG["heisenberg_Z"]  # x | y c
+    c = ActionContext(entry.algebra, entry.split)
+    word = (1,) * 60 + (0,)  # y^60 x
+    for s in (c.unit_state(), _rand_state(random.Random(60), c, 3)):
+        assert act_word(c, word, s).terms == _act_word_by_letters(c, word, s).terms
 
 
 def test_section_examples(ctx):
