@@ -114,8 +114,8 @@ def heisenberg_algebra(ring: Ring) -> LieAlgebra:
     return LieAlgebra.from_brackets(ring, ("x", "y", "c"), {("x", "y"): {"c": 1}})
 
 
-def abelian_algebra(ring: Ring, names=("a", "b", "c")) -> LieAlgebra:
-    return LieAlgebra.from_brackets(ring, names, {})
+def abelian_algebra(ring: Ring) -> LieAlgebra:
+    return LieAlgebra.from_brackets(ring, ("a", "b", "c"), {})
 
 
 def _matrix_unit(n: int, i: int, j: int):

@@ -8,6 +8,9 @@ File format (line oriented; '#' starts a comment, blank lines are ignored):
                                        # [b,a] is auto-filled as the negation
     split <name>+ | <name>+
 
+The ring, basis and split lines each appear exactly once: one basis line
+declares every name.
+
 Expressions:  expr := term (('+'|'-') term)*
               term := ['-'] [coeff '*'] factor ('*' factor)*
               factor := name | '1' | '(' expr ')'
@@ -17,7 +20,7 @@ Expressions nest at most 200 parentheses deep.
 
 Exit codes: 0 success / all properties pass; 1 validation failure;
 2 parse error (too-deep nesting included); 3 property or oracle
-counterexample.
+counterexample; 4 input too large to process (recursion limit reached).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class ParseError(ValueError):
 # tokenizing and expression parsing
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str, line: int = 1) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
     """(kind, text, 1-based column) triples; kinds: name, int, op, end."""
     tokens = []
     pos, n = 0, len(text)
@@ -211,9 +214,9 @@ def _expr_sum(ts: _Tokens, algebra: LieAlgebra) -> EnvElement:
             return value
 
 
-def parse_expr(text: str, algebra: LieAlgebra, line: int = 1) -> EnvElement:
-    """Parse a user expression into an envelope element."""
-    ts = _Tokens(_tokenize(text, line), line)
+def parse_expr(text: str, algebra: LieAlgebra) -> EnvElement:
+    """Parse a user expression (one line of text) into an envelope element."""
+    ts = _Tokens(_tokenize(text, 1), 1)
     value = _expr_sum(ts, algebra)
     if ts.peek()[0] != "end":
         ts.error(f"unexpected trailing input {ts.peek()[1]!r}")
@@ -313,6 +316,8 @@ def parse_spec(text: str) -> AlgebraSpec:
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
         elif head == "basis":
+            if basis:
+                raise ParseError("duplicate basis line", lineno)
             if len(words) < 2:
                 raise ParseError("basis line needs at least one name", lineno)
             for name in words[1:]:
@@ -556,6 +561,9 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input too large to process (recursion limit reached)", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

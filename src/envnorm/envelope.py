@@ -29,9 +29,6 @@ from .liealg import (
     _Combination,
 )
 
-Word = tuple  # sequence of basis indices; () is the unit word
-
-
 class EnvElement(_Combination):
     """Finite scalar combination of words over the full basis."""
 
@@ -186,61 +183,55 @@ def mu_state(s: StateElement) -> EnvElement:
     return EnvElement(s.algebra, out)
 
 
-def _rank_key(algebra: LieAlgebra, order) -> tuple[int, ...]:
-    """rank[i] = position of basis index i in the given total order."""
+def _straightener(algebra: LieAlgebra, order=None, stats=None):
+    """The normal form of one word under ``order`` (default: declaration
+    order), as a function ``form(w)`` returning immutable (word, scalar) pairs.
+
+    ``form`` rewrites the leftmost inversion, then recurses on the swapped
+    word and on each bracket-expansion word.  Its memo (word -> form) is the
+    order's own, kept on the algebra under the order's rank tuple, so it is
+    shared by every call with that order and freed with the algebra.  With
+    ``stats`` a dict, each rewrite performed adds 1 to "steps" and the words
+    it spawns to "spawned"; a word already in the memo costs nothing.
+    """
     n = algebra.dim
     if order is None:
-        return tuple(range(n))
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the basis indices")
-    rank = [0] * n
-    for pos, idx in enumerate(order):
-        rank[idx] = pos
-    return tuple(rank)
-
-
-def _leftmost_inversion(rank, w):
-    for i in range(len(w) - 1):
-        if rank[w[i]] > rank[w[i + 1]]:
-            return i
-    return None
-
-
-def _straighten_word(algebra: LieAlgebra, rank: tuple[int, ...], w: tuple,
-                     stats=None) -> tuple:
-    """Normal form of the single word w as immutable (word, scalar) pairs.
-
-    Memoized per (rank, word) on the algebra, so the memo is freed with it.
-    Recursion: rewrite the leftmost inversion, then recurse on the swapped
-    word and on each bracket-expansion word.  With ``stats`` a dict, each
-    rewrite performed here adds 1 to "steps" and the words it spawns to
-    "spawned"; a word already in the memo costs nothing.
-    """
-    memo = algebra._straighten_memo
-    key = (rank, w)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    pos = _leftmost_inversion(rank, w)
-    if pos is None:
-        result = ((w, algebra.ring.one),)
+        rank = tuple(range(n))
     else:
+        order = tuple(order)
+        if sorted(order) != list(range(n)):
+            raise ValueError("order must be a permutation of the basis indices")
+        rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
+    memo = algebra._straighten_memo.setdefault(rank, {})
+    table, one = algebra.table, algebra.ring.one
+
+    def form(w):
+        hit = memo.get(w)
+        if hit is not None:
+            return hit
+        for pos in range(len(w) - 1):
+            if rank[w[pos]] > rank[w[pos + 1]]:
+                break
+        else:
+            result = memo[w] = ((w, one),)
+            return result
         x, y = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
-        row = algebra.table[x][y]
+        row = table[x][y]
         if stats is not None:
             stats["steps"] += 1
             stats["spawned"] += 1 + len(row)
-        result = _straighten_word(algebra, rank, head + (y, x) + tail, stats)
+        result = form(head + (y, x) + tail)
         if row:  # commuting letters share the swapped word's form
             out = dict(result)
             for k, c in row:
-                for w2, c2 in _straighten_word(algebra, rank, head + (k,) + tail, stats):
+                for w2, c2 in form(head + (k,) + tail):
                     _acc(out, w2, c * c2)
             result = tuple(out.items())
-    memo[key] = result
-    return result
+        memo[w] = result
+        return result
+
+    return form
 
 
 def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
@@ -248,34 +239,33 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     (default: declaration order), obtained by exhaustive rewriting of
     adjacent inversions.  With ``stats`` a dict, adds to its "steps" the
     rewrites this call performs and to its "spawned" the words they spawn;
-    words straightened before (the memo lives on the algebra) count zero."""
-    rank = _rank_key(u.algebra, order)
+    words straightened before under the same order (the memo lives on the
+    algebra) count zero."""
+    form = _straightener(u.algebra, order, stats)
     if stats is not None:
         stats.setdefault("steps", 0)
         stats.setdefault("spawned", 0)
     out: dict = {}
     for w, c in u.terms.items():
-        for w2, c2 in _straighten_word(u.algebra, rank, w, stats):
+        for w2, c2 in form(w):
             _acc(out, w2, c * c2)
     return EnvElement(u.algebra, out)
 
 
-def env_eq(u: EnvElement, v: EnvElement, order=None) -> bool:
-    """Equality in the enveloping algebra: straighten(u - v) == 0.
-    The verdict does not depend on the chosen order."""
+def env_eq(u: EnvElement, v: EnvElement) -> bool:
+    """Equality in the enveloping algebra: straighten(u - v) == 0 under the
+    declaration order (any order gives the same verdict)."""
     u._check(v)
-    return straighten(u - v, order).is_zero()
+    return straighten(u - v).is_zero()
 
 
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
-    alg = s.algebra
-    rank = tuple(range(alg.dim))
+    form = _straightener(s.algebra)
     out: dict = {}
     for (w1, w2), c in s.terms.items():
-        left = _straighten_word(alg, rank, w1)
-        right = _straighten_word(alg, rank, w2)
+        left, right = form(w1), form(w2)
         for x1, c1 in left:
             cc = c * c1
             if not cc:
@@ -298,13 +288,11 @@ def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElemen
     if u.algebra is not split.algebra:
         raise CarrierMismatchError("element over a different algebra")
     flat = straighten(u, split.split_order())
+    part1 = split.part1_set
     out: dict = {}
     for w, c in flat.terms.items():
         cut = 0
-        while cut < len(w) and split.side_of(w[cut]) == 1:
+        while cut < len(w) and w[cut] in part1:
             cut += 1
-        w1, w2 = w[:cut], w[cut:]
-        # canonical words under the split order factor as prefix + suffix
-        assert all(split.side_of(l) == 2 for l in w2)
-        out[(w1, w2)] = c
+        out[(w[:cut], w[cut:])] = c
     return StateElement(split, out)

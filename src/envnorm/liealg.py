@@ -160,7 +160,7 @@ class LieAlgebra:
             rows.append(tuple(cells))
         self.table = tuple(rows)
         self._basis_vectors = tuple(GVector(self, {i: ring.one}) for i in range(n))
-        self._straighten_memo: dict = {}  # envelope._straighten_word: (rank, word) -> form
+        self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}
 
     @classmethod
     def from_brackets(cls, ring: Ring, basis_names, brackets) -> "LieAlgebra":

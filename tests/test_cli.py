@@ -74,6 +74,7 @@ def test_parse_spec_crlf_and_comments():
         ("ring Z\nbasis e f\nbracket e f = f\nbracket f e = f\nsplit e | f", "opposite orientation"),
         ("ring Z\nbasis e f\nbracket e f = f\nbracket e f = f\nsplit e | f", "declared twice"),
         ("wibble Z\n", "unknown directive"),
+        ("ring Z\nbasis a b\nsplit a | b\nbasis c", "duplicate basis line"),
     ],
 )
 def test_parse_spec_errors(text, fragment):
@@ -110,6 +111,29 @@ def test_oracle_mismatch_maps_to_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "normal_order", boom)
     code, _out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "e*f")
     assert code == 3 and "oracle mismatch" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("normal-order", "sl2.alg", "--expr", "e*" + "*".join(["f"] * 1000)),
+    ("straighten", "heisenberg.alg", "--expr", "y*" * 700 + "x", "--order", "x", "y", "c"),
+])
+def test_long_word_exits_4(capsys, argv):
+    command, alg, *rest = argv
+    code, out, err = run_cli(capsys, command, str(GOLDEN / alg), *rest)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and "recursion limit" in err and "Traceback" not in err
+
+
+def test_recursion_error_maps_to_exit_4(monkeypatch, capsys):
+    import envnorm.cli as cli
+
+    def boom(ctx, u, check=True):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "normal_order", boom)
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "e*f")
+    assert (code, out) == (4, "")
+    assert err == "error: input too large to process (recursion limit reached)\n"
 
 
 def test_diagonal_bracket_parses_then_fails_validation(capsys):
@@ -291,6 +315,14 @@ def test_non_utf8_spec_exits_2(capsys, tmp_path, command):
     code, _out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_second_basis_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "two_bases.alg"
+    path.write_text("ring Z\nbasis a b\nsplit a | b\nbasis c\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 4: duplicate basis line\n"
 
 
 def test_check_builtin_small(capsys):

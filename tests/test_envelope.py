@@ -115,13 +115,16 @@ def _inversions(rank, w) -> int:
     )
 
 
-def _worklist_straighten(u):
-    """Uncached leftmost-inversion rewriting under the declaration order,
-    independent of the memoized routine.  Asserts that every rewrite strictly
-    decreases (degree, inversion count) lexicographically for the word it
-    touches; returns (canonical form, rewrite count)."""
+def _worklist_straighten(u, order=None):
+    """Uncached leftmost-inversion rewriting under ``order`` (default: the
+    declaration order), independent of the memoized routine.  Asserts that
+    every rewrite strictly decreases (degree, inversion count)
+    lexicographically for the word it touches; returns (canonical form,
+    rewrite count)."""
     alg = u.algebra
-    rank = tuple(range(alg.dim))
+    rank = [0] * alg.dim
+    for pos, idx in enumerate(range(alg.dim) if order is None else order):
+        rank[idx] = pos
     out: dict = {}
     pending = list(u.terms.items())
     steps = 0
@@ -174,6 +177,49 @@ def test_counting_path_agrees_with_cached_path():
             expected, _steps = _worklist_straighten(u)
             assert straighten(u) == expected, name
             assert straighten(u, stats={}) == expected, name
+
+
+def test_straighten_matches_worklist_under_shuffled_orders():
+    for name in ("sl2_Z", "sl3_Z", "sl3_Z4"):
+        alg = REG[name].algebra
+        rng = random.Random(21)
+        for _ in range(3):
+            order = list(range(alg.dim))
+            rng.shuffle(order)
+            for _ in range(20):
+                u = _random_elt(rng, alg, 5)
+                assert straighten(u, order) == _worklist_straighten(u, order)[0], (name, order)
+
+
+def test_state_canon_matches_factorwise_worklist():
+    rng = random.Random(22)
+    for entry in REG.entries():
+        split = entry.split
+        for _ in range(30):
+            s = _random_state(rng, split, 4)
+            expected: dict = {}
+            for (w1, w2), c in s.terms.items():
+                left = _worklist_straighten(EnvElement.word(split.algebra, w1))[0]
+                right = _worklist_straighten(EnvElement.word(split.algebra, w2))[0]
+                for x1, c1 in left.terms.items():
+                    for x2, c2 in right.terms.items():
+                        key = (x1, x2)
+                        expected[key] = expected[key] + c * c1 * c2 if key in expected else c * c1 * c2
+            assert state_canon(s) == StateElement(split, expected), entry.name
+
+
+def test_oracle_matches_worklist_cut_at_the_boundary():
+    rng = random.Random(23)
+    for entry in REG.entries():
+        split = entry.split
+        for _ in range(30):
+            u = _random_elt(rng, entry.algebra, 5)
+            flat = _worklist_straighten(u, split.split_order())[0]
+            expected = {}
+            for word, c in flat.terms.items():
+                cut = sum(1 for letter in word if letter in split.part1)
+                expected[(word[:cut], word[cut:])] = c
+            assert oracle_normal_order(u, split) == StateElement(split, expected), entry.name
 
 
 def test_straighten_counts_only_new_rewrites():
@@ -279,7 +325,7 @@ def test_env_eq_is_order_independent(sl2):
             v = _relator_tweak(rng, sl2, u)
         else:
             v = _random_elt(rng, sl2, 4)
-        verdicts = {env_eq(u, v, order) for order in orders}
+        verdicts = {straighten(u - v, order).is_zero() for order in orders}
         assert len(verdicts) == 1
         agree += verdicts == {True}
         disagree += verdicts == {False}
@@ -387,6 +433,15 @@ def _random_elt(rng, alg, max_deg):
         word = tuple(rng.choices(range(alg.dim), k=rng.randint(0, max_deg)))
         out = out + EnvElement.word(alg, word, rng.randint(-9, 9))
     return out
+
+
+def _random_state(rng, split, max_deg):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        w1 = tuple(rng.choices(split.part1, k=rng.randint(0, max_deg)))
+        w2 = tuple(rng.choices(split.part2, k=rng.randint(0, max_deg)))
+        terms[(w1, w2)] = rng.randint(-9, 9)
+    return StateElement(split, terms)
 
 
 def _relator_tweak(rng, alg, u):
