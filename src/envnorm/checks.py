@@ -405,25 +405,25 @@ def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
     return u + extra
 
 
-# Each draw(rng, cfg, entry) returns one case's instances; a case fails at its
-# first instance whose holds(ctx, inst) returns False or raises.
+# A row of _PROPERTIES is (draw, holds).  draw(rng, cfg, entry) returns one
+# case's instances, each a dict whose keys are the parameter names of holds;
+# a case fails at its first instance for which holds(ctx, **inst) returns
+# False or raises.
 
-def _draw_u(rng, cfg, entry):
-    return [{"u": _draw_env(rng, entry.algebra, cfg.max_degree)}]
+_DRAWERS = {  # instance key -> its draw(rng, cfg, entry)
+    "u": lambda rng, cfg, entry: _draw_env(rng, entry.algebra, cfg.max_degree),
+    "s": lambda rng, cfg, entry: _draw_state(rng, entry.split, cfg.max_degree),
+    "g": lambda rng, cfg, entry: _draw_vector(rng, entry.algebra),
+    "w1": lambda rng, cfg, entry: _draw_word(rng, entry.split.part1, cfg.max_degree),
+    "m": lambda rng, cfg, entry: _draw_word(rng, entry.split.part2, cfg.max_degree),
+}
 
 
-def _draw_u_s(rng, cfg, entry):
-    return [{
-        "u": _draw_env(rng, entry.algebra, cfg.max_degree),
-        "s": _draw_state(rng, entry.split, cfg.max_degree),
-    }]
-
-
-def _draw_g_s(rng, cfg, entry):
-    return [{
-        "g": _draw_vector(rng, entry.algebra),
-        "s": _draw_state(rng, entry.split, cfg.max_degree),
-    }]
+def _draw(*keys):
+    """A draw giving one instance with ``keys`` drawn independently, in order."""
+    def draw(rng, cfg, entry):
+        return [{key: _DRAWERS[key](rng, cfg, entry) for key in keys}]
+    return draw
 
 
 def _draw_pairs(rng, cfg, entry):
@@ -431,14 +431,6 @@ def _draw_pairs(rng, cfg, entry):
     s = _draw_state(rng, entry.split, cfg.max_degree)
     dim = entry.algebra.dim
     return [{"s": s, "g": i, "h": j} for i in range(dim) for j in range(dim)]
-
-
-def _draw_g_w1_m(rng, cfg, entry):
-    return [{
-        "g": _draw_vector(rng, entry.algebra),
-        "w1": _draw_word(rng, entry.split.part1, cfg.max_degree),
-        "m": _draw_word(rng, entry.split.part2, cfg.max_degree),
-    }]
 
 
 def _draw_relator(rng, cfg, entry):
@@ -457,47 +449,31 @@ def _draw_relator(rng, cfg, entry):
     }]
 
 
-def _holds_oracle(ctx, inst):
-    u = inst["u"]
+def _holds_oracle(ctx, u):
     return state_eq(section_s(ctx, u), oracle_normal_order(u, ctx.split))
 
 
-def _holds_inverse(ctx, inst):
-    first, second = check_inverse(ctx, inst["u"], inst["s"])
-    return first and second
+def _holds_inverse(ctx, u, s):
+    return all(check_inverse(ctx, u, s))
 
 
-def _holds_lie_action(ctx, inst):
+def _holds_lie_action(ctx, s, g, h):
     basis_vector = ctx.algebra.basis_vector
-    return check_lie_action(ctx, basis_vector(inst["g"]), basis_vector(inst["h"]), inst["s"])
+    return check_lie_action(ctx, basis_vector(g), basis_vector(h), s)
 
 
-def _holds_filtration(ctx, inst):
-    return check_filtration(ctx, inst["g"], inst["s"])
-
-
-def _holds_right_linearity(ctx, inst):
-    return check_right_linearity(ctx, inst["g"], inst["w1"], inst["m"])
-
-
-def _holds_mu_compat(ctx, inst):
-    return check_mu_compat(ctx, inst["g"], inst["s"])
-
-
-def _holds_well_defined(ctx, inst):
-    u = inst["u"]
-    u2 = relator_variant(ctx.algebra, u, inst["host"], inst["pos"], inst["x"],
-                         inst["y"], inst["coeff"])
+def _holds_well_defined(ctx, u, host, pos, x, y, coeff):
+    u2 = relator_variant(ctx.algebra, u, host, pos, x, y, coeff)
     return state_eq(section_s(ctx, u), section_s(ctx, u2))
 
 
 _PROPERTIES = {  # name -> (draw, holds), in report order
-    "oracle": (_draw_u, _holds_oracle),
-    "inverse": (_draw_u_s, _holds_inverse),
+    "oracle": (_draw("u"), _holds_oracle),
+    "inverse": (_draw("u", "s"), _holds_inverse),
     "lie_action": (_draw_pairs, _holds_lie_action),
-    "filtration": (_draw_g_s, _holds_filtration),
-    "right_linearity": (_draw_g_w1_m, _holds_right_linearity),
-    "mu_compat": (_draw_g_s, _holds_mu_compat),
+    "filtration": (_draw("g", "s"), check_filtration),
+    "right_linearity": (_draw("g", "w1", "m"), check_right_linearity),
+    "mu_compat": (_draw("g", "s"), check_mu_compat),
     "well_defined": (_draw_relator, _holds_well_defined),
 }
 
@@ -528,7 +504,7 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
     # total when validation was deselected on a broken entry)
     def fails(inst):
         try:
-            return not holds(ctx, inst)
+            return not holds(ctx, **inst)
         except Exception:
             return True
 
@@ -544,7 +520,7 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
         small = shrink(bad, fails)
         desc = list(_render_instance(entry, small))
         try:
-            holds(ctx, small)
+            holds(ctx, **small)
         except Exception as exc:
             desc.append(f"raised {type(exc).__name__}: {exc}")
         failures.append(PropertyFailure(k, tuple(desc), small))

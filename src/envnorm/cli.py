@@ -84,9 +84,9 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
                 end += 1
             tokens.append(("name", text[pos:end], col))
             pos = end
-        elif ch.isdigit():
+        elif ch.isdecimal():
             end = pos + 1
-            while end < n and text[end].isdigit():
+            while end < n and text[end].isdecimal():
                 end += 1
             tokens.append(("int", text[pos:end], col))
             pos = end
@@ -507,6 +507,9 @@ def _cmd_check(args) -> int:
     return 0
 
 
+_EXPR_HELP = "the expression; write one that starts with '-' as --expr=-1/2*e*e"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="envnorm",
@@ -520,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normal-order", help="rewrite an expression into ordered tensor form")
     p.add_argument("file")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help=_EXPR_HELP)
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the independent straightening cross-check")
     p.set_defaults(func=_cmd_normal_order)
 
     p = sub.add_parser("straighten", help="PBW canonical form under a total order")
     p.add_argument("file")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help=_EXPR_HELP)
     p.add_argument("--order", nargs="+", metavar="NAME",
                    help="basis names in the desired order (default: declaration order)")
     p.set_defaults(func=_cmd_straighten)

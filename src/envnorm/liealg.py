@@ -260,9 +260,6 @@ class GVector(_Combination):
     def _carrier(self):
         return self.algebra
 
-    def bracket(self, other: "GVector") -> "GVector":
-        return self.algebra.bracket(self, other)
-
     def sorted_terms(self):
         """Pairs (index, coefficient) of the nonzero coordinates, in index order."""
         return sorted(self.terms.items())

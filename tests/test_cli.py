@@ -171,7 +171,9 @@ def test_parse_expr_fraction_needs_q(sl2):
     assert parse_expr("1/2*e", alg_q) == EnvElement.word(alg_q, (0,), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("bad", ["", "e +", "(", "(e", "2", "e ** f", "zz*e", "e $ f", "2*3", "1/0*e"])
+@pytest.mark.parametrize(
+    "bad", ["", "e +", "(", "(e", "2", "e ** f", "zz*e", "e $ f", "2*3", "1/0*e", "²*e"]
+)
 def test_parse_expr_rejects(bad, sl2):
     with pytest.raises(ParseError):
         parse_expr(bad, sl2)
@@ -204,6 +206,11 @@ def test_parse_expr_never_crashes(sl2):
             parse_expr(text, sl2)
         except ParseError as exc:
             assert exc.line is not None and exc.col is not None
+
+
+def test_parse_expr_reads_other_decimal_digits(sl2):
+    # any Unicode decimal digit is a digit to int(); superscripts are not
+    assert parse_expr("٣*e", sl2) == EnvElement.word(sl2, (0,), 3)
 
 
 def test_print_parse_round_trip(sl2):
@@ -315,6 +322,26 @@ def test_non_utf8_spec_exits_2(capsys, tmp_path, command):
     code, _out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_leading_minus_expr_needs_equals_form(capsys):
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"), "--expr=-1/2*e*e")
+    assert (code, out, err) == (0, "-1/2 * e e (x) 1\n", "")
+
+
+def test_non_decimal_digit_in_denominator_exits_2(capsys):
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"), "--expr=-1/①2*e*e")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, col 4: unexpected character '①'\n"
+
+
+def test_non_decimal_digit_in_spec_exits_2(capsys, tmp_path):
+    path = tmp_path / "superscript.alg"
+    path.write_text("ring Z\nbasis a b\nbracket a b = ²*a\nsplit a | b\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "unexpected character '²'" in err
 
 
 def test_second_basis_line_exits_2(capsys, tmp_path):
@@ -442,3 +469,66 @@ def test_state_lines_zero(sl2):
     from envnorm.envelope import StateElement
     split = SplitDecomposition(sl2, (1,), (0, 2))
     assert state_lines(StateElement.zero(split)) == ["0"]
+
+
+# ------------------------------------------------------------------- fuzzing
+
+_FUZZ_PIECES = (
+    tuple("efhxyc0123456789*+-/()|=#\n ")
+    + ("ring", "basis", "bracket", "split", "²", "①", "٣", "é")
+)
+_FUZZ_EXPRS = ("e*f + 2*h", "(e+f)*h", "-1/2*e*e", "f*e - 3/4*h", "1")
+
+
+def _mutants(rng: random.Random, seeds, count: int):
+    """``count`` texts, each a seed with 1-4 single-piece insertions,
+    deletions or replacements, as tuples of pieces (a piece is one character
+    or one directive keyword)."""
+    for _ in range(count):
+        pieces = list(rng.choice(seeds))
+        for _ in range(rng.randint(1, 4)):
+            op = rng.choice(("insert", "delete", "replace")) if pieces else "insert"
+            if op == "insert":
+                pieces.insert(rng.randint(0, len(pieces)), rng.choice(_FUZZ_PIECES))
+            elif op == "delete":
+                del pieces[rng.randrange(len(pieces))]
+            else:
+                pieces[rng.randrange(len(pieces))] = rng.choice(_FUZZ_PIECES)
+        yield tuple(pieces)
+
+
+def _assert_clean_exits(mutants, argv_for, allowed):
+    """main() on every mutant ends in an allowed exit code; a raising or
+    disallowed mutant is shrunk and reported."""
+
+    def fails(inst):
+        try:
+            return main(argv_for("".join(inst["text"]))) not in allowed
+        except Exception:
+            return True
+
+    for pieces in mutants:
+        if fails({"text": pieces}):
+            small = "".join(shrink({"text": pieces}, fails)["text"])
+            pytest.fail(f"input {small!r} did not end in exit {sorted(allowed)}")
+
+
+def test_fuzz_spec_parser(tmp_path):
+    seeds = [tuple(golden(p.name)) for p in sorted(GOLDEN.glob("*.alg"))]
+    path = tmp_path / "mutant.alg"
+
+    def argv_for(text):
+        path.write_text(text, encoding="utf-8")
+        return ["validate", str(path)]
+
+    _assert_clean_exits(_mutants(random.Random(1), seeds, 500), argv_for, {0, 1, 2})
+
+
+def test_fuzz_expr_parser():
+    seeds = [tuple(text) for text in _FUZZ_EXPRS]
+    spec = str(GOLDEN / "sl2_borel.alg")
+
+    def argv_for(text):
+        return ["normal-order", spec, f"--expr={text}"]
+
+    _assert_clean_exits(_mutants(random.Random(1), seeds, 500), argv_for, {0, 2})
