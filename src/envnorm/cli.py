@@ -4,7 +4,8 @@ File format (line oriented; '#' starts a comment, blank lines are ignored):
 
     ring Z | ring Q | ring Zmod <q>
     basis <name>+
-    bracket <a> <b> = <lincomb>        # unlisted pairs default to zero;
+    bracket <a> <b> = <expr>           # <expr> must be linear (below);
+                                       # unlisted pairs default to zero;
                                        # [b,a] is auto-filled as the negation
     split <name>+ | <name>+
 
@@ -12,9 +13,15 @@ The ring, basis and split lines each appear exactly once: one basis line
 declares every name.
 
 Expressions:  expr := term (('+'|'-') term)*
-              term := ['-'] [coeff '*'] factor ('*' factor)*
+              term := ['-'] [coeff '*'] factor ('*' factor)*  |  ['-'] '0'
               factor := name | '1' | '(' expr ')'
               coeff := integer | integer '/' integer   (fractions in Q only)
+
+An expression parses to a {word: coefficient} dict; terms that cancel are
+dropped. A bracket value is an expression that is linear after that
+cancellation: every word left has one letter. So '2*(e - f)' and
+'e*f - e*f' (zero) are bracket values, and 'e*f' and '1' are not. Error
+columns count from the start of the line, on bracket lines too.
 
 Expressions nest at most 200 parentheses deep.
 
@@ -68,10 +75,11 @@ class ParseError(ValueError):
 # tokenizing and expression parsing
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
-    """(kind, text, 1-based column) triples; kinds: name, int, op, end."""
+def _tokenize(text: str, line: int, start: int = 0) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based column) triples for ``text[start:]``, columns
+    counted from the start of ``text``; kinds: name, int, op, end."""
     tokens = []
-    pos, n = 0, len(text)
+    pos, n = start, len(text)
     while pos < n:
         ch = text[pos]
         if ch in " \t":
@@ -144,22 +152,26 @@ def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int) -> Scalar:
     return ring.scalar(num)
 
 
-def _expr_factor(ts: _Tokens, algebra: LieAlgebra) -> EnvElement:
+# The parser works on plain {word: scalar} dicts (words are tuples of basis
+# indices) holding no zero coefficient; each dict it returns is fresh, so a
+# caller may fold into it.
+
+def _expr_factor(ts: _Tokens, ring: Ring, index: dict) -> dict:
     kind, text, col = ts.peek()
     if kind == "name":
         ts.next()
-        idx = algebra.index.get(text)
+        idx = index.get(text)
         if idx is None:
             raise ParseError(f"unknown name {text!r}", ts.line, col)
-        return EnvElement.word(algebra, (idx,))
+        return {(idx,): ring.one}
     if kind == "int" and text == "1":
         ts.next()
-        return EnvElement.unit(algebra)
+        return {(): ring.one}
     if ts.eat_op("("):
         if ts.depth == _MAX_NESTING:
             raise ParseError("expression nested too deeply", ts.line, col)
         ts.depth += 1
-        inner = _expr_sum(ts, algebra)
+        inner = _expr_sum(ts, ring, index)
         if not ts.eat_op(")"):
             ts.error("expected ')'")
         ts.depth -= 1
@@ -167,60 +179,57 @@ def _expr_factor(ts: _Tokens, algebra: LieAlgebra) -> EnvElement:
     ts.error("expected a basis name, '1' or '('")
 
 
-def _expr_term(ts: _Tokens, algebra: LieAlgebra) -> EnvElement:
-    ring = algebra.ring
-    sign = -1 if ts.eat_op("-") else 1
+def _expr_term(ts: _Tokens, ring: Ring, index: dict) -> dict:
+    negate = ts.eat_op("-")
     coeff = None
     kind, text, _col = ts.peek()
     if kind == "int":
         after = ts.toks[ts.i + 1]
-        is_fraction = after[0] == "op" and after[1] == "/"
-        is_scaled = after[0] == "op" and after[1] == "*"
-        if is_fraction or is_scaled:
-            coeff = _parse_coeff_tokens(ts, ring, sign)
-            sign = 1
+        if after[0] == "op" and after[1] in "/*":
+            coeff = _parse_coeff_tokens(ts, ring, -1 if negate else 1)
             if not ts.eat_op("*"):
                 ts.error("expected '*' after coefficient")
         elif text == "0":
-            # the literal 0 denotes the zero element (as in bracket lincombs)
             ts.next()
-            return EnvElement.zero(algebra)
+            return {}
         elif text != "1":
-            ts.error("a bare integer is not a term; write coeff*name or '1'")
-    value = _expr_factor(ts, algebra)
-    while True:
-        kind, text, _col = ts.peek()
-        if kind == "op" and text == "*":
-            ts.next()
-            value = value * _expr_factor(ts, algebra)
-        else:
-            break
+            ts.error("a bare integer is not a term; write coeff*<basis name> or '1'")
+    value = _expr_factor(ts, ring, index)
+    while ts.eat_op("*"):
+        right = _expr_factor(ts, ring, index)
+        out: dict = {}
+        for w1, c1 in value.items():
+            for w2, c2 in right.items():
+                _acc(out, w1 + w2, c1 * c2)
+        value = out
     if coeff is not None:
-        value = value.scale(coeff)
-    if sign < 0:
-        value = -value
+        return {w: p for w, c in value.items() if (p := coeff * c)}
+    if negate:
+        return {w: -c for w, c in value.items()}
     return value
 
 
-def _expr_sum(ts: _Tokens, algebra: LieAlgebra) -> EnvElement:
-    value = _expr_term(ts, algebra)
-    while True:
-        if ts.eat_op("+"):
-            value = value + _expr_term(ts, algebra)
-        elif ts.peek()[0] == "op" and ts.peek()[1] == "-":
-            # binary minus; the term parser consumes the sign itself
-            value = value + _expr_term(ts, algebra)
-        else:
-            return value
+def _expr_sum(ts: _Tokens, ring: Ring, index: dict) -> dict:
+    value = _expr_term(ts, ring, index)
+    # a binary '-' is left in place: the term parser reads it as its sign
+    while ts.eat_op("+") or ts.peek()[:2] == ("op", "-"):
+        for w, c in _expr_term(ts, ring, index).items():
+            _acc(value, w, c)
+    return value
+
+
+def _parse_terms(ts: _Tokens, ring: Ring, index: dict) -> dict:
+    """The whole token stream as one expression."""
+    value = _expr_sum(ts, ring, index)
+    if ts.peek()[0] != "end":
+        ts.error(f"unexpected trailing input {ts.peek()[1]!r}")
+    return value
 
 
 def parse_expr(text: str, algebra: LieAlgebra) -> EnvElement:
     """Parse a user expression (one line of text) into an envelope element."""
     ts = _Tokens(_tokenize(text, 1), 1)
-    value = _expr_sum(ts, algebra)
-    if ts.peek()[0] != "end":
-        ts.error(f"unexpected trailing input {ts.peek()[1]!r}")
-    return value
+    return EnvElement(algebra, _parse_terms(ts, algebra.ring, algebra.index))
 
 
 # ---------------------------------------------------------------------------
@@ -249,46 +258,6 @@ class AlgebraSpec:
             for (i, j), pairs in self.brackets
         })
         return algebra, SplitDecomposition(algebra, self.part1, self.part2)
-
-
-def _parse_lincomb(text: str, lineno: int, ring: Ring, index: dict) -> tuple:
-    """Lie-algebra-valued linear combination: term (('+'|'-') term)* with
-    term := ['-'] [coeff '*'] name; the bare literal 0 is the zero combination.
-    Returns the (index, coefficient) pairs with coefficient != 0, by index."""
-    ts = _Tokens(_tokenize(text, lineno), lineno)
-    terms: dict = {}
-    first = True
-    while True:
-        kind, tok, _col = ts.peek()
-        if kind == "end":
-            if first:
-                ts.error("empty bracket value")
-            break
-        if not first:
-            if not (ts.eat_op("+") or (kind == "op" and tok == "-")):
-                ts.error("expected '+' or '-' between terms")
-        first = False
-        sign = -1 if ts.eat_op("-") else 1
-        kind, tok, col = ts.peek()
-        if kind == "int":
-            nxt = ts.toks[ts.i + 1]
-            if tok == "0" and (nxt[0] == "end" or (nxt[0] == "op" and nxt[1] in "+-")):
-                ts.next()  # literal zero contributes nothing
-                continue
-            coeff = _parse_coeff_tokens(ts, ring, sign)
-            sign = 1
-            if not ts.eat_op("*"):
-                ts.error("expected '*' and a basis name after coefficient")
-        else:
-            coeff = ring.one
-        kind, tok, col = ts.peek()
-        if kind != "name":
-            ts.error("expected a basis name")
-        ts.next()
-        if tok not in index:
-            raise ParseError(f"unknown name {tok!r}", lineno, col)
-        _acc(terms, index[tok], coeff if sign > 0 else -coeff)
-    return tuple(sorted(terms.items()))
 
 
 _VALID_NAME = lambda s: bool(s) and s[0] in _NAME_START and all(c in _NAME_CONT for c in s)
@@ -332,10 +301,9 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise ParseError("bracket before ring line", lineno)
             if "=" not in line:
                 raise ParseError("bracket line needs '='", lineno)
-            lhs, rhs = line.split("=", 1)
-            parts = lhs.split()
+            parts = line.split("=", 1)[0].split()
             if len(parts) != 3:
-                raise ParseError("expected 'bracket <a> <b> = <lincomb>'", lineno)
+                raise ParseError("expected 'bracket <a> <b> = <expr>'", lineno)
             _kw, a, b = parts
             for name in (a, b):
                 if name not in index:
@@ -343,7 +311,14 @@ def parse_spec(text: str) -> AlgebraSpec:
             key = (index[a], index[b])
             if key in declared:
                 raise ParseError(f"bracket ({a},{b}) declared twice", lineno)
-            declared[key] = (_parse_lincomb(rhs, lineno, ring, index), lineno)
+            # tokenize the value in place so that columns count along the line
+            code = raw.split("#", 1)[0].rstrip()
+            ts = _Tokens(_tokenize(code, lineno, code.index("=") + 1), lineno)
+            terms = _parse_terms(ts, ring, index)
+            if any(len(w) != 1 for w in terms):
+                raise ParseError("bracket value must be a linear combination of basis names",
+                                 lineno, ts.toks[0][2])
+            declared[key] = (tuple(sorted((k, c) for (k,), c in terms.items())), lineno)
         elif head == "split":
             if split is not None:
                 raise ParseError("duplicate split line", lineno)
@@ -352,7 +327,7 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise ParseError("split line needs exactly one '|'", lineno)
             left, right = rest.split("|")
             sides = []
-            for side_text in (left, right):
+            for part, side_text in enumerate((left, right), 1):
                 names = side_text.split()
                 if not names:
                     raise ParseError("each split side needs at least one name", lineno)
@@ -360,13 +335,15 @@ def parse_spec(text: str) -> AlgebraSpec:
                 for name in names:
                     if name not in index:
                         raise ParseError(f"unknown name {name!r}", lineno)
+                    if index[name] in idxs:
+                        raise ParseError(f"{name!r} listed twice in split part {part}", lineno)
                     idxs.append(index[name])
                 sides.append(tuple(idxs))
-            assigned: list[int] = [*sides[0], *sides[1]]
-            if len(set(assigned)) != len(assigned):
-                dupe = next(basis[i] for i in assigned if assigned.count(i) > 1)
+            dupe = next((basis[i] for i in sides[0] if i in sides[1]), None)
+            if dupe is not None:
                 raise ParseError(f"{dupe!r} assigned to both split parts", lineno)
-            unassigned = [basis[i] for i in range(len(basis)) if i not in set(assigned)]
+            assigned = {*sides[0], *sides[1]}
+            unassigned = [basis[i] for i in range(len(basis)) if i not in assigned]
             if unassigned:
                 raise ParseError(f"{unassigned[0]!r} unassigned in split", lineno)
             split = (sides[0], sides[1])

@@ -1,5 +1,8 @@
+import os
 import random
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,7 @@ def test_parse_spec_crlf_and_comments():
         ("ring Z\nbasis a b\nsplit a | b\nsplit a | b", "duplicate split"),
         ("ring Z\nbasis e f h\nsplit e | h", "unassigned"),
         ("ring Z\nbasis e f h\nsplit e f | f h", "both split parts"),
+        ("ring Z\nbasis a b\nsplit a a | b", "'a' listed twice in split part 1"),
         ("ring Z\nbasis e f\nbracket e f = 1/2*f\nsplit e | f", "outside Q"),
         ("ring Z\nbasis e f\nbracket e f = 5\nsplit e | f", "basis name"),
         ("ring Z\nbasis e f\nbracket e f = f\nbracket f e = f\nsplit e | f", "opposite orientation"),
@@ -87,6 +91,41 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_spec("ring Z\nbasis a b\nbracket a zz = b\nsplit a | b")
     assert err.value.line == 3
+
+
+def _sl2_pair_spec(value: str) -> str:
+    return f"ring Z\nbasis e f\nbracket e f = {value}\nsplit e | f\n"
+
+
+def test_bracket_value_uses_the_expression_grammar():
+    algebra, _split = parse_spec(_sl2_pair_spec("2*(e - f)")).build()
+    e, f = algebra.basis_vector(0), algebra.basis_vector(1)
+    assert algebra.bracket(e, f) == algebra.vector({"e": 2, "f": -2})
+    assert algebra.bracket(f, e) == algebra.vector({"e": -2, "f": 2})
+
+
+@pytest.mark.parametrize("value", ["e*f", "1", "2*1", "(e*f)"])
+def test_bracket_value_must_be_linear(value):
+    with pytest.raises(ParseError) as err:
+        parse_spec(_sl2_pair_spec(value))
+    assert "linear" in err.value.message
+    assert (err.value.line, err.value.col) == (3, 15)  # where the value starts
+
+
+def test_bracket_value_cancelling_to_zero_is_zero():
+    spec = parse_spec(_sl2_pair_spec("e*f - e*f"))
+    assert spec.brackets == () and spec == parse_spec(_sl2_pair_spec("0"))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bracket a b = 2*zz", "line 3, col 17: unknown name 'zz'"),
+    ("  bracket a b =  1*a + ²*b   # x", "line 3, col 24: unexpected character '²'"),
+])
+def test_bracket_error_columns_count_from_line_start(capsys, tmp_path, line, message):
+    path = tmp_path / "column.alg"
+    path.write_text(f"ring Z\nbasis a b\n{line}\nsplit a | b\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_wrong_table_parses_then_fails_validation():
@@ -366,6 +405,18 @@ def test_check_output_is_deterministic(capsys):
     _c1, out1, _ = run_cli(capsys, *args)
     _c2, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_check_output_is_identical_across_hash_seeds():
+    # the report must not depend on set or dict orders that vary per process
+    root = Path(__file__).parent.parent
+    argv = [sys.executable, "-m", "envnorm.cli", "check", "--builtin", "--seed", "42", "--cases", "5"]
+    outs = []
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and "\nTOTAL entries=8 " in outs[0]
 
 
 def test_check_file_validation_failure_exits_1(capsys):
