@@ -97,16 +97,9 @@ class ExampleRegistry:
 # ---------------------------------------------------------------------------
 
 def sl2_algebra(ring: Ring) -> LieAlgebra:
-    """sl(2) on basis e, f, h with [e,f]=h, [h,e]=2e, [h,f]=-2f."""
-    return LieAlgebra.from_brackets(
-        ring,
-        ("e", "f", "h"),
-        {
-            ("e", "f"): {"h": 1},
-            ("h", "e"): {"e": 2},
-            ("h", "f"): {"f": -2},
-        },
-    )
+    """sl(2) on basis e, f, h with [e,f]=h, [h,e]=2e, [h,f]=-2f: the table
+    of ``sl_algebra(2, ring)``, with E12, E21, H1 named e, f, h."""
+    return LieAlgebra(ring, ("e", "f", "h"), sl_algebra(2, ring).table)
 
 
 def heisenberg_algebra(ring: Ring) -> LieAlgebra:
@@ -580,18 +573,22 @@ class SuiteReport:
 def run_suite(cfg: SuiteConfig, registry: ExampleRegistry) -> SuiteReport:
     """Run every selected property for every entry.
 
-    A failed validation gates the entry: dependent properties are reported
-    as skipped.  Other failures never abort the run."""
+    An entry's random properties share one ActionContext.  A failed
+    validation gates the entry: dependent properties are reported as
+    skipped.  Other failures never abort the run."""
     results = []
     props = cfg.properties or PROPERTY_NAMES
     for entry in registry.entries():
         per: list[PropertyResult] = []
         gated = False
+        ctx = None  # one context, and so one kernel memo, for the entry
         for name in props:
             if gated:
                 per.append(PropertyResult(entry.name, name, 0, 0, skipped=True))
                 continue
-            r = run_property(name, cfg, entry)
+            if ctx is None and name != "validate":
+                ctx = ActionContext(entry.algebra, entry.split, validate=False)
+            r = run_property(name, cfg, entry, ctx)
             per.append(r)
             if name == "validate" and r.failed:
                 gated = True

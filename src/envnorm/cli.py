@@ -10,7 +10,10 @@ File format (line oriented; '#' starts a comment, blank lines are ignored):
     split <name>+ | <name>+
 
 The ring, basis and split lines each appear exactly once: one basis line
-declares every name.
+declares every name. Each line is judged as it is read, so a fault is
+reported at the line and name that cause it; a bracket given in both
+orientations must negate exactly, and a conflict is reported on its second
+declaration.
 
 Expressions:  expr := term (('+'|'-') term)*
               term := ['-'] [coeff '*'] factor ('*' factor)*  |  ['-'] '0'
@@ -23,11 +26,13 @@ cancellation: every word left has one letter. So '2*(e - f)' and
 'e*f - e*f' (zero) are bracket values, and 'e*f' and '1' are not. Error
 columns count from the start of the line, on bracket lines too.
 
-Expressions nest at most 200 parentheses deep.
+Expressions nest at most 200 parentheses deep, and no product or sum in
+one may expand to more than 100000 terms.
 
 Exit codes: 0 success / all properties pass; 1 validation failure;
-2 parse error (too-deep nesting included); 3 property or oracle
-counterexample; 4 input too large to process (recursion limit reached).
+2 parse error (too-deep nesting and too-large expansion included);
+3 property or oracle counterexample; 4 input too large to process
+(recursion limit reached).
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CONT = _NAME_START | set("0123456789_")
 _OPS = set("*+-/()")
 _MAX_NESTING = 200  # parenthesis levels; each costs three parser frames
+_MAX_TERMS = 100_000  # words a product or a sum may expand to
 
 
 class ParseError(ValueError):
@@ -195,8 +201,12 @@ def _expr_term(ts: _Tokens, ring: Ring, index: dict) -> dict:
         elif text != "1":
             ts.error("a bare integer is not a term; write coeff*<basis name> or '1'")
     value = _expr_factor(ts, ring, index)
-    while ts.eat_op("*"):
+    while ts.peek()[:2] == ("op", "*"):
+        star = ts.next()[2]
         right = _expr_factor(ts, ring, index)
+        if len(value) * len(right) > _MAX_TERMS:
+            raise ParseError(f"expression expands to more than {_MAX_TERMS} terms",
+                             ts.line, star)
         out: dict = {}
         for w1, c1 in value.items():
             for w2, c2 in right.items():
@@ -215,6 +225,8 @@ def _expr_sum(ts: _Tokens, ring: Ring, index: dict) -> dict:
     while ts.eat_op("+") or ts.peek()[:2] == ("op", "-"):
         for w, c in _expr_term(ts, ring, index).items():
             _acc(value, w, c)
+        if len(value) > _MAX_TERMS:
+            ts.error(f"expression expands to more than {_MAX_TERMS} terms")
     return value
 
 
@@ -268,7 +280,8 @@ def parse_spec(text: str) -> AlgebraSpec:
     ring: Ring | None = None
     basis: list[str] = []
     index: dict[str, int] = {}
-    declared: dict[tuple[int, int], tuple[tuple, int]] = {}
+    written: set[tuple[int, int]] = set()  # bracket pairs as written
+    stored: dict[tuple[int, int], tuple] = {}  # (min, max) pair -> its pairs
     split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -308,9 +321,10 @@ def parse_spec(text: str) -> AlgebraSpec:
             for name in (a, b):
                 if name not in index:
                     raise ParseError(f"unknown name {name!r}", lineno)
-            key = (index[a], index[b])
-            if key in declared:
+            i, j = index[a], index[b]
+            if (i, j) in written:
                 raise ParseError(f"bracket ({a},{b}) declared twice", lineno)
+            written.add((i, j))
             # tokenize the value in place so that columns count along the line
             code = raw.split("#", 1)[0].rstrip()
             ts = _Tokens(_tokenize(code, lineno, code.index("=") + 1), lineno)
@@ -318,35 +332,35 @@ def parse_spec(text: str) -> AlgebraSpec:
             if any(len(w) != 1 for w in terms):
                 raise ParseError("bracket value must be a linear combination of basis names",
                                  lineno, ts.toks[0][2])
-            declared[key] = (tuple(sorted((k, c) for (k,), c in terms.items())), lineno)
+            pairs = tuple(sorted((k, c if i <= j else -c) for (k,), c in terms.items()))
+            if stored.setdefault((min(i, j), max(i, j)), pairs) != pairs:
+                raise ParseError(
+                    f"bracket ({a},{b}) conflicts with the opposite orientation", lineno)
         elif head == "split":
             if split is not None:
                 raise ParseError("duplicate split line", lineno)
             rest = line[len("split"):].strip()
             if rest.count("|") != 1:
                 raise ParseError("split line needs exactly one '|'", lineno)
-            left, right = rest.split("|")
-            sides = []
-            for part, side_text in enumerate((left, right), 1):
+            part_of: dict[str, int] = {}  # name -> split part, in the order listed
+            for part, side_text in enumerate(rest.split("|"), 1):
                 names = side_text.split()
                 if not names:
                     raise ParseError("each split side needs at least one name", lineno)
-                idxs = []
                 for name in names:
                     if name not in index:
                         raise ParseError(f"unknown name {name!r}", lineno)
-                    if index[name] in idxs:
-                        raise ParseError(f"{name!r} listed twice in split part {part}", lineno)
-                    idxs.append(index[name])
-                sides.append(tuple(idxs))
-            dupe = next((basis[i] for i in sides[0] if i in sides[1]), None)
-            if dupe is not None:
-                raise ParseError(f"{dupe!r} assigned to both split parts", lineno)
-            assigned = {*sides[0], *sides[1]}
-            unassigned = [basis[i] for i in range(len(basis)) if i not in assigned]
+                    if name in part_of:
+                        raise ParseError(
+                            f"{name!r} listed twice in split part {part}"
+                            if part_of[name] == part else
+                            f"{name!r} assigned to both split parts", lineno)
+                    part_of[name] = part
+            unassigned = [name for name in basis if name not in part_of]
             if unassigned:
                 raise ParseError(f"{unassigned[0]!r} unassigned in split", lineno)
-            split = (sides[0], sides[1])
+            split = tuple(tuple(index[name] for name, p in part_of.items() if p == part)
+                          for part in (1, 2))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
 
@@ -357,23 +371,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     if split is None:
         raise ParseError("missing split line")
 
-    # canonicalize: key pairs by (min, max); check double orientations negate
-    canon: dict[tuple[int, int], tuple] = {}
-    for (i, j), (pairs, lineno) in sorted(declared.items()):
-        if i <= j:
-            key, value = (i, j), pairs
-        else:
-            key, value = (j, i), tuple((k, -c) for k, c in pairs)
-        if key in canon:
-            if canon[key] != value:
-                a, b = basis[i], basis[j]
-                raise ParseError(
-                    f"bracket ({a},{b}) conflicts with the opposite orientation",
-                    lineno,
-                )
-        else:
-            canon[key] = value
-    brackets = tuple((key, pairs) for key, pairs in sorted(canon.items()) if pairs)
+    brackets = tuple((key, pairs) for key, pairs in sorted(stored.items()) if pairs)
     return AlgebraSpec(ring, tuple(basis), brackets, split[0], split[1])
 
 

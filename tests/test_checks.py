@@ -188,3 +188,18 @@ def test_default_config_is_the_cli_check():
     report = run_suite(cfg, ExampleRegistry([RegistryEntry("sl2_bad_jacobi", algebra, split)]))
     expected = (golden / "check_sl2_bad_jacobi_cases5.txt").read_text(encoding="utf-8")
     assert report.render() + "\n" == expected
+
+
+def test_run_suite_uses_one_context_per_entry(monkeypatch):
+    import envnorm.checks as checks
+    built = []
+
+    class CountingContext(ActionContext):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "ActionContext", CountingContext)
+    reg = builtin_examples()
+    run_suite(SuiteConfig(cases=1), reg)
+    assert len(built) == len(reg) == 8

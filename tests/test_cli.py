@@ -59,6 +59,9 @@ def test_parse_spec_crlf_and_comments():
     assert spec.basis == ("a", "b") and spec.brackets == ()
 
 
+_CONFLICT = "ring Z\nbasis e f h\nbracket f e = -1*h\nbracket e f = 2*h\n"
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -79,6 +82,10 @@ def test_parse_spec_crlf_and_comments():
         ("ring Z\nbasis e f\nbracket e f = f\nbracket e f = f\nsplit e | f", "declared twice"),
         ("wibble Z\n", "unknown directive"),
         ("ring Z\nbasis a b\nsplit a | b\nbasis c", "duplicate basis line"),
+        # each line is judged as it is read: a fault is reported where it is
+        (_CONFLICT + "split e | f h", "line 4: bracket (e,f) conflicts with the opposite"),
+        (_CONFLICT + "wibble\nsplit e | f h", "line 4: bracket (e,f) conflicts"),
+        ("ring Z\nbasis e f\nsplit e f | e zz", "line 3: 'e' assigned to both split parts"),
     ],
 )
 def test_parse_spec_errors(text, fragment):
@@ -227,6 +234,32 @@ def test_parse_expr_nesting_bound(sl2):
     with pytest.raises(ParseError) as err:
         parse_expr(_nested(201), sl2)
     assert "nested too deeply" in str(err.value)
+
+
+def _factors(n: int, factor: str = "(e+f)") -> str:
+    return "*".join([factor] * n)
+
+
+def test_parse_expr_expansion_bound(sl2):
+    assert len(parse_expr(_factors(16), sl2).terms) == 2 ** 16
+    with pytest.raises(ParseError) as err:
+        parse_expr(_factors(17), sl2)
+    assert err.value.message == "expression expands to more than 100000 terms"
+    assert err.value.col == 16 * len("(e+f)*")  # at the 16th '*'
+    # a sum of products each under the bound is bounded too
+    with pytest.raises(ParseError) as err:
+        parse_expr(_factors(16) + " + " + _factors(16, "(e+h)"), sl2)
+    assert err.value.message == "expression expands to more than 100000 terms"
+
+
+def test_expanding_bracket_value_exits_2(capsys, tmp_path):
+    # 17 factors are enough to cross the bound; code without it expands
+    # them in about a second, where 30 would take 2^30 words of memory
+    path = tmp_path / "expanding.alg"
+    path.write_text(_sl2_pair_spec(_factors(17)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3, col 110: expression expands to more than 100000 terms\n"
 
 
 @pytest.mark.parametrize("command", ["normal-order", "straighten"])

@@ -287,6 +287,16 @@ def test_sl2_built_three_ways_agrees():
                 assert [k for k, _c in cell] == sorted({k for k, _c in cell}), entry.name
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q", "Zmod 2", "Zmod 3", "Zmod 4"])
+def test_sl2_table_matches_its_brackets(ring):
+    R = make_ring(ring)
+    from_brackets = LieAlgebra.from_brackets(R, ("e", "f", "h"), {
+        ("e", "f"): {"h": 1}, ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2},
+    })
+    assert sl2_algebra(R).basis == from_brackets.basis
+    assert sl2_algebra(R).table == from_brackets.table
+
+
 # -- reference: validate_algebra written on brackets of basis vectors --
 
 def _reference_validate_algebra(alg):
