@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from envnorm.checks import builtin_examples, sl2_algebra, sl_algebra
+from envnorm.checks import builtin_examples, sl2_algebra, sl_algebra, sl_triangular_split
 from envnorm.cli import parse_spec
 from envnorm.liealg import (
     Violation,
@@ -285,6 +285,42 @@ def test_sl2_built_three_ways_agrees():
             for cell in row:
                 assert all(c for _k, c in cell), entry.name
                 assert [k for k, _c in cell] == sorted({k for k, _c in cell}), entry.name
+
+
+def _sl_matrix(n, name):
+    """The dense matrix of an sl(n) basis name: Eij is the unit at
+    (i-1, j-1), Hk is E_kk - E_(k+1)(k+1)."""
+    if name[0] == "E":
+        return _mat(n, {(int(name[1]) - 1, int(name[2]) - 1): 1})
+    k = int(name[1]) - 1
+    return _mat(n, {(k, k): 1, (k + 1, k + 1): -1})
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "Zmod 4"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sl_table_is_the_matrix_commutator(n, ring):
+    # coordinates in a basis are unique, so this fixes every cell
+    R = make_ring(ring)
+    alg = sl_algebra(n, R)
+    mats = [_sl_matrix(n, name) for name in alg.basis]
+    for a, b in itertools.product(range(alg.dim), repeat=2):
+        expected = _commutator(mats[a], mats[b])
+        got = [[R.zero] * n for _ in range(n)]
+        for k, c in alg.table[a][b]:
+            for r, c_col in itertools.product(range(n), repeat=2):
+                got[r][c_col] = got[r][c_col] + c * R.scalar(mats[k][r][c_col])
+        assert got == [[R.scalar(x) for x in row] for row in expected], (n, a, b)
+
+
+def test_sl_triangular_split_parts():
+    assert [
+        (split.part1, split.part2)
+        for split in (sl_triangular_split(sl_algebra(n, Z), n) for n in (2, 3, 4))
+    ] == [
+        ((0, 2), (1,)),
+        ((0, 1, 2, 6, 7), (3, 4, 5)),
+        ((0, 1, 2, 3, 4, 5, 12, 13, 14), (6, 7, 8, 9, 10, 11)),
+    ]
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "Zmod 2", "Zmod 3", "Zmod 4"])
