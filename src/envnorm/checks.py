@@ -22,6 +22,7 @@ from .liealg import (
     GVector,
     LieAlgebra,
     SplitDecomposition,
+    _acc,
     validate,
 )
 from .normalform import (
@@ -97,9 +98,9 @@ class ExampleRegistry:
 # ---------------------------------------------------------------------------
 
 def sl2_algebra(ring: Ring) -> LieAlgebra:
-    """sl(2) on basis e, f, h with [e,f]=h, [h,e]=2e, [h,f]=-2f: the table
-    of ``sl_algebra(2, ring)``, with E12, E21, H1 named e, f, h."""
-    return LieAlgebra(ring, ("e", "f", "h"), sl_algebra(2, ring).table)
+    """sl(2) on basis e, f, h with [e,f]=h, [h,e]=2e, [h,f]=-2f: the
+    matrices of ``sl_algebra(2, ring)``, with E12, E21, H1 named e, f, h."""
+    return _matrix_algebra(ring, ("e", "f", "h"), _sl_basis(2)[1])
 
 
 def heisenberg_algebra(ring: Ring) -> LieAlgebra:
@@ -111,75 +112,62 @@ def abelian_algebra(ring: Ring) -> LieAlgebra:
     return LieAlgebra.from_brackets(ring, ("a", "b", "c"), {})
 
 
-def _matrix_unit(n: int, i: int, j: int):
-    return [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
-
-
-def _commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+def _commutator(a: dict, b: dict) -> dict:
+    """ab - ba of sparse {(row, col): entry} matrices."""
+    out: dict = {}
+    for p, q, sign in ((a, b, 1), (b, a, -1)):
+        for (r, k), x in p.items():
+            for (k2, c), y in q.items():
+                if k == k2:
+                    _acc(out, (r, c), sign * x * y)
+    return out
 
 
 def _sl_basis(n: int):
-    """Basis of sl(n): strict uppers row-major, strict lowers row-major,
-    then the diagonal differences H_k = E_kk - E_(k+1)(k+1)."""
-    names, mats = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            names.append(f"E{i + 1}{j + 1}")
-            mats.append(_matrix_unit(n, i, j))
-    for i in range(n):
-        for j in range(i):
-            names.append(f"E{i + 1}{j + 1}")
-            mats.append(_matrix_unit(n, i, j))
-    for k in range(n - 1):
-        names.append(f"H{k + 1}")
-        mats.append(_mat_sub(_matrix_unit(n, k, k), _matrix_unit(n, k + 1, k + 1)))
+    """Names and sparse {(row, col): entry} matrices of sl(n): strict
+    uppers row-major, strict lowers row-major, then the diagonal
+    differences H_k = E_kk - E_(k+1)(k+1)."""
+    units = [(i, j) for i in range(n) for j in range(n) if i < j]
+    units += [(i, j) for i in range(n) for j in range(n) if i > j]
+    names = [f"E{i + 1}{j + 1}" for i, j in units] + [f"H{k + 1}" for k in range(n - 1)]
+    mats = [{u: 1} for u in units] + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
     return names, mats
 
 
-def _sl_coords(n: int, m) -> list[int]:
-    """Coordinates of a traceless matrix over the _sl_basis of sl(n)."""
-    coords = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append(m[i][j])
-    for i in range(n):
-        for j in range(i):
-            coords.append(m[i][j])
-    running = 0
-    for k in range(n - 1):
-        running += m[k][k]
-        coords.append(running)
-    assert sum(m[k][k] for k in range(n)) == 0
-    return coords
+def _matrix_algebra(ring: Ring, names, mats) -> LieAlgebra:
+    """The Lie algebra on the integer matrices ``mats`` under the commutator.
+
+    A matrix's pivot is its first entry, row-major, that no later matrix
+    has, so a commutator's coordinates follow by back-substitution in basis
+    order; what is left over must be zero (for sl(n), the trace)."""
+    pivots = [
+        min(p for p in m if not any(p in later for later in mats[t + 1:]))
+        for t, m in enumerate(mats)
+    ]
+
+    def coords(m: dict) -> list:
+        rest, out = dict(m), []
+        for k, (mat, p) in enumerate(zip(mats, pivots)):
+            c = rest.get(p, 0) // mat[p]
+            if c:
+                out.append((k, c))
+                for key, x in mat.items():
+                    _acc(rest, key, -c * x)
+        assert not rest
+        return out
+
+    return LieAlgebra(ring, names, [[coords(_commutator(a, b)) for b in mats] for a in mats])
 
 
 def sl_algebra(n: int, ring: Ring) -> LieAlgebra:
     """sl(n) with structure constants computed from matrix commutators."""
-    names, mats = _sl_basis(n)
-    dim = len(names)
-    table = [
-        [enumerate(_sl_coords(n, _commutator(mats[i], mats[j]))) for j in range(dim)]
-        for i in range(dim)
-    ]
-    return LieAlgebra(ring, names, table)
+    return _matrix_algebra(ring, *_sl_basis(n))
 
 
 def sl_triangular_split(algebra: LieAlgebra, n: int) -> SplitDecomposition:
     """The two-block grouping (strict uppers + diagonal) | strict lowers."""
-    uppers = n * (n - 1) // 2
-    part1 = tuple(range(uppers)) + tuple(range(2 * uppers, 2 * uppers + n - 1))
-    part2 = tuple(range(uppers, 2 * uppers))
-    return SplitDecomposition(algebra, part1, part2)
+    lowers = {k for k, m in enumerate(_sl_basis(n)[1]) if all(r > c for r, c in m)}
+    return SplitDecomposition(algebra, set(range(algebra.dim)) - lowers, lowers)
 
 
 def builtin_examples() -> ExampleRegistry:

@@ -57,6 +57,13 @@ def _acc(d: dict, key, c) -> None:
             del d[key]
 
 
+def _index_of(index: dict, name: str) -> int:
+    try:
+        return index[name]
+    except KeyError:
+        raise ValueError(f"unknown basis name {name!r}") from None
+
+
 class _Combination:
     """Finite {key: scalar} combination over a fixed carrier: the linear
     arithmetic shared by :class:`GVector` and the envelope's element types.
@@ -176,10 +183,10 @@ class LieAlgebra:
         table = [[{} for _ in range(n)] for _ in range(n)]
         given = set()
         for (a, b), combo in brackets.items():
-            i, j = index[a], index[b]
+            i, j = _index_of(index, a), _index_of(index, b)
             cell: dict = {}
             for name, coeff in combo.items():
-                _acc(cell, index[name], ring.scalar(coeff))
+                _acc(cell, _index_of(index, name), ring.scalar(coeff))
             if (j, i) in given and i != j:
                 if cell != {k: -c for k, c in table[j][i].items()}:
                     raise ValueError(f"brackets for ({a},{b}) and ({b},{a}) do not negate")
@@ -195,7 +202,8 @@ class LieAlgebra:
     def vector(self, coords) -> "GVector":
         """GVector from a full coordinate sequence or a sparse {index|name: coeff} map."""
         if isinstance(coords, dict):
-            coords = {self.index[k] if isinstance(k, str) else k: c for k, c in coords.items()}
+            coords = {_index_of(self.index, k) if isinstance(k, str) else k: c
+                      for k, c in coords.items()}
         return GVector(self, coords)
 
     def bracket(self, v: "GVector", w: "GVector") -> "GVector":

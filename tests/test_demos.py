@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -13,4 +15,4 @@ def test_demo_runs_clean(script):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (GOLDEN / f"{script.stem}.txt").read_text(encoding="utf-8")

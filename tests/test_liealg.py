@@ -228,6 +228,14 @@ def test_from_brackets_rejects_inconsistent_orientations():
     assert validate_algebra(alg).ok
 
 
+def test_unknown_basis_names_raise_value_error(sl2):
+    for brackets in ({("a", "zz"): {}}, {("a", "b"): {"zz": 1}}):
+        with pytest.raises(ValueError, match="unknown basis name 'zz'"):
+            LieAlgebra.from_brackets(Z, ("a", "b"), brackets)
+    with pytest.raises(ValueError, match="unknown basis name 'zz'"):
+        sl2.vector({"zz": 1})
+
+
 def test_table_shape_checked():
     with pytest.raises(ValueError):
         LieAlgebra(Z, ("a", "b"), [[[], []]])  # missing row
