@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 GOLDEN = Path(__file__).parent / "golden" / "demos"
 
 
