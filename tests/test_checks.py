@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from envnorm.checks import (
     builtin_examples,
     _moves,
     generate,
+    relator_variant,
     run_property,
     run_suite,
     sl2_algebra,
@@ -70,6 +72,24 @@ def test_generate_is_deterministic():
         c = generate(kind, cfg, entry, index=4)
         # adjacent indices draw fresh objects (overwhelmingly)
         assert (a != c) or kind == "word"
+
+
+# sha256 over "<entry> <kind> <index> <str(draw)>" lines, in the loop order
+# below: the draws of `generate` at the suite defaults must never move
+GENERATE_DIGEST = "355c3c4869264fdf963c67266c79f92e4424d00667fb1c410351cd4ff1366d2a"
+
+
+def test_generate_draws_are_pinned():
+    cfg = SuiteConfig()
+    digest = hashlib.sha256()
+    for entry in builtin_examples().entries():
+        for kind in ("word", "vector", "state", "element"):
+            for i in range(20):
+                drawn = generate(kind, cfg, entry, i)
+                digest.update(f"{entry.name} {kind} {i} {drawn}\n".encode("utf-8"))
+    assert digest.hexdigest() == GENERATE_DIGEST
+    with pytest.raises(ValueError):
+        generate("bogus", cfg, builtin_examples()["sl2_Z"])
 
 
 def test_generate_degree_bound():
@@ -203,3 +223,38 @@ def test_run_suite_uses_one_context_per_entry(monkeypatch):
     reg = builtin_examples()
     run_suite(SuiteConfig(cases=1), reg)
     assert len(built) == len(reg) == 8
+
+
+def _relator_by_words(algebra, u, host, pos, x, y, coeff):
+    # the relator spliced in word by word, without the envelope product
+    pos = min(pos, len(host))
+    head, tail = host[:pos], host[pos:]
+    extra = EnvElement.word(algebra, head + (x, y) + tail, coeff) - EnvElement.word(
+        algebra, head + (y, x) + tail, coeff
+    )
+    for k, gamma in algebra.table[x][y]:
+        extra = extra - EnvElement(algebra, {head + (k,) + tail: coeff * gamma})
+    return u + extra
+
+
+def test_relator_variant_matches_word_by_word_splice():
+    golden = Path(__file__).parent / "golden"
+    entries = list(builtin_examples().entries())
+    # an algebra with [x, x] != 0: the relator is -[x, x] there, not zero
+    algebra, split = parse_spec(
+        (golden / "sl2_bad_alternating.alg").read_text(encoding="utf-8")).build()
+    entries.append(RegistryEntry("sl2_bad_alternating", algebra, split))
+    cfg = SuiteConfig(max_degree=4)
+    for entry in entries:
+        alg = entry.algebra
+        rng = random.Random(entry.name)
+        for i in range(40):
+            u = generate("element", cfg, entry, i)
+            host = generate("word", cfg, entry, i)
+            pos = rng.randint(0, len(host) + 1)  # past the end clamps to the end
+            x, y = rng.randrange(alg.dim), rng.randrange(alg.dim)
+            if i % 5 == 0:
+                y = x
+            coeff = alg.ring.scalar(rng.randint(-9, 9))
+            args = (alg, u, host, pos, x, y, coeff)
+            assert relator_variant(*args) == _relator_by_words(*args), (entry.name, i)

@@ -208,6 +208,43 @@ def test_parse_expr_examples(sl2):
     assert parse_expr("-2*e*h", sl2) == EnvElement.word(sl2, (0, 2), -2)
 
 
+def _random_sum(rng, names, coeff):
+    """A parenthesized sum of 1..3 terms and its {word: coefficient} expansion."""
+    text, terms = [], {}
+    for _ in range(rng.randint(1, 3)):
+        word = tuple(rng.randrange(len(names)) for _ in range(rng.randint(0, 2)))
+        c = coeff()
+        text.append(f"{c}*{'*'.join(names[l] for l in word) or '1'}")
+        terms[word] = terms.get(word, 0) + c
+    return "(" + " + ".join(text) + ")", terms
+
+
+def test_parse_expr_expands_products_of_sums():
+    # the parser's word product against a local double loop, on every builtin algebra
+    from fractions import Fraction
+
+    from envnorm.checks import builtin_examples
+
+    rng = random.Random(43)
+    for entry in builtin_examples().entries():
+        alg = entry.algebra
+        if alg.ring.kind == "Q":
+            coeff = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        else:
+            coeff = lambda: rng.randint(-9, 9)
+        for _ in range(30):
+            factors = [_random_sum(rng, alg.basis, coeff) for _ in range(rng.randint(1, 3))]
+            expected = {(): 1}
+            for _text, terms in factors:
+                product = {}
+                for w1, c1 in expected.items():
+                    for w2, c2 in terms.items():
+                        product[w1 + w2] = product.get(w1 + w2, 0) + c1 * c2
+                expected = product
+            text = " * ".join(text for text, _terms in factors)
+            assert parse_expr(text, alg) == EnvElement(alg, expected), (entry.name, text)
+
+
 def test_parse_expr_fraction_needs_q(sl2):
     with pytest.raises(ParseError) as err:
         parse_expr("1/2*e", sl2)

@@ -223,6 +223,14 @@ def test_normal_order_oracle_mismatch_raises(ctx, monkeypatch):
         normal_order(ctx, EnvElement.word(ctx.algebra, (E, F)))
 
 
+def test_normal_order_inverse_mismatch_raises(ctx, monkeypatch):
+    # the oracle agrees, so only the second check, mu(section) == u, can fail
+    monkeypatch.setattr(normalform, "env_eq", lambda u, v: False)
+    message = "factor multiplication does not invert the section"
+    with pytest.raises(OracleMismatchError, match=message):
+        normal_order(ctx, EnvElement.word(ctx.algebra, (E, F)))
+
+
 def test_filtration(ctx):
     alg = ctx.algebra
     assert check_filtration(ctx, alg.basis_vector(E), term(ctx, (F,), ()))
