@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .envelope import EnvElement, StateElement, oracle_normal_order, state_eq
+from .envelope import EnvElement, StateElement, env_mul, oracle_normal_order, state_eq
 from .liealg import (
     GVector,
     LieAlgebra,
@@ -50,7 +50,7 @@ class SuiteConfig:
             raise ValueError("max_degree must be >= 0")
         unknown = set(self.properties or ()) - set(PROPERTY_NAMES)
         if unknown:
-            raise ValueError(f"unknown properties: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown properties: {', '.join(map(repr, sorted(unknown)))}")
 
 
 @dataclass(frozen=True)
@@ -251,20 +251,23 @@ def _draw_state(rng: random.Random, split: SplitDecomposition, max_degree: int) 
     return out
 
 
+_DRAWERS = {  # generation kind -> its draw(rng, cfg, entry)
+    "word": lambda rng, cfg, entry: _draw_word(rng, range(entry.algebra.dim), cfg.max_degree),
+    "vector": lambda rng, cfg, entry: _draw_vector(rng, entry.algebra),
+    "state": lambda rng, cfg, entry: _draw_state(rng, entry.split, cfg.max_degree),
+    "element": lambda rng, cfg, entry: _draw_env(rng, entry.algebra, cfg.max_degree),
+    "part1 word": lambda rng, cfg, entry: _draw_word(rng, entry.split.part1, cfg.max_degree),
+    "part2 word": lambda rng, cfg, entry: _draw_word(rng, entry.split.part2, cfg.max_degree),
+}
+
+
 def generate(kind: str, cfg: SuiteConfig, entry: RegistryEntry, index: int = 0):
     """Draw number ``index`` of the given kind ("word", "vector", "state",
-    "element") for an entry; identical (seed, kind, index) gives an
-    identical object."""
-    rng = _case_rng(cfg, entry, kind, index)
-    if kind == "word":
-        return _draw_word(rng, range(entry.algebra.dim), cfg.max_degree)
-    if kind == "vector":
-        return _draw_vector(rng, entry.algebra)
-    if kind == "state":
-        return _draw_state(rng, entry.split, cfg.max_degree)
-    if kind == "element":
-        return _draw_env(rng, entry.algebra, cfg.max_degree)
-    raise ValueError(f"unknown generation kind {kind!r}")
+    "element", or a word over one split part, "part1 word" or "part2 word")
+    for an entry; identical (seed, kind, index) gives an identical object."""
+    if kind not in _DRAWERS:
+        raise ValueError(f"unknown generation kind {kind!r}")
+    return _DRAWERS[kind](_case_rng(cfg, entry, kind, index), cfg, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +379,11 @@ def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
     """u plus coeff * (the word ``host`` with the two-sided relator
     x y - y x - [x, y] spliced in at ``pos``); equal to u in the envelope."""
     pos = min(pos, len(host))
-    head, tail = host[:pos], host[pos:]
     # built by subtraction so the two words cancel when x == y
-    extra = EnvElement.word(algebra, head + (x, y) + tail, coeff) - EnvElement.word(
-        algebra, head + (y, x) + tail, coeff
-    )
-    for k, gamma in algebra.table[x][y]:
-        extra = extra - EnvElement(algebra, {head + (k,) + tail: coeff * gamma})
-    return u + extra
+    relator = (EnvElement.word(algebra, (x, y)) - EnvElement.word(algebra, (y, x))
+               - EnvElement(algebra, {(k,): gamma for k, gamma in algebra.table[x][y]}))
+    head = EnvElement.word(algebra, host[:pos], coeff)
+    return u + env_mul(env_mul(head, relator), EnvElement.word(algebra, host[pos:]))
 
 
 # A row of _PROPERTIES is (draw, holds).  draw(rng, cfg, entry) returns one
@@ -391,19 +391,11 @@ def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
 # a case fails at its first instance for which holds(ctx, **inst) returns
 # False or raises.
 
-_DRAWERS = {  # instance key -> its draw(rng, cfg, entry)
-    "u": lambda rng, cfg, entry: _draw_env(rng, entry.algebra, cfg.max_degree),
-    "s": lambda rng, cfg, entry: _draw_state(rng, entry.split, cfg.max_degree),
-    "g": lambda rng, cfg, entry: _draw_vector(rng, entry.algebra),
-    "w1": lambda rng, cfg, entry: _draw_word(rng, entry.split.part1, cfg.max_degree),
-    "m": lambda rng, cfg, entry: _draw_word(rng, entry.split.part2, cfg.max_degree),
-}
-
-
-def _draw(*keys):
-    """A draw giving one instance with ``keys`` drawn independently, in order."""
+def _draw(**kinds):
+    """A draw giving one instance, each key drawn independently, in order,
+    as its generation kind."""
     def draw(rng, cfg, entry):
-        return [{key: _DRAWERS[key](rng, cfg, entry) for key in keys}]
+        return [{key: _DRAWERS[kind](rng, cfg, entry) for key, kind in kinds.items()}]
     return draw
 
 
@@ -449,12 +441,13 @@ def _holds_well_defined(ctx, u, host, pos, x, y, coeff):
 
 
 _PROPERTIES = {  # name -> (draw, holds), in report order
-    "oracle": (_draw("u"), _holds_oracle),
-    "inverse": (_draw("u", "s"), _holds_inverse),
+    "oracle": (_draw(u="element"), _holds_oracle),
+    "inverse": (_draw(u="element", s="state"), _holds_inverse),
     "lie_action": (_draw_pairs, _holds_lie_action),
-    "filtration": (_draw("g", "s"), check_filtration),
-    "right_linearity": (_draw("g", "w1", "m"), check_right_linearity),
-    "mu_compat": (_draw("g", "s"), check_mu_compat),
+    "filtration": (_draw(g="vector", s="state"), check_filtration),
+    "right_linearity": (_draw(g="vector", w1="part1 word", m="part2 word"),
+                        check_right_linearity),
+    "mu_compat": (_draw(g="vector", s="state"), check_mu_compat),
     "well_defined": (_draw_relator, _holds_well_defined),
 }
 

@@ -1,6 +1,7 @@
 """Algebra-file and expression parsing, command dispatch, deterministic output.
 
-File format (line oriented; '#' starts a comment, blank lines are ignored):
+File format (UTF-8, a leading byte-order mark allowed; line oriented; '#'
+starts a comment, blank lines are ignored):
 
     ring Z | ring Q | ring Zmod <q>
     basis <name>+
@@ -51,7 +52,7 @@ from .checks import (
     builtin_examples,
     run_suite,
 )
-from .envelope import EnvElement, StateElement, straighten
+from .envelope import EnvElement, StateElement, _word_product, straighten
 from .liealg import LieAlgebra, SplitDecomposition, _acc, validate
 from .normalform import ActionContext, OracleMismatchError, normal_order
 from .ring import Ring, Scalar, make_ring
@@ -207,11 +208,7 @@ def _expr_term(ts: _Tokens, ring: Ring, index: dict) -> dict:
         if len(value) * len(right) > _MAX_TERMS:
             raise ParseError(f"expression expands to more than {_MAX_TERMS} terms",
                              ts.line, star)
-        out: dict = {}
-        for w1, c1 in value.items():
-            for w2, c2 in right.items():
-                _acc(out, w1 + w2, c1 * c2)
-        value = out
+        value = _word_product(value, right)
     if coeff is not None:
         return {w: p for w, c in value.items() if (p := coeff * c)}
     if negate:
@@ -404,7 +401,7 @@ def state_lines(s: StateElement) -> list[str]:
 
 def _read_spec(path: str) -> AlgebraSpec:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     return parse_spec(text)
@@ -462,7 +459,7 @@ def _cmd_check(args) -> int:
         algebra, split = spec.build()
         name = Path(args.file).stem
         registry = ExampleRegistry([RegistryEntry(name, algebra, split)])
-    properties = tuple(args.props.split(",")) if args.props else None
+    properties = tuple(args.props.split(",")) if args.props is not None else None
     try:
         cfg = SuiteConfig(
             seed=args.seed,

@@ -163,14 +163,20 @@ class StateElement(_Combination):
         return " + ".join(strs) if strs else "0"
 
 
+def _word_product(a: dict, b: dict) -> dict:
+    """Word concatenation extended bilinearly to {word: scalar} dicts: the
+    product of T(g), as a fresh dict with no zero coefficient."""
+    out: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _acc(out, w1 + w2, c1 * c2)
+    return out
+
+
 def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
     """Bilinear extension of word concatenation (the associative product)."""
     u._check(v)
-    out: dict = {}
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            _acc(out, w1 + w2, c1 * c2)
-    return EnvElement(u.algebra, out)
+    return EnvElement(u.algebra, _word_product(u.terms, v.terms))
 
 
 def mu_state(s: StateElement) -> EnvElement:

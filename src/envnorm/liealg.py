@@ -325,7 +325,7 @@ class SplitDecomposition:
 
 def validate(algebra: LieAlgebra, split: SplitDecomposition) -> ValidationReport:
     """The one validation entry point: the algebra's violations (alternating,
-    Jacobi), then the split's (partition, closure), in one report."""
+    Jacobi), then the split's closure violations, in one report."""
     if split.algebra is not algebra:
         raise CarrierMismatchError("split belongs to a different algebra")
     return ValidationReport(

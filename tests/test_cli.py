@@ -433,6 +433,13 @@ def test_non_utf8_spec_exits_2(capsys, tmp_path, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_spec_with_byte_order_mark_validates(capsys, tmp_path):
+    path = tmp_path / "bom.alg"
+    path.write_bytes(b"\xef\xbb\xbf" + golden("sl2.alg").encode("utf-8"))
+    assert run_cli(capsys, "validate", str(path)) == run_cli(
+        capsys, "validate", str(GOLDEN / "sl2.alg")) == (0, "ok\n", "")
+
+
 def test_leading_minus_expr_needs_equals_form(capsys):
     code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"), "--expr=-1/2*e*e")
     assert (code, out, err) == (0, "-1/2 * e e (x) 1\n", "")
@@ -571,6 +578,15 @@ def test_check_rejects_bad_config(capsys):
     assert code == 2 and "cases" in err
     code, _out, err = run_cli(capsys, "check", "--builtin", "--props", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("props,named", [
+    ("oracle,", "''"), (",", "''"), ("", "''"), ("bogus,oracle,", "'', 'bogus'"),
+])
+def test_check_rejects_empty_props_entries(capsys, props, named):
+    code, out, err = run_cli(capsys, "check", "--builtin", "--props", props)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown properties: {named}\n"
 
 
 def test_cli_mod2_residue_coefficients(capsys):
