@@ -48,9 +48,16 @@ class SuiteConfig:
             raise ValueError("cases must be >= 1")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        unknown = set(self.properties or ()) - set(PROPERTY_NAMES)
+        if self.properties is None:  # all of PROPERTY_NAMES
+            return
+        if not self.properties:
+            raise ValueError("properties must name at least one property")
+        unknown = set(self.properties) - set(PROPERTY_NAMES)
         if unknown:
             raise ValueError(f"unknown properties: {', '.join(map(repr, sorted(unknown)))}")
+        repeated = {p for p in self.properties if self.properties.count(p) > 1}
+        if repeated:
+            raise ValueError(f"repeated properties: {', '.join(map(repr, sorted(repeated)))}")
 
 
 @dataclass(frozen=True)
@@ -558,7 +565,7 @@ def run_suite(cfg: SuiteConfig, registry: ExampleRegistry) -> SuiteReport:
     validation gates the entry: dependent properties are reported as
     skipped.  Other failures never abort the run."""
     results = []
-    props = cfg.properties or PROPERTY_NAMES
+    props = PROPERTY_NAMES if cfg.properties is None else cfg.properties
     for entry in registry.entries():
         per: list[PropertyResult] = []
         gated = False

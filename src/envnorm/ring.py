@@ -5,6 +5,13 @@ integers, residues in [0, q), reduced fractions with positive denominator --
 so equality is plain structural equality and stays decidable everywhere
 downstream.  Composite moduli are supported on purpose: zero divisors are
 part of the intended test surface.
+
+Each Z and Z/q ring shares one scalar object per value v with
+|v| <= _SHARED (64), built on first use, so the small coefficients that
+dominate the arithmetic are neither rebuilt nor kept alive one per term.
+Sharing is only an economy: equality and hashing stay by value, and two
+equal rings built apart share nothing.  Q values are never shared, because
+hashing or comparing a ``Fraction`` costs more than building a scalar.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 _KINDS = ("Z", "Q", "Zmod")
+_SHARED = 64  # Z and Z/q values with |v| <= _SHARED are shared per ring
 
 
 class RingMismatchError(ValueError):
@@ -24,7 +32,7 @@ class Scalar:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: "Ring", value):
-        # ``value`` must already be canonical; go through Ring.scalar() for raw input.
+        # Built by Ring._make from a canonical value; raw input goes through Ring.scalar().
         self.ring = ring
         self.value = value
 
@@ -37,35 +45,34 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check(other)
-        v = self.value + other.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        ring = self.ring
+        if other.ring is not ring:
+            self._check(other)
+        return ring._make(self.value + other.value)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check(other)
-        v = self.value - other.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        ring = self.ring
+        if other.ring is not ring:
+            self._check(other)
+        return ring._make(self.value - other.value)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check(other)
-        v = self.value * other.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        ring = self.ring
+        # the ring check comes first: ``one`` of another ring must still raise
+        if other.ring is not ring:
+            self._check(other)
+        elif self is ring.one:
+            return other
+        if other is ring.one:
+            return self
+        return ring._make(self.value * other.value)
 
     def __neg__(self):
-        v = -self.value
-        if self.ring.kind == "Zmod":
-            v %= self.ring.modulus
-        return Scalar(self.ring, v)
+        return self.ring._make(-self.value)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -90,7 +97,7 @@ class Scalar:
 class Ring:
     """One of Z, Q or Z/qZ with q >= 2 (composite moduli allowed)."""
 
-    __slots__ = ("kind", "modulus", "zero", "one")
+    __slots__ = ("kind", "modulus", "zero", "one", "_shared")
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind not in _KINDS:
@@ -102,8 +109,23 @@ class Ring:
             raise ValueError(f"ring {kind} takes no modulus")
         self.kind = kind
         self.modulus = modulus
-        self.zero = Scalar(self, self.normalize(0))
-        self.one = Scalar(self, self.normalize(1))
+        self._shared: dict[int, Scalar] = {}  # value -> this ring's shared scalar
+        self.zero = self._make(self.normalize(0))
+        self.one = self._make(self.normalize(1))
+
+    def _make(self, v) -> Scalar:
+        """The scalar of ``v``, canonical but for the reduction mod q done here.
+
+        Every scalar is built here; an ``int`` value with |v| <= _SHARED
+        returns this ring's shared instance."""
+        if self.modulus is not None:
+            v %= self.modulus
+        if type(v) is int and -_SHARED <= v <= _SHARED:
+            s = self._shared.get(v)
+            if s is None:
+                s = self._shared[v] = Scalar(self, v)
+            return s
+        return Scalar(self, v)
 
     def normalize(self, raw):
         """Canonical internal value for ``raw`` (int or Fraction)."""
@@ -127,7 +149,7 @@ class Ring:
             if raw.ring is not self and raw.ring != self:
                 raise RingMismatchError(f"scalar from {raw.ring} used in {self}")
             return raw
-        return Scalar(self, self.normalize(raw))
+        return self._make(self.normalize(raw))
 
     def descriptor(self) -> str:
         if self.kind == "Zmod":

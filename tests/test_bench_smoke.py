@@ -22,3 +22,5 @@ def test_traced_small_workload_runs_and_checks_out(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout
+    # the scalar arithmetic stays on the class whose operators the tracer counts
+    assert result["metrics"][f"{workload}.ring.scalar_ops"]["value"] > 0, proc.stdout

@@ -119,6 +119,11 @@ def test_config_validation():
         SuiteConfig(seed=1, max_degree=-1)
     with pytest.raises(ValueError):
         SuiteConfig(seed=1, properties=("nope",))
+    # only None selects every property; an empty selection is an error, as in the CLI
+    with pytest.raises(ValueError, match="at least one property"):
+        SuiteConfig(properties=())
+    with pytest.raises(ValueError, match="repeated properties: 'oracle'"):
+        SuiteConfig(properties=("oracle", "validate", "oracle"))
 
 
 def test_run_suite_all_pass_and_reproducible():

@@ -589,6 +589,15 @@ def test_check_rejects_empty_props_entries(capsys, props, named):
     assert err == f"error: unknown properties: {named}\n"
 
 
+@pytest.mark.parametrize("props,named", [
+    ("oracle,oracle", "'oracle'"), ("inverse,oracle,inverse,oracle", "'inverse', 'oracle'"),
+])
+def test_check_rejects_repeated_props_entries(capsys, props, named):
+    code, out, err = run_cli(capsys, "check", "--builtin", "--props", props, "--cases", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: repeated properties: {named}\n"
+
+
 def test_cli_mod2_residue_coefficients(capsys):
     # 3 reduces to 1 mod 2 and the bracket term [h,e] = 2e vanishes
     code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -113,3 +114,91 @@ def test_scalar_printing_round_trip_values():
     assert str(make_ring("Z").scalar(-17)) == "-17"
     assert str(make_ring("Zmod 7").scalar(-1)) == "6"
     assert str(make_ring("Q").scalar(Fraction(10, 4))) == "5/2"
+
+
+# Small Z and Z/q values are shared per ring (ring._SHARED = 64); Q values never are.
+SHARING_RINGS = ["Z", "Zmod 4", "Zmod 7", "Zmod 131"]
+
+
+def _canonical(r, v):
+    return v % r.modulus if r.modulus else v
+
+
+@pytest.mark.parametrize("descriptor", SHARING_RINGS)
+def test_small_values_are_shared(descriptor):
+    r = make_ring(descriptor)
+    assert r.scalar(0) is r.zero and r.scalar(1) is r.one
+    for v in range(-64, 65):
+        c = _canonical(r, v)
+        assert r.scalar(v) == r.scalar(c) and r.scalar(v).value == c
+        if c <= 64:  # negative inputs too, once reduced mod q
+            assert r.scalar(v) is r.scalar(v) is r.scalar(c)
+
+
+@pytest.mark.parametrize("descriptor", SHARING_RINGS)
+def test_small_sums_and_products_are_shared(descriptor):
+    r = make_ring(descriptor)
+    rng = random.Random(13)
+    for _ in range(500):
+        a, b = rng.randint(-8, 8), rng.randint(-8, 8)
+        x, y = r.scalar(a), r.scalar(b)
+        for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a)):
+            assert got.value == _canonical(r, want)
+            if abs(got.value) <= 64:
+                assert got is r.scalar(want)
+        assert x * r.one is x and r.one * x is x
+
+
+def test_large_and_rational_values_are_unchanged():
+    z, q, m = make_ring("Z"), make_ring("Q"), make_ring("Zmod 1000003")
+    rng = random.Random(17)
+    for _ in range(300):
+        a, b = rng.randint(-10**40, 10**40), rng.randint(-10**40, 10**40)
+        for r in (z, m):
+            x, y = r.scalar(a), r.scalar(b)
+            assert (x + y).value == _canonical(r, a + b)
+            assert (x - y).value == _canonical(r, a - b)
+            assert (x * y).value == _canonical(r, a * b)
+            assert (-x).value == _canonical(r, -a)
+        fa = Fraction(rng.randint(-10**20, 10**20), rng.randint(2, 10**20))
+        fb = Fraction(rng.randint(-50, 50), rng.randint(2, 50))
+        x, y = q.scalar(fa), q.scalar(fb)
+        assert (x + y).value == fa + fb and (x - y).value == fa - fb
+        assert (x * y).value == fa * fb and (-x).value == -fa
+        assert str(x * y) == str(fa * fb)
+        assert x * q.one is x and q.one * x is x
+    assert (q.scalar(3) * q.scalar(Fraction(1, 3))).value == 1
+    big = z.scalar(10**40)
+    assert (big - big) is z.zero and big * z.one is big
+    assert q._shared == {}  # no Fraction is ever hashed into the table
+
+
+@pytest.mark.parametrize("descriptor", SHARING_RINGS)
+def test_shared_table_stays_bounded(descriptor):
+    r = make_ring(descriptor)
+    rng = random.Random(19)
+    for _ in range(3000):
+        a = rng.randint(-10**12, 10**12)
+        b = rng.choice((rng.randint(-10**12, 10**12), a + rng.randint(-100, 100)))
+        x, y = r.scalar(a), r.scalar(b)
+        x + y, x - y, y - x, x * y, -x
+    for v in range(-1000, 1000):
+        r.scalar(v)
+    assert len(r._shared) <= 129
+    for v, s in r._shared.items():
+        assert type(v) is int and abs(v) <= 64 and s.value == v and s.ring is r
+
+
+def test_one_and_zero_of_another_ring_still_mismatch():
+    # the ring check runs before any shortcut on ``one`` or ``zero``
+    z, q, m = make_ring("Z"), make_ring("Q"), make_ring("Zmod 7")
+    pairs = [(z.one, q.scalar(3)), (q.scalar(3), z.one), (z.zero, q.one), (q.one, z.zero),
+             (z.one, q.one), (q.one, z.one), (m.one, z.one), (z.scalar(5), m.one)]
+    for a, b in pairs:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(RingMismatchError):
+                op(a, b)
+    # equal rings built apart still combine, through the shortcut too
+    z2 = make_ring("Z")
+    assert z.one * z2.scalar(5) == z2.scalar(5) * z.one == z.scalar(5)
+    assert (z.zero + z2.one).value == 1
