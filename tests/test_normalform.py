@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from envnorm.checks import (
     sl_algebra,
     sl_triangular_split,
 )
+from envnorm.cli import parse_spec
 from envnorm.envelope import (
     EnvElement,
     StateElement,
@@ -39,6 +41,7 @@ from envnorm.ring import make_ring
 
 Z = make_ring("Z")
 REG = builtin_examples()
+GOLDEN = Path(__file__).parent / "golden"
 
 E, F, H = 0, 1, 2
 
@@ -285,6 +288,65 @@ def test_lie_action(ctx):
                     assert check_lie_action(
                         c, entry.algebra.basis_vector(i), entry.algebra.basis_vector(j), s
                     )
+
+
+_BAD_SPECS = ("sl2_bad_jacobi.alg", "sl2_bad_alternating.alg", "sl2_bad_split.alg")
+
+
+def _algebra_and_split(name):
+    """A builtin entry's algebra and split, or a bad golden spec's, built unvalidated."""
+    if name in _BAD_SPECS:
+        return parse_spec((GOLDEN / name).read_text(encoding="utf-8")).build()
+    return REG[name].algebra, REG[name].split
+
+
+def _outcome(fn, *args):
+    """fn's verdict, or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _lie_action_by_composition(c, g, h, s):
+    lhs = act(c, g, act(c, h, s)) - act(c, h, act(c, g, s))
+    return state_eq(lhs, act(c, c.algebra.bracket(g, h), s))
+
+
+def _canon_of_difference_is_zero(s, t):
+    return state_canon(s - t).is_zero()
+
+
+@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_SPECS))
+def test_check_lie_action_matches_public_composition(name):
+    algebra, split = _algebra_and_split(name)
+    c = ActionContext(algebra, split, validate=False)
+    rng = random.Random(f"lie-{name}")
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    outcomes = []
+    for _ in range(3):
+        s = _rand_state(rng, c, 3)
+        pairs = [(g, h) for g in basis for h in basis]
+        pairs += [(_rand_vector(rng, c), _rand_vector(rng, c)) for _ in range(3)]
+        for g, h in pairs:
+            got = _outcome(check_lie_action, c, g, h, s)
+            assert got == _outcome(_lie_action_by_composition, c, g, h, s), (g, h, s)
+            outcomes.append(got)
+        t = _rand_state(rng, c, 3)
+        for a, b in ((s, t), (s, s), (t, s + t - s)):
+            assert _outcome(state_eq, a, b) == _outcome(_canon_of_difference_is_zero, a, b)
+    if name == "sl2_bad_split.alg":
+        assert (ValueError, "letter h not in part 1") in outcomes
+    else:
+        assert True in outcomes
+
+    g, s = basis[0], _rand_state(rng, c, 3)
+    foreign_g = sl2_algebra(Z).basis_vector(0)
+    foreign_s = StateElement.unit(SplitDecomposition(algebra, split.part1, split.part2))
+    for args in ((foreign_g, g, s), (g, foreign_g, s), (g, g, foreign_s)):
+        got = _outcome(check_lie_action, c, *args)
+        assert got[0] is CarrierMismatchError
+        assert got == _outcome(_lie_action_by_composition, c, *args)
 
 
 def test_check_inverse(ctx):
