@@ -526,6 +526,7 @@ _RANDOM_PROPS = "oracle,inverse,lie_action,filtration,right_linearity,mu_compat,
             _RANDOM_PROPS.replace("lie_action,", ""),
             "check_sl2_bad_split_cases5.txt",
         ),
+        ("sl2_bad_split.alg", "lie_action", "check_sl2_bad_split_lie_action_cases5.txt"),
     ],
 )
 def test_check_failure_report_golden(capsys, alg, props, name):
