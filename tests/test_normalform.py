@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from pathlib import Path
@@ -335,15 +336,17 @@ def test_check_lie_action_matches_public_composition(name):
         t = _rand_state(rng, c, 3)
         for a, b in ((s, t), (s, s), (t, s + t - s)):
             assert _outcome(state_eq, a, b) == _outcome(_canon_of_difference_is_zero, a, b)
-    if name == "sl2_bad_split.alg":
-        assert (ValueError, "letter h not in part 1") in outcomes
+    if name in _BAD_SPECS:  # some instances fail: by verdict, or by raising on sl2_bad_split
+        assert set(outcomes) - {True}
     else:
-        assert True in outcomes
+        assert set(outcomes) == {True}
 
     g, s = basis[0], _rand_state(rng, c, 3)
     foreign_g = sl2_algebra(Z).basis_vector(0)
     foreign_s = StateElement.unit(SplitDecomposition(algebra, split.part1, split.part2))
-    for args in ((foreign_g, g, s), (g, foreign_g, s), (g, g, foreign_s)):
+    own, alien = (g, g, s), (foreign_g, foreign_g, foreign_s)
+    for picks in list(itertools.product((0, 1), repeat=3))[1:]:  # each nonempty foreign subset
+        args = [(o, a)[p] for o, a, p in zip(own, alien, picks)]
         got = _outcome(check_lie_action, c, *args)
         assert got[0] is CarrierMismatchError
         assert got == _outcome(_lie_action_by_composition, c, *args)
