@@ -265,12 +265,11 @@ def env_eq(u: EnvElement, v: EnvElement) -> bool:
     return straighten(u - v).is_zero()
 
 
-def state_canon(s: StateElement) -> StateElement:
-    """Canonical state: both factor words straightened to nondecreasing form
-    within their own subalgebra (declaration order restricted to each part)."""
-    form = _straightener(s.algebra)
+def _canon_terms(form, terms: dict) -> dict:
+    """{(w1, w2): scalar} terms with both factor words reduced by ``form``,
+    as a fresh dict with no zero coefficient."""
     out: dict = {}
-    for (w1, w2), c in s.terms.items():
+    for (w1, w2), c in terms.items():
         left, right = form(w1), form(w2)
         for x1, c1 in left:
             cc = c * c1
@@ -278,13 +277,29 @@ def state_canon(s: StateElement) -> StateElement:
                 continue
             for x2, c2 in right:
                 _acc(out, (x1, x2), cc * c2)
-    return StateElement(s.split, out)
+    return out
+
+
+def state_canon(s: StateElement) -> StateElement:
+    """Canonical state: both factor words straightened to nondecreasing form
+    within their own subalgebra (declaration order restricted to each part)."""
+    return StateElement(s.split, _canon_terms(_straightener(s.algebra), s.terms))
+
+
+def _state_terms_eq(split: SplitDecomposition, a: dict, b: dict) -> bool:
+    """state_eq on two {(w1, w2): scalar} term dicts over ``split``: the
+    canonical form of a - b is built as one StateElement, whose letter check
+    still rejects a factor word that straightens out of its part."""
+    diff = dict(a)
+    for key, c in b.items():
+        _acc(diff, key, -c)
+    return StateElement(split, _canon_terms(_straightener(split.algebra), diff)).is_zero()
 
 
 def state_eq(s: StateElement, t: StateElement) -> bool:
     """Equality in U(g1) (x) U(g2): canonical forms coincide structurally."""
     s._check(t)
-    return state_canon(s - t).is_zero()
+    return _state_terms_eq(s.split, s.terms, t.terms)
 
 
 def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElement:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from .envelope import (
     EnvElement,
     StateElement,
+    _state_terms_eq,
     env_eq,
     env_mul,
     mu_state,
@@ -120,24 +121,38 @@ def _act_terms(ctx: ActionContext, support, terms: dict) -> dict:
     return out
 
 
+def _support(ctx: ActionContext, g: GVector) -> tuple:
+    """g's (index, scalar) pairs, once g is checked to lie in ctx's algebra."""
+    if g.algebra is not ctx.algebra:
+        raise CarrierMismatchError("vector from a different algebra")
+    return tuple(g.support())
+
+
+def _terms(ctx: ActionContext, s: StateElement) -> dict:
+    """s's terms, once s is checked to lie over ctx's split."""
+    if s.split is not ctx.split:
+        raise CarrierMismatchError("state from a different split")
+    return s.terms
+
+
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
     """Left action of g on a state representative (see module docstring).
     Linear in both arguments; the result is not canonicalized."""
-    if g.algebra is not ctx.algebra:
-        raise CarrierMismatchError("vector from a different algebra")
-    if s.split is not ctx.split:
-        raise CarrierMismatchError("state from a different split")
-    return StateElement(ctx.split, _act_terms(ctx, tuple(g.support()), s.terms))
+    support = _support(ctx, g)
+    return StateElement(ctx.split, _act_terms(ctx, support, _terms(ctx, s)))
 
 
 def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     """Iterated action of a word over the full basis: letters act right to
-    left (innermost first); the empty word acts as the identity."""
-    if s.split is not ctx.split:
-        raise CarrierMismatchError("state from a different split")
+    left (innermost first); the empty word acts as the identity.  A letter
+    outside the basis raises ValueError."""
+    terms = _terms(ctx, s)
+    word, n = tuple(word), ctx.algebra.dim
+    bad = next((letter for letter in word if not 0 <= letter < n), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} outside basis")
     one = ctx.algebra.ring.one
-    terms = s.terms
-    for letter in reversed(tuple(word)):
+    for letter in reversed(word):
         terms = _act_terms(ctx, ((letter, one),), terms)
     return StateElement(ctx.split, terms)
 
@@ -196,10 +211,17 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
 
 
 def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement) -> bool:
-    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization."""
-    lhs = act(ctx, g, act(ctx, h, s)) - act(ctx, h, act(ctx, g, s))
-    rhs = act(ctx, ctx.algebra.bracket(g, h), s)
-    return state_eq(lhs, rhs)
+    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization.  The three
+    actions and the difference stay plain term dicts; only the canonical
+    difference becomes a state."""
+    hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
+    terms = _terms(ctx, s)
+    gs = _support(ctx, g)
+    lhs = _act_terms(ctx, gs, _act_terms(ctx, hs, terms))
+    for key, c in _act_terms(ctx, hs, _act_terms(ctx, gs, terms)).items():
+        _acc(lhs, key, -c)
+    rhs = _act_terms(ctx, tuple(ctx.algebra.bracket(g, h).support()), terms)
+    return _state_terms_eq(ctx.split, lhs, rhs)
 
 
 def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[bool, bool]:

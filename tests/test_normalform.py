@@ -154,6 +154,13 @@ def test_act_word(ctx):
         act_word(ctx, (), StateElement.unit(other))  # checked even for the empty word
 
 
+def test_act_word_rejects_letters_outside_the_basis(ctx):
+    # -1 would otherwise index the last basis element, and 3 run off the table
+    for word, bad in (((-1,), -1), ((E, 3), 3), ((9, -2), 9)):
+        with pytest.raises(ValueError, match=rf"^letter {bad} outside basis$"):
+            act_word(ctx, word, ctx.unit_state())
+
+
 def _act_word_by_letters(c, word, s):
     """act_word's definition: public act with one basis vector per letter,
     rightmost letter first."""
