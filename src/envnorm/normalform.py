@@ -28,6 +28,8 @@ final result is reduced).  The check_* functions verify, at exact equality,
 the identities the construction is supposed to satisfy: degree filtration,
 right-factor linearity, compatibility with the envelope product, the Lie
 action law, and mutual inverseness against the straightening oracle.
+The Lie action check acts and subtracts on plain term dicts and builds one
+state per verdict, the canonical form of the difference.
 """
 
 from __future__ import annotations
@@ -138,8 +140,7 @@ def _terms(ctx: ActionContext, s: StateElement) -> dict:
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
     """Left action of g on a state representative (see module docstring).
     Linear in both arguments; the result is not canonicalized."""
-    support = _support(ctx, g)
-    return StateElement(ctx.split, _act_terms(ctx, support, _terms(ctx, s)))
+    return StateElement(ctx.split, _act_terms(ctx, _support(ctx, g), _terms(ctx, s)))
 
 
 def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
