@@ -418,3 +418,27 @@ def test_validate_algebra_matches_bracket_reference():
         assert validate_algebra(alg).lines() == _reference_validate_algebra(alg).lines(), alg
     # a random overwrite may leave a valid table, but nearly all are caught
     assert sum(not validate_algebra(alg).ok for alg in corrupted) >= len(corrupted) - 1
+
+
+def test_out_of_basis_messages_are_pinned():
+    # every entry point that takes a basis index or a word over the basis
+    # names the offending value, in index or letter wording
+    from envnorm.envelope import EnvElement
+    from envnorm.normalform import act_word
+
+    alg = sl2_algebra(Z)
+    ctx = ActionContext(alg, SplitDecomposition(alg, (0,), (1, 2)))
+    cases = [
+        (lambda: EnvElement(alg, {(9,): 1}), "letter 9 outside basis"),
+        (lambda: EnvElement(alg, {(-1,): 1}), "letter -1 outside basis"),
+        (lambda: GVector(alg, {9: 1}), "index 9 outside basis"),
+        (lambda: GVector(alg, {-1: 1}), "index -1 outside basis"),
+        (lambda: LieAlgebra(Z, ("a", "b"), [[[], [(9, 1)]], [[], []]]),
+         "index 9 outside basis"),
+        (lambda: act_word(ctx, (9,), ctx.unit_state()), "letter 9 outside basis"),
+        (lambda: act_word(ctx, (-1,), ctx.unit_state()), "letter -1 outside basis"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
