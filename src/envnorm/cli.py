@@ -270,6 +270,7 @@ class AlgebraSpec:
 
 
 _VALID_NAME = lambda s: bool(s) and s[0] in _NAME_START and all(c in _NAME_CONT for c in s)
+_ONCE = ("ring", "basis", "split")  # the directives each file holds exactly once
 
 
 def parse_spec(text: str) -> AlgebraSpec:
@@ -280,6 +281,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     written: set[tuple[int, int]] = set()  # bracket pairs as written
     stored: dict[tuple[int, int], tuple] = {}  # (min, max) pair -> its pairs
     split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    seen: set[str] = set()  # the _ONCE directives read so far
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -287,16 +289,16 @@ def parse_spec(text: str) -> AlgebraSpec:
             continue
         words = line.split()
         head = words[0]
+        if head in _ONCE:
+            if head in seen:
+                raise ParseError(f"duplicate {head} line", lineno)
+            seen.add(head)
         if head == "ring":
-            if ring is not None:
-                raise ParseError("duplicate ring line", lineno)
             try:
                 ring = make_ring(" ".join(words[1:]))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
         elif head == "basis":
-            if basis:
-                raise ParseError("duplicate basis line", lineno)
             if len(words) < 2:
                 raise ParseError("basis line needs at least one name", lineno)
             for name in words[1:]:
@@ -334,8 +336,6 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise ParseError(
                     f"bracket ({a},{b}) conflicts with the opposite orientation", lineno)
         elif head == "split":
-            if split is not None:
-                raise ParseError("duplicate split line", lineno)
             rest = line[len("split"):].strip()
             if rest.count("|") != 1:
                 raise ParseError("split line needs exactly one '|'", lineno)
@@ -361,12 +361,9 @@ def parse_spec(text: str) -> AlgebraSpec:
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
 
-    if ring is None:
-        raise ParseError("missing ring line")
-    if not basis:
-        raise ParseError("missing basis line")
-    if split is None:
-        raise ParseError("missing split line")
+    for head in _ONCE:
+        if head not in seen:
+            raise ParseError(f"missing {head} line")
 
     brackets = tuple((key, pairs) for key, pairs in sorted(stored.items()) if pairs)
     return AlgebraSpec(ring, tuple(basis), brackets, split[0], split[1])

@@ -26,6 +26,7 @@ from .liealg import (
     LieAlgebra,
     SplitDecomposition,
     _acc,
+    _check_indices,
     _Combination,
 )
 
@@ -42,9 +43,7 @@ class EnvElement(_Combination):
             scalar = algebra.ring.scalar
             for w, c in terms.items():
                 w = tuple(w)
-                for letter in w:
-                    if not (0 <= letter < n):
-                        raise ValueError(f"letter {letter} outside basis")
+                _check_indices(w, n, "letter")
                 c = scalar(c)
                 if c:
                     clean[w] = c
@@ -104,6 +103,7 @@ class StateElement(_Combination):
             for (w1, w2), c in terms.items():
                 w1, w2 = tuple(w1), tuple(w2)
                 if not (part1.issuperset(w1) and part2.issuperset(w2)):
+                    _check_indices(w1 + w2, split.algebra.dim, "letter")
                     which, letter = next((which, letter) for which, word, part
                                          in ((1, w1, part1), (2, w2, part2))
                                          for letter in word if letter not in part)

@@ -57,6 +57,13 @@ def _acc(d: dict, key, c) -> None:
             del d[key]
 
 
+def _check_indices(indices, n: int, what: str) -> None:
+    """The one out-of-basis rule: ValueError at the first index outside 0..n-1."""
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"{what} {i} outside basis")
+
+
 def _index_of(index: dict, name: str) -> int:
     try:
         return index[name]
@@ -160,8 +167,7 @@ class LieAlgebra:
             for cell in row:
                 acc: dict = {}
                 for k, c in cell:
-                    if not (0 <= k < n):
-                        raise ValueError(f"index {k} outside basis")
+                    _check_indices((k,), n, "index")
                     _acc(acc, k, ring.scalar(c))
                 cells.append(tuple(sorted(acc.items())))
             rows.append(tuple(cells))
@@ -197,6 +203,7 @@ class LieAlgebra:
         return cls(ring, basis, [[cell.items() for cell in row] for row in table])
 
     def basis_vector(self, i: int) -> "GVector":
+        _check_indices((i,), self.dim, "index")
         return self._basis_vectors[i]
 
     def vector(self, coords) -> "GVector":
@@ -249,9 +256,7 @@ class GVector(_Combination):
             items = ()
         elif isinstance(coords, dict):
             items = coords.items()
-            for i in coords:
-                if not (0 <= i < n):
-                    raise ValueError(f"index {i} outside basis")
+            _check_indices(coords, n, "index")
         elif len(coords) != n:
             raise ValueError("coordinate vector has the wrong length")
         else:
@@ -299,6 +304,7 @@ class SplitDecomposition:
 
     def side_of(self, i: int) -> int:
         """1 or 2, the part holding basis index i."""
+        _check_indices((i,), self.algebra.dim, "index")
         return 1 if i in self.part1_set else 2
 
     def split_order(self) -> tuple[int, ...]:

@@ -51,6 +51,7 @@ from .liealg import (
     LieAlgebra,
     SplitDecomposition,
     _acc,
+    _check_indices,
     validate as _validate,  # ActionContext's keyword shadows the plain name
 )
 
@@ -148,10 +149,8 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     left (innermost first); the empty word acts as the identity.  A letter
     outside the basis raises ValueError."""
     terms = _terms(ctx, s)
-    word, n = tuple(word), ctx.algebra.dim
-    bad = next((letter for letter in word if not 0 <= letter < n), None)
-    if bad is not None:
-        raise ValueError(f"letter {bad} outside basis")
+    word = tuple(word)
+    _check_indices(word, ctx.algebra.dim, "letter")
     one = ctx.algebra.ring.one
     for letter in reversed(word):
         terms = _act_terms(ctx, ((letter, one),), terms)

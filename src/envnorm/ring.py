@@ -172,16 +172,12 @@ class Ring:
 
 
 def make_ring(descriptor: str) -> Ring:
-    """Parse a ring descriptor: ``"Z"``, ``"Q"`` or ``"Zmod q"`` with q >= 2."""
+    """Parse a ring descriptor: ``"Z"``, ``"Q"`` or ``"Zmod q"``, q >= 2 in decimal digits."""
     parts = descriptor.split()
     if parts == ["Z"]:
         return Ring("Z")
     if parts == ["Q"]:
         return Ring("Q")
-    if len(parts) == 2 and parts[0] == "Zmod":
-        try:
-            q = int(parts[1])
-        except ValueError:
-            raise ValueError(f"malformed ring descriptor {descriptor!r}") from None
-        return Ring("Zmod", q)
+    if len(parts) == 2 and parts[0] == "Zmod" and parts[1].isdecimal():
+        return Ring("Zmod", int(parts[1]))
     raise ValueError(f"malformed ring descriptor {descriptor!r}")

@@ -94,6 +94,29 @@ def test_parse_spec_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("ring Z\nring Q\nbasis a\nsplit a |", "line 2: duplicate ring line"),
+        ("ring Z\nbasis a\nring Zmod x", "line 3: duplicate ring line"),
+        ("ring Z\nbasis a b\n\nbasis", "line 4: duplicate basis line"),
+        ("ring Z\nbasis a b\nsplit a | b\nsplit b | a", "line 4: duplicate split line"),
+        ("ring Z\nbasis a b\nsplit a | b\nsplit", "line 4: duplicate split line"),
+        ("", "missing ring line"),
+        ("basis a b\nsplit a | b", "missing ring line"),
+        ("ring Q\nsplit", "line 2: split line needs exactly one '|'"),
+        ("ring Q\n# no basis", "missing basis line"),
+        ("ring Z\nbasis a b", "missing split line"),
+    ],
+)
+def test_once_only_directive_messages(text, message):
+    # ring, basis and split each appear exactly once; the duplicate is
+    # reported on its own line, a missing line after the whole file is read
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_spec("ring Z\nbasis a b\nbracket a zz = b\nsplit a | b")
@@ -458,6 +481,14 @@ def test_non_decimal_digit_in_spec_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert "unexpected character '²'" in err
+
+
+def test_modulus_with_underscore_exits_2(capsys, tmp_path):
+    path = tmp_path / "underscore.alg"
+    path.write_text("ring Zmod 1_0\nbasis a b\nsplit a | b\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: malformed ring descriptor 'Zmod 1_0'\n"
 
 
 def test_second_basis_line_exits_2(capsys, tmp_path):

@@ -442,3 +442,32 @@ def test_out_of_basis_messages_are_pinned():
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
+
+
+def test_out_of_basis_rule_covers_every_entry_point():
+    # basis_vector, side_of and the state letter check judge indices by the
+    # same rule, ahead of Python's negative indexing and the part check
+    from envnorm.envelope import StateElement
+
+    alg = sl2_algebra(Z)
+    split = SplitDecomposition(alg, (0,), (1, 2))
+    cases = [
+        (lambda: alg.basis_vector(-1), "index -1 outside basis"),
+        (lambda: alg.basis_vector(9), "index 9 outside basis"),
+        (lambda: split.side_of(9), "index 9 outside basis"),
+        (lambda: split.side_of(-1), "index -1 outside basis"),
+        (lambda: StateElement.term(split, (9,), ()), "letter 9 outside basis"),
+        (lambda: StateElement.term(split, (-1,), ()), "letter -1 outside basis"),
+        (lambda: StateElement.term(split, (), (-2,)), "letter -2 outside basis"),
+        (lambda: StateElement.term(split, (0, 9), (1,)), "letter 9 outside basis"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+    # letters inside the basis but in the wrong part keep their own message
+    with pytest.raises(ValueError, match="^letter f not in part 1$"):
+        StateElement.term(split, (1,), (2,))
+    assert [split.side_of(i) for i in range(3)] == [1, 2, 2]
+    assert alg.basis_vector(2) == alg.vector({"h": 1})
+

@@ -21,6 +21,23 @@ def test_make_ring_rejects(bad):
         make_ring(bad)
 
 
+@pytest.mark.parametrize("bad", ["Zmod +7", "Zmod 1_0", "Zmod -3", "Zmod 7.0", "Zmod  0x7"])
+def test_modulus_is_written_in_decimal_digits(bad):
+    # int() would read '+7' and '1_0'; the modulus follows the tokenizer's
+    # integer rule instead, so a sign or an underscore is malformed
+    with pytest.raises(ValueError) as exc:
+        make_ring(bad)
+    assert str(exc.value) == f"malformed ring descriptor {bad!r}"
+
+
+def test_modulus_below_2_is_rejected_by_the_ring():
+    for q in ("0", "1", "00"):
+        with pytest.raises(ValueError) as exc:
+            make_ring(f"Zmod {q}")
+        assert str(exc.value) == "modulus must be an integer >= 2"
+    assert make_ring("Zmod 007").modulus == 7
+
+
 def test_mod4_arithmetic():
     r = make_ring("Zmod 4")
     assert r.scalar(2) + r.scalar(3) == r.scalar(1)  # 5 mod 4
