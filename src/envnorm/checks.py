@@ -44,12 +44,18 @@ class SuiteConfig:
     properties: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        for field in ("seed", "cases", "max_degree"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field} must be an int, not {type(value).__name__}")
         if self.cases < 1:
             raise ValueError("cases must be >= 1")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         if self.properties is None:  # all of PROPERTY_NAMES
             return
+        if isinstance(self.properties, str):
+            raise ValueError("properties must be a sequence of names, not a str")
         if not self.properties:
             raise ValueError("properties must name at least one property")
         unknown = set(self.properties) - set(PROPERTY_NAMES)
@@ -72,7 +78,8 @@ class RegistryEntry:
 
 
 class ExampleRegistry:
-    """Named (algebra, split) entries, iterated in insertion order."""
+    """Named (algebra, split) entries.  Like a mapping, ``in``, ``[]`` and
+    iteration take the names; iteration is in insertion order."""
 
     def __init__(self, entries=()):
         self._entries: dict[str, RegistryEntry] = {}
@@ -92,6 +99,9 @@ class ExampleRegistry:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __iter__(self):
+        return iter(self._entries)
 
     def entries(self) -> tuple[RegistryEntry, ...]:
         return tuple(self._entries.values())

@@ -313,7 +313,9 @@ class SplitDecomposition:
         return self.part1 + self.part2
 
     def project(self, which: int, v: GVector) -> GVector:
-        """Zero all coordinates outside part ``which``."""
+        """Zero all coordinates outside part ``which`` (1 or 2)."""
+        if which not in (1, 2):
+            raise ValueError(f"split part must be 1 or 2, not {which!r}")
         if v.algebra is not self.algebra:
             raise CarrierMismatchError("vector from a different algebra")
         part = self.part1_set if which == 1 else self.part2_set

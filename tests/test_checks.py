@@ -126,6 +126,28 @@ def test_config_validation():
         SuiteConfig(properties=("oracle", "validate", "oracle"))
 
 
+@pytest.mark.parametrize("field", ["seed", "cases", "max_degree"])
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
+def test_config_integer_fields_must_be_int(field, value):
+    # a float, a bool or a string would otherwise build and fail (or quietly
+    # count as 1) only once run_suite draws its cases
+    with pytest.raises(ValueError, match=f"^{field} must be an int, not {type(value).__name__}$"):
+        SuiteConfig(**{field: value})
+
+
+def test_config_properties_must_be_a_sequence_of_names():
+    with pytest.raises(ValueError, match="^properties must be a sequence of names, not a str$"):
+        SuiteConfig(properties="oracle")
+    assert SuiteConfig(properties=["oracle"]).properties == ["oracle"]
+
+
+def test_registry_iterates_names_in_insertion_order():
+    reg = builtin_examples()
+    assert list(reg) == list(reg.names()) and len(list(reg)) == len(reg)
+    assert [reg[name] for name in reg] == list(reg.entries())
+    assert list(ExampleRegistry()) == []
+
+
 def test_run_suite_all_pass_and_reproducible():
     reg = builtin_examples()
     cfg = SuiteConfig(seed=42, cases=5, max_degree=3)

@@ -471,3 +471,11 @@ def test_out_of_basis_rule_covers_every_entry_point():
     assert [split.side_of(i) for i in range(3)] == [1, 2, 2]
     assert alg.basis_vector(2) == alg.vector({"h": 1})
 
+
+def test_project_takes_part_1_or_2(sl2):
+    split = SplitDecomposition(sl2, (1,), (0, 2))
+    e = sl2.basis_vector(0)
+    for which in (0, 3, "1", None):
+        with pytest.raises(ValueError, match="split part must be 1 or 2"):
+            split.project(which, e)
+    assert split.project(2, e) == e and split.project(1, e).is_zero()
