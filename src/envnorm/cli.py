@@ -3,7 +3,7 @@
 File format (UTF-8, a leading byte-order mark allowed; line oriented; '#'
 starts a comment, blank lines are ignored):
 
-    ring Z | ring Q | ring Zmod <q>
+    ring Z | ring Q | ring Zmod <q>    # <q> in decimal digits, q >= 2
     basis <name>+
     bracket <a> <b> = <expr>           # <expr> must be linear (below);
                                        # unlisted pairs default to zero;
