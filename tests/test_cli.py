@@ -17,7 +17,7 @@ from envnorm.cli import (
     state_lines,
 )
 from envnorm.envelope import EnvElement, env_eq
-from envnorm.normalform import ActionContext, check_lie_action
+from envnorm.normalform import ActionContext, OracleMismatchError, check_lie_action
 from envnorm.ring import make_ring
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -202,6 +202,40 @@ def test_recursion_error_maps_to_exit_4(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "e*f")
     assert (code, out) == (4, "")
     assert err == "error: input too large to process (recursion limit reached)\n"
+
+
+def _raises(exc):
+    def boom(*_args, **_kwargs):
+        raise exc
+    return boom
+
+
+_SL2, _BAD = str(GOLDEN / "sl2.alg"), str(GOLDEN / "sl2_bad_jacobi.alg")
+
+
+@pytest.mark.parametrize("argv,patch,code,err_start", [
+    (("normal-order", _BAD, "--expr", "e*f"), None, 1, "jacobi violation at (e, f, h)"),
+    (("straighten", _BAD, "--expr", "e*f"), None, 1, "jacobi violation at (e, f, h)"),
+    (("check", _SL2, "--builtin"), None, 2,
+     "error: check needs exactly one of <file> or --builtin\n"),
+    (("check",), None, 2, "error: check needs exactly one of <file> or --builtin\n"),
+    (("check", "--builtin", "--cases", "0"), None, 2, "error: cases must be >= 1\n"),
+    (("normal-order", _SL2, "--expr", "e*("), None, 2, "error: line 1, col 4: "),
+    (("normal-order", _SL2, "--expr", "e*f"),
+     ("normal_order", OracleMismatchError("forced")), 3, "oracle mismatch: forced\n"),
+    (("straighten", _SL2, "--expr", "e*f"), ("straighten", RecursionError()), 4,
+     "error: input too large to process (recursion limit reached)\n"),
+])
+def test_exit_code_table(monkeypatch, capsys, argv, patch, code, err_start):
+    """Each failure class through main: its exit code, the start of stderr,
+    no traceback, and nothing on stdout."""
+    import envnorm.cli as cli
+
+    if patch is not None:
+        monkeypatch.setattr(cli, patch[0], _raises(patch[1]))
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(err_start) and "Traceback" not in err
 
 
 def test_diagonal_bracket_parses_then_fails_validation(capsys):
