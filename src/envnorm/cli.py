@@ -411,22 +411,22 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
+class _InvalidAlgebra(Exception):
+    """An algebra file that failed validation; ``str`` is its report."""
+
+
 def _load_expr(args):
     """The validated algebra and split of ``args.file`` and ``args.expr``
-    parsed over them; None after printing the validation report to stderr."""
+    parsed over them."""
     algebra, split = _read_spec(args.file).build()
     report = validate(algebra, split)
     if not report.ok:
-        print(report, file=sys.stderr)
-        return None
+        raise _InvalidAlgebra(report)
     return algebra, split, parse_expr(args.expr, algebra)
 
 
 def _cmd_normal_order(args) -> int:
-    loaded = _load_expr(args)
-    if loaded is None:
-        return 1
-    algebra, split, u = loaded
+    algebra, split, u = _load_expr(args)
     ctx = ActionContext(algebra, split, validate=False)
     result = normal_order(ctx, u, check=not args.no_oracle)
     for line in state_lines(result):
@@ -435,10 +435,7 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_straighten(args) -> int:
-    loaded = _load_expr(args)
-    if loaded is None:
-        return 1
-    algebra, _split, u = loaded
+    algebra, _split, u = _load_expr(args)
     order = None
     if args.order:
         if sorted(args.order) != sorted(algebra.basis):
@@ -449,6 +446,8 @@ def _cmd_straighten(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if bool(args.file) == bool(args.builtin):
+        raise ParseError("check needs exactly one of <file> or --builtin")
     if args.builtin:
         registry = builtin_examples()
     else:
@@ -457,16 +456,12 @@ def _cmd_check(args) -> int:
         name = Path(args.file).stem
         registry = ExampleRegistry([RegistryEntry(name, algebra, split)])
     properties = tuple(args.props.split(",")) if args.props is not None else None
-    try:
-        cfg = SuiteConfig(
-            seed=args.seed,
-            cases=args.cases,
-            max_degree=args.max_deg,
-            properties=properties,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = SuiteConfig(
+        seed=args.seed,
+        cases=args.cases,
+        max_degree=args.max_deg,
+        properties=properties,
+    )
     report = run_suite(cfg, registry)
     print(report.render())
     if report.validation_failed:
@@ -522,12 +517,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "check" and bool(args.file) == bool(args.builtin):
-        print("error: check needs exactly one of <file> or --builtin", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except ParseError as exc:
+    except _InvalidAlgebra as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleMismatchError as exc:

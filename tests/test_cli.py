@@ -221,6 +221,8 @@ _SL2, _BAD = str(GOLDEN / "sl2.alg"), str(GOLDEN / "sl2_bad_jacobi.alg")
     (("check",), None, 2, "error: check needs exactly one of <file> or --builtin\n"),
     (("check", "--builtin", "--cases", "0"), None, 2, "error: cases must be >= 1\n"),
     (("normal-order", _SL2, "--expr", "e*("), None, 2, "error: line 1, col 4: "),
+    (("straighten", _SL2, "--expr", "e*f"), ("straighten", ValueError("forced")), 2,
+     "error: forced\n"),
     (("normal-order", _SL2, "--expr", "e*f"),
      ("normal_order", OracleMismatchError("forced")), 3, "oracle mismatch: forced\n"),
     (("straighten", _SL2, "--expr", "e*f"), ("straighten", RecursionError()), 4,
