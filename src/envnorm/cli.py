@@ -39,6 +39,7 @@ Exit codes: 0 success / all properties pass; 1 validation failure;
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,7 @@ from .checks import (
 from .envelope import EnvElement, StateElement, _word_product, straighten
 from .liealg import LieAlgebra, SplitDecomposition, _acc, validate
 from .normalform import ActionContext, OracleMismatchError, normal_order
-from .ring import Ring, Scalar, make_ring
+from .ring import Ring, Scalar, make_ring, read_int
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CONT = _NAME_START | set("0123456789_")
@@ -144,7 +145,7 @@ class _Tokens:
 def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int) -> Scalar:
     kind, text, col = ts.next()
     assert kind == "int"
-    num = sign * int(text)
+    num = sign * read_int(text)
     if ts.eat_op("/"):
         kind2, text2, col2 = ts.peek()
         if kind2 != "int":
@@ -152,7 +153,7 @@ def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int) -> Scalar:
         ts.next()
         if ring.kind != "Q":
             raise ParseError("fractional coefficient outside Q", ts.line, col)
-        den = int(text2)
+        den = read_int(text2)
         if den == 0:
             raise ParseError("zero denominator", ts.line, col2)
         return ring.scalar(Fraction(num, den))
@@ -518,7 +519,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except _InvalidAlgebra as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -531,6 +534,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input too large to process (recursion limit reached)", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader went away; point stdout at nothing so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports it
 
 
 def run() -> None:

@@ -294,6 +294,7 @@ class SplitDecomposition:
         p1 = tuple(sorted(set(part1)))
         p2 = tuple(sorted(set(part2)))
         n = algebra.dim
+        _check_indices(p1 + p2, n, "index")
         if sorted(p1 + p2) != list(range(n)):
             raise ValueError("parts must partition the basis index set")
         self.algebra = algebra
@@ -387,7 +388,7 @@ def validate_split(alg: LieAlgebra, part1, part2) -> ValidationReport:
     p2 = tuple(sorted(set(part2)))
     for i in p1 + p2:
         if not (0 <= i < n):
-            found.append(Violation("partition", (str(i),), "index out of range"))
+            found.append(Violation("partition", (str(i),), f"index {i} outside basis"))
             return ValidationReport(tuple(found))
     both = set(p1) & set(p2)
     for i in sorted(both):

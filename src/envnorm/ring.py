@@ -20,6 +20,33 @@ from fractions import Fraction
 
 _KINDS = ("Z", "Q", "Zmod")
 _SHARED = 64  # Z and Z/q values with |v| <= _SHARED are shared per ring
+# Decimal digits per int <-> str step.  CPython refuses conversions of more
+# than sys.get_int_max_str_digits() digits (4300 by default, never below 640),
+# so steps of this size always convert and no process-wide limit is touched.
+_CHUNK = 500
+_BASE = 10**_CHUNK
+
+
+def read_int(digits: str) -> int:
+    """The int written by a nonempty string of decimal digits, at any length."""
+    head = len(digits) % _CHUNK or _CHUNK
+    value = int(digits[:head])
+    for start in range(head, len(digits), _CHUNK):
+        value = value * _BASE + int(digits[start:start + _CHUNK])
+    return value
+
+
+def render_int(v: int) -> str:
+    """``str(v)`` for an int of any size."""
+    if -_BASE < v < _BASE:
+        return str(v)
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    chunks = []  # base-10**_CHUNK digits, least significant first
+    while v >= _BASE:
+        v, low = divmod(v, _BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    chunks.append(str(v))
+    return sign + "".join(reversed(chunks))
 
 
 class RingMismatchError(ValueError):
@@ -88,7 +115,11 @@ class Scalar:
 
     def __str__(self):
         # Z: signed decimal; Zmod: least nonnegative residue; Q: "a/b" or "a".
-        return str(self.value)
+        v = self.value
+        if type(v) is int:
+            return render_int(v)
+        text = render_int(v.numerator)
+        return text if v.denominator == 1 else f"{text}/{render_int(v.denominator)}"
 
     def __repr__(self):
         return f"Scalar({self}, {self.ring.descriptor()})"
@@ -153,7 +184,7 @@ class Ring:
 
     def descriptor(self) -> str:
         if self.kind == "Zmod":
-            return f"Zmod {self.modulus}"
+            return f"Zmod {render_int(self.modulus)}"
         return self.kind
 
     def __eq__(self, other):
@@ -179,5 +210,5 @@ def make_ring(descriptor: str) -> Ring:
     if parts == ["Q"]:
         return Ring("Q")
     if len(parts) == 2 and parts[0] == "Zmod" and parts[1].isdecimal():
-        return Ring("Zmod", int(parts[1]))
+        return Ring("Zmod", read_int(parts[1]))
     raise ValueError(f"malformed ring descriptor {descriptor!r}")

@@ -3,6 +3,7 @@ import random
 import string
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -211,22 +212,28 @@ def _raises(exc):
 
 
 _SL2, _BAD = str(GOLDEN / "sl2.alg"), str(GOLDEN / "sl2_bad_jacobi.alg")
+_NEEDS_ONE = "error: check needs exactly one of <file> or --builtin\n"
 
 
 @pytest.mark.parametrize("argv,patch,code,err_start", [
-    (("normal-order", _BAD, "--expr", "e*f"), None, 1, "jacobi violation at (e, f, h)"),
-    (("straighten", _BAD, "--expr", "e*f"), None, 1, "jacobi violation at (e, f, h)"),
-    (("check", _SL2, "--builtin"), None, 2,
-     "error: check needs exactly one of <file> or --builtin\n"),
-    (("check",), None, 2, "error: check needs exactly one of <file> or --builtin\n"),
-    (("check", "--builtin", "--cases", "0"), None, 2, "error: cases must be >= 1\n"),
-    (("normal-order", _SL2, "--expr", "e*("), None, 2, "error: line 1, col 4: "),
-    (("straighten", _SL2, "--expr", "e*f"), ("straighten", ValueError("forced")), 2,
-     "error: forced\n"),
-    (("normal-order", _SL2, "--expr", "e*f"),
-     ("normal_order", OracleMismatchError("forced")), 3, "oracle mismatch: forced\n"),
-    (("straighten", _SL2, "--expr", "e*f"), ("straighten", RecursionError()), 4,
-     "error: input too large to process (recursion limit reached)\n"),
+    pytest.param(("normal-order", _BAD, "--expr", "e*f"), None, 1,
+                 "jacobi violation at (e, f, h)", id="normal-order-invalid"),
+    pytest.param(("straighten", _BAD, "--expr", "e*f"), None, 1,
+                 "jacobi violation at (e, f, h)", id="straighten-invalid"),
+    pytest.param(("check", _SL2, "--builtin"), None, 2, _NEEDS_ONE, id="check-both"),
+    pytest.param(("check",), None, 2, _NEEDS_ONE, id="check-neither"),
+    pytest.param(("check", "--builtin", "--cases", "0"), None, 2,
+                 "error: cases must be >= 1\n", id="check-cases-0"),
+    pytest.param(("normal-order", _SL2, "--expr", "e*("), None, 2,
+                 "error: line 1, col 4: ", id="parse-error"),
+    pytest.param(("straighten", _SL2, "--expr", "e*f"), ("straighten", ValueError("forced")),
+                 2, "error: forced\n", id="value-error"),
+    pytest.param(("normal-order", _SL2, "--expr", "e*f"),
+                 ("normal_order", OracleMismatchError("forced")), 3,
+                 "oracle mismatch: forced\n", id="oracle-mismatch"),
+    pytest.param(("straighten", _SL2, "--expr", "e*f"), ("straighten", RecursionError()), 4,
+                 "error: input too large to process (recursion limit reached)\n",
+                 id="recursion-limit"),
 ])
 def test_exit_code_table(monkeypatch, capsys, argv, patch, code, err_start):
     """Each failure class through main: its exit code, the start of stderr,
@@ -562,6 +569,20 @@ def test_check_output_is_identical_across_hash_seeds():
     assert outs[0] == outs[1] and "\nTOTAL entries=8 " in outs[0]
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the reader of the pipe is gone before the report is written
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONWARNINGS": "error"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "envnorm.cli", "check", "--builtin", "--cases", "1"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
 def test_check_file_validation_failure_exits_1(capsys):
     code, out, _ = run_cli(
         capsys, "check", str(GOLDEN / "sl2_bad_jacobi.alg"), "--cases", "2", "--max-deg", "2"
@@ -675,6 +696,56 @@ def test_cli_mod2_residue_coefficients(capsys):
         capsys, "normal-order", str(GOLDEN / "sl2_mod2.alg"), "--expr", "e*f"
     )
     assert code == 0 and out == "1 * f (x) e\n1 * 1 (x) h\n"
+
+
+# Integers longer than CPython's int <-> str digit limit (4300 by default, 640
+# at the least) are read and printed in full, at either limit.
+_LONG = ("9876543210" * 500)[:5000]
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_long_coefficient_over_z(capsys, int_digits, limit):
+    int_digits(limit)
+    code, out, err = run_cli(capsys, "normal-order", _SL2, "--expr", f"{_LONG}*e")
+    assert (code, out, err) == (0, f"{_LONG} * 1 (x) e\n", "")
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_long_fraction_over_q(capsys, int_digits, limit):
+    den = "5" * 4999
+    int_digits(0)
+    expected = f"{Fraction(int(_LONG), int(den))} * e (x) 1\n"
+    int_digits(limit)
+    code, out, err = run_cli(
+        capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"), "--expr", f"{_LONG}/{den}*e"
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_long_modulus(capsys, tmp_path, int_digits, limit):
+    coeff = _LONG[:4999]
+    int_digits(0)
+    expected = f"{-int(coeff) % int(_LONG)} * 1 (x) e\n"
+    int_digits(limit)
+    path = tmp_path / "sl2_long_modulus.alg"
+    path.write_text(golden("sl2.alg").replace("ring Z\n", f"ring Zmod {_LONG}\n"),
+                    encoding="utf-8")
+    assert run_cli(capsys, "validate", str(path)) == (0, "ok\n", "")
+    code, out, err = run_cli(capsys, "normal-order", str(path), f"--expr=-{coeff}*e")
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_long_product_prints_in_full(capsys, sl2, int_digits, limit):
+    a = "9" * 3000
+    expr = f"{a}*e*({a}*f)"
+    int_digits(0)
+    expected = f"{int(a) ** 2} * e * f\n"
+    int_digits(limit)
+    code, out, err = run_cli(capsys, "straighten", _SL2, "--expr", expr)
+    assert (code, out, err) == (0, expected, "")
+    assert parse_expr(out.strip(), sl2) == parse_expr(expr, sl2)
 
 
 def test_state_lines_zero(sl2):

@@ -472,6 +472,18 @@ def test_out_of_basis_rule_covers_every_entry_point():
     assert alg.basis_vector(2) == alg.vector({"h": 1})
 
 
+@pytest.mark.parametrize("part1,bad", [((0, 5), 5), ((0, -1), -1), ((-1, 5), -1)])
+def test_split_names_an_index_outside_the_basis(sl2, part1, bad):
+    with pytest.raises(ValueError) as exc:
+        SplitDecomposition(sl2, part1, (1, 2))
+    assert str(exc.value) == f"index {bad} outside basis"
+    assert str(validate_split(sl2, part1, (1, 2))) == (
+        f"partition violation at ({bad}): index {bad} outside basis")
+    # indices inside the basis that fail to partition it keep their own message
+    with pytest.raises(ValueError, match="^parts must partition the basis index set$"):
+        SplitDecomposition(sl2, (0, 1), (1, 2))
+
+
 def test_project_takes_part_1_or_2(sl2):
     split = SplitDecomposition(sl2, (1,), (0, 2))
     e = sl2.basis_vector(0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from envnorm.ring import RingMismatchError, make_ring
+from envnorm.ring import RingMismatchError, make_ring, read_int, render_int
 
 
 def test_make_ring_descriptors():
@@ -131,6 +131,32 @@ def test_scalar_printing_round_trip_values():
     assert str(make_ring("Z").scalar(-17)) == "-17"
     assert str(make_ring("Zmod 7").scalar(-1)) == "6"
     assert str(make_ring("Q").scalar(Fraction(10, 4))) == "5/2"
+
+
+@pytest.mark.parametrize("n", [1, 499, 500, 501, 1000, 1001, 5000])
+def test_integers_of_any_length_read_and_render(int_digits, n):
+    digits = ("9876543210" * 501)[:n]
+    int_digits(0)
+    value = int(digits)
+    texts = {v: str(v) for v in (value, -value, value + 1, 10 ** n, -(10 ** n))}
+    int_digits(640)  # the lowest limit CPython allows
+    assert read_int(digits) == value and read_int("0" * n + digits) == value
+    for v, text in texts.items():
+        assert render_int(v) == text
+
+
+def test_large_scalars_and_moduli_print_in_full(int_digits):
+    q = "7" * 5000
+    int_digits(0)
+    big = int("9" * 3000)
+    ratio = Fraction(big, 10 ** 4000 + 1)
+    texts = [str(big * big), f"{ratio.numerator}/{ratio.denominator}", str(-big % int(q))]
+    int_digits(640)
+    assert str(make_ring("Z").scalar(big * big)) == texts[0]
+    assert str(make_ring("Q").scalar(ratio)) == texts[1]
+    zq = make_ring("Zmod " + q)
+    assert str(zq.scalar(-big)) == texts[2]
+    assert zq.descriptor() == "Zmod " + q and zq.modulus == read_int(q)
 
 
 # Small Z and Z/q values are shared per ring (ring._SHARED = 64); Q values never are.
