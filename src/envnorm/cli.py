@@ -28,12 +28,15 @@ cancellation: every word left has one letter. So '2*(e - f)' and
 columns count from the start of the line, on bracket lines too.
 
 Expressions nest at most 200 parentheses deep, and no product or sum in
-one may expand to more than 100000 terms.
+one may expand to more than 100000 terms. Integers (coefficients and the
+modulus) are read and printed at any length.
 
-Exit codes: 0 success / all properties pass; 1 validation failure;
-2 parse error (too-deep nesting and too-large expansion included);
-3 property or oracle counterexample; 4 input too large to process
-(recursion limit reached).
+Exit codes, all set by ``main``: 0 success / all properties pass;
+1 validation failure (``normal-order`` and ``straighten`` print the report
+on stderr); 2 parse error or other rejected input, any ValueError
+(too-deep nesting and too-large expansion included); 3 property or oracle
+counterexample; 4 input too large to process (recursion limit reached);
+141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
