@@ -8,7 +8,9 @@ import pytest
 
 import envnorm.normalform as normalform
 from envnorm.checks import (
+    SuiteConfig,
     builtin_examples,
+    generate,
     relator_variant,
     sl2_algebra,
     sl_algebra,
@@ -21,6 +23,7 @@ from envnorm.envelope import (
     _acc,
     env_eq,
     mu_state,
+    oracle_normal_order,
     state_canon,
     state_eq,
 )
@@ -389,6 +392,20 @@ def test_section_well_defined_on_classes(ctx):
         )
         assert env_eq(u, u2)
         assert state_eq(section_s(ctx, u), section_s(ctx, u2))
+
+
+@pytest.mark.parametrize("name", list(REG))
+def test_section_and_oracle_are_canonical_and_agree_structurally(name):
+    # the verdicts that compare these two with == rely on both being canonical
+    entry = REG[name]
+    c = ActionContext(entry.algebra, entry.split, validate=False)
+    cfg = SuiteConfig(max_degree=5)
+    for k in range(40):
+        u = generate("element", cfg, entry, k)
+        calc, oracle = section_s(c, u), oracle_normal_order(u, entry.split)
+        assert calc == state_canon(calc)
+        assert oracle == state_canon(oracle)
+        assert calc == oracle
 
 
 @pytest.mark.parametrize("empty_side", [1, 2])
