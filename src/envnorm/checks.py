@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .envelope import EnvElement, StateElement, env_mul, oracle_normal_order, state_eq
+from .envelope import EnvElement, StateElement, env_mul, oracle_normal_order
 from .liealg import (
     GVector,
     LieAlgebra,
@@ -440,7 +440,7 @@ def _draw_relator(rng, cfg, entry):
 
 
 def _holds_oracle(ctx, u):
-    return state_eq(section_s(ctx, u), oracle_normal_order(u, ctx.split))
+    return section_s(ctx, u) == oracle_normal_order(u, ctx.split)
 
 
 def _holds_inverse(ctx, u, s):
@@ -454,7 +454,7 @@ def _holds_lie_action(ctx, s, g, h):
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):
     u2 = relator_variant(ctx.algebra, u, host, pos, x, y, coeff)
-    return state_eq(section_s(ctx, u), section_s(ctx, u2))
+    return section_s(ctx, u) == section_s(ctx, u2)
 
 
 _PROPERTIES = {  # name -> (draw, holds), in report order

@@ -28,8 +28,8 @@ final result is reduced).  The check_* functions verify, at exact equality,
 the identities the construction is supposed to satisfy: degree filtration,
 right-factor linearity, compatibility with the envelope product, the Lie
 action law, and mutual inverseness against the straightening oracle.
-The Lie action check acts and subtracts on plain term dicts and builds one
-state per verdict, the canonical form of the difference.
+The Lie action check canonicalizes one term-dict difference per verdict;
+two canonical states (the section's, the oracle's) compare with ==.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def normal_order(ctx: ActionContext, u: EnvElement, check: bool = True) -> State
     result = section_s(ctx, u)
     if check:
         oracle = oracle_normal_order(u, ctx.split)
-        if not state_eq(result, oracle):
+        if result != oracle:
             raise OracleMismatchError(
                 f"section disagrees with straightening oracle on {u}: "
                 f"{result} vs {oracle}"
@@ -227,6 +227,6 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
 def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[bool, bool]:
     """(section after merge is the identity on states,
         merge after section is the identity on the envelope)."""
-    first = state_eq(section_s(ctx, mu_state(s)), state_canon(s))
+    first = section_s(ctx, mu_state(s)) == state_canon(s)
     second = env_eq(mu_state(section_s(ctx, u)), u)
     return first, second
