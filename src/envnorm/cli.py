@@ -287,8 +287,10 @@ def parse_spec(text: str) -> AlgebraSpec:
     split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     seen: set[str] = set()  # the _ONCE directives read so far
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    # a line ends at \n, \r\n or \r only, as Path.read_text reads one
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        code = raw.split("#", 1)[0].rstrip()
+        line = code.lstrip()
         if not line:
             continue
         words = line.split()
@@ -329,7 +331,6 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise ParseError(f"bracket ({a},{b}) declared twice", lineno)
             written.add((i, j))
             # tokenize the value in place so that columns count along the line
-            code = raw.split("#", 1)[0].rstrip()
             ts = _Tokens(_tokenize(code, lineno, code.index("=") + 1), lineno)
             terms = _parse_terms(ts, ring, index)
             if any(len(w) != 1 for w in terms):

@@ -55,7 +55,8 @@ def test_parse_spec_round_trip():
 
 
 def test_parse_spec_crlf_and_comments():
-    text = "ring Z\r\nbasis a b\r\n# comment\r\n\r\nsplit a | b\r\n"
+    # U+2028 and U+2029 end a line for str.splitlines, not for a file
+    text = "ring Z\r\nbasis a b # \u2028 note\r\n# comment\u2029 more\r\n\r\nsplit a | b\r\n"
     spec = parse_spec(text)
     assert spec.basis == ("a", "b") and spec.brackets == ()
 
@@ -87,6 +88,9 @@ _CONFLICT = "ring Z\nbasis e f h\nbracket f e = -1*h\nbracket e f = 2*h\n"
         (_CONFLICT + "split e | f h", "line 4: bracket (e,f) conflicts with the opposite"),
         (_CONFLICT + "wibble\nsplit e | f h", "line 4: bracket (e,f) conflicts"),
         ("ring Z\nbasis e f\nsplit e f | e zz", "line 3: 'e' assigned to both split parts"),
+        # a form feed stays part of its line, so later line numbers hold
+        ("ring Z\r\n\f\r\nbasis a b\r\nbracket a b = zz\r\nsplit a | b\r\n",
+         "line 4, col 15: unknown name 'zz'"),
     ],
 )
 def test_parse_spec_errors(text, fragment):
