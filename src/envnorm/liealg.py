@@ -58,10 +58,11 @@ def _acc(d: dict, key, c) -> None:
 
 
 def _check_indices(indices, n: int, what: str) -> None:
-    """The one out-of-basis rule: ValueError at the first index outside 0..n-1."""
+    """The one out-of-basis rule: ValueError at the first value that is not
+    an int in 0..n-1 (a bool is not an int here)."""
     for i in indices:
-        if not 0 <= i < n:
-            raise ValueError(f"{what} {i} outside basis")
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+            raise ValueError(f"{what} {i!r} outside basis")
 
 
 def _index_of(index: dict, name: str) -> int:
@@ -291,10 +292,11 @@ class SplitDecomposition:
     __slots__ = ("algebra", "part1", "part2", "part1_set", "part2_set")
 
     def __init__(self, algebra: LieAlgebra, part1, part2):
+        part1, part2 = tuple(part1), tuple(part2)
+        n = algebra.dim
+        _check_indices(part1 + part2, n, "index")
         p1 = tuple(sorted(set(part1)))
         p2 = tuple(sorted(set(part2)))
-        n = algebra.dim
-        _check_indices(p1 + p2, n, "index")
         if sorted(p1 + p2) != list(range(n)):
             raise ValueError("parts must partition the basis index set")
         self.algebra = algebra
@@ -383,13 +385,15 @@ def validate_split(alg: LieAlgebra, part1, part2) -> ValidationReport:
     """Partition + bracket-closure check for a candidate two-block split."""
     names = alg.basis
     n = alg.dim
+    part1, part2 = tuple(part1), tuple(part2)
+    for i in part1 + part2:
+        try:
+            _check_indices((i,), n, "index")
+        except ValueError as exc:
+            return ValidationReport((Violation("partition", (repr(i),), str(exc)),))
     found: list[Violation] = []
     p1 = tuple(sorted(set(part1)))
     p2 = tuple(sorted(set(part2)))
-    for i in p1 + p2:
-        if not (0 <= i < n):
-            found.append(Violation("partition", (str(i),), f"index {i} outside basis"))
-            return ValidationReport(tuple(found))
     both = set(p1) & set(p2)
     for i in sorted(both):
         found.append(Violation("partition", (names[i],), "assigned to both parts"))

@@ -447,7 +447,7 @@ def test_out_of_basis_messages_are_pinned():
 def test_out_of_basis_rule_covers_every_entry_point():
     # basis_vector, side_of and the state letter check judge indices by the
     # same rule, ahead of Python's negative indexing and the part check
-    from envnorm.envelope import StateElement
+    from envnorm.envelope import EnvElement, StateElement
 
     alg = sl2_algebra(Z)
     split = SplitDecomposition(alg, (0,), (1, 2))
@@ -460,6 +460,14 @@ def test_out_of_basis_rule_covers_every_entry_point():
         (lambda: StateElement.term(split, (-1,), ()), "letter -1 outside basis"),
         (lambda: StateElement.term(split, (), (-2,)), "letter -2 outside basis"),
         (lambda: StateElement.term(split, (0, 9), (1,)), "letter 9 outside basis"),
+        # a value that is not an int (a bool is not one) is outside too
+        (lambda: split.side_of(0.5), "index 0.5 outside basis"),
+        (lambda: alg.basis_vector(True), "index True outside basis"),
+        (lambda: GVector(alg, {1.0: 3}), "index 1.0 outside basis"),
+        (lambda: EnvElement.word(alg, (1.0,)), "letter 1.0 outside basis"),
+        (lambda: EnvElement.word(alg, (0, "a")), "letter 'a' outside basis"),
+        (lambda: SplitDecomposition(alg, ("a", 0), (1, 2)), "index 'a' outside basis"),
+        (lambda: SplitDecomposition(alg, (0.5, 0, 1), (2,)), "index 0.5 outside basis"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError) as exc:
@@ -472,13 +480,17 @@ def test_out_of_basis_rule_covers_every_entry_point():
     assert alg.basis_vector(2) == alg.vector({"h": 1})
 
 
-@pytest.mark.parametrize("part1,bad", [((0, 5), 5), ((0, -1), -1), ((-1, 5), -1)])
+@pytest.mark.parametrize("part1,bad", [
+    ((0, 5), 5), ((0, -1), -1), ((-1, 5), -1),
+    # judged as given, before the parts are sorted, so a non-int is named too
+    ((5, -1), 5), ((0.5, 0), 0.5), (("a", 0), "a"), ((0, True), True), ((0, None), None),
+])
 def test_split_names_an_index_outside_the_basis(sl2, part1, bad):
     with pytest.raises(ValueError) as exc:
         SplitDecomposition(sl2, part1, (1, 2))
-    assert str(exc.value) == f"index {bad} outside basis"
+    assert str(exc.value) == f"index {bad!r} outside basis"
     assert str(validate_split(sl2, part1, (1, 2))) == (
-        f"partition violation at ({bad}): index {bad} outside basis")
+        f"partition violation at ({bad!r}): index {bad!r} outside basis")
     # indices inside the basis that fail to partition it keep their own message
     with pytest.raises(ValueError, match="^parts must partition the basis index set$"):
         SplitDecomposition(sl2, (0, 1), (1, 2))
