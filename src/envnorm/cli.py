@@ -1,7 +1,8 @@
 """Algebra-file and expression parsing, command dispatch, deterministic output.
 
-File format (UTF-8, a leading byte-order mark allowed; line oriented; '#'
-starts a comment, blank lines are ignored):
+File format (UTF-8, a leading byte-order mark allowed; line oriented: a
+line ends at a newline, LF, CR LF or CR, and a form feed or U+2028 stays
+part of its line; '#' starts a comment, blank lines are ignored):
 
     ring Z | ring Q | ring Zmod <q>    # <q> in decimal digits, q >= 2
     basis <name>+
