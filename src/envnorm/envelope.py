@@ -286,20 +286,15 @@ def state_canon(s: StateElement) -> StateElement:
     return StateElement(s.split, _canon_terms(_straightener(s.algebra), s.terms))
 
 
-def _state_terms_eq(split: SplitDecomposition, a: dict, b: dict) -> bool:
-    """state_eq on two {(w1, w2): scalar} term dicts over ``split``: the
-    canonical form of a - b is built as one StateElement, whose letter check
-    still rejects a factor word that straightens out of its part."""
-    diff = dict(a)
-    for key, c in b.items():
-        _acc(diff, key, -c)
-    return StateElement(split, _canon_terms(_straightener(split.algebra), diff)).is_zero()
-
-
 def state_eq(s: StateElement, t: StateElement) -> bool:
-    """Equality in U(g1) (x) U(g2): canonical forms coincide structurally."""
+    """Equality in U(g1) (x) U(g2): canonical forms coincide structurally.
+    The canonical form of s - t is built as one StateElement, whose letter
+    check still rejects a factor word that straightens out of its part."""
     s._check(t)
-    return _state_terms_eq(s.split, s.terms, t.terms)
+    diff = dict(s.terms)
+    for key, c in t.terms.items():
+        _acc(diff, key, -c)
+    return StateElement(s.split, _canon_terms(_straightener(s.algebra), diff)).is_zero()
 
 
 def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElement:

@@ -28,8 +28,13 @@ final result is reduced).  The check_* functions verify, at exact equality,
 the identities the construction is supposed to satisfy: degree filtration,
 right-factor linearity, compatibility with the envelope product, the Lie
 action law, and mutual inverseness against the straightening oracle.
-The Lie action check canonicalizes one term-dict difference per verdict;
-two canonical states (the section's, the oracle's) compare with ==.
+The Lie action check reads both sides of each verdict from an action
+table for one state s, kept on the context and replaced when another state
+arrives: e_k.s raw and canonical per basis index k, and the canonical
+e_i.(e_j.s) - e_j.(e_i.s) per i < j.  Judging all dim**2 ordered basis
+pairs on s then costs dim**2 actions and dim + dim*(dim-1)/2
+canonicalizations, not 5*dim**2 and dim**2.  Two canonical states (the
+section's, the oracle's) compare with ==.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from __future__ import annotations
 from .envelope import (
     EnvElement,
     StateElement,
-    _state_terms_eq,
+    _canon_terms,
+    _straightener,
     env_eq,
     env_mul,
     mu_state,
@@ -67,9 +73,16 @@ class ActionContext:
     """A validated (algebra, split) pair that all operations here run in.
 
     It owns the memoized basis kernel: reuse one context across calls to
-    share that work, and drop it to free the memory."""
+    share that work, and drop it to free the memory.  It also holds the
+    action table of the last state check_lie_action judged, replaced when
+    a different state object arrives (states are never changed in place,
+    so identity fixes the table): e_k.s, raw and canonical, for each basis
+    index k, and the canonical e_i.(e_j.s) - e_j.(e_i.s) for each i < j,
+    each filled when a verdict first needs it.  All dim**2 ordered basis
+    pairs on one state cost at most dim**2 actions and dim + dim*(dim-1)/2
+    canonicalizations."""
 
-    __slots__ = ("algebra", "split", "_kernel", "__weakref__")
+    __slots__ = ("algebra", "split", "_kernel", "_lie_table", "__weakref__")
 
     def __init__(self, algebra: LieAlgebra, split: SplitDecomposition, validate: bool = True):
         if split.algebra is not algebra:
@@ -81,6 +94,7 @@ class ActionContext:
         self.algebra = algebra
         self.split = split
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, ())
+        self._lie_table = None  # (state, {k: (e_k.s, canonical)}, {(i, j): canonical D})
 
     def unit_state(self) -> StateElement:
         return StateElement.unit(self.split)
@@ -210,18 +224,63 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     return env_eq(lhs, rhs)
 
 
+def _on_state(ctx: ActionContext, table: tuple, k: int) -> tuple:
+    """(e_k.s, its canonical form) for the table's state s, filled once."""
+    hit = table[1].get(k)
+    if hit is None:
+        raw = _act_terms(ctx, ((k, ctx.algebra.ring.one),), table[0].terms)
+        hit = table[1][k] = (raw, _canon_terms(_straightener(ctx.algebra), raw))
+    return hit
+
+
+def _commutator_on_state(ctx: ActionContext, table: tuple, i: int, j: int) -> dict:
+    """The canonical D(i, j) = e_i.(e_j.s) - e_j.(e_i.s), for i < j, filled once."""
+    hit = table[2].get((i, j))
+    if hit is None:
+        one = ctx.algebra.ring.one
+        raw = _act_terms(ctx, ((i, one),), _on_state(ctx, table, j)[0])
+        for key, c in _act_terms(ctx, ((j, one),), _on_state(ctx, table, i)[0]).items():
+            _acc(raw, key, -c)
+        hit = table[2][(i, j)] = _canon_terms(_straightener(ctx.algebra), raw)
+    return hit
+
+
 def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement) -> bool:
-    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization.  The three
-    actions and the difference stay plain term dicts; only the canonical
-    difference becomes a state."""
+    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization.
+
+    Both sides come canonical from s's action table on ctx (see
+    :class:`ActionContext`): the left is sum g_i h_j D(i, j), with D(i, i) = 0
+    and D(j, i) = -D(i, j), exact since canonicalization is linear; the
+    right is sum [g,h]_k canon(e_k.s).  Equal sides hold with no state
+    built; otherwise their difference becomes one StateElement, whose
+    letter check rejects a factor word that straightens out of its part."""
     hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
-    terms = _terms(ctx, s)
+    _terms(ctx, s)
     gs = _support(ctx, g)
-    lhs = _act_terms(ctx, gs, _act_terms(ctx, hs, terms))
-    for key, c in _act_terms(ctx, hs, _act_terms(ctx, gs, terms)).items():
+    table = ctx._lie_table
+    if table is None or table[0] is not s:
+        table = ctx._lie_table = (s, {}, {})
+    lhs: dict = {}
+    for i, gi in gs:
+        for j, hj in hs:
+            if i < j:
+                c, dij = gi * hj, _commutator_on_state(ctx, table, i, j)
+            elif i > j:
+                c, dij = -(gi * hj), _commutator_on_state(ctx, table, j, i)
+            else:
+                continue
+            for key, d in dij.items():
+                _acc(lhs, key, c * d)
+    rhs: dict = {}
+    for k, b in ctx.algebra.bracket(g, h).support():
+        for key, d in _on_state(ctx, table, k)[1].items():
+            _acc(rhs, key, b * d)
+    if lhs == rhs:
+        return True
+    for key, c in rhs.items():
         _acc(lhs, key, -c)
-    rhs = _act_terms(ctx, tuple(ctx.algebra.bracket(g, h).support()), terms)
-    return _state_terms_eq(ctx.split, lhs, rhs)
+    StateElement(ctx.split, lhs)  # its letter check raises on a split that is not bracket-closed
+    return False
 
 
 def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[bool, bool]:

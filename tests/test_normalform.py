@@ -21,6 +21,8 @@ from envnorm.envelope import (
     EnvElement,
     StateElement,
     _acc,
+    _canon_terms,
+    _straightener,
     env_eq,
     mu_state,
     oracle_normal_order,
@@ -360,6 +362,45 @@ def test_check_lie_action_matches_public_composition(name):
         got = _outcome(check_lie_action, c, *args)
         assert got[0] is CarrierMismatchError
         assert got == _outcome(_lie_action_by_composition, c, *args)
+
+
+@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_SPECS))
+def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
+    algebra, split = _algebra_and_split(name)
+    c = ActionContext(algebra, split, validate=False)
+    ref = ActionContext(algebra, split, validate=False)  # never holds a table
+    rng = random.Random(f"lie-table-{name}")
+    s, t = _rand_state(rng, c, 3), _rand_state(rng, c, 3)
+    s_apart = StateElement(split, dict(s.terms))
+    assert s_apart == s and s_apart is not s
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    pairs = [(g, h) for g in basis for h in basis]
+    pairs += [(_rand_vector(rng, c), _rand_vector(rng, c)) for _ in range(3)]
+    instances = [(g, h, state) for state in (s, t, s_apart) for g, h in pairs]
+    rng.shuffle(instances)
+    for g, h, state in instances:
+        got = _outcome(check_lie_action, c, g, h, state)
+        assert got == _outcome(_lie_action_by_composition, ref, g, h, state), (g, h, state)
+
+    last = instances[-1][2]
+    for g in basis:  # fill the rest of last's table: every D(i, j) is read
+        for h in basis:
+            _outcome(check_lie_action, c, g, h, last)
+    table = c._lie_table
+    assert table[0] is last
+    assert sorted(table[2]) == [(i, j) for i in range(algebra.dim)
+                                for j in range(i + 1, algebra.dim)]
+    for k, (raw, canon) in table[1].items():
+        assert raw == act(c, basis[k], last).terms
+        assert canon == _canon_terms(_straightener(algebra), raw)
+    for (i, j), d in table[2].items():
+        raw = act(c, basis[i], act(c, basis[j], last)) - act(c, basis[j], act(c, basis[i], last))
+        assert d == _canon_terms(_straightener(algebra), raw.terms)
+
+    held = weakref.ref(c)
+    del c, table
+    gc.collect()
+    assert held() is None
 
 
 def test_check_inverse(ctx):
