@@ -392,6 +392,13 @@ def test_validate_bad_jacobi(capsys):
     assert "jacobi violation at (e, f, h)" in out
 
 
+@pytest.mark.parametrize("name", ["sl2_bad_jacobi", "sl2_bad_alternating"])
+def test_validate_report_golden(capsys, name):
+    # the whole report, line by line and in order, with exit 1 and no stderr
+    code, out, err = run_cli(capsys, "validate", str(GOLDEN / f"{name}.alg"))
+    assert (code, out, err) == (1, golden(f"validate_{name}.txt"), "")
+
+
 def test_validate_bad_split(capsys):
     code, out, _err = run_cli(capsys, "validate", str(GOLDEN / "sl2_bad_split.alg"))
     assert code == 1
