@@ -266,11 +266,13 @@ class AlgebraSpec:
     part2: tuple[int, ...]
 
     def build(self) -> tuple[LieAlgebra, SplitDecomposition]:
-        names = self.basis
-        algebra = LieAlgebra.from_brackets(self.ring, names, {
-            (names[i], names[j]): {names[k]: c for k, c in pairs}
-            for (i, j), pairs in self.brackets
-        })
+        n = len(self.basis)
+        table = [[()] * n for _ in range(n)]
+        for (i, j), pairs in self.brackets:
+            table[i][j] = pairs
+            if i != j:
+                table[j][i] = [(k, -c) for k, c in pairs]
+        algebra = LieAlgebra(self.ring, self.basis, table)
         return algebra, SplitDecomposition(algebra, self.part1, self.part2)
 
 

@@ -9,6 +9,7 @@ is that each part is closed under the bracket.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .ring import Ring
@@ -346,7 +347,23 @@ def validate(algebra: LieAlgebra, split: SplitDecomposition) -> ValidationReport
 
 
 def validate_algebra(alg: LieAlgebra) -> ValidationReport:
-    """Exhaustive alternating + Jacobi check; empty report means usable."""
+    """Exhaustive alternating + Jacobi check; empty report means usable.
+
+    The violations come in a fixed order: the diagonal cells, the pairs
+    i < j whose cells do not negate, then every ordered triple (i, j, k),
+    in lexicographic order, whose cyclic sum J(i, j, k) is not zero.
+
+    When the table is alternating ([e_i,e_i] = 0 and [e_j,e_i] = -[e_i,e_j]
+    cell by cell), J is totally antisymmetric, exactly, over every ring:
+    it is invariant under the cyclic shift by definition, and the bracket
+    read off the table is bilinear, so [[e_j,e_i],e_k] = -[[e_i,e_j],e_k]
+    and [[e_i,e_k],e_j] = -[[e_k,e_i],e_j] give J(j, i, k) = -J(i, j, k).
+    A repeated index gives J(i, i, k) = [[e_i,e_k],e_i] + [[e_k,e_i],e_i]
+    = 0.  So J is evaluated once per i < j < k, and a nonzero sum stands
+    for its six orderings, the odd permutations with the negated sum.  A
+    table that is not alternating has no such symmetry, and every ordered
+    triple is judged on its own.
+    """
     names = alg.basis
     n = alg.dim
     table = alg.table
@@ -365,19 +382,28 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
                     Violation("alternating", (names[i], names[j]),
                               f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]")
                 )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total: dict = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, x in table[a][b]:
-                        for p, y in table[m][c]:
-                            _acc(total, p, x * y)
-                if total:
-                    found.append(
-                        Violation("jacobi", (names[i], names[j], names[k]),
-                                  f"cyclic bracket sum = {GVector(alg, total)}, expected 0")
-                    )
+    # every ordered triple for a table that is not alternating, else i < j < k
+    triples = (itertools.product(range(n), repeat=3) if found
+               else itertools.combinations(range(n), 3))
+    sums: dict = {}  # ordered triple -> its nonzero cyclic sum
+    for i, j, k in triples:
+        total: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in table[a][b]:
+                for p, y in table[m][c]:
+                    _acc(total, p, x * y)
+        if not total:
+            continue
+        sums[i, j, k] = total
+        if not found:
+            neg = {p: -c for p, c in total.items()}
+            sums.update({(j, k, i): total, (k, i, j): total,
+                         (j, i, k): neg, (i, k, j): neg, (k, j, i): neg})
+    for i, j, k in sorted(sums):
+        found.append(
+            Violation("jacobi", (names[i], names[j], names[k]),
+                      f"cyclic bracket sum = {GVector(alg, sums[i, j, k])}, expected 0")
+        )
     return ValidationReport(tuple(found))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import string
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from envnorm.checks import RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra
+from envnorm.checks import (
+    RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra, sl_algebra,
+)
 from envnorm.cli import (
     ParseError,
     format_spec,
@@ -18,6 +21,7 @@ from envnorm.cli import (
     state_lines,
 )
 from envnorm.envelope import EnvElement, env_eq
+from envnorm.liealg import LieAlgebra
 from envnorm.normalform import ActionContext, OracleMismatchError, check_lie_action
 from envnorm.ring import make_ring
 
@@ -52,6 +56,40 @@ def test_parse_spec_round_trip():
     for name in ("sl2.alg", "sl2_borel.alg", "heisenberg.alg", "sl2_bad_jacobi.alg"):
         spec = parse_spec(golden(name))
         assert parse_spec(format_spec(spec)) == spec
+
+
+def _table_spec_text(algebra) -> str:
+    """.alg text for an algebra: one bracket line per nonzero cell i <= j."""
+    names = algebra.basis
+    lines = [f"ring {algebra.ring.descriptor()}", "basis " + " ".join(names)]
+    for i, j in itertools.combinations_with_replacement(range(algebra.dim), 2):
+        if algebra.table[i][j]:
+            combo = " + ".join(f"{c}*{names[k]}" for k, c in algebra.table[i][j])
+            lines.append(f"bracket {names[i]} {names[j]} = {combo}")
+    lines.append(f"split {names[0]} | {' '.join(names[1:])}")
+    return "\n".join(lines) + "\n"
+
+
+_TABLE_ALGEBRAS = {"sl3_Z": sl_algebra(3, Z), "sl4_Z": sl_algebra(4, Z),
+                   "sl2_Q": sl2_algebra(make_ring("Q"))}
+_BUILD_SPECS = {
+    **{path.name: golden(path.name) for path in sorted(GOLDEN.glob("*.alg"))},
+    **{name: _table_spec_text(algebra) for name, algebra in _TABLE_ALGEBRAS.items()},
+}
+
+
+@pytest.mark.parametrize("name", _BUILD_SPECS)
+def test_build_table_matches_from_brackets(name):
+    spec = parse_spec(_BUILD_SPECS[name])
+    names = spec.basis
+    reference = LieAlgebra.from_brackets(spec.ring, names, {
+        (names[i], names[j]): {names[k]: c for k, c in pairs}
+        for (i, j), pairs in spec.brackets
+    })
+    algebra, _split = spec.build()
+    assert algebra.basis == reference.basis and algebra.table == reference.table
+    if name in _TABLE_ALGEBRAS:
+        assert algebra.table == _TABLE_ALGEBRAS[name].table
 
 
 def test_parse_spec_crlf_and_comments():

@@ -406,6 +406,26 @@ def _corrupted_algebras():
                 table[i][j] = tuple((k, bad.ring.scalar(rng.randint(1, 3))) for k in ks)
             bad.table = tuple(tuple(row) for row in table)
             out.append(bad)
+    # corruptions that keep the table alternating: a cell (i, j), i != j,
+    # overwritten together with its mirror (j, i), so validate_algebra
+    # takes the route that expands each unordered triple into six signed ones;
+    # some draws leave a Lie algebra (sl2 has one unordered triple), and
+    # this seed draws none of those
+    rng = random.Random(2028)
+    fresh = (lambda: sl2_algebra(make_ring("Q")),
+             lambda: sl_algebra(3, Z),
+             lambda: sl_algebra(3, Z).change_ring(make_ring("Zmod 2")),
+             lambda: sl_algebra(3, Z).change_ring(make_ring("Zmod 4")))
+    for build in fresh:
+        for _ in range(4):
+            good = build()
+            table = [list(row) for row in good.table]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(good.dim), 2)
+                ks = sorted(rng.sample(range(good.dim), rng.randint(1, 2)))
+                table[i][j] = [(k, rng.randint(1, 3)) for k in ks]
+                table[j][i] = [(k, -c) for k, c in table[i][j]]
+            out.append(LieAlgebra(good.ring, good.basis, table))
     return out
 
 
