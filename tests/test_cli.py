@@ -461,6 +461,14 @@ def test_normal_order_golden_borel(capsys):
     assert out == golden("normal_order_sl2_borel_fe.txt")
 
 
+def test_normal_order_golden_borel_mixed_q(capsys):
+    # fractional and integral Q coefficients side by side in one result
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"),
+                             "--expr", "1/2*f*f*f*e*e - 3/4*f*h*e")
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_sl2_borel_mixed_q.txt")
+
+
 def test_normal_order_unit(capsys):
     code, out, _ = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "1")
     assert code == 0 and out == "1 * 1 (x) 1\n"
@@ -483,6 +491,13 @@ def test_normal_order_invalid_algebra_exits_1(capsys):
 def test_straighten_golden(capsys):
     code, out, _ = run_cli(capsys, "straighten", str(GOLDEN / "sl2.alg"), "--expr", "f*e")
     assert code == 0 and out == golden("straighten_sl2_fe.txt")
+
+
+def test_straighten_golden_mod2(capsys):
+    code, out, err = run_cli(capsys, "straighten", str(GOLDEN / "sl2_mod2.alg"),
+                             "--expr", "f*f*h*h*e*e + 3*h*f*e")
+    assert (code, err) == (0, "")
+    assert out == golden("straighten_sl2_mod2_long.txt")
 
 
 def test_straighten_custom_order(capsys):
