@@ -191,7 +191,7 @@ def mu_state(s: StateElement) -> EnvElement:
 
 def _straightener(algebra: LieAlgebra, order=None, stats=None):
     """The normal form of one word under ``order`` (default: declaration
-    order), as a function ``form(w)`` returning immutable (word, scalar) pairs.
+    order), as a function ``form(w)`` returning immutable (word, raw) pairs.
 
     ``form`` rewrites the leftmost inversion, then recurses on the swapped
     word and on each bracket-expansion word.  Its memo (word -> form) is the
@@ -199,6 +199,11 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     shared by every call with that order and freed with the algebra.  With
     ``stats`` a dict, each rewrite performed adds 1 to "steps" and the words
     it spawns to "spawned"; a word already in the memo costs nothing.
+
+    The memo holds raw ring values (:meth:`Ring.raw`), never ``Scalar``s: a
+    sorted word maps to ``((w, 1),)``, and over Z and Z/q a form is a tuple
+    of ints and int tuples, which the cyclic garbage collector untracks.
+    Scalars are built only where an element is, by ``Ring.scalar``.
     """
     n = algebra.dim
     if order is None:
@@ -209,7 +214,7 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
             raise ValueError("order must be a permutation of the basis indices")
         rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
     memo = algebra._straighten_memo.setdefault(rank, {})
-    table, one = algebra.table, algebra.ring.one
+    table, raw, q = algebra.table, algebra.ring.raw, algebra.ring.modulus
 
     def form(w):
         hit = memo.get(w)
@@ -219,7 +224,7 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
             if rank[w[pos]] > rank[w[pos + 1]]:
                 break
         else:
-            result = memo[w] = ((w, one),)
+            result = memo[w] = ((w, 1),)
             return result
         x, y = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
@@ -231,8 +236,9 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         if row:  # commuting letters share the swapped word's form
             out = dict(result)
             for k, c in row:
+                c = raw(c)
                 for w2, c2 in form(head + (k,) + tail):
-                    _acc(out, w2, c * c2)
+                    _acc(out, w2, c * c2, q)
             result = tuple(out.items())
         memo[w] = result
         return result
@@ -251,10 +257,12 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     if stats is not None:
         stats.setdefault("steps", 0)
         stats.setdefault("spawned", 0)
+    raw, q = u.algebra.ring.raw, u.algebra.ring.modulus
     out: dict = {}
     for w, c in u.terms.items():
+        c = raw(c)
         for w2, c2 in form(w):
-            _acc(out, w2, c * c2)
+            _acc(out, w2, c * c2, q)
     return EnvElement(u.algebra, out)
 
 
@@ -265,9 +273,10 @@ def env_eq(u: EnvElement, v: EnvElement) -> bool:
     return straighten(u - v).is_zero()
 
 
-def _canon_terms(form, terms: dict) -> dict:
-    """{(w1, w2): scalar} terms with both factor words reduced by ``form``,
-    as a fresh dict with no zero coefficient."""
+def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
+    """{(w1, w2): raw} terms with both factor words straightened under the
+    declaration order, as a fresh raw dict with no zero coefficient."""
+    form, q = _straightener(algebra), algebra.ring.modulus
     out: dict = {}
     for (w1, w2), c in terms.items():
         left, right = form(w1), form(w2)
@@ -276,14 +285,16 @@ def _canon_terms(form, terms: dict) -> dict:
             if not cc:
                 continue
             for x2, c2 in right:
-                _acc(out, (x1, x2), cc * c2)
+                _acc(out, (x1, x2), cc * c2, q)
     return out
 
 
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
-    return StateElement(s.split, _canon_terms(_straightener(s.algebra), s.terms))
+    raw = s.algebra.ring.raw
+    terms = {key: raw(c) for key, c in s.terms.items()}
+    return StateElement(s.split, _canon_terms(s.algebra, terms))
 
 
 def state_eq(s: StateElement, t: StateElement) -> bool:
@@ -291,10 +302,11 @@ def state_eq(s: StateElement, t: StateElement) -> bool:
     The canonical form of s - t is built as one StateElement, whose letter
     check still rejects a factor word that straightens out of its part."""
     s._check(t)
-    diff = dict(s.terms)
+    raw, q = s.algebra.ring.raw, s.algebra.ring.modulus
+    diff = {key: raw(c) for key, c in s.terms.items()}
     for key, c in t.terms.items():
-        _acc(diff, key, -c)
-    return StateElement(s.split, _canon_terms(_straightener(s.algebra), diff)).is_zero()
+        _acc(diff, key, -raw(c), q)
+    return StateElement(s.split, _canon_terms(s.algebra, diff)).is_zero()
 
 
 def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElement:

@@ -44,18 +44,20 @@ class ValidationReport:
         return "ok" if self.ok else "\n".join(self.lines())
 
 
-def _acc(d: dict, key, c) -> None:
-    """Accumulate coefficient c onto d[key], dropping the key when it cancels."""
+def _acc(d: dict, key, c, q=None) -> None:
+    """Accumulate coefficient c onto d[key], dropping the key when it cancels.
+
+    c is a scalar, or a raw ring value (see :meth:`Ring.raw`); with a
+    modulus q the raw sum is reduced into [0, q) first.  A zero sum is
+    never stored."""
     prev = d.get(key)
-    if prev is None:
-        if c:
-            d[key] = c
-    else:
-        s = prev + c
-        if s:
-            d[key] = s
-        else:
-            del d[key]
+    s = c if prev is None else prev + c
+    if q is not None:
+        s %= q
+    if s:
+        d[key] = s
+    elif prev is not None:
+        del d[key]
 
 
 def _check_indices(indices, n: int, what: str) -> None:

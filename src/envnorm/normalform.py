@@ -22,6 +22,13 @@ kernel e_i.(w1, ()).  Each :class:`ActionContext` memoizes that kernel per
 structure table.  Its values are exact, so every result equals the plain
 recursion's, and the memo is freed with the context.
 
+The kernel, the action on term dicts and the Lie action table carry raw
+ring values (``Ring.raw``: ints, reduced into [0, q) over Z/q, and ints or
+Fractions over Q), never ``Scalar``s; over Z and Z/q the kernel memo then
+holds nothing the cyclic garbage collector has to walk.  The public
+functions take and return ``GVector``s and ``StateElement``s of scalars,
+converting at their constructors.
+
 Intermediate states are deliberately *not* canonicalized between recursion
 steps (the recursion is defined on tensor-level representatives; only the
 final result is reduced).  The check_* functions verify, at exact equality,
@@ -43,7 +50,6 @@ from .envelope import (
     EnvElement,
     StateElement,
     _canon_terms,
-    _straightener,
     env_eq,
     env_mul,
     mu_state,
@@ -94,7 +100,7 @@ class ActionContext:
         self.algebra = algebra
         self.split = split
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, ())
-        self._lie_table = None  # (state, {k: (e_k.s, canonical)}, {(i, j): canonical D})
+        self._lie_table = None  # (s, raw s, {k: (e_k.s, canonical)}, {(i, j): canonical D})
 
     def unit_state(self) -> StateElement:
         return StateElement.unit(self.split)
@@ -104,7 +110,7 @@ class ActionContext:
 
 
 def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
-    """e_i acting on (w1, ()) as ((u1, u2), c) pairs, memoized on ctx;
+    """e_i acting on (w1, ()) as ((u1, u2), raw) pairs, memoized on ctx;
     the recursion step is e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t))."""
     key = (i, w1)
     hit = ctx._kernel.get(key)
@@ -112,44 +118,57 @@ def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
         return hit
     if not w1:
         pair = ((i,), ()) if ctx.split.side_of(i) == 1 else ((), (i,))
-        result = ((pair, ctx.algebra.ring.one),)
+        result = ((pair, 1),)
     else:
         x, rest = w1[0], w1[1:]
+        ring = ctx.algebra.ring
+        q = ring.modulus
         out: dict = {}
         for k, b in ctx.algebra.table[i][x]:
+            b = ring.raw(b)
             for pair, c in _basis_action(ctx, k, rest):
-                _acc(out, pair, b * c)
+                _acc(out, pair, b * c, q)
         for (u1, u2), c in _basis_action(ctx, i, rest):
-            _acc(out, ((x,) + u1, u2), c)
+            _acc(out, ((x,) + u1, u2), c, q)
         result = tuple(out.items())
     ctx._kernel[key] = result
     return result
 
 
 def _act_terms(ctx: ActionContext, support, terms: dict) -> dict:
-    """g, given by its (index, scalar) support pairs, acting on the
-    {(w1, w2): c} terms of a state; the result is a plain dict of that shape."""
+    """g, given by its (index, raw) support pairs, acting on the raw
+    {(w1, w2): c} terms of a state; the result is a raw dict of that shape."""
+    q = ctx.algebra.ring.modulus
     out: dict = {}
     for (w1, w2), c in terms.items():
         for i, gi in support:
             cg = c * gi
             for (u1, u2), c2 in _basis_action(ctx, i, w1):
-                _acc(out, (u1, u2 + w2), cg * c2)
+                _acc(out, (u1, u2 + w2), cg * c2, q)
     return out
 
 
+def _word_terms(ctx: ActionContext, word: tuple, terms: dict) -> dict:
+    """A word of basis indices acting on raw state terms, letters right to left."""
+    for letter in reversed(word):
+        terms = _act_terms(ctx, ((letter, 1),), terms)
+    return terms
+
+
 def _support(ctx: ActionContext, g: GVector) -> tuple:
-    """g's (index, scalar) pairs, once g is checked to lie in ctx's algebra."""
+    """g's (index, raw) pairs, once g is checked to lie in ctx's algebra."""
     if g.algebra is not ctx.algebra:
         raise CarrierMismatchError("vector from a different algebra")
-    return tuple(g.support())
+    raw = ctx.algebra.ring.raw
+    return tuple((i, raw(c)) for i, c in g.support())
 
 
 def _terms(ctx: ActionContext, s: StateElement) -> dict:
-    """s's terms, once s is checked to lie over ctx's split."""
+    """s's terms as a raw dict, once s is checked to lie over ctx's split."""
     if s.split is not ctx.split:
         raise CarrierMismatchError("state from a different split")
-    return s.terms
+    raw = ctx.algebra.ring.raw
+    return {key: raw(c) for key, c in s.terms.items()}
 
 
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
@@ -165,10 +184,7 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     terms = _terms(ctx, s)
     word = tuple(word)
     _check_indices(word, ctx.algebra.dim, "letter")
-    one = ctx.algebra.ring.one
-    for letter in reversed(word):
-        terms = _act_terms(ctx, ((letter, one),), terms)
-    return StateElement(ctx.split, terms)
+    return StateElement(ctx.split, _word_terms(ctx, word, terms))
 
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
@@ -176,11 +192,13 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     w -> (w acting on 1 (x) 1), returned in canonical form."""
     if u.algebra is not ctx.algebra:
         raise CarrierMismatchError("element over a different algebra")
-    unit = ctx.unit_state()
+    raw, q = ctx.algebra.ring.raw, ctx.algebra.ring.modulus
+    unit = {((), ()): 1}
     out: dict = {}
     for w, c in u.terms.items():
-        for key, c2 in act_word(ctx, w, unit).terms.items():
-            _acc(out, key, c * c2)
+        c = raw(c)
+        for key, c2 in _word_terms(ctx, w, unit).items():
+            _acc(out, key, c * c2, q)
     return state_canon(StateElement(ctx.split, out))
 
 
@@ -226,22 +244,22 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
 
 def _on_state(ctx: ActionContext, table: tuple, k: int) -> tuple:
     """(e_k.s, its canonical form) for the table's state s, filled once."""
-    hit = table[1].get(k)
+    hit = table[2].get(k)
     if hit is None:
-        raw = _act_terms(ctx, ((k, ctx.algebra.ring.one),), table[0].terms)
-        hit = table[1][k] = (raw, _canon_terms(_straightener(ctx.algebra), raw))
+        raw = _act_terms(ctx, ((k, 1),), table[1])
+        hit = table[2][k] = (raw, _canon_terms(ctx.algebra, raw))
     return hit
 
 
 def _commutator_on_state(ctx: ActionContext, table: tuple, i: int, j: int) -> dict:
     """The canonical D(i, j) = e_i.(e_j.s) - e_j.(e_i.s), for i < j, filled once."""
-    hit = table[2].get((i, j))
+    hit = table[3].get((i, j))
     if hit is None:
-        one = ctx.algebra.ring.one
-        raw = _act_terms(ctx, ((i, one),), _on_state(ctx, table, j)[0])
-        for key, c in _act_terms(ctx, ((j, one),), _on_state(ctx, table, i)[0]).items():
-            _acc(raw, key, -c)
-        hit = table[2][(i, j)] = _canon_terms(_straightener(ctx.algebra), raw)
+        q = ctx.algebra.ring.modulus
+        raw = _act_terms(ctx, ((i, 1),), _on_state(ctx, table, j)[0])
+        for key, c in _act_terms(ctx, ((j, 1),), _on_state(ctx, table, i)[0]).items():
+            _acc(raw, key, -c, q)
+        hit = table[3][(i, j)] = _canon_terms(ctx.algebra, raw)
     return hit
 
 
@@ -255,11 +273,13 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
     built; otherwise their difference becomes one StateElement, whose
     letter check rejects a factor word that straightens out of its part."""
     hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
-    _terms(ctx, s)
-    gs = _support(ctx, g)
     table = ctx._lie_table
     if table is None or table[0] is not s:
-        table = ctx._lie_table = (s, {}, {})
+        table = (s, _terms(ctx, s), {}, {})
+    gs = _support(ctx, g)
+    ctx._lie_table = table
+    ring = ctx.algebra.ring
+    q = ring.modulus
     lhs: dict = {}
     for i, gi in gs:
         for j, hj in hs:
@@ -270,15 +290,16 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
             else:
                 continue
             for key, d in dij.items():
-                _acc(lhs, key, c * d)
+                _acc(lhs, key, c * d, q)
     rhs: dict = {}
     for k, b in ctx.algebra.bracket(g, h).support():
+        b = ring.raw(b)
         for key, d in _on_state(ctx, table, k)[1].items():
-            _acc(rhs, key, b * d)
+            _acc(rhs, key, b * d, q)
     if lhs == rhs:
         return True
     for key, c in rhs.items():
-        _acc(lhs, key, -c)
+        _acc(lhs, key, -c, q)
     StateElement(ctx.split, lhs)  # its letter check raises on a split that is not bracket-closed
     return False
 

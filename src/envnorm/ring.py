@@ -12,6 +12,15 @@ dominate the arithmetic are neither rebuilt nor kept alive one per term.
 Sharing is only an economy: equality and hashing stay by value, and two
 equal rings built apart share nothing.  Q values are never shared, because
 hashing or comparing a ``Fraction`` costs more than building a scalar.
+
+``Scalar`` is the element-level type: the coefficients of vectors, envelope
+elements, states and structure tables.  The straightening and action layers
+compute on raw values instead (:meth:`Ring.raw`): an ``int`` for Z, an
+``int`` in [0, q) for Z/q, and for Q an ``int`` when integral, else a
+``Fraction`` (an integral ``Fraction`` that arithmetic leaves behind compares
+and hashes as its ``int``).  Over Z and Z/q their memos then hold no
+GC-tracked coefficient, and ``Ring.scalar`` turns a raw value back into a
+scalar where an element is built.
 """
 
 from __future__ import annotations
@@ -181,6 +190,15 @@ class Ring:
                 raise RingMismatchError(f"scalar from {raw.ring} used in {self}")
             return raw
         return self._make(self.normalize(raw))
+
+    def raw(self, s: Scalar):
+        """The raw value of this ring's scalar ``s``: an int, in [0, q) over
+        Z/q; over Q an int when ``s`` is integral, else a reduced Fraction.
+        :meth:`scalar` turns it back into ``s``."""
+        v = s.value
+        if type(v) is int or v.denominator != 1:
+            return v
+        return v.numerator
 
     def descriptor(self) -> str:
         if self.kind == "Zmod":

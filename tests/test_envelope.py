@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -169,7 +170,7 @@ def test_straighten_termination_counts():
 
 
 def test_counting_path_agrees_with_cached_path():
-    for name in ("sl2_Z", "sl3_Z", "sl3_Z4"):
+    for name in ("sl2_Z", "sl3_Z", "sl3_Z4", "sl2_Q", "sl3_Z2", "sl3_Z3"):
         alg = REG[name].algebra
         rng = random.Random(14)
         for _ in range(50):
@@ -180,7 +181,7 @@ def test_counting_path_agrees_with_cached_path():
 
 
 def test_straighten_matches_worklist_under_shuffled_orders():
-    for name in ("sl2_Z", "sl3_Z", "sl3_Z4"):
+    for name in ("sl2_Z", "sl3_Z", "sl3_Z4", "sl2_Q", "sl3_Z2", "sl3_Z3"):
         alg = REG[name].algebra
         rng = random.Random(21)
         for _ in range(3):
@@ -428,10 +429,14 @@ def test_split_order_canonical_words_factor():
 # ------------------------------------------------------------------- helpers
 
 def _random_elt(rng, alg, max_deg):
+    """1-3 random words; over Q their coefficients are a/b, b in 1..4."""
     out = EnvElement.zero(alg)
     for _ in range(rng.randint(1, 3)):
         word = tuple(rng.choices(range(alg.dim), k=rng.randint(0, max_deg)))
-        out = out + EnvElement.word(alg, word, rng.randint(-9, 9))
+        coeff = rng.randint(-9, 9)
+        if alg.ring.kind == "Q":
+            coeff = Fraction(coeff, rng.randint(1, 4))
+        out = out + EnvElement.word(alg, word, coeff)
     return out
 
 

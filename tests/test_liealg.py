@@ -13,6 +13,7 @@ from envnorm.liealg import (
     LieAlgebra,
     SplitDecomposition,
     ValidationReport,
+    _acc,
     validate,
     validate_algebra,
     validate_split,
@@ -140,6 +141,29 @@ def test_mod2_bracket_drops_even_constants(sl2):
     alg2 = sl2.change_ring(make_ring("Zmod 2"))
     h, e = alg2.basis_vector(2), alg2.basis_vector(0)
     assert alg2.bracket(h, e).is_zero()  # 2e = 0 mod 2
+
+
+def test_acc_reduces_mod_q_and_stores_no_zero():
+    d = {"a": 2}
+    _acc(d, "a", 2, 4)  # 2 + 2 = 0 mod 4: the key goes
+    assert d == {}
+    _acc(d, "a", 3 * 4, 4)  # a product that is 0 mod 4 is never stored
+    _acc(d, "b", 0, 4)
+    assert d == {}
+    _acc(d, "a", -1, 4)  # reduced into [0, q)
+    _acc(d, "a", 7, 4)
+    assert d == {"a": 2}
+    plain = {"a": 2}
+    _acc(plain, "a", 2)  # without a modulus nothing is reduced
+    _acc(plain, "b", -3)
+    _acc(plain, "c", 0)
+    assert plain == {"a": 4, "b": -3}
+    _acc(plain, "b", 3)
+    assert plain == {"a": 4}
+    ring = make_ring("Zmod 4")  # scalars accumulate as before
+    scalars = {"a": ring.scalar(2)}
+    _acc(scalars, "a", ring.scalar(2))
+    assert scalars == {}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

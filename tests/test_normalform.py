@@ -22,7 +22,6 @@ from envnorm.envelope import (
     StateElement,
     _acc,
     _canon_terms,
-    _straightener,
     env_eq,
     mu_state,
     oracle_normal_order,
@@ -147,6 +146,21 @@ def test_memos_are_freed_with_the_context():
     del alg, c, result
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zmod 4"])
+def test_memo_values_are_not_tracked_by_the_collector(ring):
+    # raw int coefficients: once collected, no memo value is left for the
+    # cyclic garbage collector to walk again
+    alg = sl_algebra(3, make_ring(ring))
+    c = ActionContext(alg, sl_triangular_split(alg, 3))
+    normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
+    for _ in range(3):
+        gc.collect()
+    forms = [form for memo in alg._straighten_memo.values() for form in memo.values()]
+    kernel = list(c._kernel.values())
+    assert forms and kernel
+    assert [v for v in forms + kernel if gc.is_tracked(v)] == []
 
 
 def test_act_word(ctx):
@@ -387,15 +401,20 @@ def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
         for h in basis:
             _outcome(check_lie_action, c, g, h, last)
     table = c._lie_table
-    assert table[0] is last
-    assert sorted(table[2]) == [(i, j) for i in range(algebra.dim)
+    raw_of = algebra.ring.raw  # the table holds raw values: the states' side is converted
+
+    def raw_terms(state):
+        return {key: raw_of(coeff) for key, coeff in state.terms.items()}
+
+    assert table[0] is last and table[1] == raw_terms(last)
+    assert sorted(table[3]) == [(i, j) for i in range(algebra.dim)
                                 for j in range(i + 1, algebra.dim)]
-    for k, (raw, canon) in table[1].items():
-        assert raw == act(c, basis[k], last).terms
-        assert canon == _canon_terms(_straightener(algebra), raw)
-    for (i, j), d in table[2].items():
+    for k, (raw, canon) in table[2].items():
+        assert raw == raw_terms(act(c, basis[k], last))
+        assert canon == _canon_terms(algebra, raw)
+    for (i, j), d in table[3].items():
         raw = act(c, basis[i], act(c, basis[j], last)) - act(c, basis[j], act(c, basis[i], last))
-        assert d == _canon_terms(_straightener(algebra), raw.terms)
+        assert d == _canon_terms(algebra, raw_terms(raw))
 
     held = weakref.ref(c)
     del c, table
