@@ -37,7 +37,7 @@ right-factor linearity, compatibility with the envelope product, the Lie
 action law, and mutual inverseness against the straightening oracle.
 The Lie action check reads both sides of each verdict from an action
 table for one state s, kept on the context and replaced when another state
-arrives: e_k.s raw and canonical per basis index k, and the canonical
+arrives: e_k.s as acted and canonical per basis index k, and the canonical
 e_i.(e_j.s) - e_j.(e_i.s) per i < j.  Judging all dim**2 ordered basis
 pairs on s then costs dim**2 actions and dim + dim*(dim-1)/2
 canonicalizations, not 5*dim**2 and dim**2.  Two canonical states (the
@@ -82,7 +82,7 @@ class ActionContext:
     share that work, and drop it to free the memory.  It also holds the
     action table of the last state check_lie_action judged, replaced when
     a different state object arrives (states are never changed in place,
-    so identity fixes the table): e_k.s, raw and canonical, for each basis
+    so identity fixes the table): e_k.s, as acted and canonical, for each basis
     index k, and the canonical e_i.(e_j.s) - e_j.(e_i.s) for each i < j,
     each filled when a verdict first needs it.  All dim**2 ordered basis
     pairs on one state cost at most dim**2 actions and dim + dim*(dim-1)/2
@@ -100,7 +100,7 @@ class ActionContext:
         self.algebra = algebra
         self.split = split
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, ())
-        self._lie_table = None  # (s, raw s, {k: (e_k.s, canonical)}, {(i, j): canonical D})
+        self._lie_table = None  # (s, s's raw terms, {k: (e_k.s, canonical)}, {(i, j): canonical D})
 
     def unit_state(self) -> StateElement:
         return StateElement.unit(self.split)
@@ -246,8 +246,8 @@ def _on_state(ctx: ActionContext, table: tuple, k: int) -> tuple:
     """(e_k.s, its canonical form) for the table's state s, filled once."""
     hit = table[2].get(k)
     if hit is None:
-        raw = _act_terms(ctx, ((k, 1),), table[1])
-        hit = table[2][k] = (raw, _canon_terms(ctx.algebra, raw))
+        acted = _act_terms(ctx, ((k, 1),), table[1])
+        hit = table[2][k] = (acted, _canon_terms(ctx.algebra, acted))
     return hit
 
 
@@ -256,10 +256,10 @@ def _commutator_on_state(ctx: ActionContext, table: tuple, i: int, j: int) -> di
     hit = table[3].get((i, j))
     if hit is None:
         q = ctx.algebra.ring.modulus
-        raw = _act_terms(ctx, ((i, 1),), _on_state(ctx, table, j)[0])
+        diff = _act_terms(ctx, ((i, 1),), _on_state(ctx, table, j)[0])
         for key, c in _act_terms(ctx, ((j, 1),), _on_state(ctx, table, i)[0]).items():
-            _acc(raw, key, -c, q)
-        hit = table[3][(i, j)] = _canon_terms(ctx.algebra, raw)
+            _acc(diff, key, -c, q)
+        hit = table[3][(i, j)] = _canon_terms(ctx.algebra, diff)
     return hit
 
 

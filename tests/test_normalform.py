@@ -409,12 +409,12 @@ def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
     assert table[0] is last and table[1] == raw_terms(last)
     assert sorted(table[3]) == [(i, j) for i in range(algebra.dim)
                                 for j in range(i + 1, algebra.dim)]
-    for k, (raw, canon) in table[2].items():
-        assert raw == raw_terms(act(c, basis[k], last))
-        assert canon == _canon_terms(algebra, raw)
+    for k, (acted, canon) in table[2].items():
+        assert acted == raw_terms(act(c, basis[k], last))
+        assert canon == _canon_terms(algebra, acted)
     for (i, j), d in table[3].items():
-        raw = act(c, basis[i], act(c, basis[j], last)) - act(c, basis[j], act(c, basis[i], last))
-        assert d == _canon_terms(algebra, raw_terms(raw))
+        diff = act(c, basis[i], act(c, basis[j], last)) - act(c, basis[j], act(c, basis[i], last))
+        assert d == _canon_terms(algebra, raw_terms(diff))
 
     held = weakref.ref(c)
     del c, table
