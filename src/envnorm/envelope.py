@@ -30,6 +30,9 @@ from .liealg import (
     _Combination,
 )
 
+_INT = frozenset((int,))  # the letter type StateElement's fast check accepts
+
+
 class EnvElement(_Combination):
     """Finite scalar combination of words over the full basis."""
 
@@ -37,18 +40,35 @@ class EnvElement(_Combination):
     _mismatch = "elements over different algebras"
 
     def __init__(self, algebra: LieAlgebra, terms=None):
+        if terms:
+            terms = {tuple(w): c for w, c in terms.items()}
+            for w in terms:
+                _check_indices(w, algebra.dim, "letter")
+        self._fill(algebra, terms)
+
+    def _fill(self, algebra: LieAlgebra, terms) -> None:
+        scalar = algebra.ring.scalar
         clean = {}
         if terms:
-            n = algebra.dim
-            scalar = algebra.ring.scalar
             for w, c in terms.items():
-                w = tuple(w)
-                _check_indices(w, n, "letter")
                 c = scalar(c)
                 if c:
                     clean[w] = c
         self.algebra = algebra
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, algebra: LieAlgebra, terms) -> "EnvElement":
+        """An element from {word tuple: scalar or raw} terms whose words are
+        valid by construction (results of straighten, env_mul, mu_state and
+        the arithmetic of checked elements): the constructor without its
+        out-of-basis rule."""
+        u = cls.__new__(cls)
+        u._fill(algebra, terms)
+        return u
+
+    def _like(self, terms=None):
+        return self._trusted(self.algebra, terms)
 
     def _carrier(self):
         return self.algebra
@@ -95,19 +115,23 @@ class StateElement(_Combination):
     def __init__(self, split: SplitDecomposition, terms=None):
         # The letter check runs on every construction, internal ones too: it
         # is what stops a split that was never validated from producing
-        # states with letters on the wrong side.
+        # states with letters on the wrong side.  1.0 and False hash like
+        # 1 and 0, so the parts' sets let them through and their types are
+        # checked as well.
         clean = {}
         if terms:
             part1, part2 = split.part1_set, split.part2_set
             scalar = split.algebra.ring.scalar
             for (w1, w2), c in terms.items():
                 w1, w2 = tuple(w1), tuple(w2)
-                if not (part1.issuperset(w1) and part2.issuperset(w2)):
+                if not (part1.issuperset(w1) and part2.issuperset(w2)
+                        and _INT.issuperset(map(type, w1 + w2))):
                     _check_indices(w1 + w2, split.algebra.dim, "letter")
-                    which, letter = next((which, letter) for which, word, part
-                                         in ((1, w1, part1), (2, w2, part2))
-                                         for letter in word if letter not in part)
-                    raise ValueError(f"letter {split.algebra.basis[letter]} not in part {which}")
+                    for which, word, part in ((1, w1, part1), (2, w2, part2)):
+                        for letter in word:
+                            if letter not in part:
+                                raise ValueError(f"letter {split.algebra.basis[letter]} "
+                                                 f"not in part {which}")
                 c = scalar(c)
                 if c:
                     clean[(w1, w2)] = c
@@ -176,7 +200,7 @@ def _word_product(a: dict, b: dict) -> dict:
 def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
     """Bilinear extension of word concatenation (the associative product)."""
     u._check(v)
-    return EnvElement(u.algebra, _word_product(u.terms, v.terms))
+    return EnvElement._trusted(u.algebra, _word_product(u.terms, v.terms))
 
 
 def mu_state(s: StateElement) -> EnvElement:
@@ -186,7 +210,7 @@ def mu_state(s: StateElement) -> EnvElement:
     out: dict = {}
     for (w1, w2), c in s.terms.items():
         _acc(out, w1 + w2, c)
-    return EnvElement(s.algebra, out)
+    return EnvElement._trusted(s.algebra, out)
 
 
 def _straightener(algebra: LieAlgebra, order=None, stats=None):
@@ -263,7 +287,7 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
         c = raw(c)
         for w2, c2 in form(w):
             _acc(out, w2, c * c2, q)
-    return EnvElement(u.algebra, out)
+    return EnvElement._trusted(u.algebra, out)
 
 
 def env_eq(u: EnvElement, v: EnvElement) -> bool:

@@ -29,10 +29,21 @@ holds nothing the cyclic garbage collector has to walk.  The public
 functions take and return ``GVector``s and ``StateElement``s of scalars,
 converting at their constructors.
 
-Intermediate states are deliberately *not* canonicalized between recursion
-steps (the recursion is defined on tensor-level representatives; only the
-final result is reduced).  The check_* functions verify, at exact equality,
-the identities the construction is supposed to satisfy: degree filtration,
+act and act_word return the raw action on tensor-level representatives,
+never canonicalized.  section_s walks each word letter by letter, rightmost
+first, on a state grouped by left word, {w1: {w2: raw}}: it asks the kernel
+once per left word and straightens each kernel term's left word under the
+declaration order (envelope._straightener) before regrouping, so the kernel
+only ever sees sorted left words and does not fill for every ordering of
+them.  This is exact because the action is well defined on U(g1) (x) U(g2)
+(the well_defined property): acting on any representative of a state gives
+the same canonical result.  The right words stay raw until the final
+state_canon: straightened after every letter they would put each
+intermediate word of a run crossing, such as heisenberg's c y^k -> y^k c,
+into the word-keyed straightening memo.
+
+The check_* functions verify, at exact equality, the identities the
+construction is supposed to satisfy: degree filtration,
 right-factor linearity, compatibility with the envelope product, the Lie
 action law, and mutual inverseness against the straightening oracle.
 The Lie action check reads both sides of each verdict from an action
@@ -50,6 +61,7 @@ from .envelope import (
     EnvElement,
     StateElement,
     _canon_terms,
+    _straightener,
     env_eq,
     env_mul,
     mu_state,
@@ -189,16 +201,29 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     """The normal-ordering section: linear extension of
-    w -> (w acting on 1 (x) 1), returned in canonical form."""
+    w -> (w acting on 1 (x) 1), returned in canonical form.  Left words are
+    canonical after every letter, right words only at the end (see the
+    module docstring)."""
     if u.algebra is not ctx.algebra:
         raise CarrierMismatchError("element over a different algebra")
     raw, q = ctx.algebra.ring.raw, ctx.algebra.ring.modulus
-    unit = {((), ()): 1}
+    form = _straightener(ctx.algebra)
     out: dict = {}
     for w, c in u.terms.items():
-        c = raw(c)
-        for key, c2 in _word_terms(ctx, w, unit).items():
-            _acc(out, key, c * c2, q)
+        groups = {(): {(): raw(c)}}  # canonical left word -> {raw right word: raw}
+        for letter in reversed(w):
+            acted: dict = {}
+            for w1, rights in groups.items():
+                for (u1, u2), c1 in _basis_action(ctx, letter, w1):
+                    for v1, c2 in form(u1):
+                        c12 = c1 * c2
+                        group = acted.setdefault(v1, {})
+                        for w2, c3 in rights.items():
+                            _acc(group, u2 + w2, c12 * c3, q)
+            groups = {w1: rights for w1, rights in acted.items() if rights}
+        for w1, rights in groups.items():
+            for w2, c3 in rights.items():
+                _acc(out, (w1, w2), c3, q)
     return state_canon(StateElement(ctx.split, out))
 
 

@@ -469,6 +469,15 @@ def test_normal_order_golden_borel_mixed_q(capsys):
     assert out == golden("normal_order_sl2_borel_mixed_q.txt")
 
 
+def test_normal_order_golden_sl3_worst_order(capsys):
+    # every part-2 letter before every part-1 letter: the left factors
+    # pass through many orders on their way to canonical form
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl3.alg"),
+                             "--expr", "E32*E21*E31*E21*E12*E13*E23*H1")
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_sl3_worst.txt")
+
+
 def test_normal_order_unit(capsys):
     code, out, _ = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "1")
     assert code == 0 and out == "1 * 1 (x) 1\n"

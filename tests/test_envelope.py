@@ -383,6 +383,17 @@ def test_state_membership_enforced(sl2):
         StateElement.term(split, (), (F,))
 
 
+def test_state_letters_equal_to_an_index_are_not_indices(sl2):
+    # False and 1.0 hash like 0 and 1, so the parts' sets alone accept them
+    split = SplitDecomposition(sl2, (E,), (F, H))
+    with pytest.raises(ValueError, match=r"^letter False outside basis$"):
+        StateElement.term(split, (False,), (1.0,))
+    with pytest.raises(ValueError, match=r"^letter 1\.0 outside basis$"):
+        StateElement.term(split, (), (1.0,))
+    with pytest.raises(ValueError, match=r"^letter True outside basis$"):
+        StateElement(split, {((E,), (H,)): 1, ((), (True,)): 2})
+
+
 # -------------------------------------------------------------------- oracle
 
 def test_oracle_sl2(sl2):

@@ -468,6 +468,44 @@ def test_section_and_oracle_are_canonical_and_agree_structurally(name):
         assert calc == oracle
 
 
+@pytest.mark.parametrize("name", list(REG))
+def test_section_equals_the_raw_action_path(name):
+    # section_s canonicalizes its left factors after every letter; the raw
+    # path acts through act_word and canonicalizes once, at the end.  In
+    # worst order every part-1 letter acts across the whole part-2 prefix.
+    entry = REG[name]
+    alg, split = entry.algebra, entry.split
+    raw_ctx = ActionContext(alg, split, validate=False)
+    fresh = ActionContext(alg, split, validate=False)
+    rng = random.Random(f"worst-order-{name}")
+    for degree in range(1, 9):
+        k = degree // 2
+        u = EnvElement(alg, {
+            tuple(rng.choices(split.part2, k=k)) + tuple(rng.choices(split.part1, k=degree - k)):
+            rng.choice([-3, -1, 1, 2, 5])
+            for _ in range(2)
+        })
+        raw = StateElement.zero(split)
+        for w, c in u.terms.items():
+            raw = raw + act_word(raw_ctx, w, raw_ctx.unit_state()).scale(c)
+        assert section_s(fresh, u) == state_canon(raw), u
+    # the kernel was asked about sorted left words only
+    left_words = {w1 for _i, w1 in fresh._kernel}
+    assert left_words and all(list(w1) == sorted(w1) for w1 in left_words)
+
+
+def test_section_keeps_right_words_raw_until_the_end():
+    # heisenberg y^300 x: each letter puts c in front of a run of y's.
+    # Straightening the right words after every letter would fill the
+    # declaration-order memo with the intermediate words of each
+    # c y^k -> y^k c (45 753 words); straightened once, at the end, they
+    # leave a few hundred.
+    entry = builtin_examples()["heisenberg_Z"]  # x | y c
+    c = ActionContext(entry.algebra, entry.split)
+    section_s(c, EnvElement.word(entry.algebra, (1,) * 300 + (0,)))
+    assert len(entry.algebra._straighten_memo[(0, 1, 2)]) < 2000
+
+
 @pytest.mark.parametrize("empty_side", [1, 2])
 def test_degenerate_splits(empty_side):
     alg = sl2_algebra(Z)
