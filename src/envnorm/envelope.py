@@ -30,10 +30,26 @@ from .liealg import (
     _Combination,
 )
 
-_INT = frozenset((int,))  # the letter type StateElement's fast check accepts
+class _Element(_Combination):
+    """The envelope's element types.  The public constructor checks every
+    word with the out-of-basis rule, then hands its terms to ``_fill``.
+    Results whose words are valid by construction -- the words of checked
+    elements, the straightener's, the kernel's -- are built by ``_trusted``,
+    which skips that rule; so are the arithmetic results (``_like``)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, carrier, terms=None):
+        new = cls.__new__(cls)
+        new._fill(carrier, terms)
+        return new
+
+    def _like(self, terms=None):
+        return self._trusted(self._carrier(), terms)
 
 
-class EnvElement(_Combination):
+class EnvElement(_Element):
     """Finite scalar combination of words over the full basis."""
 
     __slots__ = ("algebra",)
@@ -56,19 +72,6 @@ class EnvElement(_Combination):
                     clean[w] = c
         self.algebra = algebra
         self.terms = clean
-
-    @classmethod
-    def _trusted(cls, algebra: LieAlgebra, terms) -> "EnvElement":
-        """An element from {word tuple: scalar or raw} terms whose words are
-        valid by construction (results of straighten, env_mul, mu_state and
-        the arithmetic of checked elements): the constructor without its
-        out-of-basis rule."""
-        u = cls.__new__(cls)
-        u._fill(algebra, terms)
-        return u
-
-    def _like(self, terms=None):
-        return self._trusted(self.algebra, terms)
 
     def _carrier(self):
         return self.algebra
@@ -106,32 +109,33 @@ class EnvElement(_Combination):
         return " + ".join(bits)
 
 
-class StateElement(_Combination):
+class StateElement(_Element):
     """Combination of pairs (word over part 1) (x) (word over part 2)."""
 
     __slots__ = ("split",)
     _mismatch = "states over different splits"
 
     def __init__(self, split: SplitDecomposition, terms=None):
-        # The letter check runs on every construction, internal ones too: it
-        # is what stops a split that was never validated from producing
-        # states with letters on the wrong side.  1.0 and False hash like
-        # 1 and 0, so the parts' sets let them through and their types are
-        # checked as well.
+        if terms:
+            terms = {(tuple(w1), tuple(w2)): c for (w1, w2), c in terms.items()}
+            for w1, w2 in terms:
+                _check_indices(w1 + w2, split.algebra.dim, "letter")
+        self._fill(split, terms)
+
+    def _fill(self, split: SplitDecomposition, terms) -> None:
+        # The part check runs on every construction, trusted ones too: it is
+        # what stops a split that was never validated from producing states
+        # with letters on the wrong side.
         clean = {}
         if terms:
             part1, part2 = split.part1_set, split.part2_set
             scalar = split.algebra.ring.scalar
             for (w1, w2), c in terms.items():
-                w1, w2 = tuple(w1), tuple(w2)
-                if not (part1.issuperset(w1) and part2.issuperset(w2)
-                        and _INT.issuperset(map(type, w1 + w2))):
-                    _check_indices(w1 + w2, split.algebra.dim, "letter")
-                    for which, word, part in ((1, w1, part1), (2, w2, part2)):
-                        for letter in word:
-                            if letter not in part:
-                                raise ValueError(f"letter {split.algebra.basis[letter]} "
-                                                 f"not in part {which}")
+                if not (part1.issuperset(w1) and part2.issuperset(w2)):
+                    which, letter = next((which, letter) for which, word, part
+                                         in ((1, w1, part1), (2, w2, part2))
+                                         for letter in word if letter not in part)
+                    raise ValueError(f"letter {split.algebra.basis[letter]} not in part {which}")
                 c = scalar(c)
                 if c:
                     clean[(w1, w2)] = c
@@ -318,19 +322,19 @@ def state_canon(s: StateElement) -> StateElement:
     within their own subalgebra (declaration order restricted to each part)."""
     raw = s.algebra.ring.raw
     terms = {key: raw(c) for key, c in s.terms.items()}
-    return StateElement(s.split, _canon_terms(s.algebra, terms))
+    return StateElement._trusted(s.split, _canon_terms(s.algebra, terms))
 
 
 def state_eq(s: StateElement, t: StateElement) -> bool:
     """Equality in U(g1) (x) U(g2): canonical forms coincide structurally.
-    The canonical form of s - t is built as one StateElement, whose letter
+    The canonical form of s - t is built as one StateElement, whose part
     check still rejects a factor word that straightens out of its part."""
     s._check(t)
     raw, q = s.algebra.ring.raw, s.algebra.ring.modulus
     diff = {key: raw(c) for key, c in s.terms.items()}
     for key, c in t.terms.items():
         _acc(diff, key, -raw(c), q)
-    return StateElement(s.split, _canon_terms(s.algebra, diff)).is_zero()
+    return StateElement._trusted(s.split, _canon_terms(s.algebra, diff)).is_zero()
 
 
 def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElement:
@@ -347,4 +351,4 @@ def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElemen
         while cut < len(w) and w[cut] in part1:
             cut += 1
         out[(w[:cut], w[cut:])] = c
-    return StateElement(split, out)
+    return StateElement._trusted(split, out)

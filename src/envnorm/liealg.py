@@ -79,9 +79,8 @@ class _Combination:
     """Finite {key: scalar} combination over a fixed carrier: the linear
     arithmetic shared by :class:`GVector` and the envelope's element types.
     Subclasses keep the carrier in their own slot and build results through
-    their own constructor, so every result passes its checks; an
-    EnvElement's words come from checked elements, and its results skip the
-    out-of-basis rule."""
+    their own constructor, so every result passes its checks (the envelope's
+    element types skip the out-of-basis rule on words of checked elements)."""
 
     __slots__ = ("terms",)
     _mismatch = ""  # CarrierMismatchError message

@@ -43,9 +43,9 @@ intermediate word of a run crossing, such as heisenberg's c y^k -> y^k c,
 into the word-keyed straightening memo.
 
 The check_* functions verify, at exact equality, the identities the
-construction is supposed to satisfy: degree filtration,
-right-factor linearity, compatibility with the envelope product, the Lie
-action law, and mutual inverseness against the straightening oracle.
+construction is supposed to satisfy: degree filtration, right-factor
+linearity, compatibility with the envelope product, the Lie action law,
+and mutual inverseness against the straightening oracle.
 The Lie action check reads both sides of each verdict from an action
 table for one state s, kept on the context and replaced when another state
 arrives: e_k.s as acted and canonical per basis index k, and the canonical
@@ -186,7 +186,7 @@ def _terms(ctx: ActionContext, s: StateElement) -> dict:
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
     """Left action of g on a state representative (see module docstring).
     Linear in both arguments; the result is not canonicalized."""
-    return StateElement(ctx.split, _act_terms(ctx, _support(ctx, g), _terms(ctx, s)))
+    return StateElement._trusted(ctx.split, _act_terms(ctx, _support(ctx, g), _terms(ctx, s)))
 
 
 def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
@@ -196,7 +196,7 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     terms = _terms(ctx, s)
     word = tuple(word)
     _check_indices(word, ctx.algebra.dim, "letter")
-    return StateElement(ctx.split, _word_terms(ctx, word, terms))
+    return StateElement._trusted(ctx.split, _word_terms(ctx, word, terms))
 
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
@@ -224,7 +224,7 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
         for w1, rights in groups.items():
             for w2, c3 in rights.items():
                 _acc(out, (w1, w2), c3, q)
-    return state_canon(StateElement(ctx.split, out))
+    return state_canon(StateElement._trusted(ctx.split, out))
 
 
 def normal_order(ctx: ActionContext, u: EnvElement, check: bool = True) -> StateElement:
@@ -296,7 +296,7 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
     and D(j, i) = -D(i, j), exact since canonicalization is linear; the
     right is sum [g,h]_k canon(e_k.s).  Equal sides hold with no state
     built; otherwise their difference becomes one StateElement, whose
-    letter check rejects a factor word that straightens out of its part."""
+    part check rejects a factor word that straightens out of its part."""
     hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
     table = ctx._lie_table
     if table is None or table[0] is not s:
@@ -325,7 +325,7 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
         return True
     for key, c in rhs.items():
         _acc(lhs, key, -c, q)
-    StateElement(ctx.split, lhs)  # its letter check raises on a split that is not bracket-closed
+    StateElement._trusted(ctx.split, lhs)  # its part check raises on a split that is not bracket-closed
     return False
 
 
