@@ -214,13 +214,17 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
         for letter in reversed(w):
             acted: dict = {}
             for w1, rights in groups.items():
+                if not rights:  # cancelled out
+                    continue
                 for (u1, u2), c1 in _basis_action(ctx, letter, w1):
                     for v1, c2 in form(u1):
+                        group = acted.get(v1)
+                        if group is None:
+                            group = acted[v1] = {}
                         c12 = c1 * c2
-                        group = acted.setdefault(v1, {})
                         for w2, c3 in rights.items():
                             _acc(group, u2 + w2, c12 * c3, q)
-            groups = {w1: rights for w1, rights in acted.items() if rights}
+            groups = acted
         for w1, rights in groups.items():
             for w2, c3 in rights.items():
                 _acc(out, (w1, w2), c3, q)
