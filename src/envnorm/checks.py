@@ -448,8 +448,8 @@ def _holds_inverse(ctx, u, s):
 
 
 def _holds_lie_action(ctx, s, g, h):
-    basis_vector = ctx.algebra.basis_vector
-    return check_lie_action(ctx, basis_vector(g), basis_vector(h), s)
+    vectors = ctx.algebra._basis_vectors  # g and h are drawn basis indices
+    return check_lie_action(ctx, vectors[g], vectors[h], s)
 
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):

@@ -30,26 +30,8 @@ from .liealg import (
     _Combination,
 )
 
-class _Element(_Combination):
-    """The envelope's element types.  The public constructor checks every
-    word with the out-of-basis rule, then hands its terms to ``_fill``.
-    Results whose words are valid by construction -- the words of checked
-    elements, the straightener's, the kernel's -- are built by ``_trusted``,
-    which skips that rule; so are the arithmetic results (``_like``)."""
 
-    __slots__ = ()
-
-    @classmethod
-    def _trusted(cls, carrier, terms=None):
-        new = cls.__new__(cls)
-        new._fill(carrier, terms)
-        return new
-
-    def _like(self, terms=None):
-        return self._trusted(self._carrier(), terms)
-
-
-class EnvElement(_Element):
+class EnvElement(_Combination):
     """Finite scalar combination of words over the full basis."""
 
     __slots__ = ("algebra",)
@@ -62,20 +44,6 @@ class EnvElement(_Element):
                 _check_indices(w, algebra.dim, "letter")
         self._fill(algebra, terms)
 
-    def _fill(self, algebra: LieAlgebra, terms) -> None:
-        scalar = algebra.ring.scalar
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[w] = c
-        self.algebra = algebra
-        self.terms = clean
-
-    def _carrier(self):
-        return self.algebra
-
     @classmethod
     def unit(cls, algebra: LieAlgebra) -> "EnvElement":
         return cls(algebra, {(): algebra.ring.one})
@@ -87,7 +55,7 @@ class EnvElement(_Element):
     @classmethod
     def from_vector(cls, v: GVector) -> "EnvElement":
         """The vector as a sum of one-letter words."""
-        return cls(v.algebra, {(i,): c for i, c in v.support()})
+        return cls._trusted(v.algebra, {(i,): c for i, c in v.support()})
 
     def __mul__(self, other):
         if isinstance(other, EnvElement):
@@ -109,7 +77,7 @@ class EnvElement(_Element):
         return " + ".join(bits)
 
 
-class StateElement(_Element):
+class StateElement(_Combination):
     """Combination of pairs (word over part 1) (x) (word over part 2)."""
 
     __slots__ = ("split",)
@@ -164,10 +132,11 @@ class StateElement(_Element):
     def append_right(self, word) -> "StateElement":
         """Right-multiply by a part-2 word (appended to every right factor)."""
         word = tuple(word)
+        _check_indices(word, self.split.algebra.dim, "letter")
         out = {}
         for (w1, w2), c in self.terms.items():
             _acc(out, (w1, w2 + word), c)
-        return StateElement(self.split, out)
+        return StateElement._trusted(self.split, out)
 
     def sorted_terms(self):
         return sorted(
@@ -310,8 +279,6 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
         left, right = form(w1), form(w2)
         for x1, c1 in left:
             cc = c * c1
-            if not cc:
-                continue
             for x2, c2 in right:
                 _acc(out, (x1, x2), cc * c2, q)
     return out

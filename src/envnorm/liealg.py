@@ -76,25 +76,49 @@ def _index_of(index: dict, name: str) -> int:
 
 
 class _Combination:
-    """Finite {key: scalar} combination over a fixed carrier: the linear
-    arithmetic shared by :class:`GVector` and the envelope's element types.
-    Subclasses keep the carrier in their own slot and build results through
-    their own constructor, so every result passes its checks (the envelope's
-    element types skip the out-of-basis rule on words of checked elements)."""
+    """Finite {key: nonzero scalar} combination over a fixed carrier: the
+    constructors and the linear arithmetic shared by :class:`GVector` and the
+    envelope's element types.
+
+    A subclass keeps its carrier in its own slot.  Its public constructor
+    checks every key with the out-of-basis rule, then hands its terms to
+    ``_fill``, which coerces each coefficient into the ring, drops the zeros
+    and stores the carrier.  Results whose keys are valid by construction --
+    arithmetic results (``_like``), brackets, projections, the words of
+    checked elements, the straightener's and the kernel's -- are built by
+    ``_trusted``, which runs ``_fill`` alone.  :class:`StateElement` has its
+    own ``_fill``, whose part check runs on trusted states too."""
 
     __slots__ = ("terms",)
     _mismatch = ""  # CarrierMismatchError message
 
+    @classmethod
+    def _trusted(cls, carrier, terms=None):
+        new = cls.__new__(cls)
+        new._fill(carrier, terms)
+        return new
+
+    def _fill(self, algebra: LieAlgebra, terms) -> None:
+        scalar = algebra.ring.scalar
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                c = scalar(c)
+                if c:
+                    clean[key] = c
+        self.algebra = algebra
+        self.terms = clean
+
     def _carrier(self):
-        raise NotImplementedError
+        return self.algebra
 
     @classmethod
     def zero(cls, carrier):
         return cls(carrier)
 
     def _like(self, terms=None):
-        """A combination over the same carrier, built through the subclass's checks."""
-        return type(self)(self._carrier(), terms)
+        """A combination over the same carrier, from keys valid by construction."""
+        return self._trusted(self._carrier(), terms)
 
     def _check(self, other) -> None:
         if self._carrier() is not other._carrier():
@@ -177,7 +201,7 @@ class LieAlgebra:
                 cells.append(tuple(sorted(acc.items())))
             rows.append(tuple(cells))
         self.table = tuple(rows)
-        self._basis_vectors = tuple(GVector(self, {i: ring.one}) for i in range(n))
+        self._basis_vectors = tuple(GVector._trusted(self, {i: ring.one}) for i in range(n))
         self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}
 
     @classmethod
@@ -212,11 +236,16 @@ class LieAlgebra:
         return self._basis_vectors[i]
 
     def vector(self, coords) -> "GVector":
-        """GVector from a full coordinate sequence or a sparse {index|name: coeff} map."""
-        if isinstance(coords, dict):
-            coords = {_index_of(self.index, k) if isinstance(k, str) else k: c
-                      for k, c in coords.items()}
-        return GVector(self, coords)
+        """GVector from a full coordinate sequence or a sparse {index|name: coeff}
+        map, which may not give one basis element both by name and by index."""
+        if not isinstance(coords, dict):
+            return GVector(self, coords)
+        keys = [_index_of(self.index, k) if isinstance(k, str) else k for k in coords]
+        _check_indices(keys, self.dim, "index")
+        if len(set(keys)) < len(keys):
+            twice = next(i for i in keys if keys.count(i) > 1)
+            raise ValueError(f"basis element {self.basis[twice]} given twice")
+        return GVector._trusted(self, dict(zip(keys, coords.values())))
 
     def bracket(self, v: "GVector", w: "GVector") -> "GVector":
         """Bilinear extension of the structure table."""
@@ -229,7 +258,7 @@ class LieAlgebra:
                 ab = a * b
                 for k, c in row[j]:
                     _acc(out, k, ab * c)
-        return GVector(self, out)
+        return GVector._trusted(self, out)
 
     def change_ring(self, ring: Ring) -> "LieAlgebra":
         """Same basis and table with coefficients reinterpreted in ``ring``.
@@ -256,27 +285,13 @@ class GVector(_Combination):
     _mismatch = "vectors from different algebras"
 
     def __init__(self, algebra: LieAlgebra, coords=None):
-        n = algebra.dim
-        if coords is None:
-            items = ()
-        elif isinstance(coords, dict):
-            items = coords.items()
-            _check_indices(coords, n, "index")
-        elif len(coords) != n:
-            raise ValueError("coordinate vector has the wrong length")
-        else:
-            items = enumerate(coords)
-        scalar = algebra.ring.scalar
-        clean = {}
-        for i, c in items:
-            c = scalar(c)
-            if c:
-                clean[i] = c
-        self.algebra = algebra
-        self.terms = clean
-
-    def _carrier(self):
-        return self.algebra
+        if isinstance(coords, dict):
+            _check_indices(coords, algebra.dim, "index")
+        elif coords is not None:
+            if len(coords) != algebra.dim:
+                raise ValueError("coordinate vector has the wrong length")
+            coords = dict(enumerate(coords))
+        self._fill(algebra, coords)
 
     def sorted_terms(self):
         """Pairs (index, coefficient) of the nonzero coordinates, in index order."""
@@ -326,7 +341,7 @@ class SplitDecomposition:
         if v.algebra is not self.algebra:
             raise CarrierMismatchError("vector from a different algebra")
         part = self.part1_set if which == 1 else self.part2_set
-        return GVector(self.algebra, {i: c for i, c in v.terms.items() if i in part})
+        return GVector._trusted(self.algebra, {i: c for i, c in v.terms.items() if i in part})
 
     def __str__(self):
         names = self.algebra.basis

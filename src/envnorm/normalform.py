@@ -129,7 +129,7 @@ def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
     if hit is not None:
         return hit
     if not w1:
-        pair = ((i,), ()) if ctx.split.side_of(i) == 1 else ((), (i,))
+        pair = ((i,), ()) if i in ctx.split.part1_set else ((), (i,))
         result = ((pair, 1),)
     else:
         x, rest = w1[0], w1[1:]

@@ -6,13 +6,6 @@ so equality is plain structural equality and stays decidable everywhere
 downstream.  Composite moduli are supported on purpose: zero divisors are
 part of the intended test surface.
 
-Each Z and Z/q ring shares one scalar object per value v with
-|v| <= _SHARED (64), built on first use, so the small coefficients that
-dominate the arithmetic are neither rebuilt nor kept alive one per term.
-Sharing is only an economy: equality and hashing stay by value, and two
-equal rings built apart share nothing.  Q values are never shared, because
-hashing or comparing a ``Fraction`` costs more than building a scalar.
-
 ``Scalar`` is the element-level type: the coefficients of vectors, envelope
 elements, states and structure tables.  The straightening and action layers
 compute on raw values instead (:meth:`Ring.raw`): an ``int`` for Z, an
@@ -28,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 _KINDS = ("Z", "Q", "Zmod")
-_SHARED = 64  # Z and Z/q values with |v| <= _SHARED are shared per ring
 # Decimal digits per int <-> str step.  CPython refuses conversions of more
 # than sys.get_int_max_str_digits() digits (4300 by default, never below 640),
 # so steps of this size always convert and no process-wide limit is touched.
@@ -68,7 +60,7 @@ class Scalar:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: "Ring", value):
-        # Built by Ring._make from a canonical value; raw input goes through Ring.scalar().
+        # Built from a canonical value by Ring.scalar (raw input) or Ring._make (arithmetic).
         self.ring = ring
         self.value = value
 
@@ -98,13 +90,8 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         ring = self.ring
-        # the ring check comes first: ``one`` of another ring must still raise
         if other.ring is not ring:
             self._check(other)
-        elif self is ring.one:
-            return other
-        if other is ring.one:
-            return self
         return ring._make(self.value * other.value)
 
     def __neg__(self):
@@ -137,7 +124,7 @@ class Scalar:
 class Ring:
     """One of Z, Q or Z/qZ with q >= 2 (composite moduli allowed)."""
 
-    __slots__ = ("kind", "modulus", "zero", "one", "_shared")
+    __slots__ = ("kind", "modulus", "zero", "one")
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind not in _KINDS:
@@ -149,22 +136,14 @@ class Ring:
             raise ValueError(f"ring {kind} takes no modulus")
         self.kind = kind
         self.modulus = modulus
-        self._shared: dict[int, Scalar] = {}  # value -> this ring's shared scalar
-        self.zero = self._make(self.normalize(0))
-        self.one = self._make(self.normalize(1))
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
 
     def _make(self, v) -> Scalar:
-        """The scalar of ``v``, canonical but for the reduction mod q done here.
-
-        Every scalar is built here; an ``int`` value with |v| <= _SHARED
-        returns this ring's shared instance."""
+        """The scalar of an arithmetic result ``v``, canonical but for the
+        reduction mod q done here."""
         if self.modulus is not None:
             v %= self.modulus
-        if type(v) is int and -_SHARED <= v <= _SHARED:
-            s = self._shared.get(v)
-            if s is None:
-                s = self._shared[v] = Scalar(self, v)
-            return s
         return Scalar(self, v)
 
     def normalize(self, raw):
@@ -189,7 +168,7 @@ class Ring:
             if raw.ring is not self and raw.ring != self:
                 raise RingMismatchError(f"scalar from {raw.ring} used in {self}")
             return raw
-        return self._make(self.normalize(raw))
+        return Scalar(self, self.normalize(raw))
 
     def raw(self, s: Scalar):
         """The raw value of this ring's scalar ``s``: an int, in [0, q) over

@@ -394,6 +394,24 @@ def test_state_letters_equal_to_an_index_are_not_indices(sl2):
         StateElement(split, {((E,), (H,)): 1, ((), (True,)): 2})
 
 
+def test_append_right_checks_the_appended_word(sl2):
+    split = SplitDecomposition(sl2, (F,), (E, H))
+    s = StateElement.term(split, (F,), (E,), 2) + StateElement.term(split, (), (H,))
+    assert s.append_right((H, E)) == (StateElement.term(split, (F,), (E, H, E), 2)
+                                      + StateElement.term(split, (), (H, H, E)))
+    for word, message in (((9,), "letter 9 outside basis"), ((H, -1), "letter -1 outside basis"),
+                          ((1.0,), "letter 1.0 outside basis"), ((E, F), "letter f not in part 2")):
+        with pytest.raises(ValueError) as exc:
+            s.append_right(word)
+        assert str(exc.value) == message
+
+
+def test_from_vector_is_the_sum_of_one_letter_words(sl2):
+    v = sl2.vector({"e": 3, "h": -1})
+    assert EnvElement.from_vector(v) == EnvElement(sl2, {(E,): 3, (H,): -1})
+    assert EnvElement.from_vector(GVector.zero(sl2)).is_zero()
+
+
 # -------------------------------------------------------------------- oracle
 
 def test_oracle_sl2(sl2):

@@ -547,3 +547,36 @@ def test_project_takes_part_1_or_2(sl2):
         with pytest.raises(ValueError, match="split part must be 1 or 2"):
             split.project(which, e)
     assert split.project(2, e) == e and split.project(1, e).is_zero()
+
+
+@pytest.mark.parametrize("coords", [{"e": 1, 0: 2}, {0: 2, "e": 1}],
+                         ids=["name_first", "index_first"])
+def test_vector_rejects_a_basis_element_given_twice(sl2, coords):
+    with pytest.raises(ValueError) as exc:
+        sl2.vector(coords)
+    assert str(exc.value) == "basis element e given twice"
+    assert sl2.vector({"e": 1, 1: 2}) == GVector(sl2, (1, 2, 0))
+
+
+def test_internal_vectors_skip_the_out_of_basis_rule(monkeypatch):
+    # brackets, projections, the linear arithmetic and the suite's lie_action
+    # row build vectors whose indices are valid by construction; only the
+    # public constructors run the rule
+    import envnorm.liealg as liealg
+    from envnorm.checks import SuiteConfig, run_property
+
+    entry = builtin_examples()["sl3_Z"]
+    alg, split = entry.algebra, entry.split
+    v, w = alg.vector({0: 2, 3: -1}), alg.vector({1: 1, 5: 3})
+    calls = []
+    rule = liealg._check_indices
+    monkeypatch.setattr(liealg, "_check_indices", lambda *args: calls.append(args) or rule(*args))
+    alg.bracket(v, w), split.project(1, v), split.project(2, w)
+    v + w, v - w, v.scale(3), -v
+    assert run_property("lie_action", SuiteConfig(cases=2), entry).failed == 0
+    assert calls == []
+    for build in (lambda: GVector(alg, {9: 1}), lambda: alg.vector({-1: 1}),
+                  lambda: alg.basis_vector(9)):
+        with pytest.raises(ValueError, match="outside basis"):
+            build()
+    assert len(calls) == 3
