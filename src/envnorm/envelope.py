@@ -201,7 +201,14 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     sorted word maps to ``((w, 1),)``, and over Z and Z/q a form is a tuple
     of ints and int tuples, which the cyclic garbage collector untracks.
     Scalars are built only where an element is, by ``Ring.scalar``.
+
+    The declaration-order ``form`` without ``stats``, the one every
+    canonicalization uses, is built once and kept on the algebra beside its
+    memo, so later calls return that same function.
     """
+    declared = order is None and stats is None
+    if declared and algebra._declared_form is not None:
+        return algebra._declared_form
     n = algebra.dim
     if order is None:
         rank = tuple(range(n))
@@ -240,6 +247,8 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         memo[w] = result
         return result
 
+    if declared:
+        algebra._declared_form = form
     return form
 
 

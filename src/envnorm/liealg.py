@@ -175,7 +175,7 @@ class LieAlgebra:
     """
 
     __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors",
-                 "_straighten_memo", "__weakref__")
+                 "_straighten_memo", "_declared_form", "__weakref__")
 
     def __init__(self, ring: Ring, basis_names, table):
         basis = tuple(basis_names)
@@ -203,6 +203,7 @@ class LieAlgebra:
         self.table = tuple(rows)
         self._basis_vectors = tuple(GVector._trusted(self, {i: ring.one}) for i in range(n))
         self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}
+        self._declared_form = None  # envelope._straightener(self), built on first use
 
     @classmethod
     def from_brackets(cls, ring: Ring, basis_names, brackets) -> "LieAlgebra":

@@ -31,16 +31,23 @@ converting at their constructors.
 
 act and act_word return the raw action on tensor-level representatives,
 never canonicalized.  section_s walks each word letter by letter, rightmost
-first, on a state grouped by left word, {w1: {w2: raw}}: it asks the kernel
-once per left word and straightens each kernel term's left word under the
-declaration order (envelope._straightener) before regrouping, so the kernel
-only ever sees sorted left words and does not fill for every ordering of
-them.  This is exact because the action is well defined on U(g1) (x) U(g2)
-(the well_defined property): acting on any representative of a state gives
-the same canonical result.  The right words stay raw until the final
-state_canon: straightened after every letter they would put each
+first, on a state grouped by left word, {w1: {right word id: raw}}: it asks
+the kernel once per left word and straightens each kernel term's left word
+under the declaration order (envelope._straightener) before regrouping, so
+the kernel only ever sees sorted left words and does not fill for every
+ordering of them.  This is exact because the action is well defined on
+U(g1) (x) U(g2) (the well_defined property): acting on any representative
+of a state gives the same canonical result.  The right words stay raw until
+the final state_canon: straightened after every letter they would put each
 intermediate word of a run crossing, such as heisenberg's c y^k -> y^k c,
-into the word-keyed straightening memo.
+into the word-keyed straightening memo.  Raw, they are held as ids in a
+word table local to the call: id 0 is the empty word and the word x.rest
+has one id, found under the int key rest_id * dim + x.  A kernel term puts
+at most one letter in front of a right word, so a letter costs one lookup
+per right word, not a copy and a hash of the whole word.  Only the words
+left at the end are spelled out, by walking each id back to id 0, and the
+table is freed when section_s returns.  Ids of raw words that are equal in
+U(g2) stay distinct: the table shares storage, it does not merge terms.
 
 The check_* functions verify, at exact equality, the identities the
 construction is supposed to satisfy: degree filtration, right-factor
@@ -202,32 +209,53 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     """The normal-ordering section: linear extension of
     w -> (w acting on 1 (x) 1), returned in canonical form.  Left words are
-    canonical after every letter, right words only at the end (see the
-    module docstring)."""
+    canonical after every letter; right words are ids in a word table of
+    this call, raw until they are spelled out and canonicalized at the end
+    (see the module docstring)."""
     if u.algebra is not ctx.algebra:
         raise CarrierMismatchError("element over a different algebra")
     raw, q = ctx.algebra.ring.raw, ctx.algebra.ring.modulus
+    dim = ctx.algebra.dim
     form = _straightener(ctx.algebra)
+    ids: dict = {}  # rest id * dim + letter -> id of the word letter.rest
+    firsts, rests = [None], [None]  # id -> its first letter and its rest's id; id 0 is ()
     out: dict = {}
     for w, c in u.terms.items():
-        groups = {(): {(): raw(c)}}  # canonical left word -> {raw right word: raw}
+        groups = {(): {0: raw(c)}}  # canonical left word -> {raw right word id: raw}
         for letter in reversed(w):
             acted: dict = {}
             for w1, rights in groups.items():
                 if not rights:  # cancelled out
                     continue
                 for (u1, u2), c1 in _basis_action(ctx, letter, w1):
+                    if u2:  # u2 + w2 for each right word w2 of the group
+                        (x,) = u2  # the kernel prepends letters to left words only
+                        moved = []
+                        for r, c3 in rights.items():
+                            key = r * dim + x
+                            r2 = ids.get(key)
+                            if r2 is None:
+                                r2 = ids[key] = len(rests)
+                                firsts.append(x)
+                                rests.append(r)
+                            moved.append((r2, c3))
+                    else:
+                        moved = rights.items()
                     for v1, c2 in form(u1):
                         group = acted.get(v1)
                         if group is None:
                             group = acted[v1] = {}
                         c12 = c1 * c2
-                        for w2, c3 in rights.items():
-                            _acc(group, u2 + w2, c12 * c3, q)
+                        for r, c3 in moved:
+                            _acc(group, r, c12 * c3, q)
             groups = acted
         for w1, rights in groups.items():
-            for w2, c3 in rights.items():
-                _acc(out, (w1, w2), c3, q)
+            for r, c3 in rights.items():
+                w2 = []
+                while r:
+                    w2.append(firsts[r])
+                    r = rests[r]
+                _acc(out, (w1, tuple(w2)), c3, q)
     return state_canon(StateElement._trusted(ctx.split, out))
 
 

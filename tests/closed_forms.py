@@ -1,0 +1,53 @@
+"""Closed normal forms of two long-word families, in plain Python integers.
+
+Nothing here imports envnorm, so the tests that compare the calculator and
+the oracle with these formulas do not share a line of code with either.  A
+normal form is a dict {(left word, right word): coefficient} over the
+letters' declaration indices, with the coefficients reduced mod ``modulus``
+when one is given and the zero ones dropped.
+"""
+
+from math import comb, factorial
+
+
+def _reduced(pairs, modulus=None) -> dict:
+    out = {}
+    for key, c in pairs:
+        if modulus is not None:
+            c %= modulus
+        if c:
+            out[key] = c
+    return out
+
+
+def heisenberg_ynxm(n: int, m: int, modulus=None) -> dict:
+    """Heisenberg on x, y, c (indices 0, 1, 2), [x, y] = c, split x | y c:
+
+        y^n x^m = sum_k (-1)^k k! C(n, k) C(m, k) x^(m-k) (x) y^(n-k) c^k.
+    """
+    x, y, c = 0, 1, 2
+    return _reduced(
+        [
+            (((x,) * (m - k), (y,) * (n - k) + (c,) * k),
+             (-1) ** k * factorial(k) * comb(n, k) * comb(m, k))
+            for k in range(min(n, m) + 1)
+        ],
+        modulus,
+    )
+
+
+def sl2_efn(n: int, modulus=None) -> dict:
+    """sl(2) on e, f, h (indices 0, 1, 2), [e, f] = h, [h, e] = 2e,
+    [h, f] = -2f, split f | e h:
+
+        e f^n = f^n (x) e + n f^(n-1) (x) h - n(n-1) f^(n-1) (x) 1.
+    """
+    e, f, h = 0, 1, 2
+    return _reduced(
+        [
+            (((f,) * n, (e,)), 1),
+            (((f,) * (n - 1), (h,)), n),
+            (((f,) * (n - 1), ()), -n * (n - 1)),
+        ],
+        modulus,
+    )

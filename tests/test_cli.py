@@ -455,6 +455,13 @@ def test_normal_order_golden_heisenberg(capsys):
     assert out == golden("normal_order_heis_yx.txt")
 
 
+def test_normal_order_golden_heisenberg_long_thin_word(capsys):
+    expr = "*".join(["y"] * 300 + ["x"])
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "heisenberg.alg"), "--expr", expr)
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_heis_y300x.txt")
+
+
 def test_normal_order_golden_borel(capsys):
     code, out, _ = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"), "--expr", "f*e")
     assert code == 0

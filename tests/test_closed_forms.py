@@ -1,0 +1,46 @@
+"""The calculator and the oracle against closed normal forms.
+
+Heisenberg y^n x^m and sl(2) e f^n have normal forms in closed form
+(``closed_forms``, plain integers, no envnorm import).  Both section_s and
+normal_order(check=True), which also runs the straightening oracle, must
+give them exactly, over Z and over Z/2, Z/3 and Z/4.  The oracle nests about
+n*m recursive calls, so n*m stays at 300 or below.
+"""
+
+import pytest
+
+from closed_forms import heisenberg_ynxm, sl2_efn
+from envnorm.checks import heisenberg_algebra, sl2_algebra
+from envnorm.envelope import EnvElement
+from envnorm.liealg import SplitDecomposition
+from envnorm.normalform import ActionContext, normal_order, section_s
+from envnorm.ring import make_ring
+
+RINGS = {"Z": None, "Zmod 2": 2, "Zmod 3": 3, "Zmod 4": 4}
+HEISENBERG = [(1, 1), (3, 2), (6, 5), (9, 9), (50, 1), (300, 1)]
+SL2 = [1, 5, 45, 80]
+
+
+def _plain(state) -> dict:
+    return {key: c.value for key, c in state.terms.items()}
+
+
+def _agree(alg, part1, part2, word, expected):
+    ctx = ActionContext(alg, SplitDecomposition(alg, part1, part2))
+    u = EnvElement.word(alg, word)
+    assert _plain(section_s(ctx, u)) == expected
+    assert _plain(normal_order(ctx, u, check=True)) == expected
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+@pytest.mark.parametrize("n, m", HEISENBERG)
+def test_heisenberg_ynxm(n, m, ring):
+    alg = heisenberg_algebra(make_ring(ring))  # x, y, c; split x | y c
+    _agree(alg, (0,), (1, 2), (1,) * n + (0,) * m, heisenberg_ynxm(n, m, RINGS[ring]))
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+@pytest.mark.parametrize("n", SL2)
+def test_sl2_efn(n, ring):
+    alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | e h
+    _agree(alg, (1,), (0, 2), (0,) + (1,) * n, sl2_efn(n, RINGS[ring]))

@@ -7,6 +7,7 @@ from envnorm.checks import builtin_examples, heisenberg_algebra, sl2_algebra, sl
 from envnorm.envelope import (
     EnvElement,
     StateElement,
+    _straightener,
     env_eq,
     env_mul,
     mu_state,
@@ -232,6 +233,19 @@ def test_straighten_counts_only_new_rewrites():
     counted = dict(stats)
     assert straighten(u, stats=stats) == first
     assert stats == counted  # every word is in the algebra's memo now
+
+
+def test_declaration_order_straightener_is_built_once_per_algebra():
+    alg = sl_algebra(3, Z)
+    form = _straightener(alg)
+    assert _straightener(alg) is form
+    assert _straightener(sl_algebra(3, Z)) is not form
+    # an explicit order or a stats dict gets its own function over the same memo
+    explicit = _straightener(alg, order=range(alg.dim))
+    counting = _straightener(alg, stats={"steps": 0, "spawned": 0})
+    assert explicit is not form and counting is not form
+    word = tuple(reversed(range(alg.dim)))
+    assert explicit(word) is form(word) is counting(word)
 
 
 def test_constructors_coerce_raw_coefficients():
