@@ -60,7 +60,7 @@ from .checks import (
 from .envelope import EnvElement, StateElement, _word_product, straighten
 from .liealg import LieAlgebra, SplitDecomposition, _acc, validate
 from .normalform import ActionContext, OracleMismatchError, normal_order
-from .ring import Ring, Scalar, make_ring, read_int
+from .ring import Ring, make_ring, read_int
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CONT = _NAME_START | set("0123456789_")
@@ -146,7 +146,8 @@ class _Tokens:
         raise ParseError(message, self.line, self.peek()[2])
 
 
-def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int) -> Scalar:
+def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int):
+    """The signed coefficient at ts as a raw ring value (see ``Ring.raw``)."""
     kind, text, col = ts.next()
     assert kind == "int"
     num = sign * read_int(text)
@@ -160,13 +161,14 @@ def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int) -> Scalar:
         den = read_int(text2)
         if den == 0:
             raise ParseError("zero denominator", ts.line, col2)
-        return ring.scalar(Fraction(num, den))
-    return ring.scalar(num)
+        return ring.coerce(Fraction(num, den))
+    return ring.coerce(num)
 
 
-# The parser works on plain {word: scalar} dicts (words are tuples of basis
-# indices) holding no zero coefficient; each dict it returns is fresh, so a
-# caller may fold into it.
+# The parser works on plain {word: raw} dicts (words are tuples of basis
+# indices, coefficients raw ring values, Ring.raw's form; 1 is the unit of
+# every ring) holding no zero coefficient; each dict it returns is fresh, so
+# a caller may fold into it.
 
 def _expr_factor(ts: _Tokens, ring: Ring, index: dict) -> dict:
     kind, text, col = ts.peek()
@@ -175,10 +177,10 @@ def _expr_factor(ts: _Tokens, ring: Ring, index: dict) -> dict:
         idx = index.get(text)
         if idx is None:
             raise ParseError(f"unknown name {text!r}", ts.line, col)
-        return {(idx,): ring.one}
+        return {(idx,): 1}
     if kind == "int" and text == "1":
         ts.next()
-        return {(): ring.one}
+        return {(): 1}
     if ts.eat_op("("):
         if ts.depth == _MAX_NESTING:
             raise ParseError("expression nested too deeply", ts.line, col)
@@ -213,12 +215,15 @@ def _expr_term(ts: _Tokens, ring: Ring, index: dict) -> dict:
         if len(value) * len(right) > _MAX_TERMS:
             raise ParseError(f"expression expands to more than {_MAX_TERMS} terms",
                              ts.line, star)
-        value = _word_product(value, right)
-    if coeff is not None:
+        value = _word_product(value, right, ring.modulus)
+    if coeff is None:
+        if not negate:
+            return value
+        coeff = -1
+    q = ring.modulus
+    if q is None:
         return {w: p for w, c in value.items() if (p := coeff * c)}
-    if negate:
-        return {w: -c for w, c in value.items()}
-    return value
+    return {w: p for w, c in value.items() if (p := coeff * c % q)}
 
 
 def _expr_sum(ts: _Tokens, ring: Ring, index: dict) -> dict:
@@ -226,7 +231,7 @@ def _expr_sum(ts: _Tokens, ring: Ring, index: dict) -> dict:
     # a binary '-' is left in place: the term parser reads it as its sign
     while ts.eat_op("+") or ts.peek()[:2] == ("op", "-"):
         for w, c in _expr_term(ts, ring, index).items():
-            _acc(value, w, c)
+            _acc(value, w, c, ring.modulus)
         if len(value) > _MAX_TERMS:
             ts.error(f"expression expands to more than {_MAX_TERMS} terms")
     return value
@@ -255,13 +260,14 @@ class AlgebraSpec:
     """Parsed, canonicalized algebra description.
 
     Brackets are stored as ((i, j), pairs) with i <= j, ``pairs`` the
-    (k, c) terms with c != 0 in increasing k (the form of
-    ``LieAlgebra.table``), zero combinations dropped and the reversed
-    orientation implied; this makes parse -> print -> parse the identity."""
+    (k, c) terms with c != 0 in increasing k, each c a raw ring value (the
+    form of ``LieAlgebra.table``), zero combinations dropped and the
+    reversed orientation implied; this makes parse -> print -> parse the
+    identity."""
 
     ring: Ring
     basis: tuple[str, ...]
-    brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, Scalar], ...]], ...]
+    brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, object], ...]], ...]
     part1: tuple[int, ...]
     part2: tuple[int, ...]
 
@@ -339,7 +345,8 @@ def parse_spec(text: str) -> AlgebraSpec:
             if any(len(w) != 1 for w in terms):
                 raise ParseError("bracket value must be a linear combination of basis names",
                                  lineno, ts.toks[0][2])
-            pairs = tuple(sorted((k, c if i <= j else -c) for (k,), c in terms.items()))
+            coerce = ring.coerce  # raw again, negated mod q the other way round
+            pairs = tuple(sorted((k, coerce(c if i <= j else -c)) for (k,), c in terms.items()))
             if stored.setdefault((min(i, j), max(i, j)), pairs) != pairs:
                 raise ParseError(
                     f"bracket ({a},{b}) conflicts with the opposite orientation", lineno)
@@ -382,7 +389,7 @@ def format_spec(spec: AlgebraSpec) -> str:
     lines = [f"ring {spec.ring.descriptor()}"]
     lines.append("basis " + " ".join(spec.basis))
     for (i, j), pairs in spec.brackets:
-        combo = " + ".join(f"{c}*{spec.basis[k]}" for k, c in pairs)
+        combo = " + ".join(f"{spec.ring.scalar(c)}*{spec.basis[k]}" for k, c in pairs)
         lines.append(f"bracket {spec.basis[i]} {spec.basis[j]} = {combo}")
     left = " ".join(spec.basis[i] for i in spec.part1)
     right = " ".join(spec.basis[i] for i in spec.part2)

@@ -160,13 +160,14 @@ class StateElement(_Combination):
         return " + ".join(strs) if strs else "0"
 
 
-def _word_product(a: dict, b: dict) -> dict:
-    """Word concatenation extended bilinearly to {word: scalar} dicts: the
-    product of T(g), as a fresh dict with no zero coefficient."""
+def _word_product(a: dict, b: dict, q=None) -> dict:
+    """Word concatenation extended bilinearly to {word: coefficient} dicts:
+    the product of T(g), as a fresh dict with no zero coefficient.  The
+    coefficients are scalars, or raw values reduced mod q (see :func:`_acc`)."""
     out: dict = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            _acc(out, w1 + w2, c1 * c2)
+            _acc(out, w1 + w2, c1 * c2, q)
     return out
 
 
@@ -218,7 +219,7 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
             raise ValueError("order must be a permutation of the basis indices")
         rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
     memo = algebra._straighten_memo.setdefault(rank, {})
-    table, raw, q = algebra.table, algebra.ring.raw, algebra.ring.modulus
+    table, q = algebra.table, algebra.ring.modulus
 
     def form(w):
         hit = memo.get(w)
@@ -240,7 +241,6 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         if row:  # commuting letters share the swapped word's form
             out = dict(result)
             for k, c in row:
-                c = raw(c)
                 for w2, c2 in form(head + (k,) + tail):
                     _acc(out, w2, c * c2, q)
             result = tuple(out.items())

@@ -60,6 +60,14 @@ def _acc(d: dict, key, c, q=None) -> None:
         del d[key]
 
 
+def _negated(pairs, q=None) -> list:
+    """The (k, -c) pairs of raw (k, c) pairs, reduced into [0, q) with a
+    modulus q."""
+    if q is None:
+        return [(k, -c) for k, c in pairs]
+    return [(k, -c % q) for k, c in pairs]
+
+
 def _check_indices(indices, n: int, what: str) -> None:
     """The one out-of-basis rule: ValueError at the first value that is not
     an int in 0..n-1 (a bool is not an int here)."""
@@ -167,10 +175,11 @@ class _Combination:
 class LieAlgebra:
     """Finite free basis plus the structure constants of [e_i, e_j].
 
-    ``table[i][j]`` lists the (k, c) pairs of [e_i, e_j] = sum c e_k.  The
-    constructor takes any iterable of pairs per cell, coerces each c into
-    the ring and sums repeated k; it stores the pairs with c != 0, in
-    increasing k.  Nothing is assumed about the table until
+    ``table[i][j]`` lists the (k, c) pairs of [e_i, e_j] = sum c e_k, each
+    c a raw ring value (:meth:`Ring.raw`), never a ``Scalar``.  The
+    constructor takes any iterable of pairs per cell, turns each c into its
+    raw value (:meth:`Ring.coerce`) and sums repeated k; it stores the pairs
+    with c != 0, in increasing k.  Nothing is assumed about the table until
     :func:`validate_algebra` says the Lie axioms hold.
     """
 
@@ -190,6 +199,7 @@ class LieAlgebra:
         self.index = {name: i for i, name in enumerate(basis)}
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("structure table must be n x n")
+        coerce = ring.coerce
         rows = []
         for row in table:
             cells = []
@@ -197,7 +207,11 @@ class LieAlgebra:
                 acc: dict = {}
                 for k, c in cell:
                     _check_indices((k,), n, "index")
-                    _acc(acc, k, ring.scalar(c))
+                    c = coerce(c)
+                    if k in acc:  # a repeated k: the sum, raw again
+                        c = coerce(acc.pop(k) + c)
+                    if c:
+                        acc[k] = c
                 cells.append(tuple(sorted(acc.items())))
             rows.append(tuple(cells))
         self.table = tuple(rows)
@@ -216,20 +230,21 @@ class LieAlgebra:
         basis = tuple(basis_names)
         index = {name: i for i, name in enumerate(basis)}
         n = len(basis)
+        coerce, q = ring.coerce, ring.modulus
         table = [[{} for _ in range(n)] for _ in range(n)]
         given = set()
         for (a, b), combo in brackets.items():
             i, j = _index_of(index, a), _index_of(index, b)
             cell: dict = {}
             for name, coeff in combo.items():
-                _acc(cell, _index_of(index, name), ring.scalar(coeff))
+                _acc(cell, _index_of(index, name), coerce(coeff), q)
             if (j, i) in given and i != j:
-                if cell != {k: -c for k, c in table[j][i].items()}:
+                if cell != dict(_negated(table[j][i].items(), q)):
                     raise ValueError(f"brackets for ({a},{b}) and ({b},{a}) do not negate")
             given.add((i, j))
             table[i][j] = cell
             if i != j and (j, i) not in given:
-                table[j][i] = {k: -c for k, c in cell.items()}
+                table[j][i] = dict(_negated(cell.items(), q))
         return cls(ring, basis, [[cell.items() for cell in row] for row in table])
 
     def basis_vector(self, i: int) -> "GVector":
@@ -252,13 +267,16 @@ class LieAlgebra:
         """Bilinear extension of the structure table."""
         if v.algebra is not self or w.algebra is not self:
             raise CarrierMismatchError("bracket operands from a different algebra")
+        raw, q = self.ring.raw, self.ring.modulus
+        wterms = [(j, raw(b)) for j, b in w.terms.items()]
         out: dict = {}
         for i, a in v.terms.items():
+            a = raw(a)
             row = self.table[i]
-            for j, b in w.terms.items():
+            for j, b in wterms:
                 ab = a * b
                 for k, c in row[j]:
-                    _acc(out, k, ab * c)
+                    _acc(out, k, ab * c, q)
         return GVector._trusted(self, out)
 
     def change_ring(self, ring: Ring) -> "LieAlgebra":
@@ -268,9 +286,7 @@ class LieAlgebra:
         """
         if self.ring.kind != "Z":
             raise ValueError("change_ring expects an integral table")
-        return LieAlgebra(ring, self.basis, [
-            [[(k, c.value) for k, c in cell] for cell in row] for row in self.table
-        ])
+        return LieAlgebra(ring, self.basis, self.table)
 
     def __repr__(self):
         return f"LieAlgebra({self.ring.descriptor()}, basis={'/'.join(self.basis)})"
@@ -386,6 +402,7 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
     names = alg.basis
     n = alg.dim
     table = alg.table
+    q = alg.ring.modulus
     found: list[Violation] = []
     for i in range(n):
         if table[i][i]:
@@ -396,7 +413,7 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
             )
     for i in range(n):
         for j in range(i + 1, n):
-            if dict(table[i][j]) != {k: -c for k, c in table[j][i]}:
+            if table[i][j] != tuple(_negated(table[j][i], q)):
                 found.append(
                     Violation("alternating", (names[i], names[j]),
                               f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]")
@@ -410,12 +427,12 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, x in table[a][b]:
                 for p, y in table[m][c]:
-                    _acc(total, p, x * y)
+                    _acc(total, p, x * y, q)
         if not total:
             continue
         sums[i, j, k] = total
         if not found:
-            neg = {p: -c for p, c in total.items()}
+            neg = dict(_negated(total.items(), q))
             sums.update({(j, k, i): total, (k, i, j): total,
                          (j, i, k): neg, (i, k, j): neg, (k, j, i): neg})
     for i, j, k in sorted(sums):
@@ -456,7 +473,8 @@ def validate_split(alg: LieAlgebra, part1, part2) -> ValidationReport:
                         found.append(
                             Violation(
                                 "closure", (names[i], names[j]),
-                                f"[{names[i]},{names[j]}] has component {c}*{names[k]} "
+                                f"[{names[i]},{names[j]}] has component "
+                                f"{alg.ring.scalar(c)}*{names[k]} "
                                 f"outside part {which}",
                             )
                         )

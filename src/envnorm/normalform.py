@@ -24,10 +24,11 @@ recursion's, and the memo is freed with the context.
 
 The kernel, the action on term dicts and the Lie action table carry raw
 ring values (``Ring.raw``: ints, reduced into [0, q) over Z/q, and ints or
-Fractions over Q), never ``Scalar``s; over Z and Z/q the kernel memo then
-holds nothing the cyclic garbage collector has to walk.  The public
-functions take and return ``GVector``s and ``StateElement``s of scalars,
-converting at their constructors.
+Fractions over Q), never ``Scalar``s, and read the structure table, which
+holds raw values too, as it is; over Z and Z/q the kernel memo then holds
+nothing the cyclic garbage collector has to walk.  The public functions
+take and return ``GVector``s and ``StateElement``s of scalars, converting
+at their constructors.
 
 act and act_word return the raw action on tensor-level representatives,
 never canonicalized.  section_s walks each word letter by letter, rightmost
@@ -140,11 +141,9 @@ def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
         result = ((pair, 1),)
     else:
         x, rest = w1[0], w1[1:]
-        ring = ctx.algebra.ring
-        q = ring.modulus
+        q = ctx.algebra.ring.modulus
         out: dict = {}
         for k, b in ctx.algebra.table[i][x]:
-            b = ring.raw(b)
             for pair, c in _basis_action(ctx, k, rest):
                 _acc(out, pair, b * c, q)
         for (u1, u2), c in _basis_action(ctx, i, rest):

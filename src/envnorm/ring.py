@@ -7,13 +7,14 @@ downstream.  Composite moduli are supported on purpose: zero divisors are
 part of the intended test surface.
 
 ``Scalar`` is the element-level type: the coefficients of vectors, envelope
-elements, states and structure tables.  The straightening and action layers
-compute on raw values instead (:meth:`Ring.raw`): an ``int`` for Z, an
-``int`` in [0, q) for Z/q, and for Q an ``int`` when integral, else a
-``Fraction`` (an integral ``Fraction`` that arithmetic leaves behind compares
-and hashes as its ``int``).  Over Z and Z/q their memos then hold no
-GC-tracked coefficient, and ``Ring.scalar`` turns a raw value back into a
-scalar where an element is built.
+elements and states.  Structure tables, parsed expressions and the
+straightening and action layers hold raw values instead (:meth:`Ring.raw`):
+an ``int`` for Z, an ``int`` in [0, q) for Z/q, and for Q an ``int`` when
+integral, else a ``Fraction`` (an integral ``Fraction`` that arithmetic
+leaves behind compares and hashes as its ``int``).  Over Z and Z/q their
+memos then hold no GC-tracked coefficient.  :meth:`Ring.coerce` turns input
+into a raw value, and ``Ring.scalar`` turns a raw value back into a scalar
+where an element is built.
 """
 
 from __future__ import annotations
@@ -178,6 +179,13 @@ class Ring:
         if type(v) is int or v.denominator != 1:
             return v
         return v.numerator
+
+    def coerce(self, x):
+        """The raw value (see :meth:`raw`) of an int, a Fraction or a scalar
+        of this ring; rejects what :meth:`scalar` rejects."""
+        if type(x) is int:
+            return x if self.modulus is None else x % self.modulus
+        return self.raw(self.scalar(x))
 
     def descriptor(self) -> str:
         if self.kind == "Zmod":

@@ -1,4 +1,4 @@
-"""Closed normal forms of two long-word families, in plain Python integers.
+"""Closed normal forms of three word families, in plain Python integers.
 
 Nothing here imports envnorm, so the tests that compare the calculator and
 the oracle with these formulas do not share a line of code with either.  A
@@ -48,6 +48,39 @@ def sl2_efn(n: int, modulus=None) -> dict:
             (((f,) * n, (e,)), 1),
             (((f,) * (n - 1), (h,)), n),
             (((f,) * (n - 1), ()), -n * (n - 1)),
+        ],
+        modulus,
+    )
+
+
+def _falling_in_h(c: int, k: int) -> list:
+    """The coefficients, constant term first, of the polynomial
+    (h + c)(h + c - 1)...(h + c - k + 1) in h."""
+    poly = [1]
+    for i in range(k):
+        # multiply by (h + c - i)
+        shifted = [0] + poly
+        poly = [s + (c - i) * p for s, p in zip(shifted, poly + [0])]
+    return poly
+
+
+def sl2_eafb(a: int, b: int, modulus=None) -> dict:
+    """sl(2) on e, f, h (indices 0, 1, 2), [e, f] = h, [h, e] = 2e,
+    [h, f] = -2f, split f | e h, from Kostant's divided-power formula:
+
+        e^a f^b = sum_k a! b! / ((a-k)! (b-k)!) f^(b-k) (x) e^(a-k) binom(h + a - b, k),
+
+    with a! b! / ((a-k)! (b-k)!) binom(h + c, k) written as the integer
+    k! C(a, k) C(b, k) times the falling factorial (h + c)...(h + c - k + 1),
+    expanded into powers of h.
+    """
+    e, f, h = 0, 1, 2
+    return _reduced(
+        [
+            (((f,) * (b - k), (e,) * (a - k) + (h,) * j),
+             factorial(k) * comb(a, k) * comb(b, k) * p)
+            for k in range(min(a, b) + 1)
+            for j, p in enumerate(_falling_in_h(a - b, k))
         ],
         modulus,
     )

@@ -260,7 +260,7 @@ def _relator_by_words(algebra, u, host, pos, x, y, coeff):
         algebra, head + (y, x) + tail, coeff
     )
     for k, gamma in algebra.table[x][y]:
-        extra = extra - EnvElement(algebra, {head + (k,) + tail: coeff * gamma})
+        extra = extra - EnvElement(algebra, {head + (k,) + tail: coeff * algebra.ring.scalar(gamma)})
     return u + extra
 
 

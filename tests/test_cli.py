@@ -476,6 +476,15 @@ def test_normal_order_golden_borel_mixed_q(capsys):
     assert out == golden("normal_order_sl2_borel_mixed_q.txt")
 
 
+def test_golden_fractional_structure_constant(capsys):
+    # [e,f] = 1/3*h: a table coefficient that is not an integer
+    alg = str(GOLDEN / "sl2_q_third.alg")
+    assert run_cli(capsys, "validate", alg) == (0, golden("validate_sl2_q_third.txt"), "")
+    code, out, err = run_cli(capsys, "normal-order", alg, "--expr", "e*e*f*f - 1/2*h*e*f")
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_sl2_q_third.txt")
+
+
 def test_normal_order_golden_sl3_worst_order(capsys):
     # every part-2 letter before every part-1 letter: the left factors
     # pass through many orders on their way to canonical form
@@ -795,6 +804,23 @@ def test_long_product_prints_in_full(capsys, sl2, int_digits, limit):
     code, out, err = run_cli(capsys, "straighten", _SL2, "--expr", expr)
     assert (code, out, err) == (0, expected, "")
     assert parse_expr(out.strip(), sl2) == parse_expr(expr, sl2)
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_long_table_coefficient_prints_in_full(capsys, tmp_path, int_digits, limit):
+    int_digits(limit)
+    path = tmp_path / "long_bracket.alg"
+    path.write_text(f"ring Z\nbasis a b c\nbracket a b = {_LONG}*c\nsplit a b | c\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    assert out == (
+        f"closure violation at (a, b): [a,b] has component {_LONG}*c outside part 1\n"
+        f"closure violation at (b, a): [b,a] has component -{_LONG}*c outside part 1\n"
+    )
+    for ring, value in (("Z", f"-{_LONG}*c"), ("Q", f"{_LONG}/7*c")):
+        spec = parse_spec(f"ring {ring}\nbasis a b c\nbracket a b = {value}\nsplit a b | c\n")
+        assert parse_spec(format_spec(spec)) == spec
 
 
 def test_state_lines_zero(sl2):

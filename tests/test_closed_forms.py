@@ -1,7 +1,7 @@
 """The calculator and the oracle against closed normal forms.
 
-Heisenberg y^n x^m and sl(2) e f^n have normal forms in closed form
-(``closed_forms``, plain integers, no envnorm import).  Both section_s and
+Heisenberg y^n x^m, sl(2) e f^n and sl(2) e^a f^b have normal forms in
+closed form (``closed_forms``, plain integers, no envnorm import).  Both section_s and
 normal_order(check=True), which also runs the straightening oracle, must
 give them exactly, over Z and over Z/2, Z/3 and Z/4.  The oracle nests about
 n*m recursive calls, so n*m stays at 300 or below.
@@ -9,16 +9,17 @@ n*m recursive calls, so n*m stays at 300 or below.
 
 import pytest
 
-from closed_forms import heisenberg_ynxm, sl2_efn
+from closed_forms import heisenberg_ynxm, sl2_eafb, sl2_efn
 from envnorm.checks import heisenberg_algebra, sl2_algebra
 from envnorm.envelope import EnvElement
-from envnorm.liealg import SplitDecomposition
+from envnorm.liealg import LieAlgebra, SplitDecomposition
 from envnorm.normalform import ActionContext, normal_order, section_s
 from envnorm.ring import make_ring
 
 RINGS = {"Z": None, "Zmod 2": 2, "Zmod 3": 3, "Zmod 4": 4}
 HEISENBERG = [(1, 1), (3, 2), (6, 5), (9, 9), (50, 1), (300, 1)]
 SL2 = [1, 5, 45, 80]
+SL2_EAFB = [(1, 1), (2, 3), (5, 4), (8, 8), (12, 10)]
 
 
 def _plain(state) -> dict:
@@ -44,3 +45,24 @@ def test_heisenberg_ynxm(n, m, ring):
 def test_sl2_efn(n, ring):
     alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | e h
     _agree(alg, (1,), (0, 2), (0,) + (1,) * n, sl2_efn(n, RINGS[ring]))
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+@pytest.mark.parametrize("a, b", SL2_EAFB)
+def test_sl2_eafb(a, b, ring):
+    alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | e h
+    _agree(alg, (1,), (0, 2), (0,) * a + (1,) * b, sl2_eafb(a, b, RINGS[ring]))
+
+
+def test_sl2_eafb_sees_a_flipped_h_e_bracket():
+    # [h, e] = -2e (and [e, h] = 2e) breaks Jacobi, so the context skips
+    # validation; the calculator then leaves the closed form
+    alg = sl2_algebra(make_ring("Z"))
+    e, f, h = 0, 1, 2
+    table = [list(row) for row in alg.table]
+    for x, y in ((h, e), (e, h)):
+        table[x][y] = [(k, -c) for k, c in table[x][y]]
+    bad = LieAlgebra(alg.ring, alg.basis, table)
+    ctx = ActionContext(bad, SplitDecomposition(bad, (f,), (e, h)), validate=False)
+    u = EnvElement.word(bad, (e,) * 2 + (f,) * 3)
+    assert _plain(section_s(ctx, u)) != sl2_eafb(2, 3)

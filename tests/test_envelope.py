@@ -142,7 +142,7 @@ def _worklist_straighten(u, order=None):
         head, tail = w[:pos], w[pos + 2:]
         children = [(head + (y, x) + tail, c)]
         for k, gamma in alg.table[x][y]:
-            children.append((head + (k,) + tail, c * gamma))
+            children.append((head + (k,) + tail, c * alg.ring.scalar(gamma)))
         for w2, c2 in children:
             assert (len(w2), _inversions(rank, w2)) < parent
             pending.append((w2, c2))
@@ -503,5 +503,5 @@ def _relator_tweak(rng, alg, u):
         alg, head + (y, x) + tail, c
     )
     for k, gamma in alg.table[x][y]:
-        extra = extra - EnvElement(alg, {head + (k,) + tail: c * gamma})
+        extra = extra - EnvElement(alg, {head + (k,) + tail: c * alg.ring.scalar(gamma)})
     return u + extra

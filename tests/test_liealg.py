@@ -19,7 +19,7 @@ from envnorm.liealg import (
     validate_split,
 )
 from envnorm.normalform import ActionContext
-from envnorm.ring import make_ring
+from envnorm.ring import Scalar, make_ring
 
 Z = make_ring("Z")
 
@@ -277,12 +277,12 @@ def test_table_cells_are_checked_and_normalised():
         [[(2, -5), (0, -3)], [], []],
         [[], [], []],
     ])
-    assert alg.table[0] == ((), ((0, Z.scalar(3)), (2, Z.scalar(5))), ())
-    assert alg.table[1][0] == ((0, Z.scalar(-3)), (2, Z.scalar(-5)))
+    assert alg.table[0] == ((), ((0, 3), (2, 5)), ())
+    assert alg.table[1][0] == ((0, -3), (2, -5))
     assert alg.table == alg.change_ring(Z).table
     z2 = alg.change_ring(make_ring("Zmod 2"))
     assert [cell for row in z2.table for cell in row if cell] == [
-        ((0, z2.ring.one), (2, z2.ring.one)), ((0, z2.ring.one), (2, z2.ring.one))
+        ((0, 1), (2, 1)), ((0, 1), (2, 1))
     ]
 
 
@@ -340,8 +340,29 @@ def test_sl_table_is_the_matrix_commutator(n, ring):
         got = [[R.zero] * n for _ in range(n)]
         for k, c in alg.table[a][b]:
             for r, c_col in itertools.product(range(n), repeat=2):
-                got[r][c_col] = got[r][c_col] + c * R.scalar(mats[k][r][c_col])
+                got[r][c_col] = got[r][c_col] + R.scalar(c) * R.scalar(mats[k][r][c_col])
         assert got == [[R.scalar(x) for x in row] for row in expected], (n, a, b)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "Zmod 4"])
+def test_build_validate_and_bracket_do_no_scalar_arithmetic(monkeypatch, ring):
+    # the table holds raw ring values, so parsing, building, validating and
+    # bracketing never add, subtract, multiply or negate a Scalar
+    calls = []
+    for op in ("__add__", "__sub__", "__mul__", "__neg__"):
+        def counted(*args, _op=op, _f=getattr(Scalar, op)):
+            calls.append(_op)
+            return _f(*args)
+        monkeypatch.setattr(Scalar, op, counted)
+    text = (Path(__file__).parent / "golden" / "sl3.alg").read_text(encoding="utf-8")
+    alg, split = parse_spec(text.replace("ring Z\n", f"ring {ring}\n")).build()
+    assert alg.ring == make_ring(ring)
+    assert validate(alg, split).ok
+    bv = alg.basis_vector
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        alg.bracket(bv(i), bv(j))
+    assert alg.ring.one * alg.ring.one  # the counter counts
+    assert calls == ["__mul__"]
 
 
 def test_sl_triangular_split_parts():
@@ -427,7 +448,7 @@ def _corrupted_algebras():
             for _ in range(rng.randint(1, 3)):
                 i, j = rng.randrange(bad.dim), rng.randrange(bad.dim)
                 ks = sorted(rng.sample(range(bad.dim), rng.randint(0, 2)))
-                table[i][j] = tuple((k, bad.ring.scalar(rng.randint(1, 3))) for k in ks)
+                table[i][j] = tuple((k, bad.ring.coerce(rng.randint(1, 3))) for k in ks)
             bad.table = tuple(tuple(row) for row in table)
             out.append(bad)
     # corruptions that keep the table alternating: a cell (i, j), i != j,
