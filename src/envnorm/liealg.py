@@ -268,13 +268,12 @@ class LieAlgebra:
         if v.algebra is not self or w.algebra is not self:
             raise CarrierMismatchError("bracket operands from a different algebra")
         raw, q = self.ring.raw, self.ring.modulus
-        wterms = [(j, raw(b)) for j, b in w.terms.items()]
         out: dict = {}
         for i, a in v.terms.items():
             a = raw(a)
             row = self.table[i]
-            for j, b in wterms:
-                ab = a * b
+            for j, b in w.terms.items():
+                ab = a * raw(b)
                 for k, c in row[j]:
                     _acc(out, k, ab * c, q)
         return GVector._trusted(self, out)
