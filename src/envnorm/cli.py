@@ -147,7 +147,7 @@ class _Tokens:
 
 
 def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int):
-    """The signed coefficient at ts as a raw ring value (see ``Ring.raw``)."""
+    """The signed coefficient at ts as a raw ring value (a ``Scalar.value``)."""
     kind, text, col = ts.next()
     assert kind == "int"
     num = sign * read_int(text)
@@ -166,7 +166,7 @@ def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int):
 
 
 # The parser works on plain {word: raw} dicts (words are tuples of basis
-# indices, coefficients raw ring values, Ring.raw's form; 1 is the unit of
+# indices, coefficients raw ring values, a Scalar's value; 1 is the unit of
 # every ring) holding no zero coefficient; each dict it returns is fresh, so
 # a caller may fold into it.
 

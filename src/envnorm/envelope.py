@@ -198,9 +198,10 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     ``stats`` a dict, each rewrite performed adds 1 to "steps" and the words
     it spawns to "spawned"; a word already in the memo costs nothing.
 
-    The memo holds raw ring values (:meth:`Ring.raw`), never ``Scalar``s: a
-    sorted word maps to ``((w, 1),)``, and over Z and Z/q a form is a tuple
-    of ints and int tuples, which the cyclic garbage collector untracks.
+    The memo holds raw ring values (a ``Scalar``'s ``value``), never
+    ``Scalar``s: a sorted word maps to ``((w, 1),)``, and over Z and Z/q a
+    form is a tuple of ints and int tuples, which the cyclic garbage
+    collector untracks.
     Scalars are built only where an element is, by ``Ring.scalar``.
 
     The declaration-order ``form`` without ``stats``, the one every
@@ -215,6 +216,7 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         rank = tuple(range(n))
     else:
         order = tuple(order)
+        _check_indices(order, n, "index")
         if sorted(order) != list(range(n)):
             raise ValueError("order must be a permutation of the basis indices")
         rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
@@ -263,10 +265,10 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     if stats is not None:
         stats.setdefault("steps", 0)
         stats.setdefault("spawned", 0)
-    raw, q = u.algebra.ring.raw, u.algebra.ring.modulus
+    q = u.algebra.ring.modulus
     out: dict = {}
     for w, c in u.terms.items():
-        c = raw(c)
+        c = c.value
         for w2, c2 in form(w):
             _acc(out, w2, c * c2, q)
     return EnvElement._trusted(u.algebra, out)
@@ -296,8 +298,7 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
-    raw = s.algebra.ring.raw
-    terms = {key: raw(c) for key, c in s.terms.items()}
+    terms = {key: c.value for key, c in s.terms.items()}
     return StateElement._trusted(s.split, _canon_terms(s.algebra, terms))
 
 
@@ -306,10 +307,10 @@ def state_eq(s: StateElement, t: StateElement) -> bool:
     The canonical form of s - t is built as one StateElement, whose part
     check still rejects a factor word that straightens out of its part."""
     s._check(t)
-    raw, q = s.algebra.ring.raw, s.algebra.ring.modulus
-    diff = {key: raw(c) for key, c in s.terms.items()}
+    q = s.algebra.ring.modulus
+    diff = {key: c.value for key, c in s.terms.items()}
     for key, c in t.terms.items():
-        _acc(diff, key, -raw(c), q)
+        _acc(diff, key, -c.value, q)
     return StateElement._trusted(s.split, _canon_terms(s.algebra, diff)).is_zero()
 
 

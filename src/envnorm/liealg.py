@@ -47,7 +47,7 @@ class ValidationReport:
 def _acc(d: dict, key, c, q=None) -> None:
     """Accumulate coefficient c onto d[key], dropping the key when it cancels.
 
-    c is a scalar, or a raw ring value (see :meth:`Ring.raw`); with a
+    c is a scalar, or a raw ring value (a ``Scalar``'s ``value``); with a
     modulus q the raw sum is reduced into [0, q) first.  A zero sum is
     never stored."""
     prev = d.get(key)
@@ -176,9 +176,9 @@ class LieAlgebra:
     """Finite free basis plus the structure constants of [e_i, e_j].
 
     ``table[i][j]`` lists the (k, c) pairs of [e_i, e_j] = sum c e_k, each
-    c a raw ring value (:meth:`Ring.raw`), never a ``Scalar``.  The
-    constructor takes any iterable of pairs per cell, turns each c into its
-    raw value (:meth:`Ring.coerce`) and sums repeated k; it stores the pairs
+    c a raw ring value (a ``Scalar``'s ``value``), never a ``Scalar``.  The
+    constructor takes any iterable of pairs per cell, turns each c into that
+    value (:meth:`Ring.coerce`) and sums repeated k; it stores the pairs
     with c != 0, in increasing k.  Nothing is assumed about the table until
     :func:`validate_algebra` says the Lie axioms hold.
     """
@@ -267,13 +267,13 @@ class LieAlgebra:
         """Bilinear extension of the structure table."""
         if v.algebra is not self or w.algebra is not self:
             raise CarrierMismatchError("bracket operands from a different algebra")
-        raw, q = self.ring.raw, self.ring.modulus
+        q = self.ring.modulus
         out: dict = {}
         for i, a in v.terms.items():
-            a = raw(a)
+            a = a.value
             row = self.table[i]
             for j, b in w.terms.items():
-                ab = a * raw(b)
+                ab = a * b.value
                 for k, c in row[j]:
                     _acc(out, k, ab * c, q)
         return GVector._trusted(self, out)
@@ -352,7 +352,7 @@ class SplitDecomposition:
 
     def project(self, which: int, v: GVector) -> GVector:
         """Zero all coordinates outside part ``which`` (1 or 2)."""
-        if which not in (1, 2):
+        if isinstance(which, bool) or not isinstance(which, int) or which not in (1, 2):
             raise ValueError(f"split part must be 1 or 2, not {which!r}")
         if v.algebra is not self.algebra:
             raise CarrierMismatchError("vector from a different algebra")

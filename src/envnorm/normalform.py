@@ -23,12 +23,12 @@ structure table.  Its values are exact, so every result equals the plain
 recursion's, and the memo is freed with the context.
 
 The kernel, the action on term dicts and the Lie action table carry raw
-ring values (``Ring.raw``: ints, reduced into [0, q) over Z/q, and ints or
-Fractions over Q), never ``Scalar``s, and read the structure table, which
-holds raw values too, as it is; over Z and Z/q the kernel memo then holds
-nothing the cyclic garbage collector has to walk.  The public functions
-take and return ``GVector``s and ``StateElement``s of scalars, converting
-at their constructors.
+ring values (a ``Scalar``'s ``value``: ints, reduced into [0, q) over Z/q,
+and ints or Fractions over Q), never ``Scalar``s, and read the structure
+table, which holds raw values too, as it is; over Z and Z/q the kernel
+memo then holds nothing the cyclic garbage collector has to walk.  The
+public functions take and return ``GVector``s and ``StateElement``s of
+scalars, converting at their constructors.
 
 act and act_word return the raw action on tensor-level representatives,
 never canonicalized.  section_s walks each word letter by letter, rightmost
@@ -177,16 +177,14 @@ def _support(ctx: ActionContext, g: GVector) -> tuple:
     """g's (index, raw) pairs, once g is checked to lie in ctx's algebra."""
     if g.algebra is not ctx.algebra:
         raise CarrierMismatchError("vector from a different algebra")
-    raw = ctx.algebra.ring.raw
-    return tuple((i, raw(c)) for i, c in g.support())
+    return tuple((i, c.value) for i, c in g.support())
 
 
 def _terms(ctx: ActionContext, s: StateElement) -> dict:
     """s's terms as a raw dict, once s is checked to lie over ctx's split."""
     if s.split is not ctx.split:
         raise CarrierMismatchError("state from a different split")
-    raw = ctx.algebra.ring.raw
-    return {key: raw(c) for key, c in s.terms.items()}
+    return {key: c.value for key, c in s.terms.items()}
 
 
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
@@ -213,14 +211,14 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     (see the module docstring)."""
     if u.algebra is not ctx.algebra:
         raise CarrierMismatchError("element over a different algebra")
-    raw, q = ctx.algebra.ring.raw, ctx.algebra.ring.modulus
+    q = ctx.algebra.ring.modulus
     dim = ctx.algebra.dim
     form = _straightener(ctx.algebra)
     ids: dict = {}  # rest id * dim + letter -> id of the word letter.rest
     firsts, rests = [None], [None]  # id -> its first letter and its rest's id; id 0 is ()
     out: dict = {}
     for w, c in u.terms.items():
-        groups = {(): {0: raw(c)}}  # canonical left word -> {raw right word id: raw}
+        groups = {(): {0: c.value}}  # canonical left word -> {raw right word id: raw}
         for letter in reversed(w):
             acted: dict = {}
             for w1, rights in groups.items():
@@ -334,8 +332,7 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
         table = (s, _terms(ctx, s), {}, {})
     gs = _support(ctx, g)
     ctx._lie_table = table
-    ring = ctx.algebra.ring
-    q = ring.modulus
+    q = ctx.algebra.ring.modulus
     lhs: dict = {}
     for i, gi in gs:
         for j, hj in hs:
@@ -349,7 +346,7 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
                 _acc(lhs, key, c * d, q)
     rhs: dict = {}
     for k, b in ctx.algebra.bracket(g, h).support():
-        b = ring.raw(b)
+        b = b.value
         for key, d in _on_state(ctx, table, k)[1].items():
             _acc(rhs, key, b * d, q)
     if lhs == rhs:

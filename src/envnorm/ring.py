@@ -7,14 +7,13 @@ downstream.  Composite moduli are supported on purpose: zero divisors are
 part of the intended test surface.
 
 ``Scalar`` is the element-level type: the coefficients of vectors, envelope
-elements and states.  Structure tables, parsed expressions and the
-straightening and action layers hold raw values instead (:meth:`Ring.raw`):
-an ``int`` for Z, an ``int`` in [0, q) for Z/q, and for Q an ``int`` when
-integral, else a ``Fraction`` (an integral ``Fraction`` that arithmetic
-leaves behind compares and hashes as its ``int``).  Over Z and Z/q their
-memos then hold no GC-tracked coefficient.  :meth:`Ring.coerce` turns input
-into a raw value, and ``Ring.scalar`` turns a raw value back into a scalar
-where an element is built.
+elements and states.  Its ``value`` is the ring's one coefficient form: an
+``int`` for Z, an ``int`` in [0, q) for Z/q, and for Q an ``int`` when
+integral, else a reduced ``Fraction``.  Structure tables, parsed
+expressions and the straightening and action layers hold these values
+bare, so over Z and Z/q their memos hold no GC-tracked coefficient.
+:meth:`Ring.coerce` turns input into a value, and ``Ring.scalar`` boxes a
+value where an element is built.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class Scalar:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: "Ring", value):
-        # Built from a canonical value by Ring.scalar (raw input) or Ring._make (arithmetic).
+        # Built from a canonical value by Ring.scalar (input) or Ring._make (arithmetic).
         self.ring = ring
         self.value = value
 
@@ -115,8 +114,7 @@ class Scalar:
         v = self.value
         if type(v) is int:
             return render_int(v)
-        text = render_int(v.numerator)
-        return text if v.denominator == 1 else f"{text}/{render_int(v.denominator)}"
+        return f"{render_int(v.numerator)}/{render_int(v.denominator)}"
 
     def __repr__(self):
         return f"Scalar({self}, {self.ring.descriptor()})"
@@ -142,50 +140,42 @@ class Ring:
 
     def _make(self, v) -> Scalar:
         """The scalar of an arithmetic result ``v``, canonical but for the
-        reduction mod q done here."""
-        if self.modulus is not None:
-            v %= self.modulus
+        reduction mod q, or over Q the integral ``Fraction`` to ``int``,
+        done here."""
+        q = self.modulus
+        if q is not None:
+            v %= q
+        elif type(v) is not int and v.denominator == 1:
+            v = v.numerator
         return Scalar(self, v)
 
-    def normalize(self, raw):
-        """Canonical internal value for ``raw`` (int or Fraction)."""
-        if isinstance(raw, Fraction):
-            if self.kind == "Q":
-                return raw
-            if raw.denominator != 1:
-                raise ValueError(f"{raw} is not an element of {self.descriptor()}")
-            raw = raw.numerator
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ValueError(f"cannot interpret {raw!r} in {self.descriptor()}")
-        if self.kind == "Z":
-            return raw
-        if self.kind == "Zmod":
-            return raw % self.modulus
-        return Fraction(raw)
-
-    def scalar(self, raw) -> Scalar:
-        """Canonical scalar from a raw int/Fraction (or a scalar of this ring)."""
-        if isinstance(raw, Scalar):
-            if raw.ring is not self and raw.ring != self:
-                raise RingMismatchError(f"scalar from {raw.ring} used in {self}")
-            return raw
-        return Scalar(self, self.normalize(raw))
-
-    def raw(self, s: Scalar):
-        """The raw value of this ring's scalar ``s``: an int, in [0, q) over
-        Z/q; over Q an int when ``s`` is integral, else a reduced Fraction.
-        :meth:`scalar` turns it back into ``s``."""
-        v = s.value
-        if type(v) is int or v.denominator != 1:
-            return v
-        return v.numerator
-
     def coerce(self, x):
-        """The raw value (see :meth:`raw`) of an int, a Fraction or a scalar
-        of this ring; rejects what :meth:`scalar` rejects."""
-        if type(x) is int:
-            return x if self.modulus is None else x % self.modulus
-        return self.raw(self.scalar(x))
+        """The canonical value (see :class:`Scalar`) of an int, a Fraction
+        or a scalar of this ring."""
+        if type(x) is not int:  # a plain int, the common input, goes straight through
+            if isinstance(x, Scalar):
+                if x.ring is not self and x.ring != self:
+                    raise RingMismatchError(f"scalar from {x.ring} used in {self}")
+                return x.value
+            if isinstance(x, Fraction):
+                if x.denominator != 1:
+                    if self.kind == "Q":
+                        return x
+                    raise ValueError(f"{x} is not an element of {self.descriptor()}")
+                x = x.numerator
+            elif isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"cannot interpret {x!r} in {self.descriptor()}")
+            else:
+                x = int(x)  # a subclass of int
+        q = self.modulus
+        return x if q is None else x % q
+
+    def scalar(self, x) -> Scalar:
+        """The scalar of an int, a Fraction or a scalar of this ring (see
+        :meth:`coerce`)."""
+        if isinstance(x, Scalar) and (x.ring is self or x.ring == self):
+            return x
+        return Scalar(self, self.coerce(x))
 
     def descriptor(self) -> str:
         if self.kind == "Zmod":

@@ -389,6 +389,15 @@ def test_order_must_be_permutation(sl2):
         straighten(w(sl2, (F, E)), order=(0, 1, 1))
 
 
+@pytest.mark.parametrize("order, bad", [((0, "a", 2), "'a'"), ((True, 0, 2), "True"),
+                                        ((0, 1, 2.0), "2.0"), ((0, -1, 2), "-1")])
+def test_order_follows_the_one_index_rule(sl2, order, bad):
+    # judged letter by letter before the permutation test, as every basis index is
+    with pytest.raises(ValueError) as exc:
+        straighten(w(sl2, (F, E)), order=order)
+    assert str(exc.value) == f"index {bad} outside basis"
+
+
 def test_state_membership_enforced(sl2):
     split = SplitDecomposition(sl2, (F,), (E, H))
     with pytest.raises(ValueError):

@@ -401,10 +401,8 @@ def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
         for h in basis:
             _outcome(check_lie_action, c, g, h, last)
     table = c._lie_table
-    raw_of = algebra.ring.raw  # the table holds raw values: the states' side is converted
-
-    def raw_terms(state):
-        return {key: raw_of(coeff) for key, coeff in state.terms.items()}
+    def raw_terms(state):  # the table holds raw values: the states' side is unboxed
+        return {key: coeff.value for key, coeff in state.terms.items()}
 
     assert table[0] is last and table[1] == raw_terms(last)
     assert sorted(table[3]) == [(i, j) for i in range(algebra.dim)

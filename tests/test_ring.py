@@ -83,6 +83,44 @@ def test_non_elements_rejected():
     assert z.scalar(Fraction(4, 2)).value == 2
 
 
+def test_q_value_is_an_int_when_integral():
+    # one coefficient form: over Q an integral value is an int, read in or computed
+    q = make_ring("Q")
+    for x in (q.scalar(3), q.scalar(Fraction(4, 2)), q.scalar(Fraction(1, 2)) * q.scalar(2),
+              q.scalar(Fraction(1, 3)) + q.scalar(Fraction(2, 3)), -q.scalar(Fraction(-6, 3)),
+              q.one, q.zero):
+        assert type(x.value) is int, repr(x)
+    assert q.scalar(Fraction(4, 2)).value == 2 and str(q.scalar(Fraction(4, 2))) == "2"
+    half = q.scalar(Fraction(2, 4))
+    assert type(half.value) is Fraction and half.value == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("descriptor", ["Z", "Q", "Zmod 6"])
+def test_coerce_is_the_one_conversion(descriptor):
+    r = make_ring(descriptor)
+    for v in (-7, 0, 5, Fraction(9, 3)):
+        x = r.scalar(v)
+        assert r.coerce(x) is x.value and r.coerce(v) == x.value
+        assert type(r.coerce(v)) is int and r.scalar(x) is x
+    other = make_ring("Zmod 7" if descriptor != "Zmod 7" else "Z")
+    for bad in (other.one, other.scalar(3)):
+        with pytest.raises(RingMismatchError) as exc:
+            r.coerce(bad)
+        assert str(exc.value) == f"scalar from {other} used in {r}"
+        with pytest.raises(RingMismatchError):
+            r.scalar(bad)
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(ValueError) as exc:
+            r.coerce(bad)
+        assert str(exc.value) == f"cannot interpret {bad!r} in {r.descriptor()}"
+        with pytest.raises(ValueError):
+            r.scalar(bad)
+    if descriptor != "Q":
+        with pytest.raises(ValueError) as exc:
+            r.coerce(Fraction(1, 2))
+        assert str(exc.value) == f"1/2 is not an element of {r.descriptor()}"
+
+
 def _axiom_triple(r, a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
@@ -120,10 +158,10 @@ def test_canonicalization_idempotent():
     for r in (make_ring("Z"), make_ring("Q"), make_ring("Zmod 6")):
         for _ in range(200):
             raw = rng.randint(-100, 100)
-            once = r.normalize(raw)
-            assert r.normalize(once) == once
+            once = r.coerce(raw)
+            assert r.coerce(once) == once
     q = make_ring("Q")
-    v = q.normalize(Fraction(6, -4))
+    v = q.coerce(Fraction(6, -4))
     assert v == Fraction(-3, 2) and v.denominator > 0
 
 
