@@ -401,6 +401,7 @@ def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
         for h in basis:
             _outcome(check_lie_action, c, g, h, last)
     table = c._lie_table
+
     def raw_terms(state):  # the table holds raw values: the states' side is unboxed
         return {key: coeff.value for key, coeff in state.terms.items()}
 
