@@ -58,7 +58,7 @@ from .checks import (
     run_suite,
 )
 from .envelope import EnvElement, StateElement, _word_product, straighten
-from .liealg import LieAlgebra, SplitDecomposition, _acc, validate
+from .liealg import LieAlgebra, SplitDecomposition, _acc, _negated, validate
 from .normalform import ActionContext, OracleMismatchError, normal_order
 from .ring import Ring, make_ring, read_int
 
@@ -89,7 +89,8 @@ class ParseError(ValueError):
 
 def _tokenize(text: str, line: int, start: int = 0) -> list[tuple[str, str, int]]:
     """(kind, text, 1-based column) triples for ``text[start:]``, columns
-    counted from the start of ``text``; kinds: name, int, op, end."""
+    counted from the start of ``text``; kinds: name, int, end, and for an
+    operator the operator character itself."""
     tokens = []
     pos, n = start, len(text)
     while pos < n:
@@ -111,8 +112,8 @@ def _tokenize(text: str, line: int, start: int = 0) -> list[tuple[str, str, int]
             tokens.append(("int", text[pos:end], col))
             pos = end
         elif ch in _OPS:
-            tokens.append(("op", ch, col))
-            pos = end = pos + 1
+            tokens.append((ch, ch, col))
+            pos += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("end", "", n + 1))
@@ -120,135 +121,161 @@ def _tokenize(text: str, line: int, start: int = 0) -> list[tuple[str, str, int]
 
 
 class _Tokens:
-    def __init__(self, tokens, line):
-        self.toks = tokens
-        self.i = 0
+    """One line's tokens and what its expression grammar reads besides them.
+
+    The grammar functions take the index of their first token and return
+    their value with the index after their last one."""
+
+    __slots__ = ("toks", "line", "ring", "index")
+
+    def __init__(self, toks, line: int, ring: Ring, index: dict):
+        self.toks = toks
         self.line = line
-        self.depth = 0  # open parentheses around the current position
+        self.ring = ring
+        self.index = index
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        if t[0] != "end":
-            self.i += 1
-        return t
-
-    def eat_op(self, op: str) -> bool:
-        kind, text, _col = self.peek()
-        if kind == "op" and text == op:
-            self.next()
-            return True
-        return False
-
-    def error(self, message: str):
-        raise ParseError(message, self.line, self.peek()[2])
+    def error(self, message: str, i: int):
+        raise ParseError(message, self.line, self.toks[i][2])
 
 
-def _parse_coeff_tokens(ts: _Tokens, ring: Ring, sign: int):
-    """The signed coefficient at ts as a raw ring value (a ``Scalar.value``)."""
-    kind, text, col = ts.next()
-    assert kind == "int"
-    num = sign * read_int(text)
-    if ts.eat_op("/"):
-        kind2, text2, col2 = ts.peek()
-        if kind2 != "int":
-            ts.error("expected an integer denominator")
-        ts.next()
-        if ring.kind != "Q":
-            raise ParseError("fractional coefficient outside Q", ts.line, col)
-        den = read_int(text2)
-        if den == 0:
-            raise ParseError("zero denominator", ts.line, col2)
-        return ring.coerce(Fraction(num, den))
-    return ring.coerce(num)
+def _parse_coeff(ts: _Tokens, i: int, sign: int):
+    """The signed coefficient at token i (an int) as a raw ring value (a
+    ``Scalar.value``), and the index after it."""
+    toks, ring = ts.toks, ts.ring
+    num = sign * read_int(toks[i][1])
+    if toks[i + 1][0] != "/":
+        return ring.coerce(num), i + 1
+    if toks[i + 2][0] != "int":
+        ts.error("expected an integer denominator", i + 2)
+    if ring.kind != "Q":
+        ts.error("fractional coefficient outside Q", i)
+    den = read_int(toks[i + 2][1])
+    if den == 0:
+        ts.error("zero denominator", i + 2)
+    return ring.coerce(Fraction(num, den)), i + 3
 
 
 # The parser works on plain {word: raw} dicts (words are tuples of basis
 # indices, coefficients raw ring values, a Scalar's value; 1 is the unit of
 # every ring) holding no zero coefficient; each dict it returns is fresh, so
-# a caller may fold into it.
+# a caller may fold into it.  Inside a term, a sum or product of Fractions
+# may be an integral Fraction; _parse_terms turns it into its int.
 
-def _expr_factor(ts: _Tokens, ring: Ring, index: dict) -> dict:
-    kind, text, col = ts.peek()
+def _expr_factor(ts: _Tokens, i: int, depth: int):
+    kind, text, _col = ts.toks[i]
     if kind == "name":
-        ts.next()
-        idx = index.get(text)
+        idx = ts.index.get(text)
         if idx is None:
-            raise ParseError(f"unknown name {text!r}", ts.line, col)
-        return {(idx,): 1}
+            ts.error(f"unknown name {text!r}", i)
+        return {(idx,): 1}, i + 1
     if kind == "int" and text == "1":
-        ts.next()
-        return {(): 1}
-    if ts.eat_op("("):
-        if ts.depth == _MAX_NESTING:
-            raise ParseError("expression nested too deeply", ts.line, col)
-        ts.depth += 1
-        inner = _expr_sum(ts, ring, index)
-        if not ts.eat_op(")"):
-            ts.error("expected ')'")
-        ts.depth -= 1
-        return inner
-    ts.error("expected a basis name, '1' or '('")
+        return {(): 1}, i + 1
+    if kind == "(":
+        if depth == _MAX_NESTING:
+            ts.error("expression nested too deeply", i)
+        inner, i = _expr_sum(ts, i + 1, depth + 1)
+        if ts.toks[i][0] != ")":
+            ts.error("expected ')'", i)
+        return inner, i + 1
+    ts.error("expected a basis name, '1' or '('", i)
 
 
-def _expr_term(ts: _Tokens, ring: Ring, index: dict) -> dict:
-    negate = ts.eat_op("-")
-    coeff = None
-    kind, text, _col = ts.peek()
-    if kind == "int":
-        after = ts.toks[ts.i + 1]
-        if after[0] == "op" and after[1] in "/*":
-            coeff = _parse_coeff_tokens(ts, ring, -1 if negate else 1)
-            if not ts.eat_op("*"):
-                ts.error("expected '*' after coefficient")
-        elif text == "0":
-            ts.next()
-            return {}
-        elif text != "1":
-            ts.error("a bare integer is not a term; write coeff*<basis name> or '1'")
-    value = _expr_factor(ts, ring, index)
-    while ts.peek()[:2] == ("op", "*"):
-        star = ts.next()[2]
-        right = _expr_factor(ts, ring, index)
-        if len(value) * len(right) > _MAX_TERMS:
-            raise ParseError(f"expression expands to more than {_MAX_TERMS} terms",
-                             ts.line, star)
-        value = _word_product(value, right, ring.modulus)
-    if coeff is None:
-        if not negate:
-            return value
+def _times_run(value, letters: list, c, q) -> dict:
+    """``value * (c letters)``, ``value`` None standing for 1: one word
+    product for a whole run of one-term factors; ``c`` is reduced mod q."""
+    run = {tuple(letters): c} if c else {}
+    return run if value is None else _word_product(value, run, q)
+
+
+def _expr_term(ts: _Tokens, i: int, depth: int):
+    toks, q = ts.toks, ts.ring.modulus
+    coeff = 1  # the term's sign and coefficient, applied last
+    if toks[i][0] == "-":
         coeff = -1
-    q = ring.modulus
+        i += 1
+    kind, text, _col = toks[i]
+    if kind == "int":
+        if toks[i + 1][0] in ("/", "*"):
+            coeff, i = _parse_coeff(ts, i, coeff)
+            if toks[i][0] != "*":
+                ts.error("expected '*' after coefficient", i)
+            i += 1
+        elif text == "0":
+            return {}, i + 1
+        elif text != "1":
+            ts.error("a bare integer is not a term; write coeff*<basis name> or '1'", i)
+    # A run of one-term factors is kept as its letters and the product of
+    # its coefficients and joined once, when a factor of other than one term
+    # or the end of the term comes, so a long product costs linear time.
+    value = None  # the product up to the last factor of other than one term
+    letters, c_run = [], 1  # the run of one-term factors since
+    star = 0  # column of the last '*'
+    while True:
+        factor, i = _expr_factor(ts, i, depth)
+        if len(factor) == 1:
+            ((w, c),) = factor.items()
+            letters += w
+            if c != 1:
+                c_run = c_run * c if q is None else c_run * c % q
+        else:
+            if letters or c_run != 1:
+                value = _times_run(value, letters, c_run, q)
+                letters, c_run = [], 1
+            if value is None:
+                value = factor
+            else:
+                if len(value) * len(factor) > _MAX_TERMS:
+                    raise ParseError(f"expression expands to more than {_MAX_TERMS} terms",
+                                     ts.line, star)
+                value = _word_product(value, factor, q)
+        if toks[i][0] != "*":
+            break
+        star = toks[i][2]
+        i += 1
+    if value is None:  # one-term factors only: the term's coefficient joins theirs
+        return _times_run(None, letters, coeff * c_run if q is None else coeff * c_run % q, q), i
+    if letters or c_run != 1:
+        value = _times_run(value, letters, c_run, q)
+    if coeff == 1:
+        return value, i
     if q is None:
-        return {w: p for w, c in value.items() if (p := coeff * c)}
-    return {w: p for w, c in value.items() if (p := coeff * c % q)}
+        return {w: p for w, c in value.items() if (p := coeff * c)}, i
+    return {w: p for w, c in value.items() if (p := coeff * c % q)}, i
 
 
-def _expr_sum(ts: _Tokens, ring: Ring, index: dict) -> dict:
-    value = _expr_term(ts, ring, index)
-    # a binary '-' is left in place: the term parser reads it as its sign
-    while ts.eat_op("+") or ts.peek()[:2] == ("op", "-"):
-        for w, c in _expr_term(ts, ring, index).items():
-            _acc(value, w, c, ring.modulus)
+def _expr_sum(ts: _Tokens, i: int, depth: int):
+    toks, q = ts.toks, ts.ring.modulus
+    value, i = _expr_term(ts, i, depth)
+    while True:
+        kind = toks[i][0]
+        if kind == "+":
+            i += 1
+        elif kind != "-":  # a binary '-' is left in place: the term reads it as its sign
+            return value, i
+        terms, i = _expr_term(ts, i, depth)
+        for w, c in terms.items():
+            _acc(value, w, c, q)
         if len(value) > _MAX_TERMS:
-            ts.error(f"expression expands to more than {_MAX_TERMS} terms")
-    return value
+            ts.error(f"expression expands to more than {_MAX_TERMS} terms", i)
 
 
-def _parse_terms(ts: _Tokens, ring: Ring, index: dict) -> dict:
+def _parse_terms(ts: _Tokens) -> dict:
     """The whole token stream as one expression."""
-    value = _expr_sum(ts, ring, index)
-    if ts.peek()[0] != "end":
-        ts.error(f"unexpected trailing input {ts.peek()[1]!r}")
+    value, i = _expr_sum(ts, 0, 0)
+    kind, text, _col = ts.toks[i]
+    if kind != "end":
+        ts.error(f"unexpected trailing input {text!r}", i)
+    if ts.ring.kind == "Q":
+        for w, c in value.items():
+            if type(c) is not int and c.denominator == 1:
+                value[w] = c.numerator
     return value
 
 
 def parse_expr(text: str, algebra: LieAlgebra) -> EnvElement:
     """Parse a user expression (one line of text) into an envelope element."""
-    ts = _Tokens(_tokenize(text, 1), 1)
-    return EnvElement(algebra, _parse_terms(ts, algebra.ring, algebra.index))
+    ts = _Tokens(_tokenize(text, 1), 1, algebra.ring, algebra.index)
+    return EnvElement(algebra, _parse_terms(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +353,10 @@ def parse_spec(text: str) -> AlgebraSpec:
         elif head == "bracket":
             if ring is None:
                 raise ParseError("bracket before ring line", lineno)
-            if "=" not in line:
+            eq = code.find("=")
+            if eq < 0:
                 raise ParseError("bracket line needs '='", lineno)
-            parts = line.split("=", 1)[0].split()
+            parts = code[:eq].split()
             if len(parts) != 3:
                 raise ParseError("expected 'bracket <a> <b> = <expr>'", lineno)
             _kw, a, b = parts
@@ -340,14 +368,17 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise ParseError(f"bracket ({a},{b}) declared twice", lineno)
             written.add((i, j))
             # tokenize the value in place so that columns count along the line
-            ts = _Tokens(_tokenize(code, lineno, code.index("=") + 1), lineno)
-            terms = _parse_terms(ts, ring, index)
-            if any(len(w) != 1 for w in terms):
-                raise ParseError("bracket value must be a linear combination of basis names",
-                                 lineno, ts.toks[0][2])
-            coerce = ring.coerce  # raw again, negated mod q the other way round
-            pairs = tuple(sorted((k, coerce(c if i <= j else -c)) for (k,), c in terms.items()))
-            if stored.setdefault((min(i, j), max(i, j)), pairs) != pairs:
+            ts = _Tokens(_tokenize(code, lineno, eq + 1), lineno, ring, index)
+            terms = _parse_terms(ts)
+            pairs = [(w[0], c) for w, c in terms.items() if len(w) == 1]
+            if len(pairs) != len(terms):
+                ts.error("bracket value must be a linear combination of basis names", 0)
+            if len(pairs) > 1:
+                pairs.sort()
+            if i > j:
+                pairs = _negated(pairs, ring.modulus)
+            pairs = tuple(pairs)
+            if stored.setdefault((i, j) if i <= j else (j, i), pairs) != pairs:
                 raise ParseError(
                     f"bracket ({a},{b}) conflicts with the opposite orientation", lineno)
         elif head == "split":

@@ -179,8 +179,9 @@ class LieAlgebra:
     c a raw ring value (a ``Scalar``'s ``value``), never a ``Scalar``.  The
     constructor takes any iterable of pairs per cell, turns each c into that
     value (:meth:`Ring.coerce`) and sums repeated k; it stores the pairs
-    with c != 0, in increasing k.  Nothing is assumed about the table until
-    :func:`validate_algebra` says the Lie axioms hold.
+    with c != 0, in increasing k.  Every k of the table is judged by the
+    out-of-basis rule before any c is read.  Nothing is assumed about the
+    table until :func:`validate_algebra` says the Lie axioms hold.
     """
 
     __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors",
@@ -199,21 +200,29 @@ class LieAlgebra:
         self.index = {name: i for i, name in enumerate(basis)}
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("structure table must be n x n")
+        cells = [[tuple(cell) for cell in row] for row in table]
+        _check_indices([k for row in cells for cell in row for k, _c in cell], n, "index")
         coerce = ring.coerce
         rows = []
-        for row in table:
-            cells = []
-            for cell in row:
-                acc: dict = {}
-                for k, c in cell:
-                    _check_indices((k,), n, "index")
+        for row in cells:
+            out = []
+            for cell in row:  # a cell of 0 or 1 pair needs no dict and no sort
+                if not cell:
+                    out.append(())
+                elif len(cell) == 1:
+                    ((k, c),) = cell
                     c = coerce(c)
-                    if k in acc:  # a repeated k: the sum, raw again
-                        c = coerce(acc.pop(k) + c)
-                    if c:
-                        acc[k] = c
-                cells.append(tuple(sorted(acc.items())))
-            rows.append(tuple(cells))
+                    out.append(((k, c),) if c else ())
+                else:
+                    acc: dict = {}
+                    for k, c in cell:
+                        c = coerce(c)
+                        if k in acc:  # a repeated k: the sum, raw again
+                            c = coerce(acc.pop(k) + c)
+                        if c:
+                            acc[k] = c
+                    out.append(tuple(sorted(acc.items())))
+            rows.append(tuple(out))
         self.table = tuple(rows)
         self._basis_vectors = tuple(GVector._trusted(self, {i: ring.one}) for i in range(n))
         self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}

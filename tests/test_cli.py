@@ -52,12 +52,6 @@ def test_parse_spec_sl2():
     assert algebra.bracket(algebra.basis_vector(1), algebra.basis_vector(0)) == algebra.vector({"h": -1})
 
 
-def test_parse_spec_round_trip():
-    for name in ("sl2.alg", "sl2_borel.alg", "heisenberg.alg", "sl2_bad_jacobi.alg"):
-        spec = parse_spec(golden(name))
-        assert parse_spec(format_spec(spec)) == spec
-
-
 def _table_spec_text(algebra) -> str:
     """.alg text for an algebra: one bracket line per nonzero cell i <= j."""
     names = algebra.basis
@@ -76,6 +70,13 @@ _BUILD_SPECS = {
     **{path.name: golden(path.name) for path in sorted(GOLDEN.glob("*.alg"))},
     **{name: _table_spec_text(algebra) for name, algebra in _TABLE_ALGEBRAS.items()},
 }
+
+
+def test_parse_spec_round_trip():
+    # every golden .alg file and the written-out tables of sl3, sl4 and sl2/Q
+    for name, text in _BUILD_SPECS.items():
+        spec = parse_spec(text)
+        assert parse_spec(format_spec(spec)) == spec, name
 
 
 @pytest.mark.parametrize("name", _BUILD_SPECS)
@@ -187,6 +188,20 @@ def test_bracket_value_must_be_linear(value):
 def test_bracket_value_cancelling_to_zero_is_zero():
     spec = parse_spec(_sl2_pair_spec("e*f - e*f"))
     assert spec.brackets == () and spec == parse_spec(_sl2_pair_spec("0"))
+
+
+@pytest.mark.parametrize("ring,line,pairs", [
+    # an integral sum or product of fractions is stored as its int
+    ("Q", "bracket e f = 1/2*h + 1/2*h", ((2, 1),)),
+    ("Q", "bracket e f = 2/3*(3/2*h)", ((2, 1),)),
+    # the reversed orientation is stored negated, reduced mod q over Z/q
+    ("Q", "bracket f e = 1/2*h", ((2, Fraction(-1, 2)),)),
+    ("Zmod 4", "bracket f e = h + 3*e", ((0, 1), (2, 3))),
+])
+def test_bracket_values_are_stored_as_raw_ring_values(ring, line, pairs):
+    spec = parse_spec(f"ring {ring}\nbasis e f h\n{line}\nsplit e | f h\n")
+    assert spec.brackets == (((0, 1), pairs),)
+    assert [type(c) for _k, c in spec.brackets[0][1]] == [type(c) for _k, c in pairs]
 
 
 @pytest.mark.parametrize("line,message", [
@@ -372,6 +387,16 @@ def test_parse_expr_expansion_bound(sl2):
     assert err.value.message == "expression expands to more than 100000 terms"
 
 
+def test_parse_expr_long_product_is_one_word():
+    # a run of one-word factors is joined once: 20 000 letters parse in
+    # linear time, where joining at every '*' took quadratic time
+    heis = parse_spec(golden("heisenberg.alg")).build()[0]
+    word = tuple(heis.index[name] for name in ["y"] * 19_999 + ["x"])
+    text = "*".join(heis.basis[i] for i in word)
+    assert parse_expr(text, heis) == EnvElement.word(heis, word)
+    assert parse_expr(f"-3*{text}", heis) == EnvElement.word(heis, word, -3)
+
+
 def test_expanding_bracket_value_exits_2(capsys, tmp_path):
     # 17 factors are enough to cross the bound; code without it expands
     # them in about a second, where 30 would take 2^30 words of memory
@@ -420,8 +445,9 @@ def test_print_parse_round_trip(sl2):
 # ------------------------------------------------------------------- commands
 
 def test_validate_ok(capsys):
-    code, out, err = run_cli(capsys, "validate", str(GOLDEN / "sl2.alg"))
-    assert (code, out, err) == (0, "ok\n", "")
+    for name in ("heisenberg", "sl2", "sl2_borel", "sl2_mod2", "sl3"):
+        code, out, err = run_cli(capsys, "validate", str(GOLDEN / f"{name}.alg"))
+        assert (code, out, err) == (0, "ok\n", ""), name
 
 
 def test_validate_bad_jacobi(capsys):
@@ -430,7 +456,7 @@ def test_validate_bad_jacobi(capsys):
     assert "jacobi violation at (e, f, h)" in out
 
 
-@pytest.mark.parametrize("name", ["sl2_bad_jacobi", "sl2_bad_alternating"])
+@pytest.mark.parametrize("name", ["sl2_bad_jacobi", "sl2_bad_alternating", "sl2_bad_split"])
 def test_validate_report_golden(capsys, name):
     # the whole report, line by line and in order, with exit 1 and no stderr
     code, out, err = run_cli(capsys, "validate", str(GOLDEN / f"{name}.alg"))

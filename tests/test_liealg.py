@@ -534,6 +534,12 @@ def test_out_of_basis_rule_covers_every_entry_point():
         (lambda: EnvElement.word(alg, (0, "a")), "letter 'a' outside basis"),
         (lambda: SplitDecomposition(alg, ("a", 0), (1, 2)), "index 'a' outside basis"),
         (lambda: SplitDecomposition(alg, (0.5, 0, 1), (2,)), "index 0.5 outside basis"),
+        # a structure-table cell's k, in a cell of one pair or of several
+        (lambda: LieAlgebra(Z, "ab", [[(), [(True, 1)]], [(), ()]]), "index True outside basis"),
+        (lambda: LieAlgebra(Z, "ab", [[(), [(0.5, 1)]], [(), ()]]), "index 0.5 outside basis"),
+        (lambda: LieAlgebra(Z, "ab", [[(), [(0, 1), (1.0, 1)]], [(), ()]]),
+         "index 1.0 outside basis"),
+        (lambda: LieAlgebra(Z, "ab", [[(), ()], [[("a", 1)], ()]]), "index 'a' outside basis"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError) as exc:
