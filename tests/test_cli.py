@@ -388,8 +388,8 @@ def test_parse_expr_expansion_bound(sl2):
 
 
 def test_parse_expr_long_product_is_one_word():
-    # a run of one-word factors is joined once: 20 000 letters parse in
-    # linear time, where joining at every '*' took quadratic time
+    # a run of one-word factors is joined once, so 20 000 letters parse in
+    # linear time
     heis = parse_spec(golden("heisenberg.alg")).build()[0]
     word = tuple(heis.index[name] for name in ["y"] * 19_999 + ["x"])
     text = "*".join(heis.basis[i] for i in word)

@@ -540,6 +540,8 @@ def test_out_of_basis_rule_covers_every_entry_point():
         (lambda: LieAlgebra(Z, "ab", [[(), [(0, 1), (1.0, 1)]], [(), ()]]),
          "index 1.0 outside basis"),
         (lambda: LieAlgebra(Z, "ab", [[(), ()], [[("a", 1)], ()]]), "index 'a' outside basis"),
+        # every k of the table is judged before any coefficient is read
+        (lambda: LieAlgebra(Z, "ab", [[[(0, "x")], [(9, 1)]], [(), ()]]), "index 9 outside basis"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError) as exc:
