@@ -159,7 +159,7 @@ def _parse_coeff(ts: _Tokens, i: int, sign: int):
 # indices, coefficients raw ring values, a Scalar's value; 1 is the unit of
 # every ring) holding no zero coefficient; each dict it returns is fresh, so
 # a caller may fold into it.  Inside a term, a sum or product of Fractions
-# may be an integral Fraction; _parse_terms turns it into its int.
+# may be an integral Fraction; _parse_terms gives it to Ring.coerce.
 
 def _expr_factor(ts: _Tokens, i: int, depth: int):
     kind, text, _col = ts.toks[i]
@@ -266,9 +266,10 @@ def _parse_terms(ts: _Tokens) -> dict:
     if kind != "end":
         ts.error(f"unexpected trailing input {text!r}", i)
     if ts.ring.kind == "Q":
+        coerce = ts.ring.coerce
         for w, c in value.items():
-            if type(c) is not int and c.denominator == 1:
-                value[w] = c.numerator
+            if type(c) is not int:
+                value[w] = coerce(c)
     return value
 
 

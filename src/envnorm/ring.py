@@ -30,8 +30,6 @@ _BASE = 10**_CHUNK
 
 def read_int(digits: str) -> int:
     """The int written by a nonempty string of decimal digits, at any length."""
-    if len(digits) <= _CHUNK:  # one int() call reads it
-        return int(digits)
     head = len(digits) % _CHUNK or _CHUNK
     value = int(digits[:head])
     for start in range(head, len(digits), _CHUNK):
