@@ -387,6 +387,19 @@ def test_parse_expr_expansion_bound(sl2):
     assert err.value.message == "expression expands to more than 100000 terms"
 
 
+def test_parse_expr_budget_sees_coefficients_where_they_join():
+    # A term's sign and coefficient join its product last, and a run of
+    # one-term factors joins its coefficient when the run ends, so the
+    # bound judges the sizes the product has at each '*'.
+    sl2_z4 = sl2_algebra(make_ring("Zmod 4"))
+    assert parse_expr("(2*e)*(2*f)*" + _factors(17), sl2_z4).is_zero()
+    with pytest.raises(ParseError) as err:
+        parse_expr("0*" + _factors(17), sl2_z4)
+    assert err.value.message == "expression expands to more than 100000 terms"
+    assert err.value.col == 98  # at the 16th '*' after the '0*'
+    assert parse_expr("-(2*e)*(e+f)*(2*h)", sl2_z4).is_zero()
+
+
 def test_parse_expr_long_product_is_one_word():
     # a run of one-word factors is joined once, so 20 000 letters parse in
     # linear time
