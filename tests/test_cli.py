@@ -524,6 +524,15 @@ def test_golden_fractional_structure_constant(capsys):
     assert out == golden("normal_order_sl2_q_third.txt")
 
 
+def test_normal_order_golden_q_third_mixed(capsys):
+    # a signed fractional coefficient, bare names and one-term factors
+    # between the sums: each kind of factor the grammar gathers or joins
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_q_third.alg"),
+                             "--expr=-3/2*e*(e - f)*h*(2*f)*(h + 1)")
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_sl2_q_third_mixed.txt")
+
+
 def test_normal_order_golden_sl3_worst_order(capsys):
     # every part-2 letter before every part-1 letter: the left factors
     # pass through many orders on their way to canonical form
