@@ -317,10 +317,35 @@ def _random_sum(rng, names, coeff):
     return "(" + " + ".join(text) + ")", terms
 
 
+def _random_factor(rng, names, coeff):
+    """A parenthesized sum, a bare name, '1' or a parenthesized one-term
+    factor such as '(3*e)', and its expansion."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _random_sum(rng, names, coeff)
+    if kind == 1:
+        letter = rng.randrange(len(names))
+        return names[letter], {(letter,): 1}
+    if kind == 2:
+        return "1", {(): 1}
+    letter, c = rng.randrange(len(names)), coeff()
+    return f"({c}*{names[letter]})", {(letter,): c}
+
+
+def _expand(factors, scale=1):
+    """The product of the factors' expansions by a local double loop."""
+    expected = {(): scale}
+    for _text, terms in factors:
+        product = {}
+        for w1, c1 in expected.items():
+            for w2, c2 in terms.items():
+                product[w1 + w2] = product.get(w1 + w2, 0) + c1 * c2
+        expected = product
+    return expected
+
+
 def test_parse_expr_expands_products_of_sums():
     # the parser's word product against a local double loop, on every builtin algebra
-    from fractions import Fraction
-
     from envnorm.checks import builtin_examples
 
     rng = random.Random(43)
@@ -332,14 +357,20 @@ def test_parse_expr_expands_products_of_sums():
             coeff = lambda: rng.randint(-9, 9)
         for _ in range(30):
             factors = [_random_sum(rng, alg.basis, coeff) for _ in range(rng.randint(1, 3))]
-            expected = {(): 1}
-            for _text, terms in factors:
-                product = {}
-                for w1, c1 in expected.items():
-                    for w2, c2 in terms.items():
-                        product[w1 + w2] = product.get(w1 + w2, 0) + c1 * c2
-                expected = product
             text = " * ".join(text for text, _terms in factors)
+            assert parse_expr(text, alg) == EnvElement(alg, _expand(factors)), (entry.name, text)
+        # sums of 1..3 terms '-c*f1*f2*...', each factor a sum, a name, '1'
+        # or a one-term factor; a later term's '-' is the binary minus
+        for _ in range(30):
+            parts, expected = [], {}
+            for _ in range(rng.randint(1, 3)):
+                c = abs(coeff())
+                factors = [_random_factor(rng, alg.basis, coeff)
+                           for _ in range(rng.randint(1, 4))]
+                parts.append(f"-{c}*" + "*".join(text for text, _terms in factors))
+                for w, d in _expand(factors, -c).items():
+                    expected[w] = expected.get(w, 0) + d
+            text = " ".join(parts)
             assert parse_expr(text, alg) == EnvElement(alg, expected), (entry.name, text)
 
 
