@@ -180,16 +180,9 @@ def _expr_factor(ts: _Tokens, i: int, depth: int):
     ts.error("expected a basis name, '1' or '('", i)
 
 
-def _times_run(value, letters: list, c, q) -> dict:
-    """``value * (c letters)``, ``value`` None standing for 1: one word
-    product for a whole run of one-term factors; ``c`` is reduced mod q."""
-    run = {tuple(letters): c} if c else {}
-    return run if value is None else _word_product(value, run, q)
-
-
 def _expr_term(ts: _Tokens, i: int, depth: int):
     toks, q = ts.toks, ts.ring.modulus
-    coeff = 1  # the term's sign and coefficient, applied last
+    coeff = 1  # the term's sign and coefficient, joined last
     if toks[i][0] == "-":
         coeff = -1
         i += 1
@@ -204,43 +197,34 @@ def _expr_term(ts: _Tokens, i: int, depth: int):
             return {}, i + 1
         elif text != "1":
             ts.error("a bare integer is not a term; write coeff*<basis name> or '1'", i)
-    # A run of one-term factors is kept as its letters and the product of
-    # its coefficients and joined once, when a factor of other than one term
-    # or the end of the term comes, so a long product costs linear time.
-    value = None  # the product up to the last factor of other than one term
-    letters, c_run = [], 1  # the run of one-term factors since
+    # One pass over the factors. The product starts as the unit; a run of
+    # one-term factors is kept as its letters and the product c of their
+    # coefficients, and joins when a factor of other than one term comes, so
+    # a long product costs linear time. The term ends with one join of the
+    # run and coeff, so the term's coefficient never shrinks a product that
+    # the _MAX_TERMS check sees.
+    value = {(): 1}  # the product up to the run
+    run, c = [], 1  # the run of one-term factors since
     star = 0  # column of the last '*'
     while True:
         factor, i = _expr_factor(ts, i, depth)
         if len(factor) == 1:
-            ((w, c),) = factor.items()
-            letters += w
-            if c != 1:
-                c_run = c_run * c if q is None else c_run * c % q
+            ((w, fc),) = factor.items()
+            run += w
+            c = c * fc if q is None else c * fc % q
         else:
-            if letters or c_run != 1:
-                value = _times_run(value, letters, c_run, q)
-                letters, c_run = [], 1
-            if value is None:
-                value = factor
-            else:
-                if len(value) * len(factor) > _MAX_TERMS:
-                    raise ParseError(f"expression expands to more than {_MAX_TERMS} terms",
-                                     ts.line, star)
-                value = _word_product(value, factor, q)
+            if run or c != 1:
+                value = _word_product(value, {tuple(run): c}, q)
+                run, c = [], 1
+            if len(value) * len(factor) > _MAX_TERMS:
+                raise ParseError(f"expression expands to more than {_MAX_TERMS} terms",
+                                 ts.line, star)
+            value = _word_product(value, factor, q)
         if toks[i][0] != "*":
             break
         star = toks[i][2]
         i += 1
-    if value is None:  # one-term factors only: the term's coefficient joins theirs
-        return _times_run(None, letters, coeff * c_run if q is None else coeff * c_run % q, q), i
-    if letters or c_run != 1:
-        value = _times_run(value, letters, c_run, q)
-    if coeff == 1:
-        return value, i
-    if q is None:
-        return {w: p for w, c in value.items() if (p := coeff * c)}, i
-    return {w: p for w, c in value.items() if (p := coeff * c % q)}, i
+    return _word_product(value, {tuple(run): coeff * c}, q), i
 
 
 def _expr_sum(ts: _Tokens, i: int, depth: int):
@@ -374,8 +358,7 @@ def parse_spec(text: str) -> AlgebraSpec:
             pairs = [(w[0], c) for w, c in terms.items() if len(w) == 1]
             if len(pairs) != len(terms):
                 ts.error("bracket value must be a linear combination of basis names", 0)
-            if len(pairs) > 1:
-                pairs.sort()
+            pairs.sort()
             if i > j:
                 pairs = _negated(pairs, ring.modulus)
             pairs = tuple(pairs)
