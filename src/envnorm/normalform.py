@@ -166,13 +166,6 @@ def _act_terms(ctx: ActionContext, support, terms: dict) -> dict:
     return out
 
 
-def _word_terms(ctx: ActionContext, word: tuple, terms: dict) -> dict:
-    """A word of basis indices acting on raw state terms, letters right to left."""
-    for letter in reversed(word):
-        terms = _act_terms(ctx, ((letter, 1),), terms)
-    return terms
-
-
 def _support(ctx: ActionContext, g: GVector) -> tuple:
     """g's (index, raw) pairs, once g is checked to lie in ctx's algebra."""
     if g.algebra is not ctx.algebra:
@@ -200,7 +193,9 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     terms = _terms(ctx, s)
     word = tuple(word)
     _check_indices(word, ctx.algebra.dim, "letter")
-    return StateElement._trusted(ctx.split, _word_terms(ctx, word, terms))
+    for letter in reversed(word):
+        terms = _act_terms(ctx, ((letter, 1),), terms)
+    return StateElement._trusted(ctx.split, terms)
 
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
