@@ -56,6 +56,8 @@ class SuiteConfig:
             return
         if isinstance(self.properties, str):
             raise ValueError("properties must be a sequence of names, not a str")
+        # a copy, so the caller's list cannot change the config after its checks
+        object.__setattr__(self, "properties", tuple(self.properties))
         if not self.properties:
             raise ValueError("properties must name at least one property")
         unknown = set(self.properties) - set(PROPERTY_NAMES)

@@ -138,7 +138,21 @@ def test_config_integer_fields_must_be_int(field, value):
 def test_config_properties_must_be_a_sequence_of_names():
     with pytest.raises(ValueError, match="^properties must be a sequence of names, not a str$"):
         SuiteConfig(properties="oracle")
-    assert SuiteConfig(properties=["oracle"]).properties == ["oracle"]
+    assert SuiteConfig(properties=["oracle"]).properties == ("oracle",)
+
+
+def test_config_keeps_its_own_copy_of_properties():
+    # a list the caller still holds cannot change a config after its checks,
+    # and a config built from a list is the one built from the tuple
+    props = ["oracle"]
+    cfg = SuiteConfig(seed=1, cases=1, properties=props)
+    props.append("bogus")
+    same = SuiteConfig(seed=1, cases=1, properties=("oracle",))
+    assert cfg.properties == ("oracle",)
+    assert cfg == same and hash(cfg) == hash(same)
+    alg = sl2_algebra(Z)
+    reg = ExampleRegistry([RegistryEntry("sl2_Z", alg, SplitDecomposition(alg, (1,), (2, 0)))])
+    assert run_suite(cfg, reg).render() == run_suite(same, reg).render()
 
 
 def test_registry_iterates_names_in_insertion_order():
