@@ -197,12 +197,11 @@ def _expr_term(ts: _Tokens, i: int, depth: int):
             return {}, i + 1
         elif text != "1":
             ts.error("a bare integer is not a term; write coeff*<basis name> or '1'", i)
-    # One pass over the factors. The product starts as the unit; a run of
-    # one-term factors is kept as its letters and the product c of their
-    # coefficients, and joins when a factor of other than one term comes, so
-    # a long product costs linear time. The term ends with one join of the
-    # run and coeff, so the term's coefficient never shrinks a product that
-    # the _MAX_TERMS check sees.
+    # One pass over the factors. A run of one-term factors is kept as its
+    # letters and the product c of their coefficients, and joins the product
+    # when a factor of other than one term comes, so a long product costs
+    # linear time. coeff joins with the last run, at the end, so it never
+    # shrinks a product before the _MAX_TERMS check.
     value = {(): 1}  # the product up to the run
     run, c = [], 1  # the run of one-term factors since
     star = 0  # column of the last '*'
