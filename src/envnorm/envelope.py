@@ -304,8 +304,7 @@ def state_canon(s: StateElement) -> StateElement:
 
 def state_eq(s: StateElement, t: StateElement) -> bool:
     """Equality in U(g1) (x) U(g2): the canonical form of s - t is zero.
-    Its part check still rejects a factor word that straightens out of its
-    part."""
+    Its part check rejects a factor word that straightens out of its part."""
     return state_canon(s - t).is_zero()
 
 
