@@ -60,7 +60,7 @@ class Scalar:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: "Ring", value):
-        # Built from a canonical value by Ring.scalar (input) or Ring._make (arithmetic).
+        # Built from a canonical value by Ring.scalar, for input and arithmetic alike.
         self.ring = ring
         self.value = value
 
@@ -76,7 +76,7 @@ class Scalar:
         ring = self.ring
         if other.ring is not ring:
             self._check(other)
-        return ring._make(self.value + other.value)
+        return ring.scalar(self.value + other.value)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -84,7 +84,7 @@ class Scalar:
         ring = self.ring
         if other.ring is not ring:
             self._check(other)
-        return ring._make(self.value - other.value)
+        return ring.scalar(self.value - other.value)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -92,10 +92,10 @@ class Scalar:
         ring = self.ring
         if other.ring is not ring:
             self._check(other)
-        return ring._make(self.value * other.value)
+        return ring.scalar(self.value * other.value)
 
     def __neg__(self):
-        return self.ring._make(-self.value)
+        return self.ring.scalar(-self.value)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -137,17 +137,6 @@ class Ring:
         self.modulus = modulus
         self.zero = self.scalar(0)
         self.one = self.scalar(1)
-
-    def _make(self, v) -> Scalar:
-        """The scalar of an arithmetic result ``v``, canonical but for the
-        reduction mod q, or over Q the integral ``Fraction`` to ``int``,
-        done here."""
-        q = self.modulus
-        if q is not None:
-            v %= q
-        elif type(v) is not int and v.denominator == 1:
-            v = v.numerator
-        return Scalar(self, v)
 
     def coerce(self, x):
         """The canonical value (see :class:`Scalar`) of an int, a Fraction
