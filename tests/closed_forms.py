@@ -1,4 +1,4 @@
-"""Closed normal forms of three word families, in plain Python integers.
+"""Closed normal forms of four word families, in plain Python integers.
 
 Nothing here imports envnorm, so the tests that compare the calculator and
 the oracle with these formulas do not share a line of code with either.  A
@@ -82,5 +82,19 @@ def sl2_eafb(a: int, b: int, modulus=None) -> dict:
             for k in range(min(a, b) + 1)
             for j, p in enumerate(_falling_in_h(a - b, k))
         ],
+        modulus,
+    )
+
+
+def sl2_hne(n: int, modulus=None) -> dict:
+    """sl(2) on e, f, h (indices 0, 1, 2), [h, e] = 2e, split f | h e
+    (a part's words are sorted in declaration order, so e comes before h).
+    From h e = e (h + 2):
+
+        h^n e = sum_k C(n, k) 2^(n-k) 1 (x) e h^k.
+    """
+    e, h = 0, 2
+    return _reduced(
+        [(((), (e,) + (h,) * k), comb(n, k) * 2 ** (n - k)) for k in range(n + 1)],
         modulus,
     )

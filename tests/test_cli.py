@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from closed_forms import sl2_hne
 from envnorm.checks import (
     RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra, sl_algebra,
 )
@@ -530,6 +531,19 @@ def test_normal_order_golden_heisenberg_long_thin_word(capsys):
     code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "heisenberg.alg"), "--expr", expr)
     assert (code, err) == (0, "")
     assert out == golden("normal_order_heis_y300x.txt")
+
+
+def test_normal_order_golden_sl2_h30e(capsys):
+    # h^30 e, the closed form sl2_hne(30): one coefficient per power of h
+    expr = "*".join(["h"] * 30 + ["e"])
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", expr)
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_sl2_h30e.txt")
+    names = "efh"
+    assert out.splitlines() == [
+        f"{c} * 1 (x) {' '.join(names[x] for x in right)}"
+        for (_, right), c in sorted(sl2_hne(30).items(), key=lambda kv: -len(kv[0][1]))
+    ]
 
 
 def test_normal_order_golden_borel(capsys):

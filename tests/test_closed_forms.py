@@ -1,7 +1,7 @@
 """The calculator and the oracle against closed normal forms.
 
-Heisenberg y^n x^m, sl(2) e f^n and sl(2) e^a f^b have normal forms in
-closed form (``closed_forms``, plain integers, no envnorm import).  Both section_s and
+Heisenberg y^n x^m, sl(2) e f^n, sl(2) e^a f^b and sl(2) h^n e have normal
+forms in closed form (``closed_forms``, plain integers, no envnorm import).  Both section_s and
 normal_order(check=True), which also runs the straightening oracle, must
 give them exactly, over Z and over Z/2, Z/3 and Z/4.  The oracle nests about
 n*m recursive calls, so n*m stays at 300 or below.
@@ -9,7 +9,7 @@ n*m recursive calls, so n*m stays at 300 or below.
 
 import pytest
 
-from closed_forms import heisenberg_ynxm, sl2_eafb, sl2_efn
+from closed_forms import heisenberg_ynxm, sl2_eafb, sl2_efn, sl2_hne
 from envnorm.checks import heisenberg_algebra, sl2_algebra
 from envnorm.envelope import EnvElement
 from envnorm.liealg import LieAlgebra, SplitDecomposition
@@ -20,6 +20,7 @@ RINGS = {"Z": None, "Zmod 2": 2, "Zmod 3": 3, "Zmod 4": 4}
 HEISENBERG = [(1, 1), (3, 2), (6, 5), (9, 9), (50, 1), (300, 1)]
 SL2 = [1, 5, 45, 80]
 SL2_EAFB = [(1, 1), (2, 3), (5, 4), (8, 8), (12, 10)]
+SL2_HNE = [1, 5, 30, 60]
 
 
 def _plain(state) -> dict:
@@ -52,6 +53,13 @@ def test_sl2_efn(n, ring):
 def test_sl2_eafb(a, b, ring):
     alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | e h
     _agree(alg, (1,), (0, 2), (0,) * a + (1,) * b, sl2_eafb(a, b, RINGS[ring]))
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+@pytest.mark.parametrize("n", SL2_HNE)
+def test_sl2_hne(n, ring):
+    alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | h e
+    _agree(alg, (1,), (2, 0), (2,) * n + (0,), sl2_hne(n, RINGS[ring]))
 
 
 def test_sl2_eafb_sees_a_flipped_h_e_bracket():
