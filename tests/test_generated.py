@@ -26,7 +26,7 @@ from envnorm.checks import (
     sl_algebra,
 )
 from envnorm.envelope import EnvElement, StateElement
-from envnorm.liealg import SplitDecomposition, validate
+from envnorm.liealg import SplitDecomposition
 from envnorm.normalform import ActionContext, check_lie_action, normal_order
 from envnorm.ring import make_ring
 
@@ -91,12 +91,12 @@ def _word(rng, letters, longest):
     return tuple(rng.choices(letters, k=rng.randint(0, longest)))
 
 
-def run_split(algebra, part1, part2, rng, words=3):
+def run_split(algebra, part1, part2, rng):
     """normal_order(check=True) on seeded words, and check_lie_action on
     every ordered basis pair for one seeded state, under part1 | part2."""
     ctx = ActionContext(algebra, SplitDecomposition(algebra, part1, part2))
     basis = range(algebra.dim)
-    for _ in range(words):
+    for _ in range(3):
         u = EnvElement(algebra, {
             _word(rng, basis, 4): _coeff(rng, algebra.ring) for _ in range(2)
         })
@@ -131,15 +131,3 @@ def test_preorder_algebras():
             for part1, part2 in rng.sample(splits, min(len(splits), SPLITS_PER_PREORDER_ALGEBRA)):
                 run_split(algebra, part1, part2, rng)
 
-
-def test_closure_check_matches_validation():
-    # the test's own closure check agrees with liealg.validate on every
-    # partition of sl(2) and of one preorder algebra
-    for algebra in (sl2_algebra(Z), preorder_algebra([(0, 0), (0, 1), (1, 1), (2, 2)], Z)):
-        n = algebra.dim
-        found = set(coordinate_splits(algebra))
-        for mask in range(1, (1 << n) - 1):
-            part1 = tuple(i for i in range(n) if mask >> i & 1)
-            part2 = tuple(i for i in range(n) if not mask >> i & 1)
-            ok = validate(algebra, SplitDecomposition(algebra, part1, part2)).ok
-            assert ok == ((part1, part2) in found), (part1, part2)
