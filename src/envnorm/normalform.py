@@ -54,14 +54,15 @@ The check_* functions verify, at exact equality, the identities the
 construction is supposed to satisfy: degree filtration, right-factor
 linearity, compatibility with the envelope product, the Lie action law,
 and mutual inverseness against the straightening oracle.
-The Lie action check reads both sides of each verdict from an action
-table for one state s, built whole when s arrives, kept on the context and
-replaced when another state does: the canonical e_k.s per basis index k,
-and the canonical e_i.(e_j.s) - e_j.(e_i.s) per i < j.  A state then costs
-dim**2 actions and dim + dim*(dim-1)/2 canonicalizations, however many of
-its dim**2 ordered basis pairs are judged (the suite judges all of them),
-not 5*dim**2 and dim**2.  Two canonical states (the section's, the
-oracle's) compare with ==.
+The Lie action check judges each verdict from a defect table for one
+state s, built whole when s arrives, kept on the context and replaced when
+another state does: the canonical e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s
+for every ordered basis pair, whose g_i h_j-weighted sum is the canonical
+difference of the law's two sides.  A state then costs dim**2 actions and
+dim + dim*(dim-1)/2 canonicalizations, however many of its dim**2 ordered
+basis pairs are judged (the suite judges all of them), and a verdict no
+bracket.  Two canonical states (the section's, the oracle's) compare
+with ==.
 """
 
 from __future__ import annotations
@@ -101,12 +102,12 @@ class ActionContext:
 
     It owns the memoized basis kernel: reuse one context across calls to
     share that work, and drop it to free the memory.  It also holds the
-    action table of the last state check_lie_action judged, built whole
+    defect table of the last state check_lie_action judged, built whole
     when that state object arrives and replaced when a different one does
     (states are never changed in place, so identity fixes the table): the
-    canonical e_k.s for each basis index k, and the canonical
-    e_i.(e_j.s) - e_j.(e_i.s) for each i < j, at dim**2 actions and
-    dim + dim*(dim-1)/2 canonicalizations per state."""
+    canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s for each
+    ordered basis pair, at dim**2 actions and dim + dim*(dim-1)/2
+    canonicalizations per state."""
 
     __slots__ = ("algebra", "split", "_kernel", "_lie_table", "__weakref__")
 
@@ -120,7 +121,7 @@ class ActionContext:
         self.algebra = algebra
         self.split = split
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, ())
-        self._lie_table = None  # (s, [canonical e_k.s], {(i, j): canonical D}), see _lie_table
+        self._lie_table = None  # (s, {(i, j): canonical E(i, j)}), see _lie_table
 
     def unit_state(self) -> StateElement:
         return StateElement.unit(self.split)
@@ -292,59 +293,57 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
 
 
 def _lie_table(ctx: ActionContext, s: StateElement) -> tuple:
-    """s's whole action table (see :class:`ActionContext`): (s, canonical
-    e_k.s for each basis index k, {(i, j): canonical D(i, j)} for i < j),
-    with D(i, j) = e_i.(e_j.s) - e_j.(e_i.s)."""
+    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)})
+    for every ordered basis pair, with E(i, j) the canonical
+    e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s, its bracket read from the
+    structure table as it is.  E(j, i) starts as the negation of the
+    commutator of i < j, and E(i, i) as empty, so a table that is not
+    alternating still gets a defect at every pair."""
     terms = _terms(ctx, s)
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
     acted = [_act_terms(ctx, ((k, 1),), terms) for k in range(algebra.dim)]
-    commutators = {}
+    defects = {(i, i): {} for i in range(algebra.dim)}
     for j in range(algebra.dim):
         for i in range(j):
             diff = _act_terms(ctx, ((i, 1),), acted[j])
             for key, c in _act_terms(ctx, ((j, 1),), acted[i]).items():
                 _acc(diff, key, -c, q)
-            commutators[i, j] = _canon_terms(algebra, diff)
-    return s, [_canon_terms(algebra, a) for a in acted], commutators
+            defects[i, j] = _canon_terms(algebra, diff)
+            defects[j, i] = {}
+            for key, c in defects[i, j].items():
+                _acc(defects[j, i], key, -c, q)
+    on_state = [_canon_terms(algebra, a) for a in acted]
+    for (i, j), defect in defects.items():
+        for k, b in algebra.table[i][j]:
+            for key, c in on_state[k].items():
+                _acc(defect, key, -b * c, q)
+    return s, defects
 
 
 def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement) -> bool:
     """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization.
 
-    Both sides come canonical from s's action table on ctx, built whole
-    the first time s arrives (see :class:`ActionContext`): the left is
-    sum g_i h_j D(i, j), with D(i, i) = 0 and D(j, i) = -D(i, j), exact
-    since canonicalization is linear; the right is
-    sum [g,h]_k canon(e_k.s).  Equal sides hold with no state
-    built; otherwise their difference becomes one StateElement, whose
-    part check rejects a factor word that straightens out of its part."""
+    The action, the bracket and canonicalization are all linear, so the
+    canonical difference of the two sides is exactly sum g_i h_j E(i, j),
+    read from s's defect table on ctx, built whole the first time s
+    arrives (see :class:`ActionContext`).  The law holds when that sum is
+    empty; otherwise it becomes one StateElement, whose part check rejects
+    a factor word that straightens out of its part."""
     hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
     if ctx._lie_table is None or ctx._lie_table[0] is not s:
         ctx._lie_table = _lie_table(ctx, s)
     gs = _support(ctx, g)
-    _, on_state, commutators = ctx._lie_table
+    defects = ctx._lie_table[1]
     q = ctx.algebra.ring.modulus
-    lhs: dict = {}
+    diff: dict = {}
     for i, gi in gs:
         for j, hj in hs:
-            if i < j:
-                c, dij = gi * hj, commutators[i, j]
-            elif i > j:
-                c, dij = -(gi * hj), commutators[j, i]
-            else:
-                continue
-            for key, d in dij.items():
-                _acc(lhs, key, c * d, q)
-    rhs: dict = {}
-    for k, b in ctx.algebra.bracket(g, h).support():
-        b = b.value
-        for key, d in on_state[k].items():
-            _acc(rhs, key, b * d, q)
-    if lhs == rhs:
+            c = gi * hj
+            for key, d in defects[i, j].items():
+                _acc(diff, key, c * d, q)
+    if not diff:
         return True
-    for key, c in rhs.items():
-        _acc(lhs, key, -c, q)
-    StateElement._trusted(ctx.split, lhs)  # its part check raises on a split that is not bracket-closed
+    StateElement._trusted(ctx.split, diff)  # its part check raises on a split that is not bracket-closed
     return False
 
 

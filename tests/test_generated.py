@@ -4,8 +4,8 @@ A coordinate split cuts the basis into two nonempty parts, each closed
 under the bracket.  The closure check here reads the structure table
 directly, so the splits are enumerated without liealg's validation; the
 ActionContext still validates each one.  Every split of sl(2), sl(3) over Z
-and Z/4, the Heisenberg algebra and the abelian algebra is run, and a few
-splits each of a fixed-seed sample of preorder algebras: for a preorder on
+and Z/4, the Heisenberg algebra and the abelian algebra is run, 16 seeded
+splits of sl(4)'s 444 over Z and over Z/4, and a few splits each of a fixed-seed sample of preorder algebras: for a preorder on
 3 or 4 points, the matrices E_ij with i before-or-equal j span an
 associative algebra (E_ij E_jk = E_ik), hence a Lie algebra with integer
 constants under the commutator, read by checks._matrix_algebra.  On each
@@ -41,6 +41,8 @@ NAMED = {  # name -> (algebra, number of coordinate splits)
 PREORDER_RINGS = ("Z", "Zmod 2", "Zmod 4", "Q")
 PREORDERS = 12  # each over every ring in PREORDER_RINGS
 SPLITS_PER_PREORDER_ALGEBRA = 4
+SL4_SPLITS = 444
+SL4_SAMPLED_SPLITS = 16  # over each of Z and Z/4
 
 
 def _closed(algebra, part: frozenset) -> bool:
@@ -118,6 +120,16 @@ def test_every_coordinate_split(name):
     assert len(splits) == count
     rng = random.Random(f"generated-{name}")
     for part1, part2 in splits:
+        run_split(algebra, part1, part2, rng)
+
+
+@pytest.mark.parametrize("ring", [Z, Z4], ids=["Z", "Z4"])
+def test_sl4_sampled_splits(ring):
+    algebra = sl_algebra(4, ring)
+    splits = coordinate_splits(algebra)
+    assert len(splits) == SL4_SPLITS
+    rng = random.Random(f"generated-sl4-{ring.descriptor()}")
+    for part1, part2 in rng.sample(splits, SL4_SAMPLED_SPLITS):
         run_split(algebra, part1, part2, rng)
 
 

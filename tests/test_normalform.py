@@ -28,7 +28,7 @@ from envnorm.envelope import (
     state_canon,
     state_eq,
 )
-from envnorm.liealg import CarrierMismatchError, SplitDecomposition
+from envnorm.liealg import CarrierMismatchError, LieAlgebra, SplitDecomposition
 from envnorm.normalform import (
     ActionContext,
     OracleMismatchError,
@@ -318,10 +318,21 @@ def test_lie_action(ctx):
 
 
 _BAD_SPECS = ("sl2_bad_jacobi.alg", "sl2_bad_alternating.alg", "sl2_bad_split.alg")
+# sl2 with [h, e] = 3e but [e, h] = -2e, split f | h e: no .alg can write it,
+# since a bracket line sets both orders, so here E(j, i) != -E(i, j)
+_SKEWED = "sl2_skewed_he"
+_BAD_INPUTS = _BAD_SPECS + (_SKEWED,)
 
 
 def _algebra_and_split(name):
-    """A builtin entry's algebra and split, or a bad golden spec's, built unvalidated."""
+    """A builtin entry's algebra and split, a bad golden spec's or the skewed
+    sl2's, built unvalidated."""
+    if name == _SKEWED:
+        sl2 = sl2_algebra(Z)
+        table = [list(row) for row in sl2.table]
+        table[H][E] = ((E, 3),)
+        algebra = LieAlgebra(Z, sl2.basis, table)
+        return algebra, SplitDecomposition(algebra, (F,), (E, H))
     if name in _BAD_SPECS:
         return parse_spec((GOLDEN / name).read_text(encoding="utf-8")).build()
     return REG[name].algebra, REG[name].split
@@ -344,7 +355,7 @@ def _canon_of_difference_is_zero(s, t):
     return state_canon(s - t).is_zero()
 
 
-@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_SPECS))
+@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_INPUTS))
 def test_check_lie_action_matches_public_composition(name):
     algebra, split = _algebra_and_split(name)
     c = ActionContext(algebra, split, validate=False)
@@ -362,7 +373,7 @@ def test_check_lie_action_matches_public_composition(name):
         t = _rand_state(rng, c, 3)
         for a, b in ((s, t), (s, s), (t, s + t - s)):
             assert _outcome(state_eq, a, b) == _outcome(_canon_of_difference_is_zero, a, b)
-    if name in _BAD_SPECS:  # some instances fail: by verdict, or by raising on sl2_bad_split
+    if name in _BAD_INPUTS:  # some instances fail: by verdict, or by raising on sl2_bad_split
         assert set(outcomes) - {True}
     else:
         assert set(outcomes) == {True}
@@ -378,7 +389,7 @@ def test_check_lie_action_matches_public_composition(name):
         assert got == _outcome(_lie_action_by_composition, c, *args)
 
 
-@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_SPECS))
+@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_INPUTS))
 def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
     algebra, split = _algebra_and_split(name)
     c = ActionContext(algebra, split, validate=False)
@@ -402,15 +413,13 @@ def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
     def raw_terms(state):  # the table holds raw values: the states' side is unboxed
         return {key: coeff.value for key, coeff in state.terms.items()}
 
-    assert len(table) == 3 and table[0] is last
-    assert len(table[1]) == algebra.dim
-    for k, canon in enumerate(table[1]):
-        assert canon == _canon_terms(algebra, raw_terms(act(c, basis[k], last)))
-    assert sorted(table[2]) == [(i, j) for i in range(algebra.dim)
-                                for j in range(i + 1, algebra.dim)]
-    for (i, j), d in table[2].items():
-        diff = act(c, basis[i], act(c, basis[j], last)) - act(c, basis[j], act(c, basis[i], last))
-        assert d == _canon_terms(algebra, raw_terms(diff))
+    assert len(table) == 2 and table[0] is last
+    assert sorted(table[1]) == [(i, j) for i in range(algebra.dim) for j in range(algebra.dim)]
+    for (i, j), defect in table[1].items():
+        gi, gj = basis[i], basis[j]
+        diff = (act(c, gi, act(c, gj, last)) - act(c, gj, act(c, gi, last))
+                - act(c, algebra.bracket(gi, gj), last))
+        assert defect == _canon_terms(algebra, raw_terms(diff)), (i, j)
 
     held = weakref.ref(c)
     del c, table
