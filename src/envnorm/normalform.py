@@ -57,12 +57,10 @@ and mutual inverseness against the straightening oracle.
 The Lie action check judges each verdict from a defect table for one
 state s, built whole when s arrives, kept on the context and replaced when
 another state does: the canonical e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s
-for every ordered basis pair, whose g_i h_j-weighted sum is the canonical
-difference of the law's two sides.  A state then costs dim**2 actions and
+per ordered basis pair.  A state then costs dim**2 actions and
 dim + dim*(dim-1)/2 canonicalizations, however many of its dim**2 ordered
 basis pairs are judged (the suite judges all of them), and a verdict no
-bracket.  Two canonical states (the section's, the oracle's) compare
-with ==.
+bracket.  Two canonical states (the section's, the oracle's) compare with ==.
 """
 
 from __future__ import annotations
@@ -293,12 +291,11 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
 
 
 def _lie_table(ctx: ActionContext, s: StateElement) -> tuple:
-    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)})
-    for every ordered basis pair, with E(i, j) the canonical
-    e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s, its bracket read from the
-    structure table as it is.  E(j, i) starts as the negation of the
-    commutator of i < j, and E(i, i) as empty, so a table that is not
-    alternating still gets a defect at every pair."""
+    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)}).
+    E(i, j) starts from the canonical commutator D(i, j) for i < j, from
+    -D(j, i) for i > j and empty for i == j, and then loses the bracket
+    side read from the structure table as it is: a table under test need
+    not be alternating."""
     terms = _terms(ctx, s)
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
     acted = [_act_terms(ctx, ((k, 1),), terms) for k in range(algebra.dim)]

@@ -5,12 +5,13 @@ under the bracket.  The closure check here reads the structure table
 directly, so the splits are enumerated without liealg's validation; the
 ActionContext still validates each one.  Every split of sl(2), sl(3) over Z
 and Z/4, the Heisenberg algebra and the abelian algebra is run, 16 seeded
-splits of sl(4)'s 444 over Z and over Z/4, and a few splits each of a fixed-seed sample of preorder algebras: for a preorder on
-3 or 4 points, the matrices E_ij with i before-or-equal j span an
-associative algebra (E_ij E_jk = E_ik), hence a Lie algebra with integer
-constants under the commutator, read by checks._matrix_algebra.  On each
-split, normal_order(check=True) runs on seeded words and check_lie_action
-on every ordered basis pair for one seeded state.
+splits of sl(4)'s 444 over Z and over Z/4, and a few splits each of a
+fixed-seed sample of preorder algebras: for a preorder on 3 or 4 points,
+the matrices E_ij with i before-or-equal j span an associative algebra
+(E_ij E_jk = E_ik), hence a Lie algebra with integer constants under the
+commutator, read by checks._matrix_algebra.  On each split,
+normal_order(check=True) runs on seeded words and check_lie_action on
+every ordered basis pair for one seeded state.
 """
 
 import random
