@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from closed_forms import sl2_hne
+from closed_forms import sl2_eafb, sl2_hne
 from envnorm.checks import (
     RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra, sl_algebra,
 )
@@ -544,6 +544,19 @@ def test_normal_order_golden_sl2_h30e(capsys):
         f"{c} * 1 (x) {' '.join(names[x] for x in right)}"
         for (_, right), c in sorted(sl2_hne(30).items(), key=lambda kv: -len(kv[0][1]))
     ]
+
+
+def test_normal_order_golden_sl2_e16f16(capsys):
+    # e^16 f^16, Kostant's closed form sl2_eafb(16, 16): 137 terms
+    expr = "*".join(["e"] * 16 + ["f"] * 16)
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", expr)
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_sl2_e16f16.txt")
+    names = "efh"
+    spell = lambda word: " ".join(names[x] for x in word) or "1"
+    terms = sorted(sl2_eafb(16, 16).items(),
+                   key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]), reverse=True)
+    assert out.splitlines() == [f"{c} * {spell(left)} (x) {spell(right)}" for (left, right), c in terms]
 
 
 def test_normal_order_golden_borel(capsys):

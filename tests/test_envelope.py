@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from envnorm.checks import builtin_examples, heisenberg_algebra, sl2_algebra, sl_algebra
+from envnorm.cli import parse_spec
 from envnorm.envelope import (
     EnvElement,
     StateElement,
@@ -16,12 +18,13 @@ from envnorm.envelope import (
     state_eq,
     straighten,
 )
-from envnorm.liealg import GVector, SplitDecomposition
+from envnorm.liealg import GVector, LieAlgebra, SplitDecomposition, _acc, validate_algebra
 from envnorm.normalform import ActionContext, act, normal_order
 from envnorm.ring import RingMismatchError, make_ring
 
 Z = make_ring("Z")
 REG = builtin_examples()
+GOLDEN = Path(__file__).parent / "golden"
 
 # index shorthands for sl2 basis e f h
 E, F, H = 0, 1, 2
@@ -222,6 +225,81 @@ def test_oracle_matches_worklist_cut_at_the_boundary():
                 cut = sum(1 for letter in word if letter in split.part1)
                 expected[(word[:cut], word[cut:])] = c
             assert oracle_normal_order(u, split) == StateElement(split, expected), entry.name
+
+
+FAILING_RINGS = ("Z", "Zmod 3", "Zmod 4", "Q")
+
+
+def _random_failing_table(rng, ring, dim, parts):
+    """A seeded dim x dim table that is neither alternating nor Jacobi.
+    Every cell, the diagonal too, is drawn on its own; a cell of two letters
+    of one part holds letters of that part only, so the parts stay closed
+    and every state over them has a canonical form."""
+    while True:
+        part_of = {k: p for p, part in enumerate(parts) for k in part}
+        table = [[() for _ in range(dim)] for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                if rng.random() < 0.4:
+                    continue
+                pool = parts[part_of[i]] if part_of[i] == part_of[j] else range(dim)
+                cell = [(rng.choice(pool), rng.choice((-3, -2, -1, 1, 2, 3)))
+                        for _ in range(rng.randint(1, 2))]
+                if ring.kind == "Q":
+                    cell = [(k, Fraction(c, rng.randint(1, 2))) for k, c in cell]
+                table[i][j] = cell
+        alg = LieAlgebra(ring, [f"b{i}" for i in range(dim)], table)
+        if {v.kind for v in validate_algebra(alg).violations} == {"alternating", "jacobi"}:
+            return alg
+
+
+def _failing_tables():
+    """(name, algebra, split): the three sl2_bad_*.alg goldens, and seeded
+    random 3-5-dimensional tables that fail both axioms, over each ring."""
+    rng = random.Random(30)
+    for ring in FAILING_RINGS:
+        for bad in ("alternating", "jacobi", "split"):
+            text = (GOLDEN / f"sl2_bad_{bad}.alg").read_text()
+            yield (f"sl2_bad_{bad} {ring}",) + parse_spec(text.replace("ring Z", f"ring {ring}")).build()
+        for dim in (3, 4, 4, 5):
+            cut = rng.randint(1, dim - 1)
+            letters = list(range(dim))
+            rng.shuffle(letters)
+            parts = (tuple(sorted(letters[:cut])), tuple(sorted(letters[cut:])))
+            alg = _random_failing_table(rng, make_ring(ring), dim, parts)
+            yield f"random dim {dim} {ring}", alg, SplitDecomposition(alg, *parts)
+
+
+def test_straighten_and_state_canon_match_worklist_on_failing_tables():
+    # On a table that fails validation the normal form depends on the
+    # rewriting strategy; the memoized straightener must still give the
+    # leftmost-inversion result, word for word, under every order.
+    rng = random.Random(31)
+    for name, alg, split in _failing_tables():
+        orders = [None]
+        for _ in range(2):
+            orders.append(list(range(alg.dim)))
+            rng.shuffle(orders[-1])
+        for order in orders:
+            for _ in range(15):
+                u = _random_elt(rng, alg, 5)
+                assert straighten(u, order) == _worklist_straighten(u, order)[0], (name, order)
+        for _ in range(15):
+            s = _random_state(rng, split, 4)
+            expected: dict = {}
+            for (w1, w2), c in s.terms.items():
+                left = _worklist_straighten(EnvElement.word(alg, w1))[0]
+                right = _worklist_straighten(EnvElement.word(alg, w2))[0]
+                for x1, c1 in left.terms.items():
+                    for x2, c2 in right.terms.items():
+                        _acc(expected, (x1, x2), c * c1 * c2)  # a zero product is no term
+            try:
+                want = StateElement(split, expected)
+            except ValueError:  # a factor straightens out of its part
+                with pytest.raises(ValueError, match="not in part"):
+                    state_canon(s)
+            else:
+                assert state_canon(s) == want, name
 
 
 def test_straighten_counts_only_new_rewrites():
