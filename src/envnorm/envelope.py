@@ -16,6 +16,17 @@ independent of strategy, and the leftmost-inversion strategy is fixed purely
 for determinism.  Under the split-compatible order (all part-1 letters before
 all part-2 letters) straightening doubles as an independent normal-ordering
 oracle.
+
+The memoized straightener reuses prefixes: when the leftmost inversion of w
+lies before its last letter z, the form of w is the form of w[:-1] with z
+appended to each of its words, each of those then straightened.  This is
+the leftmost-inversion result itself, on every table, one that fails the
+Lie axioms too: while w[:-1] is unsorted its leftmost inversion is w's, and
+no rewrite there touches z.  Only an inversion in the last pair is
+rewritten.  A word m z built from a sorted m needs its last pair checked
+alone, so the inversion scan starts at the end of the prefix known to be
+sorted, and moving a letter across a sorted run stores one word per
+prefix, not every intermediate word of the crossing.
 """
 
 from __future__ import annotations
@@ -191,12 +202,18 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     """The normal form of one word under ``order`` (default: declaration
     order), as a function ``form(w)`` returning immutable (word, raw) pairs.
 
-    ``form`` rewrites the leftmost inversion, then recurses on the swapped
-    word and on each bracket-expansion word.  Its memo (word -> form) is the
+    ``form(w, start)`` takes ``w[:start]`` as known to be sorted and scans
+    for the leftmost inversion from the last pair of that prefix.  If the
+    inversion lies before the last letter, the form is the form of
+    ``w[:-1]`` with the last letter appended to each word and straightened
+    (see the module docstring for why this is exact on every table);
+    otherwise it rewrites the last pair and recurses on the swapped word and
+    on each bracket-expansion word.  Its memo (word -> form) is the
     order's own, kept on the algebra under the order's rank tuple, so it is
     shared by every call with that order and freed with the algebra.  With
     ``stats`` a dict, each rewrite performed adds 1 to "steps" and the words
-    it spawns to "spawned"; a word already in the memo costs nothing.
+    it spawns to "spawned"; a word already in the memo, or one formed from
+    its prefix, costs nothing there.
 
     The memo holds raw ring values (a ``Scalar``'s ``value``), never
     ``Scalar``s: a sorted word maps to ``((w, 1),)``, and over Z and Z/q a
@@ -223,29 +240,39 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     memo = algebra._straighten_memo.setdefault(rank, {})
     table, q = algebra.table, algebra.ring.modulus
 
-    def form(w):
+    def form(w, start=0):
+        # w[:start] is known to be sorted, so the scan starts at its last pair
         hit = memo.get(w)
         if hit is not None:
             return hit
-        for pos in range(len(w) - 1):
+        last = len(w) - 1
+        for pos in range(start - 1 if start else 0, last):
             if rank[w[pos]] > rank[w[pos + 1]]:
                 break
         else:
             result = memo[w] = ((w, 1),)
             return result
-        x, y = w[pos], w[pos + 1]
-        head, tail = w[:pos], w[pos + 2:]
-        row = table[x][y]
-        if stats is not None:
-            stats["steps"] += 1
-            stats["spawned"] += 1 + len(row)
-        result = form(head + (y, x) + tail)
-        if row:  # commuting letters share the swapped word's form
-            out = dict(result)
-            for k, c in row:
-                for w2, c2 in form(head + (k,) + tail):
+        if pos < last - 1:  # straighten the prefix, then append the last letter
+            z = w[last:]
+            out: dict = {}
+            for m, c in form(w[:last], pos + 1):
+                for w2, c2 in form(m + z, len(m)):
                     _acc(out, w2, c * c2, q)
             result = tuple(out.items())
+        else:  # rewrite the last pair
+            x, y = w[pos], w[last]
+            head = w[:pos]
+            row = table[x][y]
+            if stats is not None:
+                stats["steps"] += 1
+                stats["spawned"] += 1 + len(row)
+            result = form(head + (y, x), pos)
+            if row:  # commuting letters share the swapped word's form
+                out = dict(result)
+                for k, c in row:
+                    for w2, c2 in form(head + (k,), pos):
+                        _acc(out, w2, c * c2, q)
+                result = tuple(out.items())
         memo[w] = result
         return result
 

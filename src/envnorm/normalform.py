@@ -32,23 +32,22 @@ scalars, converting at their constructors.
 
 act and act_word return the raw action on tensor-level representatives,
 never canonicalized.  section_s walks each word letter by letter, rightmost
-first, on a state grouped by left word, {w1: {right word id: raw}}: it asks
-the kernel once per left word and straightens each kernel term's left word
-under the declaration order (envelope._straightener) before regrouping, so
-the kernel only ever sees sorted left words and does not fill for every
-ordering of them.  This is exact because the action is well defined on
-U(g1) (x) U(g2) (the well_defined property): acting on any representative
-of a state gives the same canonical result.  The right words stay raw until
-the final state_canon: straightened after every letter they would put each
-intermediate word of a run crossing, such as heisenberg's c y^k -> y^k c,
-into the word-keyed straightening memo.  Raw, they are held as ids in a
-word table local to the call: id 0 is the empty word and the word x.rest
-has one id, found under the int key rest_id * dim + x.  A kernel term puts
-at most one letter in front of a right word, so a letter costs one lookup
-per right word, not a copy and a hash of the whole word.  Only the words
-left at the end are spelled out, by walking each id back to id 0, and the
-table is freed when section_s returns.  Ids of raw words that are equal in
-U(g2) stay distinct: the table shares storage, it does not merge terms.
+first, on a state grouped by left word, {w1: {w2: raw}}: it asks the kernel
+once per left word and straightens each kernel term's left word, and each
+right word a kernel term prepends a letter to, under the declaration order
+(envelope._straightener) before regrouping.  So the kernel only ever sees
+sorted left words and does not fill for every ordering of them, and equal
+right words merge as soon as they arise.  This is exact because the action
+is well defined on U(g1) (x) U(g2) (the well_defined property): acting on
+any representative of a state gives the same canonical result.  A right
+word c y^k that a letter makes costs the memo a few words, since the
+straightener moves c across y^k through the prefix c y^(k-1) (see
+envelope).  On a table that fails validation the canonical form of a word
+can depend on the order of its rewrites, so there section_s may return a
+different state from one that straightens its right words only at the end.
+It cannot when part 2 is bracket-closed with two letters or fewer: no right
+word then has three strictly decreasing letters to rewrite in two ways.
+Every failing golden is such a case.
 
 The check_* functions verify, at exact equality, the identities the
 construction is supposed to satisfy: degree filtration, right-factor
@@ -169,7 +168,7 @@ def _support(ctx: ActionContext, g: GVector) -> tuple:
     """g's (index, raw) pairs, once g is checked to lie in ctx's algebra."""
     if g.algebra is not ctx.algebra:
         raise CarrierMismatchError("vector from a different algebra")
-    return tuple((i, c.value) for i, c in g.support())
+    return tuple((i, c.value) for i, c in g.terms.items())
 
 
 def _terms(ctx: ActionContext, s: StateElement) -> dict:
@@ -199,37 +198,24 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     """The normal-ordering section: linear extension of
-    w -> (w acting on 1 (x) 1), returned in canonical form.  Left words are
-    canonical after every letter; right words are ids in a word table of
-    this call, raw until they are spelled out and canonicalized at the end
-    (see the module docstring)."""
+    w -> (w acting on 1 (x) 1), returned in canonical form.  Left and right
+    words are canonical after every letter (see the module docstring)."""
     if u.algebra is not ctx.algebra:
         raise CarrierMismatchError("element over a different algebra")
     q = ctx.algebra.ring.modulus
-    dim = ctx.algebra.dim
     form = _straightener(ctx.algebra)
-    ids: dict = {}  # rest id * dim + letter -> id of the word letter.rest
-    firsts, rests = [None], [None]  # id -> its first letter and its rest's id; id 0 is ()
     out: dict = {}
     for w, c in u.terms.items():
-        groups = {(): {0: c.value}}  # canonical left word -> {raw right word id: raw}
+        groups = {(): {(): c.value}}  # canonical left word -> {canonical right word: raw}
         for letter in reversed(w):
             acted: dict = {}
             for w1, rights in groups.items():
                 if not rights:  # cancelled out
                     continue
                 for (u1, u2), c1 in _basis_action(ctx, letter, w1):
-                    if u2:  # u2 + w2 for each right word w2 of the group
-                        (x,) = u2  # the kernel prepends letters to left words only
-                        moved = []
-                        for r, c3 in rights.items():
-                            key = r * dim + x
-                            r2 = ids.get(key)
-                            if r2 is None:
-                                r2 = ids[key] = len(rests)
-                                firsts.append(x)
-                                rests.append(r)
-                            moved.append((r2, c3))
+                    if u2:  # u2 + w2, canonical, for each right word w2 of the group
+                        moved = [(v2, c3 * c4) for w2, c3 in rights.items()
+                                 for v2, c4 in form(u2 + w2)]
                     else:
                         moved = rights.items()
                     for v1, c2 in form(u1):
@@ -237,16 +223,12 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
                         if group is None:
                             group = acted[v1] = {}
                         c12 = c1 * c2
-                        for r, c3 in moved:
-                            _acc(group, r, c12 * c3, q)
+                        for w2, c3 in moved:
+                            _acc(group, w2, c12 * c3, q)
             groups = acted
         for w1, rights in groups.items():
-            for r, c3 in rights.items():
-                w2 = []
-                while r:
-                    w2.append(firsts[r])
-                    r = rests[r]
-                _acc(out, (w1, tuple(w2)), c3, q)
+            for w2, c3 in rights.items():
+                _acc(out, (w1, w2), c3, q)
     return state_canon(StateElement._trusted(ctx.split, out))
 
 

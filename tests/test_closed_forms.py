@@ -3,8 +3,10 @@
 Heisenberg y^n x^m, sl(2) e f^n, sl(2) e^a f^b and sl(2) h^n e have normal
 forms in closed form (``closed_forms``, plain integers, no envnorm import).  Both section_s and
 normal_order(check=True), which also runs the straightening oracle, must
-give them exactly, over Z and over Z/2, Z/3 and Z/4.  The oracle nests about
-n*m recursive calls, so n*m stays at 300 or below.
+give them exactly, over Z and over Z/2, Z/3 and Z/4.  The straightener nests
+about two calls per letter of the word, so under the default recursion limit
+of 1 000 a word stays at about 300 letters (h^300 e and y^300 x need a limit
+near 610).
 """
 
 import pytest
@@ -19,8 +21,8 @@ from envnorm.ring import make_ring
 RINGS = {"Z": None, "Zmod 2": 2, "Zmod 3": 3, "Zmod 4": 4}
 HEISENBERG = [(1, 1), (3, 2), (6, 5), (9, 9), (50, 1), (300, 1)]
 SL2 = [1, 5, 45, 80]
-SL2_EAFB = [(1, 1), (2, 3), (5, 4), (8, 8), (12, 10)]
-SL2_HNE = [1, 5, 30, 60]
+SL2_EAFB = [(1, 1), (2, 3), (5, 4), (8, 8), (12, 10), (16, 16), (24, 20)]
+SL2_HNE = [1, 5, 30, 60, 300]
 
 
 def _plain(state) -> dict:

@@ -499,12 +499,13 @@ def test_section_equals_the_raw_action_path(name):
     assert left_words and all(list(w1) == sorted(w1) for w1 in left_words)
 
 
-def test_section_keeps_right_words_raw_until_the_end():
-    # heisenberg y^300 x: each letter puts c in front of a run of y's.
-    # Straightening the right words after every letter would fill the
-    # declaration-order memo with the intermediate words of each
-    # c y^k -> y^k c (45 753 words); straightened once, at the end, they
-    # leave a few hundred.
+def test_section_memo_is_linear_in_n_on_heisenberg_ynx():
+    # heisenberg y^300 x: a letter can put c in front of a run of y's, and
+    # section_s straightens each right word as its letter arrives.  The
+    # straightener moves c across y^k through the prefix c y^(k-1), whose
+    # form the memo already holds, so each k adds a few words (1 199 in
+    # all); rewriting one swap at a time on whole words would store every
+    # intermediate word of c y^k -> y^k c, about n**2 / 2 of them.
     entry = builtin_examples()["heisenberg_Z"]  # x | y c
     c = ActionContext(entry.algebra, entry.split)
     section_s(c, EnvElement.word(entry.algebra, (1,) * 300 + (0,)))
