@@ -631,6 +631,15 @@ def test_straighten_golden_mod2(capsys):
     assert out == golden("straighten_sl2_mod2_long.txt")
 
 
+def test_straighten_golden_sl3_reversed_order(capsys):
+    # an explicit --order, the reverse of sl3's declaration order: 61 terms
+    order = "H2 H1 E32 E31 E21 E23 E13 E12".split()
+    code, out, err = run_cli(capsys, "straighten", str(GOLDEN / "sl3.alg"), "--order", *order,
+                             "--expr", "E12*E12*E23*E13*E21*E31*E32*E32")
+    assert (code, err) == (0, "")
+    assert out == golden("straighten_sl3_reversed_order.txt")
+
+
 def test_straighten_custom_order(capsys):
     code, out, _ = run_cli(
         capsys, "straighten", str(GOLDEN / "sl2.alg"), "--expr", "f*e",

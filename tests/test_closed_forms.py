@@ -5,8 +5,9 @@ forms in closed form (``closed_forms``, plain integers, no envnorm import).  Bot
 normal_order(check=True), which also runs the straightening oracle, must
 give them exactly, over Z and over Z/2, Z/3 and Z/4.  The straightener nests
 about two calls per letter of the word, so under the default recursion limit
-of 1 000 a word stays at about 300 letters (h^300 e and y^300 x need a limit
-near 610).
+of 1 000 a word stays under about 500 letters: normal_order of y^n x, e f^n
+and h^n e raises RecursionError from n = 497 in a plain script, and the
+400-letter cases here need a limit near 810.
 """
 
 import pytest
@@ -19,10 +20,10 @@ from envnorm.normalform import ActionContext, normal_order, section_s
 from envnorm.ring import make_ring
 
 RINGS = {"Z": None, "Zmod 2": 2, "Zmod 3": 3, "Zmod 4": 4}
-HEISENBERG = [(1, 1), (3, 2), (6, 5), (9, 9), (50, 1), (300, 1)]
-SL2 = [1, 5, 45, 80]
+HEISENBERG = [(1, 1), (3, 2), (6, 5), (9, 9), (50, 1), (300, 1), (400, 1)]
+SL2 = [1, 5, 45, 80, 400]
 SL2_EAFB = [(1, 1), (2, 3), (5, 4), (8, 8), (12, 10), (16, 16), (24, 20)]
-SL2_HNE = [1, 5, 30, 60, 300]
+SL2_HNE = [1, 5, 30, 60, 300, 400]
 
 
 def _plain(state) -> dict:
