@@ -2,11 +2,21 @@
 the concatenation product, the tensor-pair-to-envelope multiplication, and
 PBW straightening.
 
-Words are plain tuples of basis indices; the empty tuple is the unit.  An
-envelope element is a sparse {word: scalar} map and always denotes an element
-of the enveloping algebra *by representative*: structural equality compares
-representatives, while :func:`env_eq` decides equality in the quotient by
-straightening the difference to the canonical nondecreasing-word form.
+Public words are plain tuples of basis indices; the empty tuple is the
+unit.  Inside the engine (straightening here, the basis kernel and the
+section in ``normalform``) a word is a ``str`` whose letter i is ``chr(i)``:
+a memo lookup reads its cached hash, and a slice or a join copies its
+letters with no reference counting.  ``chr`` covers every index a basis
+can have.  A word is encoded where a call enters the engine and decoded
+only where an element is built, both through the algebra's word table
+(``LieAlgebra._words``, filled on first use), so a word seen before costs
+one dict lookup either way.
+
+An envelope element is a sparse {word: scalar} map and always denotes an
+element of the enveloping algebra *by representative*: structural equality
+compares representatives, while :func:`env_eq` decides equality in the
+quotient by straightening the difference to the canonical nondecreasing-word
+form.
 
 Straightening exhaustively rewrites any adjacent out-of-order pair
 ``x y -> y x + [x, y]`` (the bracket expanded over the basis).  Each rewrite
@@ -202,6 +212,10 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     """The normal form of one word under ``order`` (default: declaration
     order), as a function ``form(w)`` returning immutable (word, raw) pairs.
 
+    The words are engine words (``str``, see the module docstring): ``form``
+    compares letters through the order's rank, reads the structure table at
+    ``ord`` of each letter and spells a bracket word with ``chr``.
+
     ``form(w, start)`` takes ``w[:start]`` as known to be sorted and scans
     for the leftmost inversion from the last pair of that prefix.  If the
     inversion lies before the last letter, the form is the form of
@@ -217,8 +231,8 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
 
     The memo holds raw ring values (a ``Scalar``'s ``value``), never
     ``Scalar``s: a sorted word maps to ``((w, 1),)``, and over Z and Z/q a
-    form is a tuple of ints and int tuples, which the cyclic garbage
-    collector untracks.
+    form is a tuple of strs and ints, which the cyclic garbage collector
+    untracks.
     Scalars are built only where an element is, by ``Ring.scalar``.
 
     The declaration-order ``form`` without ``stats``, the one every
@@ -238,6 +252,7 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
             raise ValueError("order must be a permutation of the basis indices")
         rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
     memo = algebra._straighten_memo.setdefault(rank, {})
+    rank_of = {chr(i): r for i, r in enumerate(rank)}  # engine letter -> position in the order
     table, q = algebra.table, algebra.ring.modulus
 
     def form(w, start=0):
@@ -247,13 +262,13 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
             return hit
         last = len(w) - 1
         for pos in range(start - 1 if start else 0, last):
-            if rank[w[pos]] > rank[w[pos + 1]]:
+            if rank_of[w[pos]] > rank_of[w[pos + 1]]:
                 break
         else:
             result = memo[w] = ((w, 1),)
             return result
         if pos < last - 1:  # straighten the prefix, then append the last letter
-            z = w[last:]
+            z = w[last]
             out: dict = {}
             for m, c in form(w[:last], pos + 1):
                 for w2, c2 in form(m + z, len(m)):
@@ -262,15 +277,15 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         else:  # rewrite the last pair
             x, y = w[pos], w[last]
             head = w[:pos]
-            row = table[x][y]
+            row = table[ord(x)][ord(y)]
             if stats is not None:
                 stats["steps"] += 1
                 stats["spawned"] += 1 + len(row)
-            result = form(head + (y, x), pos)
+            result = form(head + y + x, pos)
             if row:  # commuting letters share the swapped word's form
                 out = dict(result)
                 for k, c in row:
-                    for w2, c2 in form(head + (k,), pos):
+                    for w2, c2 in form(head + chr(k), pos):
                         _acc(out, w2, c * c2, q)
                 result = tuple(out.items())
         memo[w] = result
@@ -292,13 +307,13 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     if stats is not None:
         stats.setdefault("steps", 0)
         stats.setdefault("spawned", 0)
-    q = u.algebra.ring.modulus
+    q, words = u.algebra.ring.modulus, u.algebra._words
     out: dict = {}
     for w, c in u.terms.items():
         c = c.value
-        for w2, c2 in form(w):
+        for w2, c2 in form(words[w]):
             _acc(out, w2, c * c2, q)
-    return EnvElement._trusted(u.algebra, out)
+    return EnvElement._trusted(u.algebra, {words[w]: c for w, c in out.items()})
 
 
 def env_eq(u: EnvElement, v: EnvElement) -> bool:
@@ -309,8 +324,9 @@ def env_eq(u: EnvElement, v: EnvElement) -> bool:
 
 
 def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
-    """{(w1, w2): raw} terms with both factor words straightened under the
-    declaration order, as a fresh raw dict with no zero coefficient."""
+    """{(w1, w2): raw} terms of engine words with both factor words
+    straightened under the declaration order, as a fresh raw dict with no
+    zero coefficient."""
     form, q = _straightener(algebra), algebra.ring.modulus
     out: dict = {}
     for (w1, w2), c in terms.items():
@@ -325,8 +341,15 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
-    terms = {key: c.value for key, c in s.terms.items()}
-    return StateElement._trusted(s.split, _canon_terms(s.algebra, terms))
+    words = s.algebra._words
+    terms = {(words[w1], words[w2]): c.value for (w1, w2), c in s.terms.items()}
+    return StateElement._trusted(s.split, _decoded(s.algebra, _canon_terms(s.algebra, terms)))
+
+
+def _decoded(algebra: LieAlgebra, terms: dict) -> dict:
+    """{(w1, w2): raw} terms of engine words, with public (tuple) words."""
+    words = algebra._words
+    return {(words[w1], words[w2]): c for (w1, w2), c in terms.items()}
 
 
 def state_eq(s: StateElement, t: StateElement) -> bool:

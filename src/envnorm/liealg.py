@@ -76,6 +76,21 @@ def _check_indices(indices, n: int, what: str) -> None:
             raise ValueError(f"{what} {i!r} outside basis")
 
 
+class _Words(dict):
+    """Both directions of the one word encoding, filled on first use: a
+    public word (a tuple of basis indices) maps to its engine word (a str
+    whose letter i is chr(i)), and that str maps back to the same tuple.
+    No tuple equals a str, so the two directions share one dict."""
+
+    __slots__ = ()
+
+    def __missing__(self, word):
+        code = "".join(map(chr, word)) if type(word) is tuple else tuple(map(ord, word))
+        self[word] = code
+        self[code] = word
+        return code
+
+
 def _index_of(index: dict, name: str) -> int:
     try:
         return index[name]
@@ -185,7 +200,7 @@ class LieAlgebra:
     """
 
     __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors",
-                 "_straighten_memo", "_declared_form", "__weakref__")
+                 "_straighten_memo", "_declared_form", "_words", "__weakref__")
 
     def __init__(self, ring: Ring, basis_names, table):
         basis = tuple(basis_names)
@@ -227,6 +242,7 @@ class LieAlgebra:
         self._basis_vectors = tuple(GVector._trusted(self, {i: ring.one}) for i in range(n))
         self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}
         self._declared_form = None  # envelope._straightener(self), built on first use
+        self._words = _Words()  # public word <-> engine word, see envelope
 
     @classmethod
     def from_brackets(cls, ring: Ring, basis_names, brackets) -> "LieAlgebra":

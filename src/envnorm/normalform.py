@@ -19,8 +19,10 @@ is g.(w1, ()) with w2 appended (right-linearity, one of the checked
 identities), and by linearity in g the whole action is fixed by the basis
 kernel e_i.(w1, ()).  Each :class:`ActionContext` memoizes that kernel per
 (basis index, left word) as immutable tuples, computed straight from the
-structure table.  Its values are exact, so every result equals the plain
-recursion's, and the memo is freed with the context.
+structure table; the left word in its key and every word in its terms
+are engine words (``str``, letter i is ``chr(i)``; see envelope).  Its
+values are exact, so every result equals the plain recursion's, and the
+memo is freed with the context.
 
 The kernel, the action on term dicts and the Lie action table carry raw
 ring values (a ``Scalar``'s ``value``: ints, reduced into [0, q) over Z/q,
@@ -28,7 +30,8 @@ and ints or Fractions over Q), never ``Scalar``s, and read the structure
 table, which holds raw values too, as it is; over Z and Z/q the kernel
 memo then holds nothing the cyclic garbage collector has to walk.  The
 public functions take and return ``GVector``s and ``StateElement``s of
-scalars, converting at their constructors.
+scalars and tuple words, converting at their constructors: a state's words
+are encoded as it enters and decoded where an element is built.
 
 act and act_word return the raw action on tensor-level representatives,
 never canonicalized.  section_s walks each word letter by letter, rightmost
@@ -39,15 +42,18 @@ right word a kernel term prepends a letter to, under the declaration order
 sorted left words and does not fill for every ordering of them, and equal
 right words merge as soon as they arise.  This is exact because the action
 is well defined on U(g1) (x) U(g2) (the well_defined property): acting on
-any representative of a state gives the same canonical result.  A right
-word c y^k that a letter makes costs the memo a few words, since the
-straightener moves c across y^k through the prefix c y^(k-1) (see
-envelope).  On a table that fails validation the canonical form of a word
-can depend on the order of its rewrites, so there section_s may return a
-different state from one that straightens its right words only at the end.
-It cannot when part 2 is bracket-closed with two letters or fewer: no right
-word then has three strictly decreasing letters to rewrite in two ways.
-Every failing golden is such a case.
+any representative of a state gives the same canonical result.  A kernel
+term's right word u2 is one letter or empty, and a group's right words
+are canonical, so u2 w2 is already sorted when u2 <= w2[0]; section_s then
+takes ((u2 w2, 1),) as its form, form's own base case, with no scan and no
+memo entry.  A right word c y^k that a letter makes costs the memo a few
+words, since the straightener moves c across y^k through the prefix
+c y^(k-1) (see envelope).  On a table that fails validation the canonical
+form of a word can depend on the order of its rewrites, so there section_s
+may return a different state from one that straightens its right words
+only at the end.  It cannot when part 2 is bracket-closed with two letters
+or fewer: no right word then has three strictly decreasing letters to
+rewrite in two ways.  Every failing golden is such a case.
 
 The check_* functions verify, at exact equality, the identities the
 construction is supposed to satisfy: degree filtration, right-factor
@@ -68,6 +74,7 @@ from .envelope import (
     EnvElement,
     StateElement,
     _canon_terms,
+    _decoded,
     _straightener,
     env_eq,
     env_mul,
@@ -117,7 +124,7 @@ class ActionContext:
                 raise ValueError(f"invalid algebra or split:\n{report}")
         self.algebra = algebra
         self.split = split
-        self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, ())
+        self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, "")
         self._lie_table = None  # (s, {(i, j): canonical E(i, j)}), see _lie_table
 
     def unit_state(self) -> StateElement:
@@ -127,25 +134,27 @@ class ActionContext:
         return f"ActionContext({self.algebra!r}, {self.split})"
 
 
-def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
-    """e_i acting on (w1, ()) as ((u1, u2), raw) pairs, memoized on ctx;
-    the recursion step is e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t))."""
+def _basis_action(ctx: ActionContext, i: int, w1: str) -> tuple:
+    """e_i acting on (w1, "") as ((u1, u2), raw) pairs of engine words,
+    memoized on ctx; the recursion step is
+    e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t)).  Each u2 is one letter or
+    empty."""
     key = (i, w1)
     hit = ctx._kernel.get(key)
     if hit is not None:
         return hit
     if not w1:
-        pair = ((i,), ()) if i in ctx.split.part1_set else ((), (i,))
+        pair = (chr(i), "") if i in ctx.split.part1_set else ("", chr(i))
         result = ((pair, 1),)
     else:
         x, rest = w1[0], w1[1:]
         q = ctx.algebra.ring.modulus
         out: dict = {}
-        for k, b in ctx.algebra.table[i][x]:
+        for k, b in ctx.algebra.table[i][ord(x)]:
             for pair, c in _basis_action(ctx, k, rest):
                 _acc(out, pair, b * c, q)
         for (u1, u2), c in _basis_action(ctx, i, rest):
-            _acc(out, ((x,) + u1, u2), c, q)
+            _acc(out, (x + u1, u2), c, q)
         result = tuple(out.items())
     ctx._kernel[key] = result
     return result
@@ -153,7 +162,8 @@ def _basis_action(ctx: ActionContext, i: int, w1: tuple) -> tuple:
 
 def _act_terms(ctx: ActionContext, support, terms: dict) -> dict:
     """g, given by its (index, raw) support pairs, acting on the raw
-    {(w1, w2): c} terms of a state; the result is a raw dict of that shape."""
+    {(w1, w2): c} terms of a state in engine words; the result is a raw dict
+    of that shape."""
     q = ctx.algebra.ring.modulus
     out: dict = {}
     for (w1, w2), c in terms.items():
@@ -172,16 +182,19 @@ def _support(ctx: ActionContext, g: GVector) -> tuple:
 
 
 def _terms(ctx: ActionContext, s: StateElement) -> dict:
-    """s's terms as a raw dict, once s is checked to lie over ctx's split."""
+    """s's terms as a raw dict of engine words, once s is checked to lie
+    over ctx's split."""
     if s.split is not ctx.split:
         raise CarrierMismatchError("state from a different split")
-    return {key: c.value for key, c in s.terms.items()}
+    words = ctx.algebra._words
+    return {(words[w1], words[w2]): c.value for (w1, w2), c in s.terms.items()}
 
 
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
     """Left action of g on a state representative (see module docstring).
     Linear in both arguments; the result is not canonicalized."""
-    return StateElement._trusted(ctx.split, _act_terms(ctx, _support(ctx, g), _terms(ctx, s)))
+    terms = _act_terms(ctx, _support(ctx, g), _terms(ctx, s))
+    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, terms))
 
 
 def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
@@ -193,7 +206,7 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     _check_indices(word, ctx.algebra.dim, "letter")
     for letter in reversed(word):
         terms = _act_terms(ctx, ((letter, 1),), terms)
-    return StateElement._trusted(ctx.split, terms)
+    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, terms))
 
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
@@ -206,7 +219,7 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     form = _straightener(ctx.algebra)
     out: dict = {}
     for w, c in u.terms.items():
-        groups = {(): {(): c.value}}  # canonical left word -> {canonical right word: raw}
+        groups = {"": {"": c.value}}  # canonical left word -> {canonical right word: raw}
         for letter in reversed(w):
             acted: dict = {}
             for w1, rights in groups.items():
@@ -214,8 +227,12 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
                     continue
                 for (u1, u2), c1 in _basis_action(ctx, letter, w1):
                     if u2:  # u2 + w2, canonical, for each right word w2 of the group
-                        moved = [(v2, c3 * c4) for w2, c3 in rights.items()
-                                 for v2, c4 in form(u2 + w2)]
+                        moved = []
+                        for w2, c3 in rights.items():
+                            if w2 and u2 > w2[0]:
+                                moved += [(v2, c3 * c4) for v2, c4 in form(u2 + w2)]
+                            else:  # u2 + w2 is sorted: form's base case
+                                moved.append((u2 + w2, c3))
                     else:
                         moved = rights.items()
                     for v1, c2 in form(u1):
@@ -229,7 +246,7 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
         for w1, rights in groups.items():
             for w2, c3 in rights.items():
                 _acc(out, (w1, w2), c3, q)
-    return state_canon(StateElement._trusted(ctx.split, out))
+    return state_canon(StateElement._trusted(ctx.split, _decoded(ctx.algebra, out)))
 
 
 def normal_order(ctx: ActionContext, u: EnvElement, check: bool = True) -> StateElement:
@@ -273,7 +290,8 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
 
 
 def _lie_table(ctx: ActionContext, s: StateElement) -> tuple:
-    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)}).
+    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)}),
+    each E(i, j) a raw term dict of engine words, s encoded once.
     E(i, j) starts from the canonical commutator D(i, j) for i < j, from
     -D(j, i) for i > j and empty for i == j, and then loses the bracket
     side read from the structure table as it is: a table under test need
@@ -322,7 +340,7 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
                 _acc(diff, key, c * d, q)
     if not diff:
         return True
-    StateElement._trusted(ctx.split, diff)  # its part check raises on a split that is not bracket-closed
+    StateElement._trusted(ctx.split, _decoded(ctx.algebra, diff))  # its part check raises on a split that is not bracket-closed
     return False
 
 

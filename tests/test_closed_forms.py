@@ -10,11 +10,13 @@ and h^n e raises RecursionError from n = 497 in a plain script, and the
 400-letter cases here need a limit near 810.
 """
 
+import random
+
 import pytest
 
 from closed_forms import heisenberg_ynxm, sl2_eafb, sl2_efn, sl2_hne
 from envnorm.checks import heisenberg_algebra, sl2_algebra
-from envnorm.envelope import EnvElement
+from envnorm.envelope import EnvElement, straighten
 from envnorm.liealg import LieAlgebra, SplitDecomposition
 from envnorm.normalform import ActionContext, normal_order, section_s
 from envnorm.ring import make_ring
@@ -63,6 +65,50 @@ def test_sl2_eafb(a, b, ring):
 def test_sl2_hne(n, ring):
     alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | h e
     _agree(alg, (1,), (2, 0), (2,) * n + (0,), sl2_hne(n, RINGS[ring]))
+
+
+def _wide_heisenberg(ring, pairs=150):
+    """Heisenberg on x0 y0 x1 y1 ... c: [x_i, y_i] = c, dimension 2 pairs + 1."""
+    names = [name for i in range(pairs) for name in (f"x{i}", f"y{i}")] + ["c"]
+    brackets = {(f"x{i}", f"y{i}"): {"c": 1} for i in range(pairs)}
+    return LieAlgebra.from_brackets(ring, names, brackets)
+
+
+WIDE_PAIR = 140  # x140, y140 and c are the letters 280, 281 and 300
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zmod 4"])
+@pytest.mark.parametrize("n, m", [(1, 1), (6, 5), (40, 1)])
+def test_heisenberg_ynxm_with_letters_past_255(n, m, ring):
+    # a word's letters are its basis indices at any dimension, past 255 too
+    alg = _wide_heisenberg(make_ring(ring))
+    assert alg.dim == 301
+    x, y, c = 2 * WIDE_PAIR, 2 * WIDE_PAIR + 1, alg.dim - 1
+    split = SplitDecomposition(alg, tuple(range(0, alg.dim - 1, 2)),
+                               tuple(range(1, alg.dim - 1, 2)) + (c,))
+    # valid by construction: validating all C(301, 3) triples takes seconds
+    ctx = ActionContext(alg, split, validate=False)
+    relabel = {0: x, 1: y, 2: c}
+    expected = {(tuple(relabel[k] for k in w1), tuple(relabel[k] for k in w2)): coeff
+                for (w1, w2), coeff in heisenberg_ynxm(n, m, RINGS[ring]).items()}
+    got = normal_order(ctx, EnvElement.word(alg, (y,) * n + (x,) * m), check=True)
+    assert _plain(got) == expected
+
+
+def test_straighten_with_letters_past_255_matches_heisenberg():
+    rng = random.Random("wide-heisenberg")
+    alg, small = _wide_heisenberg(make_ring("Z")), heisenberg_algebra(make_ring("Z"))
+    letters = (2 * WIDE_PAIR, 2 * WIDE_PAIR + 1, alg.dim - 1)  # x, y, c
+    for _ in range(5):
+        order = list(range(alg.dim))
+        rng.shuffle(order)
+        small_order = sorted(range(3), key=lambda k: order.index(letters[k]))
+        words = [tuple(rng.choices(range(3), k=rng.randint(1, 9))) for _ in range(4)]
+        u = EnvElement(small, {w: rng.randint(-3, 3) or 1 for w in words})
+        wide = EnvElement(alg, {tuple(letters[k] for k in w): c for w, c in u.terms.items()})
+        want = {tuple(letters[k] for k in w): c.value
+                for w, c in straighten(u, small_order).terms.items()}
+        assert {w: c.value for w, c in straighten(wide, order).terms.items()} == want
 
 
 def test_sl2_eafb_sees_a_flipped_h_e_bracket():

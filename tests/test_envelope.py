@@ -322,7 +322,7 @@ def test_declaration_order_straightener_is_built_once_per_algebra():
     explicit = _straightener(alg, order=range(alg.dim))
     counting = _straightener(alg, stats={"steps": 0, "spawned": 0})
     assert explicit is not form and counting is not form
-    word = tuple(reversed(range(alg.dim)))
+    word = "".join(map(chr, reversed(range(alg.dim))))  # form reads engine (str) words
     assert explicit(word) is form(word) is counting(word)
 
 

@@ -27,6 +27,7 @@ from envnorm.envelope import (
     oracle_normal_order,
     state_canon,
     state_eq,
+    straighten,
 )
 from envnorm.liealg import CarrierMismatchError, LieAlgebra, SplitDecomposition
 from envnorm.normalform import (
@@ -161,6 +162,31 @@ def test_memo_values_are_not_tracked_by_the_collector(ring):
     kernel = list(c._kernel.values())
     assert forms and kernel
     assert [v for v in forms + kernel if gc.is_tracked(v)] == []
+
+
+def test_public_results_hold_tuple_words():
+    # the engine works on str words; every element it returns has tuple words
+    alg = sl_algebra(3, Z)
+    c = ActionContext(alg, sl_triangular_split(alg, 3))
+    u = EnvElement.word(alg, tuple(reversed(range(alg.dim))))
+    s = _rand_state(random.Random(7), c, 3)
+    g = alg.vector([1] * alg.dim)
+    elements = {
+        "straighten": straighten(u),
+        "straighten under an order": straighten(u, tuple(reversed(range(alg.dim)))),
+    }
+    states = {
+        "section_s": section_s(c, u),
+        "normal_order": normal_order(c, u),
+        "act": act(c, g, s),
+        "act_word": act_word(c, (0, 5, 7), s),
+        "state_canon": state_canon(s),
+    }
+    words = [(name, w) for name, x in elements.items() for w in x.terms]
+    words += [(name, w) for name, x in states.items() for key in x.terms for w in key]
+    assert {name for name, _w in words} == set(elements) | set(states)  # none is empty
+    assert [(name, w) for name, w in words
+            if type(w) is not tuple or any(type(letter) is not int for letter in w)] == []
 
 
 def test_act_word(ctx):
@@ -410,8 +436,9 @@ def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
     last = instances[-1][2]  # the table is built whole for the last state to arrive
     table = c._lie_table
 
-    def raw_terms(state):  # the table holds raw values: the states' side is unboxed
-        return {key: coeff.value for key, coeff in state.terms.items()}
+    def raw_terms(state):  # the table holds raw values and engine (str) words
+        return {("".join(map(chr, w1)), "".join(map(chr, w2))): coeff.value
+                for (w1, w2), coeff in state.terms.items()}
 
     assert len(table) == 2 and table[0] is last
     assert sorted(table[1]) == [(i, j) for i in range(algebra.dim) for j in range(algebra.dim)]
@@ -503,9 +530,11 @@ def test_section_memo_is_linear_in_n_on_heisenberg_ynx():
     # heisenberg y^300 x: a letter can put c in front of a run of y's, and
     # section_s straightens each right word as its letter arrives.  The
     # straightener moves c across y^k through the prefix c y^(k-1), whose
-    # form the memo already holds, so each k adds a few words (1 199 in
-    # all); rewriting one swap at a time on whole words would store every
-    # intermediate word of c y^k -> y^k c, about n**2 / 2 of them.
+    # form the memo already holds, so each k adds a few words (899 in all,
+    # since a prepend that leaves the word sorted, such as y y^k, is its own
+    # form and is not stored); rewriting one swap at a time on whole words
+    # would store every intermediate word of c y^k -> y^k c, about n**2 / 2
+    # of them.
     entry = builtin_examples()["heisenberg_Z"]  # x | y c
     c = ActionContext(entry.algebra, entry.split)
     section_s(c, EnvElement.word(entry.algebra, (1,) * 300 + (0,)))
