@@ -6,7 +6,7 @@ normal_order(check=True), which also runs the straightening oracle, must
 give them exactly, over Z and over Z/2, Z/3 and Z/4.  The straightener nests
 about two calls per letter of the word, so under the default recursion limit
 of 1 000 a word stays under about 500 letters: normal_order of y^n x, e f^n
-and h^n e raises RecursionError from n = 497 in a plain script, and the
+and h^n e raises RecursionError from n = 498 in a plain script, and the
 400-letter cases here need a limit near 810.
 """
 
