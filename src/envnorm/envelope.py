@@ -341,9 +341,13 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
+    return StateElement._trusted(s.split, _decoded(s.algebra, _canon_terms(s.algebra, _encoded(s))))
+
+
+def _encoded(s: StateElement) -> dict:
+    """s's terms as {(w1, w2): raw} terms of engine words."""
     words = s.algebra._words
-    terms = {(words[w1], words[w2]): c.value for (w1, w2), c in s.terms.items()}
-    return StateElement._trusted(s.split, _decoded(s.algebra, _canon_terms(s.algebra, terms)))
+    return {(words[w1], words[w2]): c.value for (w1, w2), c in s.terms.items()}
 
 
 def _decoded(algebra: LieAlgebra, terms: dict) -> dict:

@@ -34,26 +34,28 @@ scalars and tuple words, converting at their constructors: a state's words
 are encoded as it enters and decoded where an element is built.
 
 act and act_word return the raw action on tensor-level representatives,
-never canonicalized.  section_s walks each word letter by letter, rightmost
-first, on a state grouped by left word, {w1: {w2: raw}}: it asks the kernel
-once per left word and straightens each kernel term's left word, and each
-right word a kernel term prepends a letter to, under the declaration order
-(envelope._straightener) before regrouping.  So the kernel only ever sees
-sorted left words and does not fill for every ordering of them, and equal
-right words merge as soon as they arise.  This is exact because the action
-is well defined on U(g1) (x) U(g2) (the well_defined property): acting on
-any representative of a state gives the same canonical result.  A kernel
-term's right word u2 is one letter or empty, and a group's right words
-are canonical, so u2 w2 is already sorted when u2 <= w2[0]; section_s then
-takes ((u2 w2, 1),) as its form, form's own base case, with no scan and no
-memo entry.  A right word c y^k that a letter makes costs the memo a few
-words, since the straightener moves c across y^k through the prefix
-c y^(k-1) (see envelope).  On a table that fails validation the canonical
-form of a word can depend on the order of its rewrites, so there section_s
-may return a different state from one that straightens its right words
-only at the end.  It cannot when part 2 is bracket-closed with two letters
-or fewer: no right word then has three strictly decreasing letters to
-rewrite in two ways.  Every failing golden is such a case.
+never canonicalized.  section_s is that action with canonicalization
+after every letter: it walks each word rightmost letter first, acts with
+the letter on the state's {(w1, w2): raw} terms through _act_terms, as
+act_word does, and straightens both factor words of every merged term
+under the declaration order (envelope._straightener).  So the kernel only
+ever sees sorted left words and does not fill for every ordering of them,
+equal terms merge before they are straightened, and the state left after
+the last letter is canonical as it stands, with no state_canon after it.
+This is exact because the action is well defined on U(g1) (x) U(g2) (the
+well_defined property): acting on any representative of a state gives the
+same canonical result.  A kernel term prepends at most one letter to a
+right word, which was canonical, so an acted right word w2 is sorted from
+its second letter on; unless w2[0] > w2[1] it is form's own base case,
+taken as ((w2, 1),) with no scan and no memo entry.  A right word c y^k
+that a letter makes costs the memo a few words, since the straightener
+moves c across y^k through the prefix c y^(k-1) (see envelope).  On a table
+that fails validation the canonical form of a word can depend on the order
+of its rewrites, so there section_s may return a different state from one
+that straightens its right words only at the end.  It cannot when part 2
+is bracket-closed with two letters or fewer: no right word then has three
+strictly decreasing letters to rewrite in two ways.  Every failing golden
+is such a case.
 
 The check_* functions verify, at exact equality, the identities the
 construction is supposed to satisfy: degree filtration, right-factor
@@ -75,6 +77,7 @@ from .envelope import (
     StateElement,
     _canon_terms,
     _decoded,
+    _encoded,
     _straightener,
     env_eq,
     env_mul,
@@ -186,8 +189,7 @@ def _terms(ctx: ActionContext, s: StateElement) -> dict:
     over ctx's split."""
     if s.split is not ctx.split:
         raise CarrierMismatchError("state from a different split")
-    words = ctx.algebra._words
-    return {(words[w1], words[w2]): c.value for (w1, w2), c in s.terms.items()}
+    return _encoded(s)
 
 
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
@@ -211,42 +213,29 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
 
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     """The normal-ordering section: linear extension of
-    w -> (w acting on 1 (x) 1), returned in canonical form.  Left and right
-    words are canonical after every letter (see the module docstring)."""
+    w -> (w acting on 1 (x) 1), returned in canonical form.  Each letter
+    acts through _act_terms, and both factor words are straightened after
+    every letter (see the module docstring)."""
     if u.algebra is not ctx.algebra:
         raise CarrierMismatchError("element over a different algebra")
     q = ctx.algebra.ring.modulus
     form = _straightener(ctx.algebra)
     out: dict = {}
     for w, c in u.terms.items():
-        groups = {"": {"": c.value}}  # canonical left word -> {canonical right word: raw}
+        terms = {("", ""): c.value}
         for letter in reversed(w):
-            acted: dict = {}
-            for w1, rights in groups.items():
-                if not rights:  # cancelled out
-                    continue
-                for (u1, u2), c1 in _basis_action(ctx, letter, w1):
-                    if u2:  # u2 + w2, canonical, for each right word w2 of the group
-                        moved = []
-                        for w2, c3 in rights.items():
-                            if w2 and u2 > w2[0]:
-                                moved += [(v2, c3 * c4) for v2, c4 in form(u2 + w2)]
-                            else:  # u2 + w2 is sorted: form's base case
-                                moved.append((u2 + w2, c3))
-                    else:
-                        moved = rights.items()
-                    for v1, c2 in form(u1):
-                        group = acted.get(v1)
-                        if group is None:
-                            group = acted[v1] = {}
-                        c12 = c1 * c2
-                        for w2, c3 in moved:
-                            _acc(group, w2, c12 * c3, q)
-            groups = acted
-        for w1, rights in groups.items():
-            for w2, c3 in rights.items():
-                _acc(out, (w1, w2), c3, q)
-    return state_canon(StateElement._trusted(ctx.split, _decoded(ctx.algebra, out)))
+            acted = _act_terms(ctx, ((letter, 1),), terms)
+            terms = {}
+            for (w1, w2), c1 in acted.items():
+                # w2[1:] is sorted, so w2 is form's base case unless w2[0] > w2[1]
+                right = form(w2) if len(w2) > 1 and w2[0] > w2[1] else ((w2, 1),)
+                for v1, c2 in form(w1):
+                    c12 = c1 * c2
+                    for v2, c3 in right:
+                        _acc(terms, (v1, v2), c12 * c3, q)
+        for key, c3 in terms.items():
+            _acc(out, key, c3, q)
+    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, out))
 
 
 def normal_order(ctx: ActionContext, u: EnvElement, check: bool = True) -> StateElement:

@@ -530,7 +530,7 @@ def test_section_memo_is_linear_in_n_on_heisenberg_ynx():
     # heisenberg y^300 x: a letter can put c in front of a run of y's, and
     # section_s straightens each right word as its letter arrives.  The
     # straightener moves c across y^k through the prefix c y^(k-1), whose
-    # form the memo already holds, so each k adds a few words (899 in all,
+    # form the memo already holds, so each k adds a few words (898 in all,
     # since a prepend that leaves the word sorted, such as y y^k, is its own
     # form and is not stored); rewriting one swap at a time on whole words
     # would store every intermediate word of c y^k -> y^k c, about n**2 / 2
