@@ -12,6 +12,7 @@ import pytest
 from closed_forms import sl2_eafb, sl2_hne
 from envnorm.checks import (
     RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra, sl_algebra,
+    sl_triangular_split,
 )
 from envnorm.cli import (
     ParseError,
@@ -490,7 +491,7 @@ def test_print_parse_round_trip(sl2):
 # ------------------------------------------------------------------- commands
 
 def test_validate_ok(capsys):
-    for name in ("heisenberg", "sl2", "sl2_borel", "sl2_mod2", "sl3"):
+    for name in ("heisenberg", "sl2", "sl2_borel", "sl2_mod2", "sl3", "sl4"):
         code, out, err = run_cli(capsys, "validate", str(GOLDEN / f"{name}.alg"))
         assert (code, out, err) == (0, "ok\n", ""), name
 
@@ -598,6 +599,27 @@ def test_normal_order_golden_sl3_worst_order(capsys):
                              "--expr", "E32*E21*E31*E21*E12*E13*E23*H1")
     assert (code, err) == (0, "")
     assert out == golden("normal_order_sl3_worst.txt")
+
+
+def test_sl4_golden_is_the_formatted_triangular_split():
+    text = golden("sl4.alg")
+    spec = parse_spec(text)
+    assert format_spec(spec) == text
+    algebra, split = spec.build()
+    reference = sl_algebra(4, Z)
+    triangular = sl_triangular_split(reference, 4)
+    assert algebra.basis == reference.basis and algebra.table == reference.table
+    assert (split.part1, split.part2) == (triangular.part1, triangular.part2)
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-oracle",)])
+def test_normal_order_golden_sl4_worst_order(capsys, flags):
+    # lowers before uppers and the diagonal last: every product of a left
+    # and a right word the check straightens is uppers, diagonal, lowers
+    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl4.alg"), *flags,
+                             "--expr", "E43*E32*E21*E42*E31*E12*E23*E34*H1*H3")
+    assert (code, err) == (0, "")
+    assert out == golden("normal_order_sl4_worst.txt")
 
 
 def test_normal_order_unit(capsys):

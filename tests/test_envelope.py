@@ -1,10 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from envnorm.checks import builtin_examples, heisenberg_algebra, sl2_algebra, sl_algebra
+from envnorm.checks import (
+    builtin_examples,
+    heisenberg_algebra,
+    sl2_algebra,
+    sl_algebra,
+    sl_triangular_split,
+)
 from envnorm.cli import parse_spec
 from envnorm.envelope import (
     EnvElement,
@@ -152,6 +159,21 @@ def _worklist_straighten(u, order=None):
     return EnvElement(alg, out), steps
 
 
+def _worklist_canon(split, s) -> dict:
+    """s with both factor words of each term straightened by the worklist
+    under the declaration order, as {(w1, w2): scalar} terms with no zero
+    coefficient."""
+    alg = split.algebra
+    out: dict = {}
+    for (w1, w2), c in s.terms.items():
+        left = _worklist_straighten(EnvElement.word(alg, w1))[0]
+        right = _worklist_straighten(EnvElement.word(alg, w2))[0]
+        for x1, c1 in left.terms.items():
+            for x2, c2 in right.terms.items():
+                _acc(out, (x1, x2), c * c1 * c2)
+    return out
+
+
 def test_straighten_termination_counts():
     branching = None
     rng = random.Random(13)
@@ -202,15 +224,7 @@ def test_state_canon_matches_factorwise_worklist():
         split = entry.split
         for _ in range(30):
             s = _random_state(rng, split, 4)
-            expected: dict = {}
-            for (w1, w2), c in s.terms.items():
-                left = _worklist_straighten(EnvElement.word(split.algebra, w1))[0]
-                right = _worklist_straighten(EnvElement.word(split.algebra, w2))[0]
-                for x1, c1 in left.terms.items():
-                    for x2, c2 in right.terms.items():
-                        key = (x1, x2)
-                        expected[key] = expected[key] + c * c1 * c2 if key in expected else c * c1 * c2
-            assert state_canon(s) == StateElement(split, expected), entry.name
+            assert state_canon(s) == StateElement(split, _worklist_canon(split, s)), entry.name
 
 
 def test_oracle_matches_worklist_cut_at_the_boundary():
@@ -286,15 +300,8 @@ def test_straighten_and_state_canon_match_worklist_on_failing_tables():
                 assert straighten(u, order) == _worklist_straighten(u, order)[0], (name, order)
         for _ in range(15):
             s = _random_state(rng, split, 4)
-            expected: dict = {}
-            for (w1, w2), c in s.terms.items():
-                left = _worklist_straighten(EnvElement.word(alg, w1))[0]
-                right = _worklist_straighten(EnvElement.word(alg, w2))[0]
-                for x1, c1 in left.terms.items():
-                    for x2, c2 in right.terms.items():
-                        _acc(expected, (x1, x2), c * c1 * c2)  # a zero product is no term
             try:
-                want = StateElement(split, expected)
+                want = StateElement(split, _worklist_canon(split, s))
             except ValueError:  # a factor straightens out of its part
                 with pytest.raises(ValueError, match="not in part"):
                     state_canon(s)
@@ -321,6 +328,63 @@ def test_section_is_canonical_on_failing_tables():
             returned += 1
             assert calc == state_canon(calc), (name, u)
     assert returned > 300
+
+
+def test_straighten_and_state_canon_match_worklist_in_closed_tails():
+    # A closed tail of an order is the set of letters ranked t or more when
+    # every bracket among them has only such letters: n- and b- under sl(n)'s
+    # split order, b- under its declaration order.  A word that is a sorted
+    # run below such a tail and then tail letters straightens with that run
+    # untouched, and must still give the leftmost-inversion form.
+    rng = random.Random(33)
+    for n in (3, 4):
+        alg = sl_algebra(n, Z)
+        split = sl_triangular_split(alg, n)
+        ctx = ActionContext(alg, split)
+        for order in (None, split.split_order()):
+            ranked = list(range(alg.dim)) if order is None else list(order)
+            for _ in range(30):
+                cut = rng.randint(1, alg.dim - 1)
+                head = sorted(rng.choices(ranked[:cut], k=rng.randint(1, 3)), key=ranked.index)
+                u = EnvElement.word(alg, head + rng.choices(ranked[cut:], k=rng.randint(2, 4)))
+                assert straighten(u, order) == _worklist_straighten(u, order)[0], (n, order, u)
+        for _ in range(20):
+            s = _random_state(rng, split, 4)
+            assert state_canon(s) == StateElement(split, _worklist_canon(split, s)), (n, s)
+        # worst-order words, part 2 before part 1: each left word times its
+        # right word is uppers, then the diagonal, then lowers
+        for d in range(2, 9):
+            word = rng.choices(split.part2, k=d // 2) + rng.choices(split.part1, k=d - d // 2)
+            flat = mu_state(section_s(ctx, EnvElement.word(alg, word)))
+            for order in (None, split.split_order()):
+                assert straighten(flat, order) == _worklist_straighten(flat, order)[0], (n, word)
+
+
+def _tail_table(order, read_stays):
+    """A non-alternating table on b0 b1 b2 whose nonzero cells are [r, q],
+    the one a rewrite under ``order`` = (p, q, r) reads, and its mirror
+    [q, r].  One gives q, which stays in the tail {q, r}; the other gives p,
+    which leaves it: the cell read stays when ``read_stays``."""
+    p, q, r = order
+    stay, leave = ((q, 1),), ((p, 1),)
+    table = [[()] * 3 for _ in range(3)]
+    table[r][q], table[q][r] = (stay, leave) if read_stays else (leave, stay)
+    return LieAlgebra(Z, ["b0", "b1", "b2"], table)
+
+
+def test_straighten_reads_the_rewritten_cell_to_close_a_tail():
+    # The tail {q, r} is closed exactly when the cell the rewrite reads
+    # stays in it; its mirror, which no rewrite under this order reads,
+    # must not decide it.
+    rng = random.Random(34)
+    for order in itertools.permutations(range(3)):
+        p, q, r = order
+        for read_stays in (True, False):
+            alg = _tail_table(order, read_stays)
+            for _ in range(25):
+                word = [p] * rng.randint(1, 2) + rng.choices((q, r), k=rng.randint(2, 5))
+                u = EnvElement.word(alg, word)
+                assert straighten(u, order) == _worklist_straighten(u, order)[0], (order, read_stays, word)
 
 
 def test_straighten_counts_only_new_rewrites():
