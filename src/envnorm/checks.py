@@ -450,7 +450,7 @@ def _holds_inverse(ctx, u, s):
 
 
 def _holds_lie_action(ctx, s, g, h):
-    vectors = ctx.algebra._basis_vectors  # g and h are drawn basis indices
+    vectors = ctx.algebra._vectors()  # g and h are drawn basis indices
     return check_lie_action(ctx, vectors[g], vectors[h], s)
 
 

@@ -37,6 +37,21 @@ rewritten.  A word m z built from a sorted m needs its last pair checked
 alone, so the inversion scan starts at the end of the prefix known to be
 sorted, and moving a letter across a sorted run stores one word per
 prefix, not every intermediate word of the crossing.
+
+Straightening inside a closed tail of the order never leaves it, so the
+letters below such a tail wait outside.  The tail from t is the set of
+letters ranked t or more; it is closed when every bracket cell a rewrite
+inside it reads, [a, b] with a ranked above b, holds only letters ranked t
+or more: n- and b- under sl(n)'s split order, b- under its declaration
+order.  If the letters after w's leftmost inversion all lie in the closed
+tail from t, the letters of w ranked below t are a sorted head h, and the
+form of w = h v is h prepended to each word of the form of v.  This too is
+the leftmost-inversion result on every table: every letter of v ranks t or
+more and a rewrite inside the tail makes only such letters, so the junction
+of h and any word reached from v is never inverted, and the leftmost
+inversion of h v is always v's.  The memo then keys on v, whose form every
+head shares.  Only the cell a rewrite reads decides closure; on a table
+that is not alternating its mirror may differ.
 """
 
 from __future__ import annotations
@@ -218,6 +233,13 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
 
     ``form(w, start)`` takes ``w[:start]`` as known to be sorted and scans
     for the leftmost inversion from the last pair of that prefix.  If the
+    letters after the inversion lie in a closed tail of the order and w
+    starts with letters ranked below it, the form is that head prepended to
+    each word of the rest's form (see the module docstring); ``floor_of``,
+    built once per straightener from the cells a rewrite reads, maps a
+    letter to the highest closed tail at or below its rank, and a word whose
+    first letter is not below ``floor_of`` of the letter after the inversion
+    skips the rest of the check.  Otherwise, if the
     inversion lies before the last letter, the form is the form of
     ``w[:-1]`` with the last letter appended to each word and straightened
     (see the module docstring for why this is exact on every table);
@@ -227,7 +249,7 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     shared by every call with that order and freed with the algebra.  With
     ``stats`` a dict, each rewrite performed adds 1 to "steps" and the words
     it spawns to "spawned"; a word already in the memo, or one formed from
-    its prefix, costs nothing there.
+    its prefix or from its closed tail, costs nothing there.
 
     The memo holds raw ring values (a ``Scalar``'s ``value``), never
     ``Scalar``s: a sorted word maps to ``((w, 1),)``, and over Z and Z/q a
@@ -254,6 +276,22 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     memo = algebra._straighten_memo.setdefault(rank, {})
     rank_of = {chr(i): r for i, r in enumerate(rank)}  # engine letter -> position in the order
     table, q = algebra.table, algebra.ring.modulus
+    # The tail from t is closed when every cell a rewrite inside it reads,
+    # [a, b] with a ranked above b, holds only letters ranked t or more;
+    # floor_of[x] is the highest t <= rank of x whose tail is closed.
+    by_rank = order or range(n)
+    closed, low = [False] * n, n
+    for t in range(n - 1, -1, -1):
+        b = by_rank[t]
+        for a in by_rank[t + 1:]:
+            for k, _c in table[a][b]:
+                low = min(low, rank[k])
+        closed[t] = low >= t
+    floor_of, t = {}, 0
+    for r, i in enumerate(by_rank):
+        if closed[r]:
+            t = r
+        floor_of[chr(i)] = t
 
     def form(w, start=0):
         # w[:start] is known to be sorted, so the scan starts at its last pair
@@ -267,6 +305,17 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         else:
             result = memo[w] = ((w, 1),)
             return result
+        if pos and rank_of[w[0]] < floor_of[w[pos + 1]]:
+            # the leading letters ranked below the closed tail that holds
+            # w[pos + 1:] are sorted and are never rewritten
+            t = min(map(floor_of.__getitem__, w[pos + 1:]))
+            i = 0
+            while rank_of[w[i]] < t:
+                i += 1
+            if i:
+                head = w[:i]
+                result = memo[w] = tuple((head + v, c) for v, c in form(w[i:], pos + 1 - i))
+                return result
         if pos < last - 1:  # straighten the prefix, then append the last letter
             z = w[last]
             out: dict = {}

@@ -239,7 +239,7 @@ class LieAlgebra:
                     out.append(tuple(sorted(acc.items())))
             rows.append(tuple(out))
         self.table = tuple(rows)
-        self._basis_vectors = tuple(GVector._trusted(self, {i: ring.one}) for i in range(n))
+        self._basis_vectors = None  # _vectors(), built on first use
         self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}
         self._declared_form = None  # envelope._straightener(self), built on first use
         self._words = _Words()  # public word <-> engine word, see envelope
@@ -274,7 +274,15 @@ class LieAlgebra:
 
     def basis_vector(self, i: int) -> "GVector":
         _check_indices((i,), self.dim, "index")
-        return self._basis_vectors[i]
+        return self._vectors()[i]
+
+    def _vectors(self) -> tuple:
+        """The basis vectors, built on first use: a cold request that only
+        straightens or normal-orders never reads them."""
+        if self._basis_vectors is None:
+            one = self.ring.one
+            self._basis_vectors = tuple(GVector._trusted(self, {i: one}) for i in range(self.dim))
+        return self._basis_vectors
 
     def vector(self, coords) -> "GVector":
         """GVector from a full coordinate sequence or a sparse {index|name: coeff}

@@ -343,6 +343,16 @@ def test_straighten_and_state_canon_match_worklist_in_closed_tails():
         ctx = ActionContext(alg, split)
         for order in (None, split.split_order()):
             ranked = list(range(alg.dim)) if order is None else list(order)
+            # the last two letters commute, so they are a closed tail, and
+            # the first letter waits outside it: the memo keys on the tail
+            fresh = sl_algebra(n, Z)
+            straighten(EnvElement.word(fresh, ranked[:1] + ranked[:-3:-1]), order)
+            assert _memo_holds(fresh, ranked[:-3:-1]), (n, order)
+            # every word of three letters: a letter before an inverted pair
+            # is outside the tail of the pair's lower letter, or inside it
+            for word in itertools.product(range(alg.dim), repeat=3):
+                u = EnvElement.word(alg, word)
+                assert straighten(u, order) == _worklist_straighten(u, order)[0], (n, order, word)
             for _ in range(30):
                 cut = rng.randint(1, alg.dim - 1)
                 head = sorted(rng.choices(ranked[:cut], k=rng.randint(1, 3)), key=ranked.index)
@@ -358,6 +368,12 @@ def test_straighten_and_state_canon_match_worklist_in_closed_tails():
             flat = mu_state(section_s(ctx, EnvElement.word(alg, word)))
             for order in (None, split.split_order()):
                 assert straighten(flat, order) == _worklist_straighten(flat, order)[0], (n, word)
+
+
+def _memo_holds(alg, letters) -> bool:
+    """Whether a straightening memo of alg holds the word on its own."""
+    word = "".join(map(chr, letters))  # the memo keys engine (str) words
+    return any(word in memo for memo in alg._straighten_memo.values())
 
 
 def _tail_table(order, read_stays):
@@ -381,6 +397,9 @@ def test_straighten_reads_the_rewritten_cell_to_close_a_tail():
         p, q, r = order
         for read_stays in (True, False):
             alg = _tail_table(order, read_stays)
+            # p r q keys the memo on r q exactly when the tail is closed
+            straighten(EnvElement.word(alg, (p, r, q)), order)
+            assert _memo_holds(alg, (r, q)) == read_stays, (order, read_stays)
             for _ in range(25):
                 word = [p] * rng.randint(1, 2) + rng.choices((q, r), k=rng.randint(2, 5))
                 u = EnvElement.word(alg, word)
