@@ -1,0 +1,34 @@
+"""Seeded structure tables that fail both Lie axioms.
+
+On such a table the normal form of a word can depend on the order of its
+rewrites, so the engine's results there are pinned to its one strategy;
+the tests use these tables to check that every shortcut the engine takes
+is still that strategy's result.
+"""
+
+from fractions import Fraction
+
+from envnorm.liealg import LieAlgebra, validate_algebra
+
+
+def random_failing_table(rng, ring, dim, parts):
+    """A seeded dim x dim table that is neither alternating nor Jacobi.
+    Every cell, the diagonal too, is drawn on its own; a cell of two letters
+    of one part holds letters of that part only, so the parts stay closed
+    and every state over them has a canonical form."""
+    while True:
+        part_of = {k: p for p, part in enumerate(parts) for k in part}
+        table = [[() for _ in range(dim)] for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                if rng.random() < 0.4:
+                    continue
+                pool = parts[part_of[i]] if part_of[i] == part_of[j] else range(dim)
+                cell = [(rng.choice(pool), rng.choice((-3, -2, -1, 1, 2, 3)))
+                        for _ in range(rng.randint(1, 2))]
+                if ring.kind == "Q":
+                    cell = [(k, Fraction(c, rng.randint(1, 2))) for k, c in cell]
+                table[i][j] = cell
+        alg = LieAlgebra(ring, [f"b{i}" for i in range(dim)], table)
+        if {v.kind for v in validate_algebra(alg).violations} == {"alternating", "jacobi"}:
+            return alg

@@ -826,6 +826,17 @@ def test_check_failure_report_golden(capsys, alg, props, name):
     assert out == golden(name)
 
 
+def test_check_lie_action_failure_report_golden_at_30_cases(capsys):
+    # thirty failing cases, each drawn and shrunk through many states whose
+    # left words are all powers of f
+    code, out, err = run_cli(
+        capsys, "check", str(GOLDEN / "sl2_bad_alternating.alg"),
+        "--props", "lie_action", "--cases", "30", "--seed", "11",
+    )
+    assert (code, err) == (3, "")
+    assert out == golden("check_sl2_bad_alternating_lie_action_cases30.txt")
+
+
 def test_raising_lie_action_failures_are_shrunk():
     # the same cases as `check sl2_bad_split.alg --props lie_action --cases 5`
     algebra, split = parse_spec(golden("sl2_bad_split.alg")).build()

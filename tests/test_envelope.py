@@ -25,9 +25,10 @@ from envnorm.envelope import (
     state_eq,
     straighten,
 )
-from envnorm.liealg import GVector, LieAlgebra, SplitDecomposition, _acc, validate_algebra
+from envnorm.liealg import GVector, LieAlgebra, SplitDecomposition, _acc
 from envnorm.normalform import ActionContext, act, normal_order, section_s
 from envnorm.ring import RingMismatchError, make_ring
+from failing_tables import random_failing_table
 
 Z = make_ring("Z")
 REG = builtin_examples()
@@ -244,29 +245,6 @@ def test_oracle_matches_worklist_cut_at_the_boundary():
 FAILING_RINGS = ("Z", "Zmod 3", "Zmod 4", "Q")
 
 
-def _random_failing_table(rng, ring, dim, parts):
-    """A seeded dim x dim table that is neither alternating nor Jacobi.
-    Every cell, the diagonal too, is drawn on its own; a cell of two letters
-    of one part holds letters of that part only, so the parts stay closed
-    and every state over them has a canonical form."""
-    while True:
-        part_of = {k: p for p, part in enumerate(parts) for k in part}
-        table = [[() for _ in range(dim)] for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                if rng.random() < 0.4:
-                    continue
-                pool = parts[part_of[i]] if part_of[i] == part_of[j] else range(dim)
-                cell = [(rng.choice(pool), rng.choice((-3, -2, -1, 1, 2, 3)))
-                        for _ in range(rng.randint(1, 2))]
-                if ring.kind == "Q":
-                    cell = [(k, Fraction(c, rng.randint(1, 2))) for k, c in cell]
-                table[i][j] = cell
-        alg = LieAlgebra(ring, [f"b{i}" for i in range(dim)], table)
-        if {v.kind for v in validate_algebra(alg).violations} == {"alternating", "jacobi"}:
-            return alg
-
-
 def _failing_tables():
     """(name, algebra, split): the three sl2_bad_*.alg goldens, and seeded
     random 3-5-dimensional tables that fail both axioms, over each ring."""
@@ -280,7 +258,7 @@ def _failing_tables():
             letters = list(range(dim))
             rng.shuffle(letters)
             parts = (tuple(sorted(letters[:cut])), tuple(sorted(letters[cut:])))
-            alg = _random_failing_table(rng, make_ring(ring), dim, parts)
+            alg = random_failing_table(rng, make_ring(ring), dim, parts)
             yield f"random dim {dim} {ring}", alg, SplitDecomposition(alg, *parts)
 
 
