@@ -257,13 +257,19 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     untracks.
     Scalars are built only where an element is, by ``Ring.scalar``.
 
-    The declaration-order ``form`` without ``stats``, the one every
-    canonicalization uses, is built once and kept on the algebra beside its
-    memo, so later calls return that same function.
+    A ``form`` without ``stats`` is built once per order and kept on the
+    algebra beside its memo, in ``algebra._forms`` under the same rank
+    tuple, so later calls with that order return that same function and
+    its closed-tail table is built once.  The declaration order's is also
+    kept under ``None``, so ``_straightener(algebra)``, the call every
+    canonicalization makes, is one dict lookup.  A ``form`` with ``stats``
+    counts into that dict and is built per call.
     """
-    declared = order is None and stats is None
-    if declared and algebra._declared_form is not None:
-        return algebra._declared_form
+    forms = algebra._forms
+    if order is None and stats is None:
+        form = forms.get(None)
+        if form is not None:
+            return form
     n = algebra.dim
     if order is None:
         rank = tuple(range(n))
@@ -273,6 +279,10 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         if sorted(order) != list(range(n)):
             raise ValueError("order must be a permutation of the basis indices")
         rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
+    if stats is None:
+        form = forms.get(rank)
+        if form is not None:
+            return form
     memo = algebra._straighten_memo.setdefault(rank, {})
     rank_of = {chr(i): r for i, r in enumerate(rank)}  # engine letter -> position in the order
     table, q = algebra.table, algebra.ring.modulus
@@ -340,8 +350,10 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         memo[w] = result
         return result
 
-    if declared:
-        algebra._declared_form = form
+    if stats is None:
+        forms[rank] = form
+        if rank == tuple(range(n)):
+            forms[None] = form
     return form
 
 

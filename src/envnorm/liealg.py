@@ -200,7 +200,7 @@ class LieAlgebra:
     """
 
     __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors",
-                 "_straighten_memo", "_declared_form", "_words", "__weakref__")
+                 "_straighten_memo", "_forms", "_words", "__weakref__")
 
     def __init__(self, ring: Ring, basis_names, table):
         basis = tuple(basis_names)
@@ -241,7 +241,7 @@ class LieAlgebra:
         self.table = tuple(rows)
         self._basis_vectors = None  # _vectors(), built on first use
         self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}
-        self._declared_form = None  # envelope._straightener(self), built on first use
+        self._forms: dict = {}  # envelope._straightener: rank (None: declaration order) -> form
         self._words = _Words()  # public word <-> engine word, see envelope
 
     @classmethod

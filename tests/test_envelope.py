@@ -400,10 +400,13 @@ def test_declaration_order_straightener_is_built_once_per_algebra():
     form = _straightener(alg)
     assert _straightener(alg) is form
     assert _straightener(sl_algebra(3, Z)) is not form
-    # an explicit order or a stats dict gets its own function over the same memo
+    # an explicit order gets its order's cached function, a stats dict its
+    # own function over the same memo
     explicit = _straightener(alg, order=range(alg.dim))
     counting = _straightener(alg, stats={"steps": 0, "spawned": 0})
-    assert explicit is not form and counting is not form
+    assert explicit is form and counting is not form
+    split_order = sl_triangular_split(alg, 3).split_order()
+    assert _straightener(alg, split_order) is _straightener(alg, split_order)
     word = "".join(map(chr, reversed(range(alg.dim))))  # form reads engine (str) words
     assert explicit(word) is form(word) is counting(word)
 
