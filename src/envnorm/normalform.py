@@ -63,11 +63,24 @@ linearity, compatibility with the envelope product, the Lie action law,
 and mutual inverseness against the straightening oracle.
 The Lie action check judges each verdict from a defect table for one
 state s, built whole when s arrives, kept on the context and replaced when
-another state does: the canonical e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s
-per ordered basis pair.  A state then costs dim**2 actions and
-dim + dim*(dim-1)/2 canonicalizations, however many of its dim**2 ordered
-basis pairs are judged (the suite judges all of them), and a verdict no
-bracket.  Two canonical states (the section's, the oracle's) compare with ==.
+another state does: the canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) -
+[e_i, e_j].s per ordered basis pair.  The table is summed from a defect
+row per left word, memoized on the context beside the kernel: E(i, j) of
+the one-term state (w1, ""), its left words straightened and its right
+words u2 left raw.  A term c (w1, w2) of s adds c times w1's row, each u2
+replaced by the form of u2 w2.  This is exact on every table, failing ones
+too: the action reads w2 only to append it, every step is linear, and the
+form of one word is a fixed function, so the sum is term for term the
+canonical table of s.  Two shortcuts that look alike are not exact where
+the table fails validation, since the action is then not well defined on
+classes and a word's form depends on how it was reached: keying a row on
+the form of w1 rather than on w1, and straightening w2 before u2 is put in
+front of it.  Straightening u2 before w2 is appended would be exact, since
+the leftmost-inversion form straightens a prefix before anything after it,
+but it saves nothing.  A left word then costs dim**2 actions on one term
+once per context, a state one straightening of u2 w2 per row term, and a
+verdict no bracket.  Two canonical states (the section's, the oracle's)
+compare with ==.
 """
 
 from __future__ import annotations
@@ -93,6 +106,7 @@ from .liealg import (
     SplitDecomposition,
     _acc,
     _check_indices,
+    _negated,
     validate as _validate,  # ActionContext's keyword shadows the plain name
 )
 
@@ -107,16 +121,19 @@ class OracleMismatchError(RuntimeError):
 class ActionContext:
     """A validated (algebra, split) pair that all operations here run in.
 
-    It owns the memoized basis kernel: reuse one context across calls to
+    It owns the memoized basis kernel and the Lie-action defect rows, one
+    per left word (:func:`_lie_row`): reuse one context across calls to
     share that work, and drop it to free the memory.  It also holds the
     defect table of the last state check_lie_action judged, built whole
     when that state object arrives and replaced when a different one does
     (states are never changed in place, so identity fixes the table): the
     canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s for each
-    ordered basis pair, at dim**2 actions and dim + dim*(dim-1)/2
-    canonicalizations per state."""
+    ordered basis pair, summed over the state's terms from the rows of
+    their left words, each raw right word u2 of a row straightened with
+    the term's right word appended (see the module docstring for why this
+    is exact on every table)."""
 
-    __slots__ = ("algebra", "split", "_kernel", "_lie_table", "__weakref__")
+    __slots__ = ("algebra", "split", "_kernel", "_lie_rows", "_lie_table", "__weakref__")
 
     def __init__(self, algebra: LieAlgebra, split: SplitDecomposition, validate: bool = True):
         if split.algebra is not algebra:
@@ -128,6 +145,7 @@ class ActionContext:
         self.algebra = algebra
         self.split = split
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, "")
+        self._lie_rows: dict = {}  # left word -> its defect row, see _lie_row
         self._lie_table = None  # (s, {(i, j): canonical E(i, j)}), see _lie_table
 
     def unit_state(self) -> StateElement:
@@ -278,31 +296,62 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     return env_eq(lhs, rhs)
 
 
-def _lie_table(ctx: ActionContext, s: StateElement) -> tuple:
-    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)}),
-    each E(i, j) a raw term dict of engine words, s encoded once.
-    E(i, j) starts from the canonical commutator D(i, j) for i < j, from
-    -D(j, i) for i > j and empty for i == j, and then loses the bracket
-    side read from the structure table as it is: a table under test need
-    not be alternating."""
-    terms = _terms(ctx, s)
+def _lie_row(ctx: ActionContext, w1: str) -> tuple:
+    """The defect row of the left word w1, memoized on ctx (see
+    :class:`ActionContext`): the terms ((i, j), v1, u2, raw) of E(i, j) on
+    the one-term state (w1, ""), for every ordered pair, each left word v1
+    straightened and each right word u2 (two letters at most) left raw.
+    E(i, j) is the commutator D(i, j) for i < j, -D(j, i) for i > j and
+    empty for i == j, less the bracket side read from the structure table
+    as it is: a table under test need not be alternating.
+
+    The row is keyed by w1 as it stands, not by its form, and a state's
+    right word w2 is straightened only with u2 in front of it: on a table
+    that fails validation the action is not well defined on classes and a
+    word's form depends on how it was reached, so either shortcut could
+    change a table there (see the module docstring)."""
+    row = ctx._lie_rows.get(w1)
+    if row is not None:
+        return row
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
-    acted = [_act_terms(ctx, ((k, 1),), terms) for k in range(algebra.dim)]
-    defects = {(i, i): {} for i in range(algebra.dim)}
-    for j in range(algebra.dim):
+    n, form = algebra.dim, _straightener(algebra)
+    acted = [_act_terms(ctx, ((k, 1),), {(w1, ""): 1}) for k in range(n)]
+    defects = {(i, i): {} for i in range(n)}
+    for j in range(n):
         for i in range(j):
             diff = _act_terms(ctx, ((i, 1),), acted[j])
             for key, c in _act_terms(ctx, ((j, 1),), acted[i]).items():
                 _acc(diff, key, -c, q)
-            defects[i, j] = _canon_terms(algebra, diff)
-            defects[j, i] = {}
-            for key, c in defects[i, j].items():
-                _acc(defects[j, i], key, -c, q)
-    on_state = [_canon_terms(algebra, a) for a in acted]
-    for (i, j), defect in defects.items():
+            defects[i, j] = diff
+            defects[j, i] = dict(_negated(diff.items(), q))
+    row = []
+    for pair, defect in defects.items():
+        i, j = pair
         for k, b in algebra.table[i][j]:
-            for key, c in on_state[k].items():
+            for key, c in acted[k].items():
                 _acc(defect, key, -b * c, q)
+        entry: dict = {}
+        for (u1, u2), c in defect.items():
+            for v1, c1 in form(u1):
+                _acc(entry, (v1, u2), c * c1, q)
+        row += [(pair, v1, u2, c) for (v1, u2), c in entry.items()]
+    row = ctx._lie_rows[w1] = tuple(row)
+    return row
+
+
+def _lie_table(ctx: ActionContext, s: StateElement) -> tuple:
+    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)}),
+    each E(i, j) a raw term dict of engine words, s encoded once.  A term
+    c (w1, w2) of s adds c times each term of w1's row (:func:`_lie_row`),
+    its raw right word u2 replaced by the form of u2 + w2."""
+    algebra, q = ctx.algebra, ctx.algebra.ring.modulus
+    n, form = algebra.dim, _straightener(algebra)
+    defects = {(i, j): {} for i in range(n) for j in range(n)}
+    for (w1, w2), c in _terms(ctx, s).items():
+        for pair, v1, u2, d in _lie_row(ctx, w1):
+            defect, cd = defects[pair], c * d
+            for v2, c2 in form(u2 + w2):
+                _acc(defect, (v1, v2), cd * c2, q)
     return s, defects
 
 

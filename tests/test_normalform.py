@@ -139,11 +139,23 @@ def test_act_matches_unmemoized_recursion(name):
         assert act(c, g, s).terms == expected
 
 
+def _judge_every_basis_pair(c, seed, states=3):
+    """check_lie_action over every ordered basis pair on a few seeded states."""
+    rng = random.Random(seed)
+    basis = [c.algebra.basis_vector(i) for i in range(c.algebra.dim)]
+    for _ in range(states):
+        s = _rand_state(rng, c, 3)
+        for g in basis:
+            for h in basis:
+                assert check_lie_action(c, g, h, s)
+
+
 def test_memos_are_freed_with_the_context():
     alg = sl_algebra(3, Z)
     c = ActionContext(alg, sl_triangular_split(alg, 3))
     result = normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
-    assert c._kernel and alg._straighten_memo
+    _judge_every_basis_pair(c, 5)
+    assert c._kernel and c._lie_rows and alg._straighten_memo
     refs = (weakref.ref(c), weakref.ref(alg))
     del alg, c, result
     gc.collect()
@@ -157,12 +169,15 @@ def test_memo_values_are_not_tracked_by_the_collector(ring):
     alg = sl_algebra(3, make_ring(ring))
     c = ActionContext(alg, sl_triangular_split(alg, 3))
     normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
+    _judge_every_basis_pair(c, 6)
     for _ in range(3):
         gc.collect()
     forms = [form for memo in alg._straighten_memo.values() for form in memo.values()]
     kernel = list(c._kernel.values())
-    assert forms and kernel
-    assert [v for v in forms + kernel if gc.is_tracked(v)] == []
+    rows = list(c._lie_rows.values())
+    entries = [entry for row in rows for entry in row]
+    assert forms and kernel and entries
+    assert [v for v in forms + kernel + rows + entries if gc.is_tracked(v)] == []
 
 
 def test_public_results_hold_tuple_words():
@@ -508,6 +523,7 @@ def test_lie_action_table_is_exact_when_states_share_left_words(name):
             diff = (act(ref, gi, act(ref, gj, s)) - act(ref, gj, act(ref, gi, s))
                     - act(ref, algebra.bracket(gi, gj), s))
             assert defect == _canon_terms(algebra, _raw_terms(diff)), (name, i, j, s)
+    assert len(c._lie_rows) < judged  # a row is built once per left word, then reused
 
 
 def test_check_inverse(ctx):
