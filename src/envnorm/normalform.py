@@ -71,7 +71,7 @@ words u2 left raw.  A term c (w1, w2) of s adds c times w1's row, each u2
 replaced by the form of u2 w2.  This is exact on every table, failing ones
 too: the action reads w2 only to append it, every step is linear, and the
 form of one word is a fixed function, so the sum is term for term the
-canonical table of s.  Two shortcuts that look alike are not exact where
+canonical table of s.  Two shortcuts that look natural are not exact where
 the table fails validation, since the action is then not well defined on
 classes and a word's form depends on how it was reached: keying a row on
 the form of w1 rather than on w1, and straightening w2 before u2 is put in
@@ -88,7 +88,6 @@ from __future__ import annotations
 from .envelope import (
     EnvElement,
     StateElement,
-    _canon_terms,
     _decoded,
     _encoded,
     _straightener,
