@@ -837,6 +837,17 @@ def test_check_lie_action_failure_report_golden_at_30_cases(capsys):
     assert out == golden("check_sl2_bad_alternating_lie_action_cases30.txt")
 
 
+def test_check_lie_action_failure_report_golden_on_a_failing_jacobi_table(capsys):
+    # [e, f] = e fails Jacobi, so the defect rows of thirty shrunk cases are
+    # built through a Jacobiator term that is not empty
+    code, out, err = run_cli(
+        capsys, "check", str(GOLDEN / "sl2_bad_jacobi.alg"),
+        "--props", "lie_action", "--cases", "30", "--seed", "11",
+    )
+    assert (code, err) == (3, "")
+    assert out == golden("check_sl2_bad_jacobi_lie_action_cases30.txt")
+
+
 def test_raising_lie_action_failures_are_shrunk():
     # the same cases as `check sl2_bad_split.alg --props lie_action --cases 5`
     algebra, split = parse_spec(golden("sl2_bad_split.alg")).build()
