@@ -157,7 +157,7 @@ def test_memos_are_freed_with_the_context():
     c = ActionContext(alg, sl_triangular_split(alg, 3))
     result = normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
     _judge_every_basis_pair(c, 5)
-    assert c._kernel and c._lie_rows and alg._straighten_memo
+    assert c._kernel and c._lie_raw and c._lie_rows and alg._straighten_memo
     refs = (weakref.ref(c), weakref.ref(alg))
     del alg, c, result
     gc.collect()
@@ -176,9 +176,9 @@ def test_memo_values_are_not_tracked_by_the_collector(ring):
         gc.collect()
     forms = [form for memo in alg._straighten_memo.values() for form in memo.values()]
     kernel = list(c._kernel.values())
-    rows = list(c._lie_rows.values())
+    rows = list(c._lie_rows.values()) + list(c._lie_raw.values())
     entries = [entry for row in rows for entry in row]
-    assert forms and kernel and entries
+    assert forms and kernel and c._lie_rows and c._lie_raw and entries
     assert [v for v in forms + kernel + rows + entries if gc.is_tracked(v)] == []
 
 
@@ -559,9 +559,10 @@ def _reference_lie_row(c, w1):
 
 
 def _jacobiator(algebra):
-    """{(i, j, x): J} for each triple whose Jacobiator J = [[e_i, e_j], e_x]
-    - [e_i, [e_j, e_x]] + [e_j, [e_i, e_x]] is not empty, read from the
-    table as it is, with no axiom assumed; J is a raw {l: c} map."""
+    """{(i, j, x): J} for each triple whose Jacobiator J = [e_i, [e_j, e_x]]
+    + [[e_i, e_x], e_j] - [[e_i, e_j], e_x] is not empty, each bracket read
+    from the table in the order written, with no axiom assumed; J is a raw
+    {l: c} map."""
     table, q, n = algebra.table, algebra.ring.modulus, algebra.dim
     out = {}
     for i, j, x in itertools.product(range(n), repeat=3):
