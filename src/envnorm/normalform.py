@@ -386,6 +386,8 @@ def _lie_raw(ctx: ActionContext, w: str) -> tuple:
         for m in range(n):
             for k, b in table[m][bx]:
                 by_k[k].append((m, b))
+        # a term of R(t)[i, j] goes to x.R(t)[i, j], to (i, m) times
+        # c^j_mx and to (m, j) times c^i_mx
         for pair, u1, u2, c in _lie_raw(ctx, t):
             key = (pair, x + u1, u2)
             out[key] = get(key, 0) + c
@@ -398,7 +400,7 @@ def _lie_raw(ctx: ActionContext, w: str) -> tuple:
                 out[key] = get(key, 0) + b * c
         for i in range(n):
             for j in range(n):
-                jac: dict = {}
+                jac: dict = {}  # J(i, j, x), see the module docstring
                 for k, b in table[j][bx]:
                     for l, c in table[i][k]:
                         jac[l] = jac.get(l, 0) + b * c
@@ -411,7 +413,7 @@ def _lie_raw(ctx: ActionContext, w: str) -> tuple:
                 for l, b in jac.items():
                     if q is not None:
                         b %= q
-                    if not b:  # every b, on a table that passes both axioms
+                    if not b:  # every b is, on a table that passes both axioms
                         continue
                     for (u1, u2), c in _basis_action(ctx, l, t):
                         key = (pairs[i][j], u1, u2)
