@@ -805,23 +805,35 @@ def test_check_property_failure_exits_3(capsys):
 _RANDOM_PROPS = "oracle,inverse,lie_action,filtration,right_linearity,mu_compat,well_defined"
 
 
+def _report_row(alg, props, name, *args):
+    """A row of the failing-report table, named by its spec, properties and
+    golden; ``args`` are the rest of the check command line."""
+    return pytest.param(alg, props, name, args or ("--cases", "5"), id=f"{alg}-{props}-{name}")
+
+
 @pytest.mark.parametrize(
-    "alg,props,name",
+    "alg,props,name,args",
     [
-        ("sl2_bad_jacobi.alg", _RANDOM_PROPS, "check_sl2_bad_jacobi_cases5.txt"),
-        ("sl2_bad_alternating.alg", _RANDOM_PROPS, "check_sl2_bad_alternating_cases5.txt"),
-        (
+        _report_row("sl2_bad_jacobi.alg", _RANDOM_PROPS, "check_sl2_bad_jacobi_cases5.txt"),
+        _report_row("sl2_bad_alternating.alg", _RANDOM_PROPS, "check_sl2_bad_alternating_cases5.txt"),
+        _report_row(
             "sl2_bad_split.alg",
             _RANDOM_PROPS.replace("lie_action,", ""),
             "check_sl2_bad_split_cases5.txt",
         ),
-        ("sl2_bad_split.alg", "lie_action", "check_sl2_bad_split_lie_action_cases5.txt"),
+        _report_row("sl2_bad_split.alg", "lie_action", "check_sl2_bad_split_lie_action_cases5.txt"),
+        # 28 failing cases, most of them raising the part check of a state
+        # whose left word straightens out of part 1
+        _report_row(
+            "sl2_bad_split.alg",
+            _RANDOM_PROPS.replace("lie_action,", ""),
+            "check_sl2_bad_split_cases30.txt",
+            "--cases", "30", "--seed", "11",
+        ),
     ],
 )
-def test_check_failure_report_golden(capsys, alg, props, name):
-    code, out, err = run_cli(
-        capsys, "check", str(GOLDEN / alg), "--props", props, "--cases", "5"
-    )
+def test_check_failure_report_golden(capsys, alg, props, name, args):
+    code, out, err = run_cli(capsys, "check", str(GOLDEN / alg), "--props", props, *args)
     assert (code, err) == (3, "")
     assert out == golden(name)
 
