@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .envelope import EnvElement, StateElement, env_mul, oracle_normal_order
+from .envelope import EnvElement, StateElement, _encoded_words, _oracle_terms, env_mul
 from .liealg import (
     GVector,
     LieAlgebra,
@@ -27,12 +27,12 @@ from .liealg import (
 )
 from .normalform import (
     ActionContext,
+    _section_raw,
     check_filtration,
     check_inverse,
     check_lie_action,
     check_mu_compat,
     check_right_linearity,
-    section_s,
 )
 from .ring import Ring, make_ring
 
@@ -442,7 +442,7 @@ def _draw_relator(rng, cfg, entry):
 
 
 def _holds_oracle(ctx, u):
-    return section_s(ctx, u) == oracle_normal_order(u, ctx.split)
+    return _section_raw(ctx, u) == _oracle_terms(ctx.split, _encoded_words(u))
 
 
 def _holds_inverse(ctx, u, s):
@@ -456,7 +456,7 @@ def _holds_lie_action(ctx, s, g, h):
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):
     u2 = relator_variant(ctx.algebra, u, host, pos, x, y, coeff)
-    return section_s(ctx, u) == section_s(ctx, u2)
+    return _section_raw(ctx, u) == _section_raw(ctx, u2)
 
 
 _PROPERTIES = {  # name -> (draw, holds), in report order

@@ -132,17 +132,12 @@ class StateElement(_Combination):
         # with letters on the wrong side.
         clean = {}
         if terms:
-            part1, part2 = split.part1_set, split.part2_set
+            _check_parts(split, terms)
             scalar = split.algebra.ring.scalar
-            for (w1, w2), c in terms.items():
-                if not (part1.issuperset(w1) and part2.issuperset(w2)):
-                    which, letter = next((which, letter) for which, word, part
-                                         in ((1, w1, part1), (2, w2, part2))
-                                         for letter in word if letter not in part)
-                    raise ValueError(f"letter {split.algebra.basis[letter]} not in part {which}")
+            for key, c in terms.items():
                 c = scalar(c)
                 if c:
-                    clean[(w1, w2)] = c
+                    clean[key] = c
         self.split = split
         self.terms = clean
 
@@ -163,7 +158,7 @@ class StateElement(_Combination):
 
     def left_degree(self) -> int:
         """Maximal left-word length; -1 for the zero state."""
-        return max((len(w1) for (w1, _w2) in self.terms), default=-1)
+        return _left_degree(self.terms)
 
     def append_right(self, word) -> "StateElement":
         """Right-multiply by a part-2 word (appended to every right factor)."""
@@ -196,6 +191,30 @@ class StateElement(_Combination):
         return " + ".join(strs) if strs else "0"
 
 
+def _check_parts(split: SplitDecomposition, pairs, parts=None) -> None:
+    """The part check, the one statement of its rule: ValueError naming the
+    first letter, in the order of ``pairs`` and left word first, that lies
+    outside its factor's part (a left word's letters lie in part 1, a right
+    word's in part 2).  ``pairs`` are (w1, w2) word pairs: tuple words, with
+    ``parts`` left out, as every state construction passes them, or engine
+    words, with ``parts`` the two parts' sets of engine letters, as the
+    verdicts in ``normalform`` pass them."""
+    part1, part2 = parts or (split.part1_set, split.part2_set)
+    for w1, w2 in pairs:
+        if not (part1.issuperset(w1) and part2.issuperset(w2)):
+            which, letter = next((which, letter) for which, word, part
+                                 in ((1, w1, part1), (2, w2, part2))
+                                 for letter in word if letter not in part)
+            index = ord(letter) if isinstance(letter, str) else letter
+            raise ValueError(f"letter {split.algebra.basis[index]} not in part {which}")
+
+
+def _left_degree(pairs) -> int:
+    """The greatest length of a left word of the (w1, w2) ``pairs``, tuple
+    or engine words; -1 for none."""
+    return max((len(w1) for w1, _w2 in pairs), default=-1)
+
+
 def _word_product(a: dict, b: dict, q=None) -> dict:
     """Word concatenation extended bilinearly to {word: coefficient} dicts:
     the product of T(g), as a fresh dict with no zero coefficient.  The
@@ -213,14 +232,21 @@ def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
     return EnvElement._trusted(u.algebra, _word_product(u.terms, v.terms))
 
 
+def _mu_terms(terms: dict, q) -> dict:
+    """Raw {(w1, w2): c} state terms merged into raw {w1 w2: c} element
+    terms, reduced mod q: :func:`mu_state`'s core."""
+    out: dict = {}
+    for (w1, w2), c in terms.items():
+        _acc(out, w1 + w2, c, q)
+    return out
+
+
 def mu_state(s: StateElement) -> EnvElement:
     """Multiply the two tensor factors inside the full envelope: each pair
     (w1, w2) becomes the concatenated word w1 w2 (letters pass through
     unchanged because the embeddings are coordinate inclusions)."""
-    out: dict = {}
-    for (w1, w2), c in s.terms.items():
-        _acc(out, w1 + w2, c)
-    return EnvElement._trusted(s.algebra, out)
+    terms = _mu_terms(_encoded(s), s.algebra.ring.modulus)
+    return EnvElement._trusted(s.algebra, _decoded_words(s.algebra, terms))
 
 
 def _straightener(algebra: LieAlgebra, order=None, stats=None):
@@ -357,6 +383,17 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     return form
 
 
+def _straighten_terms(terms: dict, form, q) -> dict:
+    """Raw {engine word: c} terms with every word replaced by ``form`` of
+    it (a straightener's, see :func:`_straightener`), as a fresh raw dict
+    with no zero coefficient: :func:`straighten`'s core."""
+    out: dict = {}
+    for w, c in terms.items():
+        for w2, c2 in form(w):
+            _acc(out, w2, c * c2, q)
+    return out
+
+
 def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     """PBW canonical form: every word nondecreasing w.r.t. ``order``
     (default: declaration order), obtained by exhaustive rewriting of
@@ -368,13 +405,8 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     if stats is not None:
         stats.setdefault("steps", 0)
         stats.setdefault("spawned", 0)
-    q, words = u.algebra.ring.modulus, u.algebra._words
-    out: dict = {}
-    for w, c in u.terms.items():
-        c = c.value
-        for w2, c2 in form(words[w]):
-            _acc(out, w2, c * c2, q)
-    return EnvElement._trusted(u.algebra, {words[w]: c for w, c in out.items()})
+    terms = _straighten_terms(_encoded_words(u), form, u.algebra.ring.modulus)
+    return EnvElement._trusted(u.algebra, _decoded_words(u.algebra, terms))
 
 
 def env_eq(u: EnvElement, v: EnvElement) -> bool:
@@ -417,10 +449,38 @@ def _decoded(algebra: LieAlgebra, terms: dict) -> dict:
     return {(words[w1], words[w2]): c for (w1, w2), c in terms.items()}
 
 
+def _encoded_words(u: EnvElement) -> dict:
+    """u's terms as {engine word: raw} terms."""
+    words = u.algebra._words
+    return {words[w]: c.value for w, c in u.terms.items()}
+
+
+def _decoded_words(algebra: LieAlgebra, terms: dict) -> dict:
+    """{engine word: raw} terms, with public (tuple) words."""
+    words = algebra._words
+    return {words[w]: c for w, c in terms.items()}
+
+
 def state_eq(s: StateElement, t: StateElement) -> bool:
     """Equality in U(g1) (x) U(g2): the canonical form of s - t is zero.
     Its part check rejects a factor word that straightens out of its part."""
     return state_canon(s - t).is_zero()
+
+
+def _oracle_terms(split: SplitDecomposition, terms: dict) -> dict:
+    """Raw {engine word: c} element terms straightened under the split
+    order, each word then cut at the part boundary into raw {(w1, w2): c}
+    state terms: :func:`oracle_normal_order`'s core.  Every letter of a
+    cut word lands in its own part."""
+    algebra, part1 = split.algebra, split.part1_set
+    form = _straightener(algebra, split.split_order())
+    out: dict = {}
+    for w, c in _straighten_terms(terms, form, algebra.ring.modulus).items():
+        cut = 0
+        while cut < len(w) and ord(w[cut]) in part1:
+            cut += 1
+        out[(w[:cut], w[cut:])] = c
+    return out
 
 
 def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElement:
@@ -429,12 +489,5 @@ def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElemen
     part boundary into (part-1 prefix) (x) (part-2 suffix)."""
     if u.algebra is not split.algebra:
         raise CarrierMismatchError("element over a different algebra")
-    flat = straighten(u, split.split_order())
-    part1 = split.part1_set
-    out: dict = {}
-    for w, c in flat.terms.items():
-        cut = 0
-        while cut < len(w) and w[cut] in part1:
-            cut += 1
-        out[(w[:cut], w[cut:])] = c
-    return StateElement._trusted(split, out)
+    terms = _oracle_terms(split, _encoded_words(u))
+    return StateElement._trusted(split, _decoded(split.algebra, terms))

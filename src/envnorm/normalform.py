@@ -61,6 +61,26 @@ The check_* functions verify, at exact equality, the identities the
 construction is supposed to satisfy: degree filtration, right-factor
 linearity, compatibility with the envelope product, the Lie action law,
 and mutual inverseness against the straightening oracle.
+
+A verdict reads raw terms and builds an element only for a failing or
+raising witness.  Each public function here and in envelope is one raw
+core on {engine word: raw} dicts between an encoding and a boxing:
+section_s is _section_terms, straighten _straighten_terms, mu_state
+_mu_terms and oracle_normal_order _oracle_terms.  The verdicts
+(check_filtration, check_right_linearity, check_mu_compat, check_inverse,
+check_lie_action, and the suite's oracle and well_defined rows in checks)
+compose those cores with _act_terms and _canon_terms, so no Scalar, tuple
+word or element stands between two steps.  Where the composition of public
+functions built a state from straightened words (a section, a canonical
+form), the verdict runs the part check on those raw terms instead
+(_checked, through envelope._check_parts, the rule StateElement._fill
+runs on every state).  So a split that is not bracket-closed raises the
+same ValueError, naming the same letter, at the same step.  The action
+and the oracle put every letter in its own part by construction, so
+their states never fail it.  normal_order keeps the boxed path on
+purpose: it is the public calculator, and its env_eq is the Scalar
+arithmetic of the benchmark's degree_sweep and request_stream.
+
 The Lie action check judges each verdict from a defect table for one
 state s, built whole when s arrives, kept on the context and replaced when
 another state does: the canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) -
@@ -121,15 +141,19 @@ from __future__ import annotations
 from .envelope import (
     EnvElement,
     StateElement,
+    _canon_terms,
+    _check_parts,
     _decoded,
     _encoded,
+    _encoded_words,
+    _left_degree,
+    _mu_terms,
+    _straighten_terms,
     _straightener,
+    _word_product,
     env_eq,
-    env_mul,
     mu_state,
     oracle_normal_order,
-    state_canon,
-    state_eq,
 )
 from .liealg import (
     CarrierMismatchError,
@@ -173,7 +197,8 @@ class ActionContext:
     is exact on every table)."""
 
     __slots__ = (
-        "algebra", "split", "_kernel", "_lie_raw", "_lie_rows", "_lie_table", "__weakref__",
+        "algebra", "split", "_parts", "_kernel", "_lie_raw", "_lie_rows", "_lie_table",
+        "__weakref__",
     )
 
     def __init__(self, algebra: LieAlgebra, split: SplitDecomposition, validate: bool = True):
@@ -185,6 +210,8 @@ class ActionContext:
                 raise ValueError(f"invalid algebra or split:\n{report}")
         self.algebra = algebra
         self.split = split
+        # the parts' engine letters, for the part check on engine words
+        self._parts = frozenset(map(chr, split.part1)), frozenset(map(chr, split.part2))
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, "")
         self._lie_raw: dict = {}  # word -> its raw defect R(w), see _lie_raw
         self._lie_rows: dict = {}  # left word -> its defect row, see _lie_row
@@ -271,31 +298,44 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     return StateElement._trusted(ctx.split, _decoded(ctx.algebra, terms))
 
 
-def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
-    """The normal-ordering section: linear extension of
-    w -> (w acting on 1 (x) 1), returned in canonical form.  Each letter
-    acts through _act_terms, and both factor words are straightened after
-    every letter (see the module docstring)."""
-    if u.algebra is not ctx.algebra:
-        raise CarrierMismatchError("element over a different algebra")
+def _section_terms(ctx: ActionContext, terms: dict) -> dict:
+    """The section of raw {engine word: c} element terms, as canonical raw
+    {(w1, w2): c} state terms: :func:`section_s`'s core."""
     q = ctx.algebra.ring.modulus
     form = _straightener(ctx.algebra)
     out: dict = {}
-    for w, c in u.terms.items():
-        terms = {("", ""): c.value}
+    for w, c in terms.items():
+        state = {("", ""): c}
         for letter in reversed(w):
-            acted = _act_terms(ctx, ((letter, 1),), terms)
-            terms = {}
+            acted = _act_terms(ctx, ((ord(letter), 1),), state)
+            state = {}
             for (w1, w2), c1 in acted.items():
                 # w2[1:] is sorted, so w2 is form's base case unless w2[0] > w2[1]
                 right = form(w2) if len(w2) > 1 and w2[0] > w2[1] else ((w2, 1),)
                 for v1, c2 in form(w1):
                     c12 = c1 * c2
                     for v2, c3 in right:
-                        _acc(terms, (v1, v2), c12 * c3, q)
-        for key, c3 in terms.items():
+                        _acc(state, (v1, v2), c12 * c3, q)
+        for key, c3 in state.items():
             _acc(out, key, c3, q)
-    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, out))
+    return out
+
+
+def _element_terms(ctx: ActionContext, u: EnvElement) -> dict:
+    """u's terms as raw {engine word: c} terms, once u is checked to lie in
+    ctx's algebra."""
+    if u.algebra is not ctx.algebra:
+        raise CarrierMismatchError("element over a different algebra")
+    return _encoded_words(u)
+
+
+def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
+    """The normal-ordering section: linear extension of
+    w -> (w acting on 1 (x) 1), returned in canonical form.  Each letter
+    acts through _act_terms, and both factor words are straightened after
+    every letter (see the module docstring)."""
+    terms = _section_terms(ctx, _element_terms(ctx, u))
+    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, terms))
 
 
 def normal_order(ctx: ActionContext, u: EnvElement, check: bool = True) -> StateElement:
@@ -319,23 +359,60 @@ def normal_order(ctx: ActionContext, u: EnvElement, check: bool = True) -> State
     return result
 
 
+def _checked(ctx: ActionContext, terms: dict) -> dict:
+    """Raw {(w1, w2): c} state terms of engine words, returned once the
+    part check passes on them: the letter that would stop them becoming a
+    state stops them here, with the same message (see the module
+    docstring)."""
+    _check_parts(ctx.split, terms, ctx._parts)
+    return terms
+
+
+def _section_raw(ctx: ActionContext, u: EnvElement) -> dict:
+    """section_s(ctx, u)'s terms, raw, with the same checks and no state
+    built."""
+    return _checked(ctx, _section_terms(ctx, _element_terms(ctx, u)))
+
+
+def _same_element(ctx: ActionContext, a: dict, b: dict) -> bool:
+    """Raw {engine word: c} terms a and b give one element of the envelope:
+    a - b straightens to nothing under the declaration order."""
+    q = ctx.algebra.ring.modulus
+    diff = dict(a)
+    for w, c in b.items():
+        _acc(diff, w, -c, q)
+    return not _straighten_terms(diff, _straightener(ctx.algebra), q)
+
+
 def check_filtration(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     """The action raises the left-word degree by at most one."""
-    return act(ctx, g, s).left_degree() <= s.left_degree() + 1
+    support = _support(ctx, g)
+    terms = _terms(ctx, s)
+    return _left_degree(_act_terms(ctx, support, terms)) <= _left_degree(terms) + 1
 
 
 def check_right_linearity(ctx: ActionContext, g: GVector, w1, m) -> bool:
     """Acting then right-multiplying by m equals acting on (w1, m) directly."""
-    lhs = act(ctx, g, StateElement.term(ctx.split, w1, m))
-    rhs = act(ctx, g, StateElement.term(ctx.split, w1, ())).append_right(m)
-    return state_eq(lhs, rhs)
+    w1, m = tuple(w1), tuple(m)
+    _check_indices(w1 + m, ctx.algebra.dim, "letter")  # StateElement.term's checks
+    _check_parts(ctx.split, ((w1, m),))
+    support = _support(ctx, g)
+    words, q = ctx.algebra._words, ctx.algebra.ring.modulus
+    v1, v2 = words[w1], words[m]
+    diff = _act_terms(ctx, support, {(v1, v2): 1})
+    for (u1, u2), c in _act_terms(ctx, support, {(v1, ""): 1}).items():
+        _acc(diff, (u1, u2 + v2), -c, q)
+    return not _checked(ctx, _canon_terms(ctx.algebra, diff))
 
 
 def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     """Merging the acted state equals left-multiplying the merged state by g."""
-    lhs = mu_state(act(ctx, g, s))
-    rhs = env_mul(EnvElement.from_vector(g), mu_state(s))
-    return env_eq(lhs, rhs)
+    support = _support(ctx, g)
+    terms = _terms(ctx, s)
+    q = ctx.algebra.ring.modulus
+    lhs = _mu_terms(_act_terms(ctx, support, terms), q)
+    rhs = _word_product({chr(i): c for i, c in support}, _mu_terms(terms, q), q)
+    return _same_element(ctx, lhs, rhs)
 
 
 def _flat(terms: dict, q) -> tuple:
@@ -498,7 +575,12 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
 
 def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[bool, bool]:
     """(section after merge is the identity on states,
-        merge after section is the identity on the envelope)."""
-    first = section_s(ctx, mu_state(s)) == state_canon(s)
-    second = env_eq(mu_state(section_s(ctx, u)), u)
+        merge after section is the identity on the envelope).
+
+    A state over another split is refused before any work."""
+    terms = _terms(ctx, s)
+    q = ctx.algebra.ring.modulus
+    first = (_checked(ctx, _section_terms(ctx, _mu_terms(terms, q)))
+             == _checked(ctx, _canon_terms(ctx.algebra, terms)))
+    second = _same_element(ctx, _mu_terms(_section_raw(ctx, u), q), _encoded_words(u))
     return first, second
