@@ -233,8 +233,8 @@ def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
 
 
 def _mu_terms(terms: dict, q) -> dict:
-    """Raw {(w1, w2): c} state terms merged into raw {w1 w2: c} element
-    terms, reduced mod q: :func:`mu_state`'s core."""
+    """Raw {(w1, w2): c} state terms, of engine or tuple words, merged into
+    raw {w1 w2: c} element terms, reduced mod q: :func:`mu_state`'s core."""
     out: dict = {}
     for (w1, w2), c in terms.items():
         _acc(out, w1 + w2, c, q)
@@ -244,9 +244,10 @@ def _mu_terms(terms: dict, q) -> dict:
 def mu_state(s: StateElement) -> EnvElement:
     """Multiply the two tensor factors inside the full envelope: each pair
     (w1, w2) becomes the concatenated word w1 w2 (letters pass through
-    unchanged because the embeddings are coordinate inclusions)."""
-    terms = _mu_terms(_encoded(s), s.algebra.ring.modulus)
-    return EnvElement._trusted(s.algebra, _decoded_words(s.algebra, terms))
+    unchanged because the embeddings are coordinate inclusions).  Its core
+    concatenates the tuple words as they are, with no encoding."""
+    terms = _mu_terms({key: c.value for key, c in s.terms.items()}, s.algebra.ring.modulus)
+    return EnvElement._trusted(s.algebra, terms)
 
 
 def _straightener(algebra: LieAlgebra, order=None, stats=None):

@@ -65,8 +65,9 @@ and mutual inverseness against the straightening oracle.
 A verdict reads raw terms and builds an element only for a failing or
 raising witness.  Each public function here and in envelope is one raw
 core on {engine word: raw} dicts between an encoding and a boxing:
-section_s is _section_terms, straighten _straighten_terms, mu_state
-_mu_terms and oracle_normal_order _oracle_terms.  The verdicts
+section_s is _section_terms, straighten _straighten_terms and
+oracle_normal_order _oracle_terms; mu_state's core _mu_terms only
+concatenates, so it takes tuple words with no encoding.  The verdicts
 (check_filtration, check_right_linearity, check_mu_compat, check_inverse,
 check_lie_action, and the suite's oracle and well_defined rows in checks)
 compose those cores with _act_terms and _canon_terms, so no Scalar, tuple
@@ -99,41 +100,14 @@ front of it.  Straightening u2 before w2 is appended would be exact, since
 the leftmost-inversion form straightens a prefix before anything after it,
 but it saves nothing.
 
-A row is built from the raw defect of its left word, and that from the
-raw defect of the word's suffix.  Write A_i for e_i acting on raw term
-dicts (_act_terms), c^k_ij for the e_k coefficient of table[i][j] as it
-is, and R(w)[i, j] = A_i A_j - A_j A_i - sum_k c^k_ij A_k applied to the
-one-term state (w, ""), both factor words raw.  R("") is that commutator
-loop on ("", "").  For w = x t and s = (t, ""), the kernel's step
-A_i(x.s) = sum_k c^k_ix A_k(s) + x.A_i(s), where x. prepends x to every
-left word, is linear in s.  Applying it to the inner action and then to
-the outer one gives
-A_i A_j(x.s) = x.A_i A_j(s) + sum_k c^k_jx A_i A_k(s) + sum_k c^k_ix A_k A_j(s),
-and the bracket side is sum_m c^m_ij (x.A_m(s) + sum_l c^l_mx A_l(s)).
-Subtract the swapped product and the bracket side.  The x. terms leave
-x.R(t); each cross sum pairs with its swapped twin into a commutator on
-s, and A_i A_k - A_k A_i is R(t)[i, k] plus sum_l c^l_ik A_l; those
-bracket sides and the bracket side's last sum make up the table's
-Jacobiator.  So, exactly and on every table,
-
-  R(x t)[i, j] = x.R(t)[i, j] + sum_k c^k_jx R(t)[i, k]
-                 + sum_k c^k_ix R(t)[k, j] + sum_l J(i, j, x)_l A_l(t, ""),
-  J(i, j, x)_l = sum_k c^k_jx c^l_ik + sum_k c^k_ix c^l_kj
-                 - sum_m c^m_ij c^l_mx.
-
-J is empty on an alternating table that satisfies Jacobi, so there the
-last term adds nothing; on a failing table it is what keeps the rule
-exact.  R(w) is memoized per word on the context, so a new left word
-costs one pass over its suffix's R and the straightening of its own R's
-left words, not dim**2 actions on one term.  Every left word stays raw
-until that straightening, which is the same per-term map as a direct
-build's, so the row is the same on every table.  Straightening R(t)'s
-left words before x is prepended would not be exact: it would take the
-form of x + form(u1), not of x + u1, and straightening a suffix before
-the letters put in front of it can change a form on a failing table (see
-the shortcuts above).  A state then costs one straightening of u2 w2 per
-row term, and a verdict no bracket.  Two canonical states (the
-section's, the oracle's) compare with ==.
+A row is read off the kernel itself: the dim actions e_k.(w1, ""), the
+commutator of two of them for each pair i < j (negated for i > j), and
+the bracket side read from the structure table as it is, so on every
+table, failing ones too, the row judges the very action the calculator
+uses.  Its left words are then straightened, each distinct one once per
+row.  A left word costs dim**2 actions on one term once per context, a
+state one straightening of u2 w2 per row term, and a verdict no bracket.
+Two canonical states (the section's, the oracle's) compare with ==.
 """
 
 from __future__ import annotations
@@ -162,6 +136,7 @@ from .liealg import (
     SplitDecomposition,
     _acc,
     _check_indices,
+    _negated,
     validate as _validate,  # ActionContext's keyword shadows the plain name
 )
 
@@ -176,29 +151,21 @@ class OracleMismatchError(RuntimeError):
 class ActionContext:
     """A validated (algebra, split) pair that all operations here run in.
 
-    It owns the memoized basis kernel, the raw Lie-action defect R(w) of
-    each left word judged and of each suffix of one (:func:`_lie_raw`),
-    and the defect rows, one per left word (:func:`_lie_row`): reuse one
-    context across calls to share that work, and drop it to free the
-    memory.  R(x t) is x prepended to R(t)'s left words, plus R(t)'s
-    entries mixed by the brackets with e_x, plus the table's Jacobiator
-    acting on (t, ""), which is empty on a table that passes both axioms
-    (the module docstring derives it from the kernel's own step).  A row is
-    R(w1) with its left words straightened; R(t) is never straightened
-    before x is put in front, since that is not exact on a failing table.
-    It also holds the
-    defect table of the last state check_lie_action judged, built whole
-    when that state object arrives and replaced when a different one does
-    (states are never changed in place, so identity fixes the table): the
-    canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s for each
-    ordered basis pair, summed over the state's terms from the rows of
-    their left words, each raw right word u2 of a row straightened with
-    the term's right word appended (see the module docstring for why this
+    It holds three memos.  The basis kernel and the Lie-action defect
+    rows, one per left word (:func:`_lie_row`), are kept for its life:
+    reuse one context across calls to share that work, and drop it to free
+    the memory.  The third is the defect table of the last state
+    check_lie_action judged, built whole when that state object arrives
+    and replaced when a different one does (states are never changed in
+    place, so identity fixes the table): the canonical
+    E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s for each ordered
+    basis pair, summed over the state's terms from the rows of their left
+    words, each raw right word u2 of a row straightened with the term's
+    right word appended (see the module docstring for why this
     is exact on every table)."""
 
     __slots__ = (
-        "algebra", "split", "_parts", "_kernel", "_lie_raw", "_lie_rows", "_lie_table",
-        "__weakref__",
+        "algebra", "split", "_parts", "_kernel", "_lie_rows", "_lie_table", "__weakref__",
     )
 
     def __init__(self, algebra: LieAlgebra, split: SplitDecomposition, validate: bool = True):
@@ -213,7 +180,6 @@ class ActionContext:
         # the parts' engine letters, for the part check on engine words
         self._parts = frozenset(map(chr, split.part1)), frozenset(map(chr, split.part2))
         self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, "")
-        self._lie_raw: dict = {}  # word -> its raw defect R(w), see _lie_raw
         self._lie_rows: dict = {}  # left word -> its defect row, see _lie_row
         self._lie_table = None  # (s, {(i, j): canonical E(i, j)}), see _lie_table
 
@@ -415,97 +381,15 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     return _same_element(ctx, lhs, rhs)
 
 
-def _flat(terms: dict, q) -> tuple:
-    """The (*key, raw) tuples of the nonzero values of terms, each reduced
-    into [0, q) first with a modulus q."""
-    if q is None:
-        return tuple([(*key, c) for key, c in terms.items() if c])
-    return tuple([(*key, r) for key, c in terms.items() if (r := c % q)])
-
-
-def _lie_raw(ctx: ActionContext, w: str) -> tuple:
-    """R(w), the raw defect of the one-term state (w, ""), memoized on ctx
-    per word: the terms ((i, j), u1, u2, raw) of E(i, j) for every ordered
-    pair, both factor words left raw.  R("") is the commutator of two
-    actions less the bracket side; R(x t) is read off R(t) and the kernel
-    by the suffix rule (see the module docstring).  The bracket side is
-    read from the structure table as it is, and the Jacobiator term is
-    computed from it, so the rule is exact on tables that fail either
-    axiom."""
-    hit = ctx._lie_raw.get(w)
-    if hit is not None:
-        return hit
-    algebra, q = ctx.algebra, ctx.algebra.ring.modulus
-    n, table = algebra.dim, algebra.table
-    pairs = [[(i, j) for j in range(n)] for i in range(n)]  # one key tuple per pair
-    out: dict = {}
-    get = out.get
-    if not w:
-        acted = [_act_terms(ctx, ((k, 1),), {("", ""): 1}) for k in range(n)]
-        for i in range(n):
-            for j in range(n):
-                pair = pairs[i][j]
-                for (u1, u2), c in _act_terms(ctx, ((i, 1),), acted[j]).items():
-                    key = (pair, u1, u2)
-                    out[key] = get(key, 0) + c
-                for (u1, u2), c in _act_terms(ctx, ((j, 1),), acted[i]).items():
-                    key = (pair, u1, u2)
-                    out[key] = get(key, 0) - c
-                for k, b in table[i][j]:
-                    for (u1, u2), c in acted[k].items():
-                        key = (pair, u1, u2)
-                        out[key] = get(key, 0) - b * c
-    else:
-        x, t = w[0], w[1:]
-        bx = ord(x)
-        # by_k[k]: the (m, b) with b the e_k coefficient of [e_m, e_x]
-        by_k: list = [[] for _ in range(n)]
-        for m in range(n):
-            for k, b in table[m][bx]:
-                by_k[k].append((m, b))
-        # a term of R(t)[i, j] goes to x.R(t)[i, j], to (i, m) times
-        # c^j_mx and to (m, j) times c^i_mx
-        for pair, u1, u2, c in _lie_raw(ctx, t):
-            key = (pair, x + u1, u2)
-            out[key] = get(key, 0) + c
-            i, j = pair
-            for m, b in by_k[j]:
-                key = (pairs[i][m], u1, u2)
-                out[key] = get(key, 0) + b * c
-            for m, b in by_k[i]:
-                key = (pairs[m][j], u1, u2)
-                out[key] = get(key, 0) + b * c
-        for i in range(n):
-            for j in range(n):
-                jac: dict = {}  # J(i, j, x), see the module docstring
-                for k, b in table[j][bx]:
-                    for l, c in table[i][k]:
-                        jac[l] = jac.get(l, 0) + b * c
-                for k, b in table[i][bx]:
-                    for l, c in table[k][j]:
-                        jac[l] = jac.get(l, 0) + b * c
-                for k, b in table[i][j]:
-                    for l, c in table[k][bx]:
-                        jac[l] = jac.get(l, 0) - b * c
-                for l, b in jac.items():
-                    if q is not None:
-                        b %= q
-                    if not b:  # every b is, on a table that passes both axioms
-                        continue
-                    for (u1, u2), c in _basis_action(ctx, l, t):
-                        key = (pairs[i][j], u1, u2)
-                        out[key] = get(key, 0) + b * c
-    raw = ctx._lie_raw[w] = _flat(out, q)
-    return raw
-
-
 def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     """The defect row of the left word w1, memoized on ctx (see
     :class:`ActionContext`): the terms ((i, j), v1, u2, raw) of E(i, j) on
     the one-term state (w1, ""), for every ordered pair, each left word v1
     straightened and each right word u2 (two letters at most) left raw.
-    It is R(w1) (:func:`_lie_raw`) with each left word straightened under
-    the declaration order.
+    The commutator e_i.(e_j.s) - e_j.(e_i.s) is acted out for i < j,
+    negated for i > j and empty for i == j; the bracket side is read from
+    the structure table as it is for every pair, since a table under test
+    need not be alternating.
 
     The row is keyed by w1 as it stands, not by its form, and a state's
     right word w2 is straightened only with u2 in front of it: on a table
@@ -515,18 +399,33 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     row = ctx._lie_rows.get(w1)
     if row is not None:
         return row
-    form = _straightener(ctx.algebra)
+    algebra, q = ctx.algebra, ctx.algebra.ring.modulus
+    n, form = algebra.dim, _straightener(algebra)
+    acted = [_act_terms(ctx, ((k, 1),), {(w1, ""): 1}) for k in range(n)]
+    defects = {(i, i): {} for i in range(n)}
+    for j in range(n):
+        for i in range(j):
+            diff = _act_terms(ctx, ((i, 1),), acted[j])
+            for key, c in _act_terms(ctx, ((j, 1),), acted[i]).items():
+                _acc(diff, key, -c, q)
+            defects[i, j] = diff
+            defects[j, i] = dict(_negated(diff.items(), q))
     forms: dict = {}  # u1 -> form(u1), for this row's raw left words
-    entry: dict = {}
-    get = entry.get
-    for pair, u1, u2, c in _lie_raw(ctx, w1):
-        f1 = forms.get(u1)
-        if f1 is None:
-            f1 = forms[u1] = form(u1)
-        for v1, c1 in f1:
-            key = (pair, v1, u2)
-            entry[key] = get(key, 0) + c * c1
-    row = ctx._lie_rows[w1] = _flat(entry, ctx.algebra.ring.modulus)
+    row = []
+    for pair, defect in defects.items():
+        i, j = pair
+        for k, b in algebra.table[i][j]:
+            for key, c in acted[k].items():
+                _acc(defect, key, -b * c, q)
+        entry: dict = {}
+        for (u1, u2), c in defect.items():
+            f1 = forms.get(u1)
+            if f1 is None:
+                f1 = forms[u1] = form(u1)
+            for v1, c1 in f1:
+                _acc(entry, (v1, u2), c * c1, q)
+        row += [(pair, v1, u2, c) for (v1, u2), c in entry.items()]
+    row = ctx._lie_rows[w1] = tuple(row)
     return row
 
 

@@ -830,6 +830,14 @@ def _report_row(alg, props, name, *args):
             "check_sl2_bad_split_cases30.txt",
             "--cases", "30", "--seed", "11",
         ),
+        # 28 failing cases, each raising the part check on the first bad
+        # letter in the order the defect rows sum their terms
+        _report_row(
+            "sl2_bad_split.alg",
+            "lie_action",
+            "check_sl2_bad_split_lie_action_cases30.txt",
+            "--cases", "30", "--seed", "11",
+        ),
     ],
 )
 def test_check_failure_report_golden(capsys, alg, props, name, args):
@@ -850,8 +858,8 @@ def test_check_lie_action_failure_report_golden_at_30_cases(capsys):
 
 
 def test_check_lie_action_failure_report_golden_on_a_failing_jacobi_table(capsys):
-    # [e, f] = e fails Jacobi, so the defect rows of thirty shrunk cases are
-    # built through a Jacobiator term that is not empty
+    # [e, f] = e fails Jacobi, so thirty shrunk cases judge the kernel's
+    # defect rows on a table the law does not hold on
     code, out, err = run_cli(
         capsys, "check", str(GOLDEN / "sl2_bad_jacobi.alg"),
         "--props", "lie_action", "--cases", "30", "--seed", "11",

@@ -17,6 +17,7 @@ from envnorm.checks import (
     builtin_examples,
     generate,
     relator_variant,
+    run_property,
     sl2_algebra,
     sl_algebra,
     sl_triangular_split,
@@ -36,7 +37,7 @@ from envnorm.envelope import (
     state_eq,
     straighten,
 )
-from envnorm.liealg import CarrierMismatchError, LieAlgebra, SplitDecomposition, _negated
+from envnorm.liealg import CarrierMismatchError, LieAlgebra, SplitDecomposition
 from envnorm.normalform import (
     ActionContext,
     OracleMismatchError,
@@ -163,7 +164,7 @@ def test_memos_are_freed_with_the_context():
     c = ActionContext(alg, sl_triangular_split(alg, 3))
     result = normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
     _judge_every_basis_pair(c, 5)
-    assert c._kernel and c._lie_raw and c._lie_rows and alg._straighten_memo
+    assert c._kernel and c._lie_rows and alg._straighten_memo
     refs = (weakref.ref(c), weakref.ref(alg))
     del alg, c, result
     gc.collect()
@@ -182,9 +183,9 @@ def test_memo_values_are_not_tracked_by_the_collector(ring):
         gc.collect()
     forms = [form for memo in alg._straighten_memo.values() for form in memo.values()]
     kernel = list(c._kernel.values())
-    rows = list(c._lie_rows.values()) + list(c._lie_raw.values())
+    rows = list(c._lie_rows.values())
     entries = [entry for row in rows for entry in row]
-    assert forms and kernel and c._lie_rows and c._lie_raw and entries
+    assert forms and kernel and rows and entries
     assert [v for v in forms + kernel + rows + entries if gc.is_tracked(v)] == []
 
 
@@ -645,34 +646,6 @@ def test_lie_action_table_is_exact_when_states_share_left_words(name):
     assert len(c._lie_rows) < judged  # a row is built once per left word, then reused
 
 
-def _reference_lie_row(c, w1):
-    """w1's defect row built straight from the kernel, as a
-    {((i, j), v1, u2): raw} map: dim**2 actions on the one-term state
-    (w1, ""), the commutator for i < j (negated for i > j), the bracket
-    side read from the table as it is, and every left word straightened
-    under the declaration order while u2 stays raw."""
-    algebra, q = c.algebra, c.algebra.ring.modulus
-    n, form = algebra.dim, _straightener(algebra)
-    acted = [_act_terms(c, ((k, 1),), {(w1, ""): 1}) for k in range(n)]
-    defects = {(i, i): {} for i in range(n)}
-    for j in range(n):
-        for i in range(j):
-            diff = _act_terms(c, ((i, 1),), acted[j])
-            for key, v in _act_terms(c, ((j, 1),), acted[i]).items():
-                _acc(diff, key, -v, q)
-            defects[i, j] = diff
-            defects[j, i] = dict(_negated(diff.items(), q))
-    out: dict = {}
-    for (i, j), defect in defects.items():
-        for k, b in algebra.table[i][j]:
-            for key, v in acted[k].items():
-                _acc(defect, key, -b * v, q)
-        for (u1, u2), v in defect.items():
-            for v1, c1 in form(u1):
-                _acc(out, ((i, j), v1, u2), v * c1, q)
-    return out
-
-
 def _jacobiator(algebra):
     """{(i, j, x): J} for each triple whose Jacobiator J = [e_i, [e_j, e_x]]
     + [[e_i, e_x], e_j] - [[e_i, e_j], e_x] is not empty, each bracket read
@@ -696,16 +669,81 @@ def _jacobiator(algebra):
     return out
 
 
+def _suffix_defect(c, w, memo):
+    """R(w), the raw defect of the one-term state (w, "") with both factor
+    words raw, as {(i, j): {(u1, u2): raw}}, by the suffix rule; memo
+    holds R of each word already built on c.  Write A_i for e_i acting on
+    raw terms, c^k_ij for the e_k coefficient of table[i][j] as it is and
+    R(w)[i, j] = (A_i A_j - A_j A_i - sum_k c^k_ij A_k)(w, "").  The
+    kernel's step A_i(x.s) = sum_k c^k_ix A_k(s) + x.A_i(s), with x.
+    prepending x to every left word, taken through both actions and the
+    bracket side, gives on every table
+
+      R(x t)[i, j] = x.R(t)[i, j] + sum_k c^k_jx R(t)[i, k]
+                     + sum_k c^k_ix R(t)[k, j] + sum_l J(i, j, x)_l A_l(t, ""),
+
+    with J the table's Jacobiator (:func:`_jacobiator`).  It reads the
+    kernel only for R("") and for the A_l(t, "") of the last sum, which is
+    empty on a table that passes both axioms."""
+    if w in memo:
+        return memo[w]
+    algebra, q = c.algebra, c.algebra.ring.modulus
+    n, table = algebra.dim, algebra.table
+    out = {(i, j): {} for i in range(n) for j in range(n)}
+    if not w:
+        acted = [_act_terms(c, ((k, 1),), {("", ""): 1}) for k in range(n)]
+        for (i, j), defect in out.items():
+            for key, v in _act_terms(c, ((i, 1),), acted[j]).items():
+                _acc(defect, key, v, q)
+            for key, v in _act_terms(c, ((j, 1),), acted[i]).items():
+                _acc(defect, key, -v, q)
+            for k, b in table[i][j]:
+                for key, v in acted[k].items():
+                    _acc(defect, key, -b * v, q)
+    else:
+        x, t = ord(w[0]), w[1:]
+        inner = _suffix_defect(c, t, memo)
+        jac = _jacobiator(algebra)
+        for (i, j), defect in out.items():
+            for (u1, u2), v in inner[i, j].items():
+                _acc(defect, (w[0] + u1, u2), v, q)
+            for k, b in table[j][x]:
+                for key, v in inner[i, k].items():
+                    _acc(defect, key, b * v, q)
+            for k, b in table[i][x]:
+                for key, v in inner[k, j].items():
+                    _acc(defect, key, b * v, q)
+            for l, b in jac.get((i, j, x), {}).items():
+                for key, v in normalform._basis_action(c, l, t):
+                    _acc(defect, key, b * v, q)
+    memo[w] = out
+    return out
+
+
+def _suffix_lie_row(c, w1, memo):
+    """w1's defect row from the suffix rule (:func:`_suffix_defect`), as a
+    {((i, j), v1, u2): raw} map: every left word of R(w1) straightened
+    under the declaration order while u2 stays raw."""
+    q, form = c.algebra.ring.modulus, _straightener(c.algebra)
+    out = {}
+    for pair, defect in _suffix_defect(c, w1, memo).items():
+        for (u1, u2), v in defect.items():
+            for v1, c1 in form(u1):
+                _acc(out, (pair, v1, u2), v * c1, q)
+    return out
+
+
 _ROW_TABLES = list(_BAD_INPUTS) + list(_SEEDED) + ["sl3_Z", "sl3_Z4"]
 
 
 @pytest.mark.parametrize("name", _ROW_TABLES)
-def test_lie_row_equals_the_row_built_from_the_kernel(name):
+def test_lie_row_equals_the_suffix_rule(name):
     # every part-1 word of length three or less, sorted or not, in a
     # shuffled order, so that rows are built on cold and on warm contexts
     algebra, split = _algebra_and_split(name)
     c = ActionContext(algebra, split, validate=False)
     ref = ActionContext(algebra, split, validate=False)
+    memo = {}
     words = ["".join(map(chr, w)) for k in range(4)
              for w in itertools.product(split.part1, repeat=k)]
     random.Random(f"row-{name}").shuffle(words)
@@ -713,13 +751,31 @@ def test_lie_row_equals_the_row_built_from_the_kernel(name):
         row = normalform._lie_row(c, w1)
         got = {(pair, v1, u2): d for pair, v1, u2, d in row}
         assert len(got) == len(row)
-        assert got == _reference_lie_row(ref, w1), (name, w1)
+        assert got == _suffix_lie_row(ref, w1, memo), (name, w1)
+
+
+def test_lie_action_fails_a_fault_planted_in_the_kernel(monkeypatch):
+    # the lie_action row judges the kernel itself: one that doubles each
+    # term with a right letter on a two-letter left word must fail it
+    kernel = normalform._basis_action
+
+    def faulty(ctx, i, w1):
+        terms = kernel(ctx, i, w1)
+        if len(w1) != 2:
+            return terms
+        return tuple((pair, 2 * c if pair[1] else c) for pair, c in terms)
+
+    monkeypatch.setattr(normalform, "_basis_action", faulty)
+    entry = REG["sl3_Z"]
+    ctx = ActionContext(entry.algebra, entry.split)
+    result = run_property("lie_action", SuiteConfig(cases=5), entry, ctx)
+    assert result.failed > 0
 
 
 @pytest.mark.parametrize("name", [e.name for e in REG.entries()] + _ROW_TABLES)
 def test_jacobiator_is_empty_exactly_on_tables_that_pass_both_axioms(name):
-    # a row's Jacobiator term runs on every failing table and on no builtin
-    # one; sl2_bad_split fails by its split alone, its table is sl2's
+    # the suffix rule's Jacobiator term runs on every failing table and on
+    # no builtin one; sl2_bad_split fails by its split alone, its table is sl2's
     algebra, _split = _algebra_and_split(name)
     fails = name in _BAD_INPUTS + tuple(_SEEDED) and name != "sl2_bad_split.alg"
     assert bool(_jacobiator(algebra)) == fails
