@@ -17,20 +17,24 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .envelope import EnvElement, StateElement, _encoded_words, _oracle_terms, env_mul
+from .envelope import EnvElement, StateElement, _decoded_words, _encoded_words, _oracle_terms
 from .liealg import (
+    CarrierMismatchError,
     GVector,
     LieAlgebra,
     SplitDecomposition,
     _acc,
+    _check_indices,
     validate,
 )
 from .normalform import (
     ActionContext,
+    _element_terms,
+    _lie_holds,
+    _lie_table,
     _section_raw,
     check_filtration,
     check_inverse,
-    check_lie_action,
     check_mu_compat,
     check_right_linearity,
 )
@@ -397,12 +401,31 @@ def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
                     x: int, y: int, coeff) -> EnvElement:
     """u plus coeff * (the word ``host`` with the two-sided relator
     x y - y x - [x, y] spliced in at ``pos``); equal to u in the envelope."""
-    pos = min(pos, len(host))
-    # built by subtraction so the two words cancel when x == y
-    relator = (EnvElement.word(algebra, (x, y)) - EnvElement.word(algebra, (y, x))
-               - EnvElement(algebra, {(k,): gamma for k, gamma in algebra.table[x][y]}))
-    head = EnvElement.word(algebra, host[:pos], coeff)
-    return u + env_mul(env_mul(head, relator), EnvElement.word(algebra, host[pos:]))
+    varied = _relator_pair(algebra, u, host, pos, x, y, coeff)[1]
+    return EnvElement._trusted(algebra, _decoded_words(varied))
+
+
+def _relator_pair(algebra: LieAlgebra, u: EnvElement, host, pos, x, y, coeff) -> tuple:
+    """The raw terms of u and of its relator variant, once relator_variant's
+    checks pass, in its order: x and y, host, coeff, then u's algebra."""
+    _check_indices((x, y, *host), algebra.dim, "letter")
+    coeff = algebra.ring.coerce(coeff)
+    if u.algebra is not algebra:
+        raise CarrierMismatchError("elements over different algebras")
+    terms = _encoded_words(u)
+    return terms, _relator_terms(algebra, terms, host, pos, x, y, coeff)
+
+
+def _relator_terms(algebra: LieAlgebra, terms: dict, host, pos, x, y, coeff) -> dict:
+    """relator_variant's core, on raw {engine word: c} terms and a raw
+    coeff; the relator's two words cancel when x == y."""
+    q, pos = algebra.ring.modulus, min(pos, len(host))
+    head, tail = "".join(map(chr, host[:pos])), "".join(map(chr, host[pos:]))
+    relator = [(chr(x) + chr(y), 1), (chr(y) + chr(x), -1)] if x != y else []
+    out = dict(terms)
+    for w, c in relator + [(chr(k), -gamma) for k, gamma in algebra.table[x][y]]:
+        _acc(out, head + w + tail, coeff * c, q)
+    return out
 
 
 # A row of _PROPERTIES is (draw, holds).  draw(rng, cfg, entry) returns one
@@ -442,7 +465,8 @@ def _draw_relator(rng, cfg, entry):
 
 
 def _holds_oracle(ctx, u):
-    return _section_raw(ctx, u) == _oracle_terms(ctx.split, _encoded_words(u))
+    terms = _element_terms(ctx, u)
+    return _section_raw(ctx, terms) == _oracle_terms(ctx.split, terms)
 
 
 def _holds_inverse(ctx, u, s):
@@ -450,13 +474,13 @@ def _holds_inverse(ctx, u, s):
 
 
 def _holds_lie_action(ctx, s, g, h):
-    vectors = ctx.algebra._vectors()  # g and h are drawn basis indices
-    return check_lie_action(ctx, vectors[g], vectors[h], s)
+    # g and h are drawn basis indices: check_lie_action on basis vectors
+    return _lie_holds(ctx, ((g, 1),), ((h, 1),), _lie_table(ctx, s))
 
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):
-    u2 = relator_variant(ctx.algebra, u, host, pos, x, y, coeff)
-    return _section_raw(ctx, u) == _section_raw(ctx, u2)
+    terms, varied = _relator_pair(ctx.algebra, u, host, pos, x, y, coeff)
+    return _section_raw(ctx, terms) == _section_raw(ctx, varied)
 
 
 _PROPERTIES = {  # name -> (draw, holds), in report order

@@ -8,9 +8,9 @@ section in ``normalform``) a word is a ``str`` whose letter i is ``chr(i)``:
 a memo lookup reads its cached hash, and a slice or a join copies its
 letters with no reference counting.  ``chr`` covers every index a basis
 can have.  A word is encoded where a call enters the engine and decoded
-only where an element is built, both through the algebra's word table
-(``LieAlgebra._words``, filled on first use), so a word seen before costs
-one dict lookup either way.
+only where an element is built, each time afresh: ``"".join(map(chr, w))``
+one way and ``tuple(map(ord, w))`` the other, with no table kept between
+calls.
 
 An envelope element is a sparse {word: scalar} map and always denotes an
 element of the enveloping algebra *by representative*: structural equality
@@ -407,7 +407,7 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
         stats.setdefault("steps", 0)
         stats.setdefault("spawned", 0)
     terms = _straighten_terms(_encoded_words(u), form, u.algebra.ring.modulus)
-    return EnvElement._trusted(u.algebra, _decoded_words(u.algebra, terms))
+    return EnvElement._trusted(u.algebra, _decoded_words(terms))
 
 
 def env_eq(u: EnvElement, v: EnvElement) -> bool:
@@ -435,31 +435,28 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
-    return StateElement._trusted(s.split, _decoded(s.algebra, _canon_terms(s.algebra, _encoded(s))))
+    return StateElement._trusted(s.split, _decoded(_canon_terms(s.algebra, _encoded(s))))
 
 
 def _encoded(s: StateElement) -> dict:
     """s's terms as {(w1, w2): raw} terms of engine words."""
-    words = s.algebra._words
-    return {(words[w1], words[w2]): c.value for (w1, w2), c in s.terms.items()}
+    return {("".join(map(chr, w1)), "".join(map(chr, w2))): c.value
+            for (w1, w2), c in s.terms.items()}
 
 
-def _decoded(algebra: LieAlgebra, terms: dict) -> dict:
+def _decoded(terms: dict) -> dict:
     """{(w1, w2): raw} terms of engine words, with public (tuple) words."""
-    words = algebra._words
-    return {(words[w1], words[w2]): c for (w1, w2), c in terms.items()}
+    return {(tuple(map(ord, w1)), tuple(map(ord, w2))): c for (w1, w2), c in terms.items()}
 
 
 def _encoded_words(u: EnvElement) -> dict:
     """u's terms as {engine word: raw} terms."""
-    words = u.algebra._words
-    return {words[w]: c.value for w, c in u.terms.items()}
+    return {"".join(map(chr, w)): c.value for w, c in u.terms.items()}
 
 
-def _decoded_words(algebra: LieAlgebra, terms: dict) -> dict:
+def _decoded_words(terms: dict) -> dict:
     """{engine word: raw} terms, with public (tuple) words."""
-    words = algebra._words
-    return {words[w]: c for w, c in terms.items()}
+    return {tuple(map(ord, w)): c for w, c in terms.items()}
 
 
 def state_eq(s: StateElement, t: StateElement) -> bool:
@@ -491,4 +488,4 @@ def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElemen
     if u.algebra is not split.algebra:
         raise CarrierMismatchError("element over a different algebra")
     terms = _oracle_terms(split, _encoded_words(u))
-    return StateElement._trusted(split, _decoded(split.algebra, terms))
+    return StateElement._trusted(split, _decoded(terms))

@@ -76,21 +76,6 @@ def _check_indices(indices, n: int, what: str) -> None:
             raise ValueError(f"{what} {i!r} outside basis")
 
 
-class _Words(dict):
-    """Both directions of the one word encoding, filled on first use: a
-    public word (a tuple of basis indices) maps to its engine word (a str
-    whose letter i is chr(i)), and that str maps back to the same tuple.
-    No tuple equals a str, so the two directions share one dict."""
-
-    __slots__ = ()
-
-    def __missing__(self, word):
-        code = "".join(map(chr, word)) if type(word) is tuple else tuple(map(ord, word))
-        self[word] = code
-        self[code] = word
-        return code
-
-
 def _index_of(index: dict, name: str) -> int:
     try:
         return index[name]
@@ -199,8 +184,8 @@ class LieAlgebra:
     table until :func:`validate_algebra` says the Lie axioms hold.
     """
 
-    __slots__ = ("ring", "basis", "index", "table", "dim", "_basis_vectors",
-                 "_straighten_memo", "_forms", "_words", "__weakref__")
+    __slots__ = ("ring", "basis", "index", "table", "dim", "_straighten_memo", "_forms",
+                 "__weakref__")
 
     def __init__(self, ring: Ring, basis_names, table):
         basis = tuple(basis_names)
@@ -239,10 +224,9 @@ class LieAlgebra:
                     out.append(tuple(sorted(acc.items())))
             rows.append(tuple(out))
         self.table = tuple(rows)
-        self._basis_vectors = None  # _vectors(), built on first use
-        self._straighten_memo: dict = {}  # envelope._straightener: rank -> {word: form}
-        self._forms: dict = {}  # envelope._straightener: rank (None: declaration order) -> form
-        self._words = _Words()  # public word <-> engine word, see envelope
+        # the only private state: the straighteners', see envelope._straightener
+        self._straighten_memo: dict = {}  # rank -> {engine word: form}
+        self._forms: dict = {}  # rank (None: declaration order) -> form
 
     @classmethod
     def from_brackets(cls, ring: Ring, basis_names, brackets) -> "LieAlgebra":
@@ -274,15 +258,7 @@ class LieAlgebra:
 
     def basis_vector(self, i: int) -> "GVector":
         _check_indices((i,), self.dim, "index")
-        return self._vectors()[i]
-
-    def _vectors(self) -> tuple:
-        """The basis vectors, built on first use: a cold request that only
-        straightens or normal-orders never reads them."""
-        if self._basis_vectors is None:
-            one = self.ring.one
-            self._basis_vectors = tuple(GVector._trusted(self, {i: one}) for i in range(self.dim))
-        return self._basis_vectors
+        return GVector._trusted(self, {i: self.ring.one})
 
     def vector(self, coords) -> "GVector":
         """GVector from a full coordinate sequence or a sparse {index|name: coeff}

@@ -62,18 +62,17 @@ construction is supposed to satisfy: degree filtration, right-factor
 linearity, compatibility with the envelope product, the Lie action law,
 and mutual inverseness against the straightening oracle.
 
-A verdict reads raw terms and builds an element only for a failing or
-raising witness.  Each public function here and in envelope is one raw
-core on {engine word: raw} dicts between an encoding and a boxing:
-section_s is _section_terms, straighten _straighten_terms and
-oracle_normal_order _oracle_terms; mu_state's core _mu_terms only
-concatenates, so it takes tuple words with no encoding.  The verdicts
-(check_filtration, check_right_linearity, check_mu_compat, check_inverse,
-check_lie_action, and the suite's oracle and well_defined rows in checks)
-compose those cores with _act_terms and _canon_terms, so no Scalar, tuple
-word or element stands between two steps.  Where the composition of public
-functions built a state from straightened words (a section, a canonical
-form), the verdict runs the part check on those raw terms instead
+A verdict reads raw terms and builds no element.  Each public function
+here and in envelope is one raw core on {engine word: raw} dicts between
+an encoding and a boxing: section_s is _section_terms, straighten
+_straighten_terms and oracle_normal_order _oracle_terms; mu_state's core
+_mu_terms only concatenates, so it takes tuple words with no encoding.
+The verdicts (the check_* functions here, and the suite's oracle,
+lie_action and well_defined rows in checks) compose those cores with
+_act_terms and _canon_terms, so no Scalar, tuple word or element stands
+between two steps.  Where the composition of public functions built a
+state from straightened words (a section, a canonical form, a Lie-action
+defect), the verdict runs the part check on those raw terms instead
 (_checked, through envelope._check_parts, the rule StateElement._fill
 runs on every state).  So a split that is not bracket-closed raises the
 same ValueError, naming the same letter, at the same step.  The action
@@ -154,15 +153,14 @@ class ActionContext:
     It holds three memos.  The basis kernel and the Lie-action defect
     rows, one per left word (:func:`_lie_row`), are kept for its life:
     reuse one context across calls to share that work, and drop it to free
-    the memory.  The third is the defect table of the last state
-    check_lie_action judged, built whole when that state object arrives
+    the memory.  The third is the defect table of the last state a
+    Lie-action verdict judged, built whole when that state object arrives
     and replaced when a different one does (states are never changed in
     place, so identity fixes the table): the canonical
     E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s for each ordered
-    basis pair, summed over the state's terms from the rows of their left
-    words, each raw right word u2 of a row straightened with the term's
-    right word appended (see the module docstring for why this
-    is exact on every table)."""
+    basis pair, summed from the rows of the state's left words
+    (:func:`_lie_table`; the module docstring says why this is exact on
+    every table)."""
 
     __slots__ = (
         "algebra", "split", "_parts", "_kernel", "_lie_rows", "_lie_table", "__weakref__",
@@ -249,7 +247,7 @@ def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
     """Left action of g on a state representative (see module docstring).
     Linear in both arguments; the result is not canonicalized."""
     terms = _act_terms(ctx, _support(ctx, g), _terms(ctx, s))
-    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, terms))
+    return StateElement._trusted(ctx.split, _decoded(terms))
 
 
 def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
@@ -261,7 +259,7 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     _check_indices(word, ctx.algebra.dim, "letter")
     for letter in reversed(word):
         terms = _act_terms(ctx, ((letter, 1),), terms)
-    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, terms))
+    return StateElement._trusted(ctx.split, _decoded(terms))
 
 
 def _section_terms(ctx: ActionContext, terms: dict) -> dict:
@@ -301,7 +299,7 @@ def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     acts through _act_terms, and both factor words are straightened after
     every letter (see the module docstring)."""
     terms = _section_terms(ctx, _element_terms(ctx, u))
-    return StateElement._trusted(ctx.split, _decoded(ctx.algebra, terms))
+    return StateElement._trusted(ctx.split, _decoded(terms))
 
 
 def normal_order(ctx: ActionContext, u: EnvElement, check: bool = True) -> StateElement:
@@ -334,10 +332,10 @@ def _checked(ctx: ActionContext, terms: dict) -> dict:
     return terms
 
 
-def _section_raw(ctx: ActionContext, u: EnvElement) -> dict:
-    """section_s(ctx, u)'s terms, raw, with the same checks and no state
-    built."""
-    return _checked(ctx, _section_terms(ctx, _element_terms(ctx, u)))
+def _section_raw(ctx: ActionContext, terms: dict) -> dict:
+    """section_s's terms, raw, for an element given by its raw
+    {engine word: c} terms, with the same part check and no state built."""
+    return _checked(ctx, _section_terms(ctx, terms))
 
 
 def _same_element(ctx: ActionContext, a: dict, b: dict) -> bool:
@@ -363,8 +361,8 @@ def check_right_linearity(ctx: ActionContext, g: GVector, w1, m) -> bool:
     _check_indices(w1 + m, ctx.algebra.dim, "letter")  # StateElement.term's checks
     _check_parts(ctx.split, ((w1, m),))
     support = _support(ctx, g)
-    words, q = ctx.algebra._words, ctx.algebra.ring.modulus
-    v1, v2 = words[w1], words[m]
+    q = ctx.algebra.ring.modulus
+    v1, v2 = "".join(map(chr, w1)), "".join(map(chr, m))
     diff = _act_terms(ctx, support, {(v1, v2): 1})
     for (u1, u2), c in _act_terms(ctx, support, {(v1, ""): 1}).items():
         _acc(diff, (u1, u2 + v2), -c, q)
@@ -429,11 +427,14 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     return row
 
 
-def _lie_table(ctx: ActionContext, s: StateElement) -> tuple:
-    """s's defect table (see :class:`ActionContext`): (s, {(i, j): E(i, j)}),
-    each E(i, j) a raw term dict of engine words, s encoded once.  A term
+def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
+    """s's defect table (see :class:`ActionContext`), {(i, j): E(i, j)} of
+    raw term dicts of engine words: ctx's own if s was the last state
+    judged, else built whole, s checked and encoded once, and kept.  A term
     c (w1, w2) of s adds c times each term of w1's row (:func:`_lie_row`),
     its raw right word u2 replaced by the form of u2 + w2."""
+    if ctx._lie_table is not None and ctx._lie_table[0] is s:
+        return ctx._lie_table[1]
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
     n, form = algebra.dim, _straightener(algebra)
     defects = {(i, j): {} for i in range(n) for j in range(n)}
@@ -442,23 +443,14 @@ def _lie_table(ctx: ActionContext, s: StateElement) -> tuple:
             defect, cd = defects[pair], c * d
             for v2, c2 in form(u2 + w2):
                 _acc(defect, (v1, v2), cd * c2, q)
-    return s, defects
+    ctx._lie_table = s, defects
+    return defects
 
 
-def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement) -> bool:
-    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization.
-
-    The action, the bracket and canonicalization are all linear, so the
-    canonical difference of the two sides is exactly sum g_i h_j E(i, j),
-    read from s's defect table on ctx, built whole the first time s
-    arrives (see :class:`ActionContext`).  The law holds when that sum is
-    empty; otherwise it becomes one StateElement, whose part check rejects
-    a factor word that straightens out of its part."""
-    hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
-    if ctx._lie_table is None or ctx._lie_table[0] is not s:
-        ctx._lie_table = _lie_table(ctx, s)
-    gs = _support(ctx, g)
-    defects = ctx._lie_table[1]
+def _lie_holds(ctx: ActionContext, gs, hs, defects: dict) -> bool:
+    """check_lie_action's core, on g's and h's (index, raw) support pairs
+    and the state's defect table (:func:`_lie_table`); the part check runs
+    on a nonempty sum, as on a state of it."""
     q = ctx.algebra.ring.modulus
     diff: dict = {}
     for i, gi in gs:
@@ -466,10 +458,18 @@ def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement
             c = gi * hj
             for key, d in defects[i, j].items():
                 _acc(diff, key, c * d, q)
-    if not diff:
-        return True
-    StateElement._trusted(ctx.split, _decoded(ctx.algebra, diff))  # its part check raises on a split that is not bracket-closed
-    return False
+    return not _checked(ctx, diff)
+
+
+def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement) -> bool:
+    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization.  The action,
+    the bracket and canonicalization are all linear, so the canonical
+    difference of the two sides is sum g_i h_j E(i, j), read from s's
+    defect table on ctx (see :class:`ActionContext`); the law holds when
+    that sum is empty (:func:`_lie_holds`)."""
+    hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
+    defects = _lie_table(ctx, s)
+    return _lie_holds(ctx, _support(ctx, g), hs, defects)
 
 
 def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[bool, bool]:
@@ -481,5 +481,6 @@ def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[b
     q = ctx.algebra.ring.modulus
     first = (_checked(ctx, _section_terms(ctx, _mu_terms(terms, q)))
              == _checked(ctx, _canon_terms(ctx.algebra, terms)))
-    second = _same_element(ctx, _mu_terms(_section_raw(ctx, u), q), _encoded_words(u))
+    words = _element_terms(ctx, u)
+    second = _same_element(ctx, _mu_terms(_section_raw(ctx, words), q), words)
     return first, second

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,13 @@ from envnorm.checks import (
 )
 from envnorm.cli import parse_spec
 from envnorm.envelope import EnvElement, StateElement
-from envnorm.liealg import LieAlgebra, SplitDecomposition, validate_algebra, validate_split
+from envnorm.liealg import (
+    CarrierMismatchError,
+    LieAlgebra,
+    SplitDecomposition,
+    validate_algebra,
+    validate_split,
+)
 from envnorm.normalform import ActionContext, check_lie_action, section_s
 from envnorm.ring import make_ring
 
@@ -299,3 +306,29 @@ def test_relator_variant_matches_word_by_word_splice():
             coeff = alg.ring.scalar(rng.randint(-9, 9))
             args = (alg, u, host, pos, x, y, coeff)
             assert relator_variant(*args) == _relator_by_words(*args), (entry.name, i)
+
+
+def test_relator_variant_rejections():
+    # it checks x and y, then host, then coeff, then u's algebra; with two
+    # faults the earlier check speaks
+    alg = builtin_examples()["sl2_Z"].algebra
+    u, other = EnvElement.word(alg, (1, 0), 2), EnvElement.word(sl2_algebra(Z), (1, 0), 2)
+    half = Fraction(1, 2)
+    letter = (ValueError, "letter 9 outside basis")
+    cases = [
+        ((u, (0, 2), 1, 9, 1, 3), letter),
+        ((u, (0, 2), 1, 0, 9, 3), letter),
+        ((u, (0, 9), 1, 0, 1, 3), letter),
+        ((u, (9, 2), 1, 0, 1, 3), letter),
+        ((u, (0, 2), 1, 0, 1, half), (ValueError, "1/2 is not an element of Z")),
+        ((other, (0, 2), 1, 0, 1, 3), (CarrierMismatchError, "elements over different algebras")),
+        ((other, (9,), 1, 9, 1, half), letter),
+        ((other, (9, 2), 1, 0, 1, half), letter),
+        ((other, (0, 2), 1, 0, 1, half), (ValueError, "1/2 is not an element of Z")),
+    ]
+    for args, (kind, message) in cases:
+        with pytest.raises(kind) as exc:
+            relator_variant(alg, *args)
+        assert str(exc.value) == message, args
+    assert relator_variant(alg, u, (0, 2), 1, 0, 1, 3) == u + EnvElement(
+        alg, {(0, 0, 1, 2): 3, (0, 1, 0, 2): -3, (0, 2, 2): -3})

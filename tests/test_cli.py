@@ -752,6 +752,13 @@ def test_check_builtin_small(capsys):
     assert out.strip().splitlines()[-1].startswith("TOTAL entries=8")
 
 
+@pytest.mark.parametrize("seed", ["42", "7"])
+def test_check_builtin_golden(capsys, seed):
+    code, out, err = run_cli(capsys, "check", "--builtin", "--seed", seed)
+    assert (code, err) == (0, "")
+    assert out == golden(f"check_builtin_seed{seed}.txt")
+
+
 def test_check_output_is_deterministic(capsys):
     args = ("check", "--builtin", "--seed", "7", "--cases", "2", "--max-deg", "2")
     _c1, out1, _ = run_cli(capsys, *args)
@@ -836,6 +843,16 @@ def _report_row(alg, props, name, *args):
             "sl2_bad_split.alg",
             "lie_action",
             "check_sl2_bad_split_lie_action_cases30.txt",
+            "--cases", "30", "--seed", "11",
+        ),
+        # every random property, thirty cases each, on the two tables that
+        # fail the Lie axioms under a closed split
+        _report_row(
+            "sl2_bad_jacobi.alg", _RANDOM_PROPS, "check_sl2_bad_jacobi_cases30.txt",
+            "--cases", "30", "--seed", "11",
+        ),
+        _report_row(
+            "sl2_bad_alternating.alg", _RANDOM_PROPS, "check_sl2_bad_alternating_cases30.txt",
             "--cases", "30", "--seed", "11",
         ),
     ],

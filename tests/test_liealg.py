@@ -590,9 +590,9 @@ def test_vector_rejects_a_basis_element_given_twice(sl2, coords):
 
 
 def test_internal_vectors_skip_the_out_of_basis_rule(monkeypatch):
-    # brackets, projections, the linear arithmetic and the suite's lie_action
-    # row build vectors whose indices are valid by construction; only the
-    # public constructors run the rule
+    # brackets, projections and the linear arithmetic build vectors whose
+    # indices are valid by construction, and the suite's lie_action row
+    # builds no vectors at all; only the public constructors run the rule
     import envnorm.liealg as liealg
     from envnorm.checks import SuiteConfig, run_property
 

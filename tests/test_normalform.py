@@ -12,6 +12,7 @@ from envnorm.checks import (
     RegistryEntry,
     SuiteConfig,
     _case_rng,
+    _holds_lie_action,
     _holds_oracle,
     _holds_well_defined,
     builtin_examples,
@@ -42,6 +43,8 @@ from envnorm.normalform import (
     ActionContext,
     OracleMismatchError,
     _act_terms,
+    _element_terms,
+    _section_raw,
     act,
     act_word,
     check_filtration,
@@ -531,6 +534,11 @@ def test_raw_verdicts_match_their_public_composition(name):
             got = _outcome(verdict, c, **inst)
             assert got == _outcome(reference, c, **inst), (prop, inst)
             outcomes.add(got)
+        for inst in instances:  # the raw section of an element's raw terms
+            if "u" in inst:
+                got = _outcome(_section_raw, c, _element_terms(c, inst["u"]))
+                ref = _outcome(section_s, c, inst["u"])
+                assert got == (_raw_terms(ref) if isinstance(ref, StateElement) else ref), inst
         own = instances[0]
         keys = [key for key in own if key in foreign]
         for picks in list(itertools.product((0, 1), repeat=len(keys)))[1:]:
@@ -547,6 +555,25 @@ def test_raw_verdicts_match_their_public_composition(name):
     # [e, e], neither a rewrite nor the kernel reads under f | h e
     passing = name in REG or name == "sl2_bad_alternating.alg"
     assert (outcomes <= {True, (True, True)}) == passing, outcomes
+
+
+@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_INPUTS))
+def test_suite_lie_action_row_is_check_lie_action_on_basis_vectors(name):
+    # the suite's row passes basis indices straight to the core; the public
+    # check boxes them as vectors: the same verdict or the same raise
+    algebra, split = _algebra_and_split(name)
+    row, public = (ActionContext(algebra, split, validate=False) for _ in range(2))
+    rng = random.Random(f"lie-row-{name}")
+    outcomes = set()
+    for _ in range(4):
+        s = _rand_state(rng, row, 3)
+        for i in range(algebra.dim):
+            for j in range(algebra.dim):
+                got = _outcome(_holds_lie_action, row, s, i, j)
+                vectors = algebra.basis_vector(i), algebra.basis_vector(j)
+                assert got == _outcome(check_lie_action, public, *vectors, s), (i, j, s)
+                outcomes.add(got)
+    assert (outcomes == {True}) == (name in REG), outcomes
 
 
 def test_check_inverse_checks_the_state_split_first():
