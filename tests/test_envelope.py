@@ -395,6 +395,60 @@ def test_straighten_counts_only_new_rewrites():
     assert stats == counted  # every word is in the algebra's memo now
 
 
+def test_straighten_stats_count_each_order_on_its_own():
+    # Straightening under another order between two declaration-order calls
+    # leaves their counts as on an algebra that made those two calls alone,
+    # and a dict that already holds counts is added to.
+    fresh, alg = sl_algebra(3, Z), sl_algebra(3, Z)
+    n = alg.dim
+    first = tuple(reversed(range(n)))
+    second = (7, 5, 3, 1, 6, 4, 2, 0)
+    other = tuple(reversed(sl_triangular_split(alg, 3).split_order()))
+    expected = []
+    for word in (first, second):
+        stats = {}
+        straighten(EnvElement.word(fresh, word), stats=stats)
+        expected.append(stats)
+    assert all(stats["steps"] > 0 for stats in expected)
+    other_fresh = {}
+    straighten(EnvElement.word(sl_algebra(3, Z), first), other, stats=other_fresh)
+    assert other_fresh["steps"] > 0
+
+    u, v = EnvElement.word(alg, first), EnvElement.word(alg, second)
+    straighten(u, other)
+    stats = {}
+    straighten(u, stats=stats)
+    assert stats == expected[0]
+    straighten(v, other)
+    straighten(v, range(n)[::-1])
+    stats = {"steps": 5, "spawned": 7}
+    straighten(v, stats=stats)
+    assert stats == {"steps": 5 + expected[1]["steps"], "spawned": 7 + expected[1]["spawned"]}
+    # the other order has counted nothing for u since its first call
+    stats = {"steps": 1}
+    straighten(u, other, stats=stats)
+    assert stats == {"steps": 1, "spawned": 0}
+    # and on a word new to it, as many as on a fresh algebra
+    stats = {}
+    other_alg = sl_algebra(3, Z)
+    straighten(EnvElement.word(other_alg, second), stats={})
+    straighten(EnvElement.word(other_alg, first), other, stats=stats)
+    assert stats == other_fresh
+
+
+def test_straighten_stats_keep_the_counts_of_a_call_that_raises():
+    # heisenberg y^700 x recurses past the default limit; the rewrites done
+    # before the RecursionError are still added.  The exact count depends
+    # on the caller's own depth, so only its growth is pinned.
+    alg = heisenberg_algebra(Z)
+    x, y = alg.index["x"], alg.index["y"]
+    stats = {"steps": 5}
+    with pytest.raises(RecursionError):
+        straighten(EnvElement.word(alg, (y,) * 700 + (x,)), stats=stats)
+    assert set(stats) == {"steps", "spawned"}
+    assert stats["steps"] > 5 and stats["spawned"] > 0
+
+
 def test_declaration_order_straightener_is_built_once_per_algebra():
     alg = sl_algebra(3, Z)
     form = _straightener(alg)
