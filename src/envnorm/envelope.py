@@ -250,7 +250,7 @@ def mu_state(s: StateElement) -> EnvElement:
     return EnvElement._trusted(s.algebra, terms)
 
 
-def _straightener(algebra: LieAlgebra, order=None, stats=None):
+def _straightener(algebra: LieAlgebra, order=None):
     """The normal form of one word under ``order`` (default: declaration
     order), as a function ``form(w)`` returning immutable (word, raw) pairs.
 
@@ -271,12 +271,12 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     ``w[:-1]`` with the last letter appended to each word and straightened
     (see the module docstring for why this is exact on every table);
     otherwise it rewrites the last pair and recurses on the swapped word and
-    on each bracket-expansion word.  Its memo (word -> form) is the
-    order's own, kept on the algebra under the order's rank tuple, so it is
-    shared by every call with that order and freed with the algebra.  With
-    ``stats`` a dict, each rewrite performed adds 1 to "steps" and the words
-    it spawns to "spawned"; a word already in the memo, or one formed from
-    its prefix or from its closed tail, costs nothing there.
+    on each bracket-expansion word.  ``form.memo`` is the order's memo
+    (word -> form), shared by every call with that order and freed with
+    the algebra; ``form.counts`` is ``[steps, spawned]``, the running
+    totals of the rewrites ``form`` performed and the words they spawned
+    (a word already in the memo, or formed from its prefix or its closed
+    tail, adds nothing there).
 
     The memo holds raw ring values (a ``Scalar``'s ``value``), never
     ``Scalar``s: a sorted word maps to ``((w, 1),)``, and over Z and Z/q a
@@ -284,16 +284,15 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
     untracks.
     Scalars are built only where an element is, by ``Ring.scalar``.
 
-    A ``form`` without ``stats`` is built once per order and kept on the
-    algebra beside its memo, in ``algebra._forms`` under the same rank
-    tuple, so later calls with that order return that same function and
-    its closed-tail table is built once.  The declaration order's is also
-    kept under ``None``, so ``_straightener(algebra)``, the call every
-    canonicalization makes, is one dict lookup.  A ``form`` with ``stats``
-    counts into that dict and is built per call.
+    ``form`` is built once per order and kept on the algebra, in
+    ``algebra._forms`` under the order's rank tuple, so later calls with
+    that order return that same function and its closed-tail table is
+    built once.  The declaration order's is also kept under ``None``, so
+    ``_straightener(algebra)``, the call every canonicalization makes, is
+    one dict lookup.
     """
     forms = algebra._forms
-    if order is None and stats is None:
+    if order is None:
         form = forms.get(None)
         if form is not None:
             return form
@@ -306,11 +305,11 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         if sorted(order) != list(range(n)):
             raise ValueError("order must be a permutation of the basis indices")
         rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
-    if stats is None:
-        form = forms.get(rank)
-        if form is not None:
-            return form
-    memo = algebra._straighten_memo.setdefault(rank, {})
+    form = forms.get(rank)
+    if form is not None:
+        return form
+    memo: dict = {}
+    counts = [0, 0]  # rewrites performed, words they spawned
     rank_of = {chr(i): r for i, r in enumerate(rank)}  # engine letter -> position in the order
     table, q = algebra.table, algebra.ring.modulus
     # The tail from t is closed when every cell a rewrite inside it reads,
@@ -364,9 +363,8 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
             x, y = w[pos], w[last]
             head = w[:pos]
             row = table[ord(x)][ord(y)]
-            if stats is not None:
-                stats["steps"] += 1
-                stats["spawned"] += 1 + len(row)
+            counts[0] += 1
+            counts[1] += 1 + len(row)
             result = form(head + y + x, pos)
             if row:  # commuting letters share the swapped word's form
                 out = dict(result)
@@ -377,10 +375,10 @@ def _straightener(algebra: LieAlgebra, order=None, stats=None):
         memo[w] = result
         return result
 
-    if stats is None:
-        forms[rank] = form
-        if rank == tuple(range(n)):
-            forms[None] = form
+    form.memo, form.counts = memo, counts
+    forms[rank] = form
+    if rank == tuple(range(n)):
+        forms[None] = form
     return form
 
 
@@ -399,14 +397,17 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     """PBW canonical form: every word nondecreasing w.r.t. ``order``
     (default: declaration order), obtained by exhaustive rewriting of
     adjacent inversions.  With ``stats`` a dict, adds to its "steps" the
-    rewrites this call performs and to its "spawned" the words they spawn;
-    words straightened before under the same order (the memo lives on the
-    algebra) count zero."""
-    form = _straightener(u.algebra, order, stats)
-    if stats is not None:
-        stats.setdefault("steps", 0)
-        stats.setdefault("spawned", 0)
-    terms = _straighten_terms(_encoded_words(u), form, u.algebra.ring.modulus)
+    rewrites this call performs and to its "spawned" the words they spawn,
+    read off the order's ``form.counts``, also when the call raises; words
+    straightened before under the same order count zero."""
+    form = _straightener(u.algebra, order)
+    before = form.counts[:]
+    try:
+        terms = _straighten_terms(_encoded_words(u), form, u.algebra.ring.modulus)
+    finally:
+        if stats is not None:
+            for key, now, was in zip(("steps", "spawned"), form.counts, before):
+                stats[key] = stats.get(key, 0) + now - was
     return EnvElement._trusted(u.algebra, _decoded_words(terms))
 
 

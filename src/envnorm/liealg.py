@@ -184,8 +184,7 @@ class LieAlgebra:
     table until :func:`validate_algebra` says the Lie axioms hold.
     """
 
-    __slots__ = ("ring", "basis", "index", "table", "dim", "_straighten_memo", "_forms",
-                 "__weakref__")
+    __slots__ = ("ring", "basis", "index", "table", "dim", "_forms", "__weakref__")
 
     def __init__(self, ring: Ring, basis_names, table):
         basis = tuple(basis_names)
@@ -224,8 +223,8 @@ class LieAlgebra:
                     out.append(tuple(sorted(acc.items())))
             rows.append(tuple(out))
         self.table = tuple(rows)
-        # the only private state: the straighteners', see envelope._straightener
-        self._straighten_memo: dict = {}  # rank -> {engine word: form}
+        # the only private state: one straightener per order, which owns its
+        # memo and its rewrite counts, see envelope._straightener
         self._forms: dict = {}  # rank (None: declaration order) -> form
 
     @classmethod

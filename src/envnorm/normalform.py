@@ -103,8 +103,8 @@ A row is read off the kernel itself: the dim actions e_k.(w1, ""), the
 commutator of two of them for each pair i < j (negated for i > j), and
 the bracket side read from the structure table as it is, so on every
 table, failing ones too, the row judges the very action the calculator
-uses.  Its left words are then straightened, each distinct one once per
-row.  A left word costs dim**2 actions on one term once per context, a
+uses.  Its left words are then straightened through the declaration
+order's memo.  A left word costs dim**2 actions on one term once per context, a
 state one straightening of u2 w2 per row term, and a verdict no bracket.
 Two canonical states (the section's, the oracle's) compare with ==.
 """
@@ -408,7 +408,6 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
                 _acc(diff, key, -c, q)
             defects[i, j] = diff
             defects[j, i] = dict(_negated(diff.items(), q))
-    forms: dict = {}  # u1 -> form(u1), for this row's raw left words
     row = []
     for pair, defect in defects.items():
         i, j = pair
@@ -417,10 +416,7 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
                 _acc(defect, key, -b * c, q)
         entry: dict = {}
         for (u1, u2), c in defect.items():
-            f1 = forms.get(u1)
-            if f1 is None:
-                f1 = forms[u1] = form(u1)
-            for v1, c1 in f1:
+            for v1, c1 in form(u1):
                 _acc(entry, (v1, u2), c * c1, q)
         row += [(pair, v1, u2, c) for (v1, u2), c in entry.items()]
     row = ctx._lie_rows[w1] = tuple(row)

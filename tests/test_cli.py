@@ -759,6 +759,18 @@ def test_check_builtin_golden(capsys, seed):
     assert out == golden(f"check_builtin_seed{seed}.txt")
 
 
+@pytest.mark.parametrize(
+    "name", ["heisenberg", "sl2", "sl2_borel", "sl2_mod2", "sl3", "sl4", "sl2_q_third"],
+)
+def test_check_passing_spec(capsys, name):
+    # a valid algebra and split passes every property at the defaults:
+    # exit 0, a TOTAL line with no failure and nothing on stderr
+    code, out, err = run_cli(capsys, "check", str(GOLDEN / f"{name}.alg"))
+    assert (code, err) == (0, "")
+    total = out.splitlines()[-1]
+    assert total.startswith("TOTAL entries=1 ") and " fail=0 " in total
+
+
 def test_check_output_is_deterministic(capsys):
     args = ("check", "--builtin", "--seed", "7", "--cases", "2", "--max-deg", "2")
     _c1, out1, _ = run_cli(capsys, *args)

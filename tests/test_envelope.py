@@ -351,7 +351,7 @@ def test_straighten_and_state_canon_match_worklist_in_closed_tails():
 def _memo_holds(alg, letters) -> bool:
     """Whether a straightening memo of alg holds the word on its own."""
     word = "".join(map(chr, letters))  # the memo keys engine (str) words
-    return any(word in memo for memo in alg._straighten_memo.values())
+    return any(word in form.memo for form in alg._forms.values())
 
 
 def _tail_table(order, read_stays):
@@ -454,15 +454,23 @@ def test_declaration_order_straightener_is_built_once_per_algebra():
     form = _straightener(alg)
     assert _straightener(alg) is form
     assert _straightener(sl_algebra(3, Z)) is not form
-    # an explicit order gets its order's cached function, a stats dict its
-    # own function over the same memo
+    # one function per order: an explicit order gets its order's cached
+    # function, and a stats call straightens through it
     explicit = _straightener(alg, order=range(alg.dim))
-    counting = _straightener(alg, stats={"steps": 0, "spawned": 0})
-    assert explicit is form and counting is not form
+    assert explicit is form
     split_order = sl_triangular_split(alg, 3).split_order()
-    assert _straightener(alg, split_order) is _straightener(alg, split_order)
+    by_split = _straightener(alg, split_order)
+    assert _straightener(alg, split_order) is by_split is not form
+    u = EnvElement.word(alg, tuple(reversed(range(alg.dim))))
+    stats = {}
+    straighten(u, stats=stats)
+    straighten(u, split_order, stats=stats)
+    assert _straightener(alg) is form and _straightener(alg, split_order) is by_split
+    assert {id(f) for f in alg._forms.values()} == {id(form), id(by_split)}
+    assert stats == {"steps": form.counts[0] + by_split.counts[0],
+                     "spawned": form.counts[1] + by_split.counts[1]}
     word = "".join(map(chr, reversed(range(alg.dim))))  # form reads engine (str) words
-    assert explicit(word) is form(word) is counting(word)
+    assert explicit(word) is form(word) is form.memo[word]
 
 
 def test_constructors_coerce_raw_coefficients():

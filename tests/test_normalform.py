@@ -167,7 +167,7 @@ def test_memos_are_freed_with_the_context():
     c = ActionContext(alg, sl_triangular_split(alg, 3))
     result = normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
     _judge_every_basis_pair(c, 5)
-    assert c._kernel and c._lie_rows and alg._straighten_memo
+    assert c._kernel and c._lie_rows and _straightener(alg).memo
     refs = (weakref.ref(c), weakref.ref(alg))
     del alg, c, result
     gc.collect()
@@ -184,7 +184,7 @@ def test_memo_values_are_not_tracked_by_the_collector(ring):
     _judge_every_basis_pair(c, 6)
     for _ in range(3):
         gc.collect()
-    forms = [form for memo in alg._straighten_memo.values() for form in memo.values()]
+    forms = [form for f in alg._forms.values() for form in f.memo.values()]
     kernel = list(c._kernel.values())
     rows = list(c._lie_rows.values())
     entries = [entry for row in rows for entry in row]
@@ -892,7 +892,7 @@ def test_section_memo_is_linear_in_n_on_heisenberg_ynx():
     entry = builtin_examples()["heisenberg_Z"]  # x | y c
     c = ActionContext(entry.algebra, entry.split)
     section_s(c, EnvElement.word(entry.algebra, (1,) * 300 + (0,)))
-    assert len(entry.algebra._straighten_memo[(0, 1, 2)]) < 2000
+    assert len(entry.algebra._forms[(0, 1, 2)].memo) < 2000
 
 
 @pytest.mark.parametrize("empty_side", [1, 2])
