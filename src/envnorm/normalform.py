@@ -104,9 +104,10 @@ commutator of two of them for each pair i < j (negated for i > j), and
 the bracket side read from the structure table as it is, so on every
 table, failing ones too, the row judges the very action the calculator
 uses.  Its left words are then straightened through the declaration
-order's memo.  A left word costs dim**2 actions on one term once per context, a
-state one straightening of u2 w2 per row term, and a verdict no bracket.
-Two canonical states (the section's, the oracle's) compare with ==.
+order's memo.  A left word costs dim**2 actions on one term once per
+context, a state one straightening of u2 w2 per row term, and a verdict
+no bracket.  Two canonical states (the section's, the oracle's) compare
+with ==.
 """
 
 from __future__ import annotations
