@@ -244,6 +244,23 @@ def test_vector_moves_drop_one_term_in_index_order():
     assert [str(m) for m in _moves(v)] == ["-1*f + 2*h", "3*e + 2*h", "3*e + -1*f"]
 
 
+def test_key_moves_merge_a_shortened_key_onto_an_existing_term():
+    # a key shortened onto a term already there adds its coefficient to that
+    # term's, and the term goes when they cancel
+    entry = builtin_examples()["sl2_Z"]  # part 1 is f, part 2 is e, h
+    alg, split = entry.algebra, entry.split
+    u = EnvElement(alg, {(1, 0): 3, (1,): -3, (0,): 5})
+    assert list(_moves(u))[-2:] == [  # the moves of its longest key, (1, 0)
+        EnvElement(alg, {(1,): -3, (0,): 8}),  # drops its 1: merges
+        EnvElement(alg, {(0,): 5}),  # drops its 0: cancels
+    ]
+    s = StateElement(split, {((1,), (0,)): 2, ((), (0,)): -2, ((1,), ()): 4})
+    assert list(_moves(s))[-2:] == [  # the moves of (f, e)
+        StateElement(split, {((1,), ()): 4}),  # drops its f: cancels
+        StateElement(split, {((), (0,)): -2, ((1,), ()): 6}),  # drops its e: merges
+    ]
+
+
 def test_default_config_is_the_cli_check():
     # SuiteConfig's defaults are `envnorm check`'s: the same cases, the same report
     golden = Path(__file__).parent / "golden"
