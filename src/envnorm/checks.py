@@ -48,10 +48,10 @@ class SuiteConfig:
     properties: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for field in ("seed", "cases", "max_degree"):
-            value = getattr(self, field)
+        for name in ("seed", "cases", "max_degree"):
+            value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{field} must be an int, not {type(value).__name__}")
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if self.cases < 1:
             raise ValueError("cases must be >= 1")
         if self.max_degree < 0:
@@ -333,8 +333,7 @@ def _moves(value):
         for key, c in terms:
             for shorter in key_drops(key):
                 rest = without(key)
-                prev = rest.get(shorter)
-                rest[shorter] = c if prev is None else prev + c
+                _acc(rest, shorter, c)
                 yield value._like(rest)
     elif isinstance(value, tuple):
         yield from _word_drops(value)
@@ -400,32 +399,30 @@ class PropertyResult:
 def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
                     x: int, y: int, coeff) -> EnvElement:
     """u plus coeff * (the word ``host`` with the two-sided relator
-    x y - y x - [x, y] spliced in at ``pos``); equal to u in the envelope."""
-    varied = _relator_pair(algebra, u, host, pos, x, y, coeff)[1]
+    x y - y x - [x, y] spliced in at ``pos``); equal to u in the envelope.
+    ``pos`` is a nonnegative int; past the end of ``host`` it means the end."""
+    varied = _relator_terms(algebra, u, host, pos, x, y, coeff)[1]
     return EnvElement._trusted(algebra, _decoded_words(varied))
 
 
-def _relator_pair(algebra: LieAlgebra, u: EnvElement, host, pos, x, y, coeff) -> tuple:
-    """The raw terms of u and of its relator variant, once relator_variant's
-    checks pass, in its order: x and y, host, coeff, then u's algebra."""
+def _relator_terms(algebra: LieAlgebra, u: EnvElement, host, pos, x, y, coeff) -> tuple:
+    """The raw {engine word: c} terms of u and of its relator variant,
+    once relator_variant's checks pass, in its order: x and y, host, pos,
+    coeff, then u's algebra.  The relator's two words cancel when x == y."""
     _check_indices((x, y, *host), algebra.dim, "letter")
+    if isinstance(pos, bool) or not isinstance(pos, int) or pos < 0:
+        raise ValueError(f"pos {pos!r} is not a nonnegative int")
     coeff = algebra.ring.coerce(coeff)
     if u.algebra is not algebra:
         raise CarrierMismatchError("elements over different algebras")
     terms = _encoded_words(u)
-    return terms, _relator_terms(algebra, terms, host, pos, x, y, coeff)
-
-
-def _relator_terms(algebra: LieAlgebra, terms: dict, host, pos, x, y, coeff) -> dict:
-    """relator_variant's core, on raw {engine word: c} terms and a raw
-    coeff; the relator's two words cancel when x == y."""
     q, pos = algebra.ring.modulus, min(pos, len(host))
     head, tail = "".join(map(chr, host[:pos])), "".join(map(chr, host[pos:]))
     relator = [(chr(x) + chr(y), 1), (chr(y) + chr(x), -1)] if x != y else []
     out = dict(terms)
     for w, c in relator + [(chr(k), -gamma) for k, gamma in algebra.table[x][y]]:
         _acc(out, head + w + tail, coeff * c, q)
-    return out
+    return terms, out
 
 
 # A row of _PROPERTIES is (draw, holds).  draw(rng, cfg, entry) returns one
@@ -479,7 +476,7 @@ def _holds_lie_action(ctx, s, g, h):
 
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):
-    terms, varied = _relator_pair(ctx.algebra, u, host, pos, x, y, coeff)
+    terms, varied = _relator_terms(ctx.algebra, u, host, pos, x, y, coeff)
     return _section_raw(ctx, terms) == _section_raw(ctx, varied)
 
 

@@ -77,37 +77,44 @@ defect), the verdict runs the part check on those raw terms instead
 runs on every state).  So a split that is not bracket-closed raises the
 same ValueError, naming the same letter, at the same step.  The action
 and the oracle put every letter in its own part by construction, so
-their states never fail it.  normal_order keeps the boxed path on
+their states never fail it.  Two canonical states (the section's, the
+oracle's) compare with ==.  normal_order keeps the boxed path on
 purpose: it is the public calculator, and its env_eq is the Scalar
 arithmetic of the benchmark's degree_sweep and request_stream.
 
 The Lie action check judges each verdict from a defect table for one
-state s, built whole when s arrives, kept on the context and replaced when
-another state does: the canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) -
-[e_i, e_j].s per ordered basis pair.  The table is summed from a defect
-row per left word, memoized on the context beside the kernel: E(i, j) of
-the one-term state (w1, ""), its left words straightened and its right
-words u2 left raw.  A term c (w1, w2) of s adds c times w1's row, each u2
-replaced by the form of u2 w2.  This is exact on every table, failing ones
-too: the action reads w2 only to append it, every step is linear, and the
-form of one word is a fixed function, so the sum is term for term the
-canonical table of s.  Two shortcuts that look natural are not exact where
-the table fails validation, since the action is then not well defined on
-classes and a word's form depends on how it was reached: keying a row on
-the form of w1 rather than on w1, and straightening w2 before u2 is put in
-front of it.  Straightening u2 before w2 is appended would be exact, since
-the leftmost-inversion form straightens a prefix before anything after it,
-but it saves nothing.
+state s: the canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s
+for every ordered basis pair, i == j and i > j included, since a table
+under test need not be alternating.  The action, the bracket and
+canonicalization are all linear, so the canonical difference of the two
+sides for g and h is sum g_i h_j E(i, j), and the law holds when that is
+empty.  The table is built whole when s arrives, kept on the context and
+replaced when another state does; states are never changed in place, so
+identity fixes the table.
 
-A row is read off the kernel itself: the dim actions e_k.(w1, ""), the
-commutator of two of them for each pair i < j (negated for i > j), and
-the bracket side read from the structure table as it is, so on every
-table, failing ones too, the row judges the very action the calculator
-uses.  Its left words are then straightened through the declaration
-order's memo.  A left word costs dim**2 actions on one term once per
-context, a state one straightening of u2 w2 per row term, and a verdict
-no bracket.  Two canonical states (the section's, the oracle's) compare
-with ==.
+The table is summed from a defect row per left word, memoized on the
+context beside the kernel: E(i, j) of the one-term state (w1, ""), its
+left words straightened and its right words u2 (two letters at most) left
+raw.  A term c (w1, w2) of s adds c times w1's row, each u2 replaced by
+the form of u2 w2.  A row is read off the kernel itself: the dim entries
+e_k.(w1, ""), the commutator of two of them for each pair i < j (negated
+for i > j, empty for i == j), and the bracket side read from the
+structure table as it is; its left words are then straightened through
+the declaration order's memo.  So on every table, failing ones too, the
+row judges the very action the calculator uses.  A left word costs dim
+kernel entries and the actions on them once per context, a state one
+straightening of u2 w2 per row term, and a verdict no bracket.
+
+This is exact on every table, failing ones too: the action reads w2 only
+to append it, every step is linear, and the form of one word is a fixed
+function, so the sum is term for term the canonical table of s.  Two
+shortcuts that look natural are not exact where the table fails
+validation, since the action is then not well defined on classes and a
+word's form depends on how it was reached: keying a row on the form of w1
+rather than on w1, and straightening w2 before u2 is put in front of it.
+Straightening u2 before w2 is appended would be exact, since the
+leftmost-inversion form straightens a prefix before anything after it,
+but it saves nothing.
 """
 
 from __future__ import annotations
@@ -151,17 +158,12 @@ class OracleMismatchError(RuntimeError):
 class ActionContext:
     """A validated (algebra, split) pair that all operations here run in.
 
-    It holds three memos.  The basis kernel and the Lie-action defect
-    rows, one per left word (:func:`_lie_row`), are kept for its life:
-    reuse one context across calls to share that work, and drop it to free
-    the memory.  The third is the defect table of the last state a
-    Lie-action verdict judged, built whole when that state object arrives
-    and replaced when a different one does (states are never changed in
-    place, so identity fixes the table): the canonical
-    E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s for each ordered
-    basis pair, summed from the rows of the state's left words
-    (:func:`_lie_table`; the module docstring says why this is exact on
-    every table)."""
+    It holds three memos: the basis kernel and the Lie-action defect row
+    of each left word (:func:`_lie_row`), both kept for its life, and the
+    defect table of the last state a Lie-action verdict judged
+    (:func:`_lie_table`), replaced when a different state arrives.  Reuse
+    one context across calls to share that work, and drop it to free the
+    memory.  The module docstring sets out the Lie-action table's design."""
 
     __slots__ = (
         "algebra", "split", "_parts", "_kernel", "_lie_rows", "_lie_table", "__weakref__",
@@ -381,26 +383,17 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
 
 
 def _lie_row(ctx: ActionContext, w1: str) -> tuple:
-    """The defect row of the left word w1, memoized on ctx (see
-    :class:`ActionContext`): the terms ((i, j), v1, u2, raw) of E(i, j) on
-    the one-term state (w1, ""), for every ordered pair, each left word v1
-    straightened and each right word u2 (two letters at most) left raw.
-    The commutator e_i.(e_j.s) - e_j.(e_i.s) is acted out for i < j,
-    negated for i > j and empty for i == j; the bracket side is read from
-    the structure table as it is for every pair, since a table under test
-    need not be alternating.
-
-    The row is keyed by w1 as it stands, not by its form, and a state's
-    right word w2 is straightened only with u2 in front of it: on a table
-    that fails validation the action is not well defined on classes and a
-    word's form depends on how it was reached, so either shortcut could
-    change a table there (see the module docstring)."""
+    """The defect row of the left word w1, memoized on ctx: the terms
+    ((i, j), v1, u2, raw) of E(i, j) on the one-term state (w1, ""), for
+    every ordered pair, each left word v1 straightened and each right word
+    u2 (two letters at most) left raw.  It is keyed by w1 as it stands; the
+    module docstring says how a row is built and why that is exact."""
     row = ctx._lie_rows.get(w1)
     if row is not None:
         return row
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
     n, form = algebra.dim, _straightener(algebra)
-    acted = [_act_terms(ctx, ((k, 1),), {(w1, ""): 1}) for k in range(n)]
+    acted = [dict(_basis_action(ctx, k, w1)) for k in range(n)]
     defects = {(i, i): {} for i in range(n)}
     for j in range(n):
         for i in range(j):
@@ -425,11 +418,10 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
 
 
 def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
-    """s's defect table (see :class:`ActionContext`), {(i, j): E(i, j)} of
-    raw term dicts of engine words: ctx's own if s was the last state
-    judged, else built whole, s checked and encoded once, and kept.  A term
-    c (w1, w2) of s adds c times each term of w1's row (:func:`_lie_row`),
-    its raw right word u2 replaced by the form of u2 + w2."""
+    """s's defect table, {(i, j): E(i, j)} of raw term dicts of engine
+    words, summed from the rows of s's left words (see the module
+    docstring): ctx's own if s was the last state judged, else built whole,
+    s checked and encoded once, and kept."""
     if ctx._lie_table is not None and ctx._lie_table[0] is s:
         return ctx._lie_table[1]
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
@@ -459,11 +451,9 @@ def _lie_holds(ctx: ActionContext, gs, hs, defects: dict) -> bool:
 
 
 def check_lie_action(ctx: ActionContext, g: GVector, h: GVector, s: StateElement) -> bool:
-    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization.  The action,
-    the bracket and canonicalization are all linear, so the canonical
-    difference of the two sides is sum g_i h_j E(i, j), read from s's
-    defect table on ctx (see :class:`ActionContext`); the law holds when
-    that sum is empty (:func:`_lie_holds`)."""
+    """g.(h.s) - h.(g.s) = [g,h].s, up to canonicalization, judged by
+    :func:`_lie_holds` from s's defect table on ctx (see the module
+    docstring)."""
     hs = _support(ctx, h)  # checked in act(g, act(h, s))'s order: h, s, g
     defects = _lie_table(ctx, s)
     return _lie_holds(ctx, _support(ctx, g), hs, defects)
@@ -476,7 +466,7 @@ def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[b
     A state over another split is refused before any work."""
     terms = _terms(ctx, s)
     q = ctx.algebra.ring.modulus
-    first = (_checked(ctx, _section_terms(ctx, _mu_terms(terms, q)))
+    first = (_section_raw(ctx, _mu_terms(terms, q))
              == _checked(ctx, _canon_terms(ctx.algebra, terms)))
     words = _element_terms(ctx, u)
     second = _same_element(ctx, _mu_terms(_section_raw(ctx, words), q), words)

@@ -326,8 +326,8 @@ def test_relator_variant_matches_word_by_word_splice():
 
 
 def test_relator_variant_rejections():
-    # it checks x and y, then host, then coeff, then u's algebra; with two
-    # faults the earlier check speaks
+    # it checks x and y, then host, then pos, then coeff, then u's algebra;
+    # with two faults the earlier check speaks
     alg = builtin_examples()["sl2_Z"].algebra
     u, other = EnvElement.word(alg, (1, 0), 2), EnvElement.word(sl2_algebra(Z), (1, 0), 2)
     half = Fraction(1, 2)
@@ -342,6 +342,12 @@ def test_relator_variant_rejections():
         ((other, (9,), 1, 9, 1, half), letter),
         ((other, (9, 2), 1, 0, 1, half), letter),
         ((other, (0, 2), 1, 0, 1, half), (ValueError, "1/2 is not an element of Z")),
+        ((u, (0, 2), -1, 0, 1, 3), (ValueError, "pos -1 is not a nonnegative int")),
+        ((u, (0, 2), True, 0, 1, 3), (ValueError, "pos True is not a nonnegative int")),
+        ((u, (0, 2), 0.5, 0, 1, 3), (ValueError, "pos 0.5 is not a nonnegative int")),
+        ((u, (0, 2), "1", 0, 1, 3), (ValueError, "pos '1' is not a nonnegative int")),
+        ((u, (0, 9), -1, 0, 1, 3), letter),
+        ((other, (0, 2), -1, 0, 1, half), (ValueError, "pos -1 is not a nonnegative int")),
     ]
     for args, (kind, message) in cases:
         with pytest.raises(kind) as exc:
