@@ -500,7 +500,10 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
 
     Every random property goes through the same loop: draw each case's
     instances, fail the case at its first failing instance, shrink that
-    instance and render it with the exception it raises, if any."""
+    instance and render it with the exception it raises, if any.  A ``ctx``
+    over another split than ``entry``'s is refused before any draw."""
+    if ctx is not None and ctx.split is not entry.split:
+        raise CarrierMismatchError("context over a different split")
     if name == "validate":
         report = validate(entry.algebra, entry.split)
         if report.ok:

@@ -29,6 +29,7 @@ from envnorm.liealg import (
 )
 from envnorm.normalform import ActionContext, check_lie_action, section_s
 from envnorm.ring import make_ring
+from reference import plain, splice_relator
 
 Z = make_ring("Z")
 
@@ -233,6 +234,20 @@ def test_suite_total_on_nonclosed_split_without_validation():
         reg.add(entry)
 
 
+def test_run_property_refuses_a_context_over_another_split():
+    # a context over another entry's split, or another split of the same
+    # algebra, is refused before any case is drawn or acted on
+    reg = builtin_examples()
+    entry = reg["sl2_Z"]
+    alg, split = entry.algebra, entry.split
+    for ctx in (ActionContext(reg["sl3_Z"].algebra, reg["sl3_Z"].split),
+                ActionContext(alg, SplitDecomposition(alg, split.part1, split.part2))):
+        for name in PROPERTY_NAMES:
+            with pytest.raises(CarrierMismatchError, match="^context over a different split$"):
+                run_property(name, SuiteConfig(cases=2), entry, ctx)
+        assert not ctx._kernel
+
+
 def test_run_property_unknown_name():
     with pytest.raises(ValueError):
         run_property("bogus", SuiteConfig(seed=1), _corrupted_sl2_entry())
@@ -290,18 +305,6 @@ def test_run_suite_uses_one_context_per_entry(monkeypatch):
     assert len(built) == len(reg) == 8
 
 
-def _relator_by_words(algebra, u, host, pos, x, y, coeff):
-    # the relator spliced in word by word, without the envelope product
-    pos = min(pos, len(host))
-    head, tail = host[:pos], host[pos:]
-    extra = EnvElement.word(algebra, head + (x, y) + tail, coeff) - EnvElement.word(
-        algebra, head + (y, x) + tail, coeff
-    )
-    for k, gamma in algebra.table[x][y]:
-        extra = extra - EnvElement(algebra, {head + (k,) + tail: coeff * algebra.ring.scalar(gamma)})
-    return u + extra
-
-
 def test_relator_variant_matches_word_by_word_splice():
     golden = Path(__file__).parent / "golden"
     entries = list(builtin_examples().entries())
@@ -320,9 +323,9 @@ def test_relator_variant_matches_word_by_word_splice():
             x, y = rng.randrange(alg.dim), rng.randrange(alg.dim)
             if i % 5 == 0:
                 y = x
-            coeff = alg.ring.scalar(rng.randint(-9, 9))
-            args = (alg, u, host, pos, x, y, coeff)
-            assert relator_variant(*args) == _relator_by_words(*args), (entry.name, i)
+            coeff = alg.ring.coerce(rng.randint(-9, 9))
+            expected = splice_relator(alg.table, alg.ring.modulus, plain(u), host, pos, x, y, coeff)
+            assert plain(relator_variant(alg, u, host, pos, x, y, coeff)) == expected, (entry.name, i)
 
 
 def test_relator_variant_rejections():

@@ -15,9 +15,10 @@ The left side sections subwords of u; the right side reads Delta of the
 canonical state s(u) off its sorted factor words, and a subsequence of a
 sorted word is sorted, so neither side straightens anything here.  The
 identity holds over every ring and every split, needs no oracle and no
-envelope product, and Delta is written below, in this file only.
+envelope product, and Delta is written in tests/reference.py.
 """
 
+import functools
 import itertools
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from envnorm.checks import RegistryEntry, SuiteConfig, builtin_examples, generat
 from envnorm.cli import parse_spec
 from envnorm.envelope import EnvElement
 from envnorm.normalform import ActionContext, section_s
+from reference import add_all, delta_of_state, plain, splits
 
 REG = builtin_examples()
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,51 +38,15 @@ _SPECS = ("heisenberg.alg", "sl2.alg", "sl2_borel.alg", "sl2_mod2.alg", "sl2_q_t
           "sl3.alg", "sl4.alg")
 
 
-def _splits(word):
-    """Delta of a word: the (w_S, w_(S^c)) pairs over every subset S of its
-    positions, with repeats."""
-    n = len(word)
-    for mask in range(1 << n):
-        yield (tuple(word[i] for i in range(n) if mask >> i & 1),
-               tuple(word[i] for i in range(n) if not mask >> i & 1))
-
-
-def _add(out, key, c):
-    """Add the scalar c to out[key], dropping the key when it cancels."""
-    if key in out:
-        c = out[key] + c
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
-
-
 def _delta_of_section(ctx, u):
-    """(s (x) s)(Delta u) as {((a1, a2), (b1, b2)): scalar}."""
-    one = ctx.algebra.ring.one
-    sections = {}
-
-    def section(word):
-        if word not in sections:
-            sections[word] = section_s(ctx, EnvElement.word(ctx.algebra, word, one)).terms
-        return sections[word]
-
+    """(s (x) s)(Delta u) as {((a1, a2), (b1, b2)): raw}."""
+    q = ctx.algebra.ring.modulus
+    section = functools.cache(lambda word: plain(section_s(ctx, EnvElement.word(ctx.algebra, word))))
     out = {}
-    for w, c in u.terms.items():
-        for left, right in _splits(w):
+    for w, c in plain(u).items():
+        for left, right in splits(w):
             for a, ca in section(left).items():
-                for b, cb in section(right).items():
-                    _add(out, (a, b), c * ca * cb)
-    return out
-
-
-def _delta_of_state(s):
-    """Delta(s) for a canonical state s, as {((a1, a2), (b1, b2)): scalar}."""
-    out = {}
-    for (w1, w2), c in s.terms.items():
-        for a1, b1 in _splits(w1):
-            for a2, b2 in _splits(w2):
-                _add(out, ((a1, a2), (b1, b2)), c)
+                add_all(out, {(a, b): cb for b, cb in section(right).items()}, c * ca, q)
     return out
 
 
@@ -95,12 +61,13 @@ def _entries():
 @pytest.mark.parametrize("entry", list(_entries()), ids=lambda e: e.name)
 def test_section_is_a_coalgebra_map(entry):
     ctx = ActionContext(entry.algebra, entry.split)
+    q = entry.algebra.ring.modulus
     cfg = SuiteConfig(seed=23, max_degree=5)
     degrees = set()
     for k in range(30):
         u = generate("element", cfg, entry, k)
         degrees.update(map(len, u.terms))
-        assert _delta_of_section(ctx, u) == _delta_of_state(section_s(ctx, u)), u
+        assert _delta_of_section(ctx, u) == delta_of_state(plain(section_s(ctx, u)), q), u
     assert max(degrees) == 5
 
 
@@ -110,9 +77,9 @@ def test_worst_order_words_are_coalgebra_maps_too(name):
     # acts across the whole part-2 prefix
     entry = REG[name]
     ctx = ActionContext(entry.algebra, entry.split)
-    one = entry.algebra.ring.one
+    q, one = entry.algebra.ring.modulus, entry.algebra.ring.one
     part1, part2 = entry.split.part1, entry.split.part2
     for k in range(1, 5):
         for right, left in itertools.product(part2, part1):
             u = EnvElement.word(entry.algebra, (right,) * k + (left,) * (5 - k), one)
-            assert _delta_of_section(ctx, u) == _delta_of_state(section_s(ctx, u)), u
+            assert _delta_of_section(ctx, u) == delta_of_state(plain(section_s(ctx, u)), q), u

@@ -25,10 +25,12 @@ from envnorm.envelope import (
     state_eq,
     straighten,
 )
-from envnorm.liealg import GVector, LieAlgebra, SplitDecomposition, _acc
+from envnorm.liealg import GVector, LieAlgebra, SplitDecomposition
 from envnorm.normalform import ActionContext, act, normal_order, section_s
 from envnorm.ring import RingMismatchError, make_ring
 from failing_tables import random_failing_table
+import reference
+from reference import plain
 
 Z = make_ring("Z")
 REG = builtin_examples()
@@ -122,57 +124,9 @@ def test_straighten_respects_product_mod_canonicalization(sl2):
         assert direct == canon_first
 
 
-def _inversions(rank, w) -> int:
-    return sum(
-        1 for i in range(len(w)) for j in range(i + 1, len(w)) if rank[w[i]] > rank[w[j]]
-    )
-
-
-def _worklist_straighten(u, order=None):
-    """Uncached leftmost-inversion rewriting under ``order`` (default: the
-    declaration order), independent of the memoized routine.  Asserts that
-    every rewrite strictly decreases (degree, inversion count)
-    lexicographically for the word it touches; returns (canonical form,
-    rewrite count)."""
-    alg = u.algebra
-    rank = [0] * alg.dim
-    for pos, idx in enumerate(range(alg.dim) if order is None else order):
-        rank[idx] = pos
-    out: dict = {}
-    pending = list(u.terms.items())
-    steps = 0
-    while pending:
-        w, c = pending.pop()
-        pos = next((i for i in range(len(w) - 1) if rank[w[i]] > rank[w[i + 1]]), None)
-        if pos is None:
-            out[w] = out[w] + c if w in out else c
-            continue
-        steps += 1
-        parent = (len(w), _inversions(rank, w))
-        x, y = w[pos], w[pos + 1]
-        head, tail = w[:pos], w[pos + 2:]
-        children = [(head + (y, x) + tail, c)]
-        for k, gamma in alg.table[x][y]:
-            children.append((head + (k,) + tail, c * alg.ring.scalar(gamma)))
-        for w2, c2 in children:
-            assert (len(w2), _inversions(rank, w2)) < parent
-            pending.append((w2, c2))
-    return EnvElement(alg, out), steps
-
-
-def _worklist_canon(split, s) -> dict:
-    """s with both factor words of each term straightened by the worklist
-    under the declaration order, as {(w1, w2): scalar} terms with no zero
-    coefficient."""
-    alg = split.algebra
-    out: dict = {}
-    for (w1, w2), c in s.terms.items():
-        left = _worklist_straighten(EnvElement.word(alg, w1))[0]
-        right = _worklist_straighten(EnvElement.word(alg, w2))[0]
-        for x1, c1 in left.terms.items():
-            for x2, c2 in right.terms.items():
-                _acc(out, (x1, x2), c * c1 * c2)
-    return out
+def _worklist(u, order=None) -> tuple:
+    """u's worklist form under ``order`` and its rewrite count (see reference)."""
+    return reference.worklist(u.algebra.table, u.algebra.ring.modulus, plain(u), order)
 
 
 def test_straighten_termination_counts():
@@ -193,18 +147,18 @@ def test_straighten_termination_counts():
         # generous a-priori ceiling on the total rewrite count; the memo never
         # rewrites more than the uncached worklist (which asserts the measure)
         assert stats["steps"] <= max(1, d * d) * branching**d
-        assert stats["steps"] <= _worklist_straighten(u)[1]
+        assert stats["steps"] <= _worklist(u)[1]
 
 
-def test_counting_path_agrees_with_cached_path():
+def test_straighten_with_and_without_stats_matches_worklist():
     for name in ("sl2_Z", "sl3_Z", "sl3_Z4", "sl2_Q", "sl3_Z2", "sl3_Z3"):
         alg = REG[name].algebra
         rng = random.Random(14)
         for _ in range(50):
             u = _random_elt(rng, alg, 5)
-            expected, _steps = _worklist_straighten(u)
-            assert straighten(u) == expected, name
-            assert straighten(u, stats={}) == expected, name
+            expected = _worklist(u)[0]
+            assert plain(straighten(u)) == expected, name
+            assert plain(straighten(u, stats={})) == expected, name
 
 
 def test_straighten_matches_worklist_under_shuffled_orders():
@@ -216,30 +170,26 @@ def test_straighten_matches_worklist_under_shuffled_orders():
             rng.shuffle(order)
             for _ in range(20):
                 u = _random_elt(rng, alg, 5)
-                assert straighten(u, order) == _worklist_straighten(u, order)[0], (name, order)
+                assert plain(straighten(u, order)) == _worklist(u, order)[0], (name, order)
 
 
 def test_state_canon_matches_factorwise_worklist():
     rng = random.Random(22)
     for entry in REG.entries():
-        split = entry.split
+        split, table, q = entry.split, entry.algebra.table, entry.ring.modulus
         for _ in range(30):
             s = _random_state(rng, split, 4)
-            assert state_canon(s) == StateElement(split, _worklist_canon(split, s)), entry.name
+            assert plain(state_canon(s)) == reference.worklist_canon(table, q, plain(s)), entry.name
 
 
 def test_oracle_matches_worklist_cut_at_the_boundary():
     rng = random.Random(23)
     for entry in REG.entries():
-        split = entry.split
+        split, table, q = entry.split, entry.algebra.table, entry.ring.modulus
         for _ in range(30):
             u = _random_elt(rng, entry.algebra, 5)
-            flat = _worklist_straighten(u, split.split_order())[0]
-            expected = {}
-            for word, c in flat.terms.items():
-                cut = sum(1 for letter in word if letter in split.part1)
-                expected[(word[:cut], word[cut:])] = c
-            assert oracle_normal_order(u, split) == StateElement(split, expected), entry.name
+            expected = reference.worklist_cut(table, q, plain(u), split.part1)
+            assert plain(oracle_normal_order(u, split)) == expected, entry.name
 
 
 FAILING_RINGS = ("Z", "Zmod 3", "Zmod 4", "Q")
@@ -275,11 +225,11 @@ def test_straighten_and_state_canon_match_worklist_on_failing_tables():
         for order in orders:
             for _ in range(15):
                 u = _random_elt(rng, alg, 5)
-                assert straighten(u, order) == _worklist_straighten(u, order)[0], (name, order)
+                assert plain(straighten(u, order)) == _worklist(u, order)[0], (name, order)
         for _ in range(15):
             s = _random_state(rng, split, 4)
             try:
-                want = StateElement(split, _worklist_canon(split, s))
+                want = StateElement(split, reference.worklist_canon(alg.table, alg.ring.modulus, plain(s)))
             except ValueError:  # a factor straightens out of its part
                 with pytest.raises(ValueError, match="not in part"):
                     state_canon(s)
@@ -330,22 +280,22 @@ def test_straighten_and_state_canon_match_worklist_in_closed_tails():
             # is outside the tail of the pair's lower letter, or inside it
             for word in itertools.product(range(alg.dim), repeat=3):
                 u = EnvElement.word(alg, word)
-                assert straighten(u, order) == _worklist_straighten(u, order)[0], (n, order, word)
+                assert plain(straighten(u, order)) == _worklist(u, order)[0], (n, order, word)
             for _ in range(30):
                 cut = rng.randint(1, alg.dim - 1)
                 head = sorted(rng.choices(ranked[:cut], k=rng.randint(1, 3)), key=ranked.index)
                 u = EnvElement.word(alg, head + rng.choices(ranked[cut:], k=rng.randint(2, 4)))
-                assert straighten(u, order) == _worklist_straighten(u, order)[0], (n, order, u)
+                assert plain(straighten(u, order)) == _worklist(u, order)[0], (n, order, u)
         for _ in range(20):
             s = _random_state(rng, split, 4)
-            assert state_canon(s) == StateElement(split, _worklist_canon(split, s)), (n, s)
+            assert plain(state_canon(s)) == reference.worklist_canon(alg.table, None, plain(s)), (n, s)
         # worst-order words, part 2 before part 1: each left word times its
         # right word is uppers, then the diagonal, then lowers
         for d in range(2, 9):
             word = rng.choices(split.part2, k=d // 2) + rng.choices(split.part1, k=d - d // 2)
             flat = mu_state(section_s(ctx, EnvElement.word(alg, word)))
             for order in (None, split.split_order()):
-                assert straighten(flat, order) == _worklist_straighten(flat, order)[0], (n, word)
+                assert plain(straighten(flat, order)) == _worklist(flat, order)[0], (n, word)
 
 
 def _memo_holds(alg, letters) -> bool:
@@ -381,7 +331,7 @@ def test_straighten_reads_the_rewritten_cell_to_close_a_tail():
             for _ in range(25):
                 word = [p] * rng.randint(1, 2) + rng.choices((q, r), k=rng.randint(2, 5))
                 u = EnvElement.word(alg, word)
-                assert straighten(u, order) == _worklist_straighten(u, order)[0], (order, read_stays, word)
+                assert plain(straighten(u, order)) == _worklist(u, order)[0], (order, read_stays, word)
 
 
 def test_straighten_counts_only_new_rewrites():
@@ -499,37 +449,6 @@ def test_constructors_coerce_raw_coefficients():
         GVector(sl2_4, (Z.one, z4.zero, z4.zero))
 
 
-def _sl2_irrep(n):
-    """Matrices of e, f, h on the (n+1)-dimensional irreducible module:
-    e v_i = (n-i+1) v_(i-1), f v_i = (i+1) v_(i+1), h v_i = (n-2i) v_i."""
-    dim = n + 1
-    e = [[0] * dim for _ in range(dim)]
-    f = [[0] * dim for _ in range(dim)]
-    h = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        h[i][i] = n - 2 * i
-        if i > 0:
-            e[i - 1][i] = n - i + 1
-        if i < n:
-            f[i + 1][i] = i + 1
-    return {E: e, F: f, H: h}
-
-
-def _evaluate_in_rep(elt, rep, dim):
-    total = [[0] * dim for _ in range(dim)]
-    for word, coeff in elt.terms.items():
-        m = [[int(r == c) for c in range(dim)] for r in range(dim)]
-        for letter in word:
-            m = [
-                [sum(m[r][k] * rep[letter][k][c] for k in range(dim)) for c in range(dim)]
-                for r in range(dim)
-            ]
-        for r in range(dim):
-            for c in range(dim):
-                total[r][c] += coeff.value * m[r][c]
-    return total
-
-
 def test_straighten_agrees_with_representation_evaluation(sl2):
     # independent oracle: straightening must not change the image of an
     # element in any module; the irreps V_1..V_6 jointly separate the
@@ -542,8 +461,28 @@ def test_straighten_agrees_with_representation_evaluation(sl2):
         u = w(sl2, word)
         s = straighten(u)
         for n in range(1, 7):
-            rep = _sl2_irrep(n)
-            assert _evaluate_in_rep(u, rep, n + 1) == _evaluate_in_rep(s, rep, n + 1)
+            rep = reference.sl2_irrep(n)
+            assert reference.evaluate(plain(u), rep) == reference.evaluate(plain(s), rep)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_engines_agree_in_the_defining_module(n):
+    # independent witness: u, its straightened forms under shuffled orders,
+    # and the merged section and oracle states act on the defining module of
+    # sl(n) over Z by one matrix
+    alg = sl_algebra(n, Z)
+    split = sl_triangular_split(alg, n)
+    ctx = ActionContext(alg, split)
+    rep = [reference.sl_matrix(n, name) for name in alg.basis]
+    rng = random.Random(f"defining-module-{n}")
+    for _ in range(100):
+        u = _random_elt(rng, alg, 6)
+        order = list(range(alg.dim))
+        rng.shuffle(order)
+        want = reference.evaluate(plain(u), rep)
+        for image in (straighten(u, order), mu_state(section_s(ctx, u)),
+                      mu_state(oracle_normal_order(u, split))):
+            assert reference.evaluate(plain(image), rep) == want, (u, order)
 
 
 # ------------------------------------------------------------------ equality
@@ -731,11 +670,5 @@ def _relator_tweak(rng, alg, u):
     host = tuple(rng.choices(range(alg.dim), k=rng.randint(0, 3)))
     pos = rng.randint(0, len(host))
     x, y = rng.randrange(alg.dim), rng.randrange(alg.dim)
-    c = Z.scalar(rng.randint(1, 5))
-    head, tail = host[:pos], host[pos:]
-    extra = EnvElement.word(alg, head + (x, y) + tail, c) - EnvElement.word(
-        alg, head + (y, x) + tail, c
-    )
-    for k, gamma in alg.table[x][y]:
-        extra = extra - EnvElement(alg, {head + (k,) + tail: c * alg.ring.scalar(gamma)})
-    return u + extra
+    table, q = alg.table, alg.ring.modulus
+    return EnvElement(alg, reference.splice_relator(table, q, plain(u), host, pos, x, y, rng.randint(1, 5)))

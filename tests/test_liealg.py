@@ -21,31 +21,14 @@ from envnorm.liealg import (
 )
 from envnorm.normalform import ActionContext
 from envnorm.ring import Scalar, make_ring
+from reference import commutator, plain, sl_matrix
 
 Z = make_ring("Z")
 
 
 # -- independent oracle: brackets of sl(n) via explicit matrix commutators --
 
-def _mat(n, entries):
-    m = [[0] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        m[i][j] = v
-    return m
-
-
-SL2_MATS = {
-    "e": _mat(2, {(0, 1): 1}),
-    "f": _mat(2, {(1, 0): 1}),
-    "h": _mat(2, {(0, 0): 1, (1, 1): -1}),
-}
-
-
-def _commutator(a, b):
-    n = len(a)
-    ab = [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
-    ba = [[sum(b[r][k] * a[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+SL2_MATS = {"e": sl_matrix(2, "E12"), "f": sl_matrix(2, "E21"), "h": sl_matrix(2, "H1")}
 
 
 def _sl2_decompose(m):
@@ -61,7 +44,7 @@ def sl2():
 
 def test_sl2_table_matches_matrix_commutators(sl2):
     for a, b in itertools.product("efh", repeat=2):
-        expected = _sl2_decompose(_commutator(SL2_MATS[a], SL2_MATS[b]))
+        expected = _sl2_decompose(commutator(SL2_MATS[a], SL2_MATS[b]))
         got = sl2.bracket(sl2.basis_vector(sl2.index[a]), sl2.basis_vector(sl2.index[b]))
         for name, coeff in expected.items():
             assert got.terms.get(sl2.index[name], Z.zero) == Z.scalar(coeff), (a, b)
@@ -178,7 +161,7 @@ def test_mod_q_reduction_commutes_with_bracket(q):
         raw_w = [rng.randint(-9, 9) for _ in range(alg.dim)]
         over_z = alg.bracket(alg.vector(raw_v), alg.vector(raw_w))
         reduced_then = alg_q.bracket(alg_q.vector(raw_v), alg_q.vector(raw_w))
-        assert alg_q.vector({i: c.value for i, c in over_z.terms.items()}) == reduced_then
+        assert alg_q.vector(plain(over_z)) == reduced_then
 
 
 def test_validate_split_examples(sl2):
@@ -320,24 +303,15 @@ def test_sl2_built_three_ways_agrees():
                 assert [k for k, _c in cell] == sorted({k for k, _c in cell}), entry.name
 
 
-def _sl_matrix(n, name):
-    """The dense matrix of an sl(n) basis name: Eij is the unit at
-    (i-1, j-1), Hk is E_kk - E_(k+1)(k+1)."""
-    if name[0] == "E":
-        return _mat(n, {(int(name[1]) - 1, int(name[2]) - 1): 1})
-    k = int(name[1]) - 1
-    return _mat(n, {(k, k): 1, (k + 1, k + 1): -1})
-
-
 @pytest.mark.parametrize("ring", ["Z", "Q", "Zmod 4"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sl_table_is_the_matrix_commutator(n, ring):
     # coordinates in a basis are unique, so this fixes every cell
     R = make_ring(ring)
     alg = sl_algebra(n, R)
-    mats = [_sl_matrix(n, name) for name in alg.basis]
+    mats = [sl_matrix(n, name) for name in alg.basis]
     for a, b in itertools.product(range(alg.dim), repeat=2):
-        expected = _commutator(mats[a], mats[b])
+        expected = commutator(mats[a], mats[b])
         got = [[R.zero] * n for _ in range(n)]
         for k, c in alg.table[a][b]:
             for r, c_col in itertools.product(range(n), repeat=2):

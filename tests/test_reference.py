@@ -1,0 +1,23 @@
+"""The tests' plain-data references stand apart from the engine."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).parent
+
+
+@pytest.mark.parametrize("name", ["reference.py", "closed_forms.py", "central.py"])
+def test_plain_references_import_only_the_standard_library(name):
+    # so no engine code, envnorm or a test helper that imports it, stands
+    # behind a reference the engine is judged by
+    tree = ast.parse((HERE / name).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert [m for m in imported if m.split(".")[0] not in sys.stdlib_module_names] == []
