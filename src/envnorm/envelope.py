@@ -252,7 +252,7 @@ def mu_state(s: StateElement) -> EnvElement:
 
 def _straightener(algebra: LieAlgebra, order=None):
     """The normal form of one word under ``order`` (default: declaration
-    order), as a function ``form(w)`` returning immutable (word, raw) pairs.
+    order), as a function ``form(w)`` returning a {word: raw} dict.
 
     The words are engine words (``str``, see the module docstring): ``form``
     compares letters through the order's rank, reads the structure table at
@@ -279,10 +279,12 @@ def _straightener(algebra: LieAlgebra, order=None):
     tail, adds nothing there).
 
     The memo holds raw ring values (a ``Scalar``'s ``value``), never
-    ``Scalar``s: a sorted word maps to ``((w, 1),)``, and over Z and Z/q a
-    form is a tuple of strs and ints, which the cyclic garbage collector
-    untracks.
-    Scalars are built only where an element is, by ``Ring.scalar``.
+    ``Scalar``s: a sorted word maps to ``{w: 1}``.  A form is the memo's
+    own dict, shared by every caller and by other memo keys, so callers
+    read it and never change it.  Over Z and Z/q it holds only strs and
+    ints, so the cyclic garbage collector never tracks it, not even before
+    a collection.  Scalars are built only where an element is, by
+    ``Ring.scalar``.
 
     ``form`` is built once per order and kept on the algebra, in
     ``algebra._forms`` under the order's rank tuple, so later calls with
@@ -339,7 +341,7 @@ def _straightener(algebra: LieAlgebra, order=None):
             if rank_of[w[pos]] > rank_of[w[pos + 1]]:
                 break
         else:
-            result = memo[w] = ((w, 1),)
+            result = memo[w] = {w: 1}
             return result
         if pos and rank_of[w[0]] < floor_of[w[pos + 1]]:
             # the leading letters ranked below the closed tail that holds
@@ -350,15 +352,15 @@ def _straightener(algebra: LieAlgebra, order=None):
                 i += 1
             if i:
                 head = w[:i]
-                result = memo[w] = tuple((head + v, c) for v, c in form(w[i:], pos + 1 - i))
+                result = memo[w] = {head + v: c for v, c in form(w[i:], pos + 1 - i).items()}
                 return result
         if pos < last - 1:  # straighten the prefix, then append the last letter
             z = w[last]
             out: dict = {}
-            for m, c in form(w[:last], pos + 1):
-                for w2, c2 in form(m + z, len(m)):
+            for m, c in form(w[:last], pos + 1).items():
+                for w2, c2 in form(m + z, len(m)).items():
                     _acc(out, w2, c * c2, q)
-            result = tuple(out.items())
+            result = out
         else:  # rewrite the last pair
             x, y = w[pos], w[last]
             head = w[:pos]
@@ -369,9 +371,9 @@ def _straightener(algebra: LieAlgebra, order=None):
             if row:  # commuting letters share the swapped word's form
                 out = dict(result)
                 for k, c in row:
-                    for w2, c2 in form(head + chr(k), pos):
+                    for w2, c2 in form(head + chr(k), pos).items():
                         _acc(out, w2, c * c2, q)
-                result = tuple(out.items())
+                result = out
         memo[w] = result
         return result
 
@@ -388,7 +390,7 @@ def _straighten_terms(terms: dict, form, q) -> dict:
     with no zero coefficient: :func:`straighten`'s core."""
     out: dict = {}
     for w, c in terms.items():
-        for w2, c2 in form(w):
+        for w2, c2 in form(w).items():
             _acc(out, w2, c * c2, q)
     return out
 
@@ -425,7 +427,7 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
     form, q = _straightener(algebra), algebra.ring.modulus
     out: dict = {}
     for (w1, w2), c in terms.items():
-        left, right = form(w1), form(w2)
+        left, right = form(w1).items(), form(w2).items()
         for x1, c1 in left:
             cc = c * c1
             for x2, c2 in right:

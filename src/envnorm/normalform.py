@@ -18,17 +18,21 @@ The recursion reads w2 only to append it in the base case, so g.(w1, w2)
 is g.(w1, ()) with w2 appended (right-linearity, one of the checked
 identities), and by linearity in g the whole action is fixed by the basis
 kernel e_i.(w1, ()).  Each :class:`ActionContext` memoizes that kernel per
-(basis index, left word) as immutable tuples, computed straight from the
-structure table; the left word in its key and every word in its terms
-are engine words (``str``, letter i is ``chr(i)``; see envelope).  Its
-values are exact, so every result equals the plain recursion's, and the
-memo is freed with the context.
+(basis index, left word) as a {(u1, u2): raw} dict, computed straight
+from the structure table; the left word in its key and every word in its
+terms are engine words (``str``, letter i is ``chr(i)``; see envelope).
+Its values are exact, so every result equals the plain recursion's, and
+the memo is freed with the context.  An entry, like a straightener's
+form, is the memo's own dict, shared by every caller: callers read it and
+never change it.
 
 The kernel, the action on term dicts and the Lie action table carry raw
 ring values (a ``Scalar``'s ``value``: ints, reduced into [0, q) over Z/q,
 and ints or Fractions over Q), never ``Scalar``s, and read the structure
-table, which holds raw values too, as it is; over Z and Z/q the kernel
-memo then holds nothing the cyclic garbage collector has to walk.  The
+table, which holds raw values too, as it is.  Over Z and Z/q a form
+holds only strs and ints, so the cyclic garbage collector never tracks
+it; a kernel entry's keys are tuples, so the collector tracks it as built
+and untracks it, with its keys, at its first full collection.  The
 public functions take and return ``GVector``s and ``StateElement``s of
 scalars and tuple words, converting at their constructors: a state's words
 are encoded as it enters and decoded where an element is built.
@@ -47,7 +51,7 @@ well_defined property): acting on any representative of a state gives the
 same canonical result.  A kernel term prepends at most one letter to a
 right word, which was canonical, so an acted right word w2 is sorted from
 its second letter on; unless w2[0] > w2[1] it is form's own base case,
-taken as ((w2, 1),) with no scan and no memo entry.  A right word c y^k
+taken as {w2: 1} with no scan and no memo entry.  A right word c y^k
 that a letter makes costs the memo a few words, since the straightener
 moves c across y^k through the prefix c y^(k-1) (see envelope).  On a table
 that fails validation the canonical form of a word can depend on the order
@@ -158,10 +162,12 @@ class OracleMismatchError(RuntimeError):
 class ActionContext:
     """A validated (algebra, split) pair that all operations here run in.
 
-    It holds three memos: the basis kernel and the Lie-action defect row
-    of each left word (:func:`_lie_row`), both kept for its life, and the
-    defect table of the last state a Lie-action verdict judged
-    (:func:`_lie_table`), replaced when a different state arrives.  Reuse
+    It holds three memos: the basis kernel (:func:`_basis_action`, a
+    {(u1, u2): raw} dict per basis index and left word, read-only to every
+    caller) and the Lie-action defect row of each left word
+    (:func:`_lie_row`), both kept for its life, and the defect table of
+    the last state a Lie-action verdict judged (:func:`_lie_table`),
+    replaced when a different state arrives.  Reuse
     one context across calls to share that work, and drop it to free the
     memory.  The module docstring sets out the Lie-action table's design."""
 
@@ -191,9 +197,10 @@ class ActionContext:
         return f"ActionContext({self.algebra!r}, {self.split})"
 
 
-def _basis_action(ctx: ActionContext, i: int, w1: str) -> tuple:
-    """e_i acting on (w1, "") as ((u1, u2), raw) pairs of engine words,
-    memoized on ctx; the recursion step is
+def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
+    """e_i acting on (w1, "") as a {(u1, u2): raw} dict of engine words,
+    memoized on ctx and returned as the memo's own dict, which callers
+    never change; the recursion step is
     e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t)).  Each u2 is one letter or
     empty."""
     key = (i, w1)
@@ -202,17 +209,17 @@ def _basis_action(ctx: ActionContext, i: int, w1: str) -> tuple:
         return hit
     if not w1:
         pair = (chr(i), "") if i in ctx.split.part1_set else ("", chr(i))
-        result = ((pair, 1),)
+        result = {pair: 1}
     else:
         x, rest = w1[0], w1[1:]
         q = ctx.algebra.ring.modulus
         out: dict = {}
         for k, b in ctx.algebra.table[i][ord(x)]:
-            for pair, c in _basis_action(ctx, k, rest):
+            for pair, c in _basis_action(ctx, k, rest).items():
                 _acc(out, pair, b * c, q)
-        for (u1, u2), c in _basis_action(ctx, i, rest):
+        for (u1, u2), c in _basis_action(ctx, i, rest).items():
             _acc(out, (x + u1, u2), c, q)
-        result = tuple(out.items())
+        result = out
     ctx._kernel[key] = result
     return result
 
@@ -226,7 +233,7 @@ def _act_terms(ctx: ActionContext, support, terms: dict) -> dict:
     for (w1, w2), c in terms.items():
         for i, gi in support:
             cg = c * gi
-            for (u1, u2), c2 in _basis_action(ctx, i, w1):
+            for (u1, u2), c2 in _basis_action(ctx, i, w1).items():
                 _acc(out, (u1, u2 + w2), cg * c2, q)
     return out
 
@@ -278,8 +285,8 @@ def _section_terms(ctx: ActionContext, terms: dict) -> dict:
             state = {}
             for (w1, w2), c1 in acted.items():
                 # w2[1:] is sorted, so w2 is form's base case unless w2[0] > w2[1]
-                right = form(w2) if len(w2) > 1 and w2[0] > w2[1] else ((w2, 1),)
-                for v1, c2 in form(w1):
+                right = (form(w2) if len(w2) > 1 and w2[0] > w2[1] else {w2: 1}).items()
+                for v1, c2 in form(w1).items():
                     c12 = c1 * c2
                     for v2, c3 in right:
                         _acc(state, (v1, v2), c12 * c3, q)
@@ -393,7 +400,7 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
         return row
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
     n, form = algebra.dim, _straightener(algebra)
-    acted = [dict(_basis_action(ctx, k, w1)) for k in range(n)]
+    acted = [_basis_action(ctx, k, w1) for k in range(n)]
     defects = {(i, i): {} for i in range(n)}
     for j in range(n):
         for i in range(j):
@@ -410,7 +417,7 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
                 _acc(defect, key, -b * c, q)
         entry: dict = {}
         for (u1, u2), c in defect.items():
-            for v1, c1 in form(u1):
+            for v1, c1 in form(u1).items():
                 _acc(entry, (v1, u2), c * c1, q)
         row += [(pair, v1, u2, c) for (v1, u2), c in entry.items()]
     row = ctx._lie_rows[w1] = tuple(row)
@@ -430,7 +437,7 @@ def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
     for (w1, w2), c in _terms(ctx, s).items():
         for pair, v1, u2, d in _lie_row(ctx, w1):
             defect, cd = defects[pair], c * d
-            for v2, c2 in form(u2 + w2):
+            for v2, c2 in form(u2 + w2).items():
                 _acc(defect, (v1, v2), cd * c2, q)
     ctx._lie_table = s, defects
     return defects

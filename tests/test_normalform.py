@@ -168,6 +168,57 @@ def test_memo_values_are_not_tracked_by_the_collector(ring):
     assert [v for v in forms + kernel + rows + entries if gc.is_tracked(v)] == []
 
 
+@pytest.mark.parametrize("ring", ["Z", "Zmod 4"])
+def test_forms_are_never_tracked_by_the_collector(ring):
+    # a form is a {str: int} dict here, which CPython never tracks, so the
+    # memo costs the collector nothing even before its first collection
+    if gc.is_tracked({"a": 1}):
+        pytest.skip("this interpreter tracks every dict")
+    alg = sl_algebra(3, make_ring(ring))
+    c = ActionContext(alg, sl_triangular_split(alg, 3))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        normal_order(c, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
+        forms = [form for f in alg._forms.values() for form in f.memo.values()]
+        tracked = [form for form in forms if gc.is_tracked(form)]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert forms and tracked == []
+
+
+@pytest.mark.parametrize("name", ["sl3_Z", "sl2_bad_jacobi.alg"])
+def test_shared_memo_values_are_never_changed(name):
+    # forms and kernel entries are dicts shared by every caller, read-only
+    # by contract: later calls that read them leave each one as it was
+    algebra, split = _algebra_and_split(name)
+    c = ActionContext(algebra, split, validate=False)
+    rng = random.Random(f"read-only-{name}")
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    u = EnvElement.word(algebra, tuple(reversed(range(algebra.dim))))
+    s = _rand_state(rng, c, 3)
+    _outcome(normal_order, c, u)
+    for g in basis:
+        for h in basis:
+            _outcome(check_lie_action, c, g, h, s)
+    _outcome(check_inverse, c, u, s)
+    memos = [f.memo for f in algebra._forms.values()] + [c._kernel]
+    snapshot = [(memo, key, value, list(value.items()))
+                for memo in memos for key, value in memo.items()]
+    assert snapshot
+    order = list(range(algebra.dim))
+    rng.shuffle(order)
+    for _ in range(20):
+        _outcome(straighten, _rand_elt(rng, c, 5), order)
+        _outcome(state_canon, _rand_state(rng, c, 4))
+        _outcome(check_mu_compat, c, _rand_vector(rng, c), _rand_state(rng, c, 3))
+        _outcome(normal_order, c, _rand_elt(rng, c, 4))
+    changed = [key for memo, key, value, items in snapshot
+               if memo.get(key) is not value or list(value.items()) != items]
+    assert changed == []
+
+
 def test_public_results_hold_tuple_words():
     # the engine works on str words; every element it returns has tuple words
     alg = sl_algebra(3, Z)
@@ -673,13 +724,17 @@ def test_lie_action_fails_a_fault_planted_in_the_kernel(monkeypatch):
         terms = kernel(ctx, i, w1)
         if len(w1) != 2:
             return terms
-        return tuple((pair, 2 * c if pair[1] else c) for pair, c in terms)
+        return {pair: 2 * c if pair[1] else c for pair, c in terms.items()}
 
     monkeypatch.setattr(normalform, "_basis_action", faulty)
     entry = REG["sl3_Z"]
     ctx = ActionContext(entry.algebra, entry.split)
     result = run_property("lie_action", SuiteConfig(cases=5), entry, ctx)
     assert result.failed > 0
+    # run_property counts a predicate that raises as a failure too: each
+    # failure here must be a verdict on the faulty action, not a crash
+    lines = [line for f in result.failures for line in f.description]
+    assert [line for line in lines if line.startswith("raised ")] == []
 
 
 @pytest.mark.parametrize("name", [e.name for e in REG.entries()] + _ROW_TABLES)
