@@ -243,35 +243,42 @@ def _draw_coeff(rng: random.Random, ring: Ring):
 
 
 def _draw_word(rng: random.Random, letters, max_degree: int) -> tuple:
-    letters = tuple(letters)
+    # letters is a tuple or a range: rng.choice draws the same stream from either
     if not letters:
         return ()
     return tuple(rng.choice(letters) for _ in range(rng.randint(0, max_degree)))
 
 
+# A draw of several terms accumulates them, in the order drawn, into one
+# dict of scalars and builds one element.  As in a sum of one-term
+# elements, a zero coefficient adds nothing and a repeated key adds
+# through Scalar.__add__.
+
 def _draw_vector(rng: random.Random, algebra: LieAlgebra) -> GVector:
-    return GVector(algebra, tuple(_draw_coeff(rng, algebra.ring) for _ in range(algebra.dim)))
+    coords = {i: _draw_coeff(rng, algebra.ring) for i in range(algebra.dim)}
+    return GVector._trusted(algebra, coords)
 
 
 def _draw_env(rng: random.Random, algebra: LieAlgebra, max_degree: int) -> EnvElement:
-    letters = tuple(range(algebra.dim))
-    out = EnvElement.zero(algebra)
+    letters = range(algebra.dim)
+    terms: dict = {}
     for _ in range(rng.randint(1, 3)):
-        out = out + EnvElement(
-            algebra, {_draw_word(rng, letters, max_degree): _draw_coeff(rng, algebra.ring)}
-        )
-    return out
+        w = _draw_word(rng, letters, max_degree)
+        c = _draw_coeff(rng, algebra.ring)
+        if c:
+            _acc(terms, w, c)
+    return EnvElement._trusted(algebra, terms)
 
 
 def _draw_state(rng: random.Random, split: SplitDecomposition, max_degree: int) -> StateElement:
-    out = StateElement.zero(split)
+    terms: dict = {}
     for _ in range(rng.randint(1, 3)):
         w1 = _draw_word(rng, split.part1, max_degree)
         w2 = _draw_word(rng, split.part2, max_degree)
-        out = out + StateElement(
-            split, {(w1, w2): _draw_coeff(rng, split.algebra.ring)}
-        )
-    return out
+        c = _draw_coeff(rng, split.algebra.ring)
+        if c:
+            _acc(terms, (w1, w2), c)
+    return StateElement._trusted(split, terms)
 
 
 _DRAWERS = {  # generation kind -> its draw(rng, cfg, entry)

@@ -100,14 +100,19 @@ The table is summed from a defect row per left word, memoized on the
 context beside the kernel: E(i, j) of the one-term state (w1, ""), its
 left words straightened and its right words u2 (two letters at most) left
 raw.  A term c (w1, w2) of s adds c times w1's row, each u2 replaced by
-the form of u2 w2.  A row is read off the kernel itself: the dim entries
-e_k.(w1, ""), the commutator of two of them for each pair i < j (negated
-for i > j, empty for i == j), and the bracket side read from the
-structure table as it is; its left words are then straightened through
-the declaration order's memo.  So on every table, failing ones too, the
-row judges the very action the calculator uses.  A left word costs dim
-kernel entries and the actions on them once per context, a state one
-straightening of u2 w2 per row term, and a verdict no bracket.
+the form of u2 w2.  A row is read off the kernel itself, its left words
+straightened through the declaration order's memo.  From the dim entries
+e_k.(w1, "") it takes, for each pair i < j, the commutator
+e_i.(e_j.(w1, "")) - e_j.(e_i.(w1, "")) as one dict, straightened once
+and negated for (j, i) (for i == j it is empty); from the same entries,
+each straightened once, it subtracts the bracket side read from the
+structure table as it is.  Straightening left words term by term is
+linear, so straightening the two sides apart is exact on every table,
+failing ones too, where E(j, i) need not be -E(i, j).  So the row judges
+the very action the calculator uses.  A left word costs, once per
+context, dim kernel entries, the actions on them and dim (dim + 1) / 2
+left straightenings; a state costs one straightening of u2 w2 per row
+term, and a verdict no bracket.
 
 This is exact on every table, failing ones too: the action reads w2 only
 to append it, every step is linear, and the form of one word is a fixed
@@ -224,12 +229,13 @@ def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
     return result
 
 
-def _act_terms(ctx: ActionContext, support, terms: dict) -> dict:
+def _act_terms(ctx: ActionContext, support, terms: dict, out: dict | None = None) -> dict:
     """g, given by its (index, raw) support pairs, acting on the raw
     {(w1, w2): c} terms of a state in engine words; the result is a raw dict
-    of that shape."""
+    of that shape, accumulated into ``out`` when it is given."""
     q = ctx.algebra.ring.modulus
-    out: dict = {}
+    if out is None:
+        out = {}
     for (w1, w2), c in terms.items():
         for i, gi in support:
             cg = c * gi
@@ -389,37 +395,46 @@ def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     return _same_element(ctx, lhs, rhs)
 
 
+def _left_straightened(terms: dict, form, q) -> dict:
+    """Raw {(u1, u2): c} terms with each left word u1 replaced by its form."""
+    out: dict = {}
+    for (u1, u2), c in terms.items():
+        for v1, c1 in form(u1).items():
+            _acc(out, (v1, u2), c * c1, q)
+    return out
+
+
 def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     """The defect row of the left word w1, memoized on ctx: the terms
     ((i, j), v1, u2, raw) of E(i, j) on the one-term state (w1, ""), for
     every ordered pair, each left word v1 straightened and each right word
-    u2 (two letters at most) left raw.  It is keyed by w1 as it stands; the
-    module docstring says how a row is built and why that is exact."""
+    u2 (two letters at most) left raw.  The commutator of each pair i < j
+    is one dict, the second action accumulated into the first's with its
+    support negated, left-straightened once and negated for (j, i); the
+    bracket side is summed from the dim kernel entries, each
+    left-straightened once.  It is keyed by w1 as it stands; the module
+    docstring says why that is exact."""
     row = ctx._lie_rows.get(w1)
     if row is not None:
         return row
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
     n, form = algebra.dim, _straightener(algebra)
     acted = [_basis_action(ctx, k, w1) for k in range(n)]
+    straight = [_left_straightened(entry, form, q) for entry in acted]
     defects = {(i, i): {} for i in range(n)}
     for j in range(n):
         for i in range(j):
             diff = _act_terms(ctx, ((i, 1),), acted[j])
-            for key, c in _act_terms(ctx, ((j, 1),), acted[i]).items():
-                _acc(diff, key, -c, q)
-            defects[i, j] = diff
-            defects[j, i] = dict(_negated(diff.items(), q))
+            _act_terms(ctx, ((j, -1),), acted[i], diff)
+            defects[i, j] = _left_straightened(diff, form, q)
+            defects[j, i] = dict(_negated(defects[i, j].items(), q))
     row = []
     for pair, defect in defects.items():
         i, j = pair
         for k, b in algebra.table[i][j]:
-            for key, c in acted[k].items():
+            for key, c in straight[k].items():
                 _acc(defect, key, -b * c, q)
-        entry: dict = {}
-        for (u1, u2), c in defect.items():
-            for v1, c1 in form(u1).items():
-                _acc(entry, (v1, u2), c * c1, q)
-        row += [(pair, v1, u2, c) for (v1, u2), c in entry.items()]
+        row += [(pair, v1, u2, c) for (v1, u2), c in defect.items()]
     row = ctx._lie_rows[w1] = tuple(row)
     return row
 

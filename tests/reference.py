@@ -166,7 +166,8 @@ def suffix_defect(table, q, part1, w, memo: dict) -> dict:
 
     with J the table's :func:`jacobi`.  It acts only for R(()) and for
     the A_l(t, ()) of the last sum, which is empty on a table that passes
-    both axioms."""
+    both axioms.  ``memo`` also keeps J(i, j, x) under the key
+    (None, i, j, x)."""
     if w in memo:
         return memo[w]
     n = len(table)
@@ -181,14 +182,19 @@ def suffix_defect(table, q, part1, w, memo: dict) -> dict:
     else:
         x, t = w[0], w[1:]
         inner = suffix_defect(table, q, part1, t, memo)
+        acted = {}  # l -> A_l(t, ()), for the Jacobiator sum
         for (i, j), defect in out.items():
             add_all(defect, {((x,) + u1, u2): v for (u1, u2), v in inner[i, j].items()}, 1, q)
             for k, b in table[j][x]:
                 add_all(defect, inner[i, k], b, q)
             for k, b in table[i][x]:
                 add_all(defect, inner[k, j], b, q)
-            for l, b in jacobi(table, q, i, j, x).items():
-                add_all(defect, act_pair(table, q, part1, {l: 1}, t, ()), b, q)
+            if (None, i, j, x) not in memo:
+                memo[None, i, j, x] = jacobi(table, q, i, j, x)
+            for l, b in memo[None, i, j, x].items():
+                if l not in acted:
+                    acted[l] = act_pair(table, q, part1, {l: 1}, t, ())
+                add_all(defect, acted[l], b, q)
     memo[w] = out
     return out
 
@@ -204,7 +210,8 @@ def suffix_lie_row(table, q, part1, w1, memo: dict) -> dict:
         for (u1, u2), v in defect.items():
             if u1 not in forms:
                 forms[u1] = worklist(table, q, {u1: 1})[0]
-            add_all(out, {(pair, v1, u2): c1 for v1, c1 in forms[u1].items()}, v, q)
+            for v1, c1 in forms[u1].items():
+                add(out, (pair, v1, u2), v * c1, q)
     return out
 
 

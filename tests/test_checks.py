@@ -22,6 +22,7 @@ from envnorm.cli import parse_spec
 from envnorm.envelope import EnvElement, StateElement
 from envnorm.liealg import (
     CarrierMismatchError,
+    GVector,
     LieAlgebra,
     SplitDecomposition,
     validate_algebra,
@@ -98,6 +99,54 @@ def test_generate_draws_are_pinned():
     assert digest.hexdigest() == GENERATE_DIGEST
     with pytest.raises(ValueError):
         generate("bogus", cfg, builtin_examples()["sl2_Z"])
+
+
+def _term_by_term_draw(kind: str, cfg: SuiteConfig, entry: RegistryEntry, index: int):
+    """Draw ``index`` of ``kind`` replayed one term at a time: the child
+    seed the checks module's docstring describes, every drawn term boxed as
+    a one-term element and added to the draw with ``+``."""
+    text = f"{cfg.seed}|{entry.name}|{kind}|{index}"
+    rng = random.Random(int.from_bytes(
+        hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big"))
+    algebra, split, ring = entry.algebra, entry.split, entry.ring
+
+    def coeff():
+        if ring.kind == "Q" and rng.random() < 0.5:
+            return ring.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        return ring.scalar(rng.randint(-9, 9))
+
+    def word(letters):
+        letters = tuple(letters)
+        if not letters:
+            return ()
+        return tuple(rng.choice(letters) for _ in range(rng.randint(0, cfg.max_degree)))
+
+    if kind == "vector":
+        return GVector(algebra, tuple(coeff() for _ in range(algebra.dim)))
+    if kind == "element":
+        out = EnvElement.zero(algebra)
+        for _ in range(rng.randint(1, 3)):
+            out = out + EnvElement(algebra, {word(range(algebra.dim)): coeff()})
+        return out
+    out = StateElement.zero(split)
+    for _ in range(rng.randint(1, 3)):
+        w1, w2 = word(split.part1), word(split.part2)
+        out = out + StateElement(split, {(w1, w2): coeff()})
+    return out
+
+
+@pytest.mark.parametrize("cfg", [SuiteConfig(), SuiteConfig(max_degree=1),
+                                 SuiteConfig(max_degree=0)], ids=["deg3", "deg1", "deg0"])
+def test_draws_match_a_term_by_term_reference(cfg):
+    # insertion order too: the digest above renders sorted terms, but the
+    # order of a draw's terms decides which letter a part check names first
+    for entry in builtin_examples().entries():
+        for kind in ("state", "element", "vector"):
+            for i in range(30):
+                got = generate(kind, cfg, entry, i)
+                want = _term_by_term_draw(kind, cfg, entry, i)
+                assert type(got) is type(want), (entry.name, kind, i)
+                assert list(got.terms.items()) == list(want.terms.items()), (entry.name, kind, i)
 
 
 def test_generate_degree_bound():

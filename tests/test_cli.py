@@ -752,11 +752,16 @@ def test_check_builtin_small(capsys):
     assert out.strip().splitlines()[-1].startswith("TOTAL entries=8")
 
 
-@pytest.mark.parametrize("seed", ["42", "7"])
-def test_check_builtin_golden(capsys, seed):
-    code, out, err = run_cli(capsys, "check", "--builtin", "--seed", seed)
+@pytest.mark.parametrize("seed, extra, name", [
+    ("42", (), "check_builtin_seed42.txt"),
+    ("7", (), "check_builtin_seed7.txt"),
+    # four-letter left words, which reach Lie rows that degree 3 does not
+    ("11", ("--cases", "20", "--max-deg", "4"), "check_builtin_seed11_cases20_deg4.txt"),
+], ids=["42", "7", "11-cases20-deg4"])
+def test_check_builtin_golden(capsys, seed, extra, name):
+    code, out, err = run_cli(capsys, "check", "--builtin", "--seed", seed, *extra)
     assert (code, err) == (0, "")
-    assert out == golden(f"check_builtin_seed{seed}.txt")
+    assert out == golden(name)
 
 
 @pytest.mark.parametrize(

@@ -701,11 +701,15 @@ _ROW_TABLES = list(_BAD_INPUTS) + list(_SEEDED) + ["sl3_Z", "sl3_Z4"]
 @pytest.mark.parametrize("name", _ROW_TABLES)
 def test_lie_row_equals_the_suffix_rule(name):
     # every part-1 word of length three or less, sorted or not, in a
-    # shuffled order, so that rows are built on cold and on warm contexts
+    # shuffled order, so that rows are built on cold and on warm contexts;
+    # on the failing tables, where E(j, i) != -E(i, j) can hold, length
+    # four too, so the bracket side is taken apart from the commutator on
+    # longer rows (at most 81 more words: no part 1 there has four letters)
     algebra, split = _algebra_and_split(name)
     c = ActionContext(algebra, split, validate=False)
     memo = {}
-    words = [w for k in range(4) for w in itertools.product(split.part1, repeat=k)]
+    longest = 4 if name in _BAD_INPUTS or name in _SEEDED else 3
+    words = [w for k in range(longest + 1) for w in itertools.product(split.part1, repeat=k)]
     random.Random(f"row-{name}").shuffle(words)
     for w1 in words:
         row = normalform._lie_row(c, "".join(map(chr, w1)))
