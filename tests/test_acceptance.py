@@ -8,7 +8,6 @@ in the terminal summary so they survive pytest's output capture.
 import time
 from contextlib import contextmanager, redirect_stdout
 from io import StringIO
-from pathlib import Path
 
 import pytest
 
@@ -28,8 +27,8 @@ from envnorm.normalform import (
     section_s,
 )
 from envnorm.ring import make_ring
+from golden_runs import GOLDEN, GOLDEN_RUNS
 
-GOLDEN = Path(__file__).parent / "golden"
 REG = builtin_examples()
 ENTRIES = REG.entries()
 CONTEXTS = {
@@ -198,25 +197,12 @@ def test_criterion_7_validation_rejects_corruption():
 
 def test_criterion_8_cli_golden():
     with criterion(8, "CLI golden outputs and builtin check"):
-        cases = (
-            (["normal-order", str(GOLDEN / "sl2.alg"), "--expr", "e*f"],
-             "normal_order_sl2_ef.txt"),
-            (["normal-order", str(GOLDEN / "heisenberg.alg"), "--expr", "y*x"],
-             "normal_order_heis_yx.txt"),
-            (["normal-order", str(GOLDEN / "sl2_borel.alg"), "--expr", "f*e"],
-             "normal_order_sl2_borel_fe.txt"),
-        )
-        for argv, fname in cases:
+        for fname in ("normal_order_sl2_ef.txt", "normal_order_heis_yx.txt",
+                      "normal_order_sl2_borel_fe.txt", "check_builtin_seed42.txt"):
+            # the first run of each golden, the one with the oracle on
+            code, argv = next((code, argv) for name, code, argv in GOLDEN_RUNS if name == fname)
             buf = StringIO()
             with redirect_stdout(buf):
-                code = main(argv)
-            assert code == 0, argv
-            expected = (GOLDEN / fname).read_bytes()
-            assert buf.getvalue().encode("utf-8") == expected, argv
-
-        buf = StringIO()
-        with redirect_stdout(buf):
-            code = main(["check", "--builtin", "--seed", "42"])
-        assert code == 0
-        expected = (GOLDEN / "check_builtin_seed42.txt").read_bytes()
-        assert buf.getvalue().encode("utf-8") == expected
+                got = main(list(argv))
+            assert got == code, argv
+            assert buf.getvalue().encode("utf-8") == (GOLDEN / fname).read_bytes(), argv

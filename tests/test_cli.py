@@ -26,8 +26,8 @@ from envnorm.envelope import EnvElement, env_eq
 from envnorm.liealg import LieAlgebra
 from envnorm.normalform import ActionContext, OracleMismatchError, check_lie_action
 from envnorm.ring import make_ring
+from golden_runs import GOLDEN, GOLDEN_RUNS, row_id
 
-GOLDEN = Path(__file__).parent / "golden"
 Z = make_ring("Z")
 
 
@@ -502,103 +502,42 @@ def test_validate_bad_jacobi(capsys):
     assert "jacobi violation at (e, f, h)" in out
 
 
-@pytest.mark.parametrize("name", ["sl2_bad_jacobi", "sl2_bad_alternating", "sl2_bad_split"])
-def test_validate_report_golden(capsys, name):
-    # the whole report, line by line and in order, with exit 1 and no stderr
-    code, out, err = run_cli(capsys, "validate", str(GOLDEN / f"{name}.alg"))
-    assert (code, out, err) == (1, golden(f"validate_{name}.txt"), "")
-
-
 def test_validate_bad_split(capsys):
     code, out, _err = run_cli(capsys, "validate", str(GOLDEN / "sl2_bad_split.alg"))
     assert code == 1
     assert "closure violation at (e, f)" in out and "h" in out
 
 
-def test_normal_order_golden_sl2(capsys):
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "e*f")
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl2_ef.txt")
+@pytest.mark.parametrize("name,code,argv", [
+    pytest.param(name, code, argv, id=row_id(name, argv)) for name, code, argv in GOLDEN_RUNS
+])
+def test_golden_run(capsys, name, code, argv):
+    assert run_cli(capsys, *argv) == (code, golden(name), "")
 
 
-def test_normal_order_golden_heisenberg(capsys):
-    code, out, _ = run_cli(capsys, "normal-order", str(GOLDEN / "heisenberg.alg"), "--expr", "y*x")
-    assert code == 0
-    assert out == golden("normal_order_heis_yx.txt")
+def test_every_golden_has_one_run():
+    # a golden with no run fails, and so does a row naming a missing file
+    assert {name for name, _, _ in GOLDEN_RUNS} == {p.name for p in GOLDEN.glob("*.txt")}
 
 
-def test_normal_order_golden_heisenberg_long_thin_word(capsys):
-    expr = "*".join(["y"] * 300 + ["x"])
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "heisenberg.alg"), "--expr", expr)
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_heis_y300x.txt")
-
-
-def test_normal_order_golden_sl2_h30e(capsys):
-    # h^30 e, the closed form sl2_hne(30): one coefficient per power of h
-    expr = "*".join(["h"] * 30 + ["e"])
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", expr)
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl2_h30e.txt")
+def test_normal_order_golden_sl2_h30e():
+    # h^30 e is the closed form sl2_hne(30): one coefficient per power of h
     names = "efh"
-    assert out.splitlines() == [
+    assert golden("normal_order_sl2_h30e.txt").splitlines() == [
         f"{c} * 1 (x) {' '.join(names[x] for x in right)}"
         for (_, right), c in sorted(sl2_hne(30).items(), key=lambda kv: -len(kv[0][1]))
     ]
 
 
-def test_normal_order_golden_sl2_e16f16(capsys):
-    # e^16 f^16, Kostant's closed form sl2_eafb(16, 16): 137 terms
-    expr = "*".join(["e"] * 16 + ["f"] * 16)
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", expr)
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl2_e16f16.txt")
+def test_normal_order_golden_sl2_e16f16():
+    # e^16 f^16 is Kostant's closed form sl2_eafb(16, 16): 137 terms
     names = "efh"
     spell = lambda word: " ".join(names[x] for x in word) or "1"
     terms = sorted(sl2_eafb(16, 16).items(),
                    key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]), reverse=True)
-    assert out.splitlines() == [f"{c} * {spell(left)} (x) {spell(right)}" for (left, right), c in terms]
-
-
-def test_normal_order_golden_borel(capsys):
-    code, out, _ = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"), "--expr", "f*e")
-    assert code == 0
-    assert out == golden("normal_order_sl2_borel_fe.txt")
-
-
-def test_normal_order_golden_borel_mixed_q(capsys):
-    # fractional and integral Q coefficients side by side in one result
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_borel.alg"),
-                             "--expr", "1/2*f*f*f*e*e - 3/4*f*h*e")
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl2_borel_mixed_q.txt")
-
-
-def test_golden_fractional_structure_constant(capsys):
-    # [e,f] = 1/3*h: a table coefficient that is not an integer
-    alg = str(GOLDEN / "sl2_q_third.alg")
-    assert run_cli(capsys, "validate", alg) == (0, golden("validate_sl2_q_third.txt"), "")
-    code, out, err = run_cli(capsys, "normal-order", alg, "--expr", "e*e*f*f - 1/2*h*e*f")
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl2_q_third.txt")
-
-
-def test_normal_order_golden_q_third_mixed(capsys):
-    # a signed fractional coefficient, bare names and one-term factors
-    # between the sums: each kind of factor the grammar gathers or joins
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl2_q_third.alg"),
-                             "--expr=-3/2*e*(e - f)*h*(2*f)*(h + 1)")
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl2_q_third_mixed.txt")
-
-
-def test_normal_order_golden_sl3_worst_order(capsys):
-    # every part-2 letter before every part-1 letter: the left factors
-    # pass through many orders on their way to canonical form
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl3.alg"),
-                             "--expr", "E32*E21*E31*E21*E12*E13*E23*H1")
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl3_worst.txt")
+    assert golden("normal_order_sl2_e16f16.txt").splitlines() == [
+        f"{c} * {spell(left)} (x) {spell(right)}" for (left, right), c in terms
+    ]
 
 
 def test_sl4_golden_is_the_formatted_triangular_split():
@@ -612,26 +551,9 @@ def test_sl4_golden_is_the_formatted_triangular_split():
     assert (split.part1, split.part2) == (triangular.part1, triangular.part2)
 
 
-@pytest.mark.parametrize("flags", [(), ("--no-oracle",)])
-def test_normal_order_golden_sl4_worst_order(capsys, flags):
-    # lowers before uppers and the diagonal last: every product of a left
-    # and a right word the check straightens is uppers, diagonal, lowers
-    code, out, err = run_cli(capsys, "normal-order", str(GOLDEN / "sl4.alg"), *flags,
-                             "--expr", "E43*E32*E21*E42*E31*E12*E23*E34*H1*H3")
-    assert (code, err) == (0, "")
-    assert out == golden("normal_order_sl4_worst.txt")
-
-
 def test_normal_order_unit(capsys):
     code, out, _ = run_cli(capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "1")
     assert code == 0 and out == "1 * 1 (x) 1\n"
-
-
-def test_normal_order_no_oracle_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "normal-order", str(GOLDEN / "sl2.alg"), "--expr", "e*f", "--no-oracle"
-    )
-    assert code == 0 and out == golden("normal_order_sl2_ef.txt")
 
 
 def test_normal_order_invalid_algebra_exits_1(capsys):
@@ -639,27 +561,6 @@ def test_normal_order_invalid_algebra_exits_1(capsys):
         capsys, "normal-order", str(GOLDEN / "sl2_bad_jacobi.alg"), "--expr", "e*f"
     )
     assert code == 1 and out == "" and "jacobi" in err
-
-
-def test_straighten_golden(capsys):
-    code, out, _ = run_cli(capsys, "straighten", str(GOLDEN / "sl2.alg"), "--expr", "f*e")
-    assert code == 0 and out == golden("straighten_sl2_fe.txt")
-
-
-def test_straighten_golden_mod2(capsys):
-    code, out, err = run_cli(capsys, "straighten", str(GOLDEN / "sl2_mod2.alg"),
-                             "--expr", "f*f*h*h*e*e + 3*h*f*e")
-    assert (code, err) == (0, "")
-    assert out == golden("straighten_sl2_mod2_long.txt")
-
-
-def test_straighten_golden_sl3_reversed_order(capsys):
-    # an explicit --order, the reverse of sl3's declaration order: 61 terms
-    order = "H2 H1 E32 E31 E21 E23 E13 E12".split()
-    code, out, err = run_cli(capsys, "straighten", str(GOLDEN / "sl3.alg"), "--order", *order,
-                             "--expr", "E12*E12*E23*E13*E21*E31*E32*E32")
-    assert (code, err) == (0, "")
-    assert out == golden("straighten_sl3_reversed_order.txt")
 
 
 def test_straighten_custom_order(capsys):
@@ -752,18 +653,6 @@ def test_check_builtin_small(capsys):
     assert out.strip().splitlines()[-1].startswith("TOTAL entries=8")
 
 
-@pytest.mark.parametrize("seed, extra, name", [
-    ("42", (), "check_builtin_seed42.txt"),
-    ("7", (), "check_builtin_seed7.txt"),
-    # four-letter left words, which reach Lie rows that degree 3 does not
-    ("11", ("--cases", "20", "--max-deg", "4"), "check_builtin_seed11_cases20_deg4.txt"),
-], ids=["42", "7", "11-cases20-deg4"])
-def test_check_builtin_golden(capsys, seed, extra, name):
-    code, out, err = run_cli(capsys, "check", "--builtin", "--seed", seed, *extra)
-    assert (code, err) == (0, "")
-    assert out == golden(name)
-
-
 @pytest.mark.parametrize(
     "name", ["heisenberg", "sl2", "sl2_borel", "sl2_mod2", "sl3", "sl4", "sl2_q_third"],
 )
@@ -824,82 +713,6 @@ def test_check_property_failure_exits_3(capsys):
     )
     assert code == 3
     assert "FAIL lie_action" in out
-
-
-_RANDOM_PROPS = "oracle,inverse,lie_action,filtration,right_linearity,mu_compat,well_defined"
-
-
-def _report_row(alg, props, name, *args):
-    """A row of the failing-report table, named by its spec, properties and
-    golden; ``args`` are the rest of the check command line."""
-    return pytest.param(alg, props, name, args or ("--cases", "5"), id=f"{alg}-{props}-{name}")
-
-
-@pytest.mark.parametrize(
-    "alg,props,name,args",
-    [
-        _report_row("sl2_bad_jacobi.alg", _RANDOM_PROPS, "check_sl2_bad_jacobi_cases5.txt"),
-        _report_row("sl2_bad_alternating.alg", _RANDOM_PROPS, "check_sl2_bad_alternating_cases5.txt"),
-        _report_row(
-            "sl2_bad_split.alg",
-            _RANDOM_PROPS.replace("lie_action,", ""),
-            "check_sl2_bad_split_cases5.txt",
-        ),
-        _report_row("sl2_bad_split.alg", "lie_action", "check_sl2_bad_split_lie_action_cases5.txt"),
-        # 28 failing cases, most of them raising the part check of a state
-        # whose left word straightens out of part 1
-        _report_row(
-            "sl2_bad_split.alg",
-            _RANDOM_PROPS.replace("lie_action,", ""),
-            "check_sl2_bad_split_cases30.txt",
-            "--cases", "30", "--seed", "11",
-        ),
-        # 28 failing cases, each raising the part check on the first bad
-        # letter in the order the defect rows sum their terms
-        _report_row(
-            "sl2_bad_split.alg",
-            "lie_action",
-            "check_sl2_bad_split_lie_action_cases30.txt",
-            "--cases", "30", "--seed", "11",
-        ),
-        # every random property, thirty cases each, on the two tables that
-        # fail the Lie axioms under a closed split
-        _report_row(
-            "sl2_bad_jacobi.alg", _RANDOM_PROPS, "check_sl2_bad_jacobi_cases30.txt",
-            "--cases", "30", "--seed", "11",
-        ),
-        _report_row(
-            "sl2_bad_alternating.alg", _RANDOM_PROPS, "check_sl2_bad_alternating_cases30.txt",
-            "--cases", "30", "--seed", "11",
-        ),
-    ],
-)
-def test_check_failure_report_golden(capsys, alg, props, name, args):
-    code, out, err = run_cli(capsys, "check", str(GOLDEN / alg), "--props", props, *args)
-    assert (code, err) == (3, "")
-    assert out == golden(name)
-
-
-def test_check_lie_action_failure_report_golden_at_30_cases(capsys):
-    # thirty failing cases, each drawn and shrunk through many states whose
-    # left words are all powers of f
-    code, out, err = run_cli(
-        capsys, "check", str(GOLDEN / "sl2_bad_alternating.alg"),
-        "--props", "lie_action", "--cases", "30", "--seed", "11",
-    )
-    assert (code, err) == (3, "")
-    assert out == golden("check_sl2_bad_alternating_lie_action_cases30.txt")
-
-
-def test_check_lie_action_failure_report_golden_on_a_failing_jacobi_table(capsys):
-    # [e, f] = e fails Jacobi, so thirty shrunk cases judge the kernel's
-    # defect rows on a table the law does not hold on
-    code, out, err = run_cli(
-        capsys, "check", str(GOLDEN / "sl2_bad_jacobi.alg"),
-        "--props", "lie_action", "--cases", "30", "--seed", "11",
-    )
-    assert (code, err) == (3, "")
-    assert out == golden("check_sl2_bad_jacobi_lie_action_cases30.txt")
 
 
 def test_raising_lie_action_failures_are_shrunk():

@@ -9,10 +9,11 @@ import pytest
 HERE = Path(__file__).parent
 
 
-@pytest.mark.parametrize("name", ["reference.py", "closed_forms.py", "central.py"])
+@pytest.mark.parametrize("name", ["reference.py", "closed_forms.py", "central.py", "golden_runs.py"])
 def test_plain_references_import_only_the_standard_library(name):
     # so no engine code, envnorm or a test helper that imports it, stands
-    # behind a reference the engine is judged by
+    # behind a reference the engine is judged by; and the golden runs, as a
+    # script, exercise the installed console script and nothing else
     tree = ast.parse((HERE / name).read_text(encoding="utf-8"))
     imported = []
     for node in ast.walk(tree):
