@@ -76,6 +76,11 @@ def _check_indices(indices, n: int, what: str) -> None:
             raise ValueError(f"{what} {i!r} outside basis")
 
 
+def _listed_twice(part) -> list:
+    """The indices ``part`` lists more than once, in sorted order."""
+    return sorted({i for i in part if part.count(i) > 1})
+
+
 def _index_of(index: dict, name: str) -> int:
     try:
         return index[name]
@@ -338,6 +343,10 @@ class SplitDecomposition:
         part1, part2 = tuple(part1), tuple(part2)
         n = algebra.dim
         _check_indices(part1 + part2, n, "index")
+        for which, part in ((1, part1), (2, part2)):
+            twice = _listed_twice(part)
+            if twice:
+                raise ValueError(f"index {twice[0]} listed twice in part {which}")
         p1 = tuple(sorted(set(part1)))
         p2 = tuple(sorted(set(part2)))
         if sorted(p1 + p2) != list(range(n)):
@@ -460,7 +469,8 @@ def validate_split(alg: LieAlgebra, part1, part2) -> ValidationReport:
             _check_indices((i,), n, "index")
         except ValueError as exc:
             return ValidationReport((Violation("partition", (repr(i),), str(exc)),))
-    found: list[Violation] = []
+    found = [Violation("partition", (names[i],), f"listed twice in part {which}")
+             for which, part in ((1, part1), (2, part2)) for i in _listed_twice(part)]
     p1 = tuple(sorted(set(part1)))
     p2 = tuple(sorted(set(part2)))
     both = set(p1) & set(p2)

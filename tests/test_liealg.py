@@ -28,26 +28,9 @@ Z = make_ring("Z")
 
 # -- independent oracle: brackets of sl(n) via explicit matrix commutators --
 
-SL2_MATS = {"e": sl_matrix(2, "E12"), "f": sl_matrix(2, "E21"), "h": sl_matrix(2, "H1")}
-
-
-def _sl2_decompose(m):
-    # m = c_e*E12 + c_f*E21 + c_h*diag(1,-1)
-    assert m[0][0] == -m[1][1]
-    return {"e": m[0][1], "f": m[1][0], "h": m[0][0]}
-
-
 @pytest.fixture
 def sl2():
     return sl2_algebra(Z)
-
-
-def test_sl2_table_matches_matrix_commutators(sl2):
-    for a, b in itertools.product("efh", repeat=2):
-        expected = _sl2_decompose(commutator(SL2_MATS[a], SL2_MATS[b]))
-        got = sl2.bracket(sl2.basis_vector(sl2.index[a]), sl2.basis_vector(sl2.index[b]))
-        for name, coeff in expected.items():
-            assert got.terms.get(sl2.index[name], Z.zero) == Z.scalar(coeff), (a, b)
 
 
 def test_sl2_validates(sl2):
@@ -214,6 +197,12 @@ def test_split_requires_partition(sl2):
         SplitDecomposition(sl2, (0,), (2,))
     with pytest.raises(ValueError):
         SplitDecomposition(sl2, (0, 1), (1, 2))
+    # an index listed twice in one part, rejected as in a .alg file, though
+    # the sorted parts would partition the basis
+    with pytest.raises(ValueError, match="^index 1 listed twice in part 1$"):
+        SplitDecomposition(sl2, (1, 1), (0, 2))
+    assert str(validate_split(sl2, (1, 1), (0, 2))) == (
+        "partition violation at (f): listed twice in part 1")
 
 
 def test_carrier_mismatch(sl2):

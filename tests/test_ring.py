@@ -206,7 +206,7 @@ def _canonical(r, v):
 
 
 @pytest.mark.parametrize("descriptor", INT_RINGS)
-def test_small_values_are_shared(descriptor):
+def test_small_values_are_canonical(descriptor):
     r = make_ring(descriptor)
     assert r.scalar(0) == r.zero and r.scalar(1) == r.one
     for v in range(-64, 65):
@@ -215,7 +215,7 @@ def test_small_values_are_shared(descriptor):
 
 
 @pytest.mark.parametrize("descriptor", INT_RINGS)
-def test_small_sums_and_products_are_shared(descriptor):
+def test_small_sums_and_products_are_canonical(descriptor):
     r = make_ring(descriptor)
     rng = random.Random(13)
     for _ in range(500):
