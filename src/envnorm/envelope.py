@@ -35,7 +35,7 @@ Lie axioms too: while w[:-1] is unsorted its leftmost inversion is w's, and
 no rewrite there touches z.  Only an inversion in the last pair is
 rewritten.  A word m z built from a sorted m needs its last pair checked
 alone, so the inversion scan starts at the end of the prefix known to be
-sorted, and moving a letter across a sorted run stores one word per
+sorted, and moving a letter across a sorted run stores a few words per
 prefix, not every intermediate word of the crossing.
 
 Straightening inside a closed tail of the order never leaves it, so the
@@ -52,6 +52,18 @@ of h and any word reached from v is never inverted, and the leftmost
 inversion of h v is always v's.  The memo then keys on v, whose form every
 head shares.  Only the cell a rewrite reads decides closure; on a table
 that is not alternating its mirror may differ.
+
+Every word m of a prefix's form is sorted, so the prefix rule decides two
+kinds of word m z itself, with no call on m z: when m is empty or its last
+letter ranks at most z, m z is sorted and is its own form; when m starts
+with letters ranked below the closed tail that holds z, the form of m z is
+that head prepended to each word of the rest's form, and only the rest is
+straightened by a call.  Each gives the form a call on m z would, term for
+term and in the same order, with the same counts.  So the memo holds the
+words some call straightens: the words a caller passes in, those a rewrite
+spawns, the prefixes and closed tails they reduce to, and the words m z
+that neither case decides.  A word m z that one of them decides is stored
+only if some other call straightens it.
 """
 
 from __future__ import annotations
@@ -268,15 +280,19 @@ def _straightener(algebra: LieAlgebra, order=None):
     first letter is not below ``floor_of`` of the letter after the inversion
     skips the rest of the check.  Otherwise, if the
     inversion lies before the last letter, the form is the form of
-    ``w[:-1]`` with the last letter appended to each word and straightened
-    (see the module docstring for why this is exact on every table);
-    otherwise it rewrites the last pair and recurses on the swapped word and
+    ``w[:-1]`` with the last letter z appended to each word and straightened
+    (see the module docstring for why this is exact on every table): a
+    word ``m + z`` that is sorted joins the form as it stands, one whose m
+    has a head below z's closed tail takes the rest's form with the head
+    prepended, and only the others are straightened by a call of their
+    own; ``head_length`` states the head rule once for both places.
+    Otherwise it rewrites the last pair and recurses on the swapped word and
     on each bracket-expansion word.  ``form.memo`` is the order's memo
-    (word -> form), shared by every call with that order and freed with
-    the algebra; ``form.counts`` is ``[steps, spawned]``, the running
-    totals of the rewrites ``form`` performed and the words they spawned
-    (a word already in the memo, or formed from its prefix or its closed
-    tail, adds nothing there).
+    (word -> form) of the words ``form`` is called on, shared by every call
+    with that order and freed with the algebra; ``form.counts`` is
+    ``[steps, spawned]``, the running totals of the rewrites ``form``
+    performed and the words they spawned (a word already in the memo, or
+    formed from its prefix or its closed tail, adds nothing there).
 
     The memo holds raw ring values (a ``Scalar``'s ``value``), never
     ``Scalar``s: a sorted word maps to ``{w: 1}``.  A form is the memo's
@@ -331,6 +347,15 @@ def _straightener(algebra: LieAlgebra, order=None):
             t = r
         floor_of[chr(i)] = t
 
+    def head_length(w, t):
+        # the head rule: w's leading letters ranked below t, the floor of a
+        # closed tail that holds a later letter of w, are sorted and are
+        # never rewritten; their count
+        i = 0
+        while rank_of[w[i]] < t:
+            i += 1
+        return i
+
     def form(w, start=0):
         # w[:start] is known to be sorted, so the scan starts at its last pair
         hit = memo.get(w)
@@ -344,22 +369,29 @@ def _straightener(algebra: LieAlgebra, order=None):
             result = memo[w] = {w: 1}
             return result
         if pos and rank_of[w[0]] < floor_of[w[pos + 1]]:
-            # the leading letters ranked below the closed tail that holds
-            # w[pos + 1:] are sorted and are never rewritten
-            t = min(map(floor_of.__getitem__, w[pos + 1:]))
-            i = 0
-            while rank_of[w[i]] < t:
-                i += 1
+            i = head_length(w, min(map(floor_of.__getitem__, w[pos + 1:])))
             if i:
                 head = w[:i]
                 result = memo[w] = {head + v: c for v, c in form(w[i:], pos + 1 - i).items()}
                 return result
         if pos < last - 1:  # straighten the prefix, then append the last letter
             z = w[last]
+            rank_z, floor_z = rank_of[z], floor_of[z]
             out: dict = {}
             for m, c in form(w[:last], pos + 1).items():
-                for w2, c2 in form(m + z, len(m)).items():
-                    _acc(out, w2, c * c2, q)
+                # m is sorted: m z is decided here, with no memo entry,
+                # when it is sorted or m has a head below z's closed tail
+                if not m or rank_of[m[-1]] <= rank_z:
+                    _acc(out, m + z, c, q)
+                    continue
+                if rank_of[m[0]] < floor_z:
+                    i = head_length(m, floor_z)
+                    head = m[:i]
+                    for v, c2 in form(m[i:] + z, len(m) - i).items():
+                        _acc(out, head + v, c * c2, q)
+                else:
+                    for w2, c2 in form(m + z, len(m)).items():
+                        _acc(out, w2, c * c2, q)
             result = out
         else:  # rewrite the last pair
             x, y = w[pos], w[last]

@@ -22,7 +22,10 @@ kernel e_i.(w1, ()).  Each :class:`ActionContext` memoizes that kernel per
 from the structure table; the left word in its key and every word in its
 terms are engine words (``str``, letter i is ``chr(i)``; see envelope).
 Its values are exact, so every result equals the plain recursion's, and
-the memo is freed with the context.  An entry, like a straightener's
+the memo is freed with the context.  The recursion nests one frame per
+letter of the left word, so a left word longer than 128 letters first has
+the kernel filled at its suffixes 128 letters apart, shortest first: it
+nests at most 128 deep at any length.  An entry, like a straightener's
 form, is the memo's own dict, shared by every caller: callers read it and
 never change it.
 
@@ -216,6 +219,8 @@ def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
         pair = (chr(i), "") if i in ctx.split.part1_set else ("", chr(i))
         result = {pair: 1}
     else:
+        if len(w1) > 128:  # the recursion below nests one frame a letter
+            _fill_checkpoints(ctx, w1)
         x, rest = w1[0], w1[1:]
         q = ctx.algebra.ring.modulus
         out: dict = {}
@@ -227,6 +232,21 @@ def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
         result = out
     ctx._kernel[key] = result
     return result
+
+
+def _fill_checkpoints(ctx: ActionContext, w1: str) -> None:
+    """Fill every index at the proper suffixes of w1 whose lengths are
+    multiples of 128, shortest first, unless every index is filled at the
+    longest of them already, so that :func:`_basis_action` on w1 nests at
+    most 128 deep.  The values are the ones its recursion would compute.
+    A function of its own, since a generator in ``_basis_action`` would
+    make its locals cells on every call."""
+    top, dim = (len(w1) - 1) // 128 * 128, ctx.algebra.dim
+    if any((k, w1[-top:]) not in ctx._kernel for k in range(dim)):
+        for length in range(128, top + 1, 128):
+            suffix = w1[-length:]
+            for k in range(dim):
+                _basis_action(ctx, k, suffix)
 
 
 def _act_terms(ctx: ActionContext, support, terms: dict, out: dict | None = None) -> dict:

@@ -44,6 +44,7 @@ _SEED11 = ("--cases", "30", "--seed", "11")
 _SL3_WORST = "E32*E21*E31*E21*E12*E13*E23*H1"
 _SL4_WORST = "E43*E32*E21*E42*E31*E12*E23*E34*H1*H3"
 _E16F16 = "*".join(["e"] * 16 + ["f"] * 16)
+_EF2000 = "*".join(["e"] + ["f"] * 2000)
 _VALID = ("heisenberg", "sl2", "sl2_borel", "sl2_mod2", "sl3", "sl4", "sl2_q_third")
 
 GOLDEN_RUNS = (
@@ -101,6 +102,10 @@ GOLDEN_RUNS = (
      ("normal-order", _spec("sl3.alg"), "--no-oracle", "--expr", _SL3_WORST)),
     ("normal_order_sl4_worst.txt", 0,
      ("normal-order", _spec("sl4.alg"), "--no-oracle", "--expr", _SL4_WORST)),
+    # e f^2000: a 2000-letter left word acts at the default recursion limit
+    # (the closed form sl2_efn(2000); the oracle's straightening would not)
+    ("normal_order_sl2_ef2000.txt", 0,
+     ("normal-order", _spec("sl2.alg"), "--no-oracle", "--expr", _EF2000)),
     ("straighten_sl2_fe.txt", 0, ("straighten", _spec("sl2.alg"), "--expr", "f*e")),
     ("straighten_sl2_mod2_long.txt", 0,
      ("straighten", _spec("sl2_mod2.alg"), "--expr", "f*f*h*h*e*e + 3*h*f*e")),

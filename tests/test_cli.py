@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from closed_forms import sl2_eafb, sl2_hne
+from closed_forms import sl2_eafb, sl2_efn, sl2_hne
 from envnorm.checks import (
     RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra, sl_algebra,
     sl_triangular_split,
@@ -500,15 +500,24 @@ def test_normal_order_golden_sl2_h30e():
     ]
 
 
+def _sl2_lines(terms: dict) -> list:
+    """A closed sl2 normal form's lines as ``normal-order`` prints them."""
+    spell = lambda word: " ".join("efh"[x] for x in word) or "1"
+    terms = sorted(terms.items(),
+                   key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]), reverse=True)
+    return [f"{c} * {spell(left)} (x) {spell(right)}" for (left, right), c in terms]
+
+
 def test_normal_order_golden_sl2_e16f16():
     # e^16 f^16 is Kostant's closed form sl2_eafb(16, 16): 137 terms
-    names = "efh"
-    spell = lambda word: " ".join(names[x] for x in word) or "1"
-    terms = sorted(sl2_eafb(16, 16).items(),
-                   key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1]), reverse=True)
-    assert golden("normal_order_sl2_e16f16.txt").splitlines() == [
-        f"{c} * {spell(left)} (x) {spell(right)}" for (left, right), c in terms
-    ]
+    assert golden("normal_order_sl2_e16f16.txt").splitlines() == _sl2_lines(sl2_eafb(16, 16))
+
+
+def test_normal_order_golden_sl2_ef2000():
+    # e f^2000 is the closed form sl2_efn(2000); its GOLDEN_RUNS row runs
+    # normal-order --no-oracle on it at the default recursion limit
+    assert sys.getrecursionlimit() == 1000
+    assert golden("normal_order_sl2_ef2000.txt").splitlines() == _sl2_lines(sl2_efn(2000))
 
 
 def test_sl4_golden_is_the_formatted_triangular_split():
