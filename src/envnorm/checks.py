@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .envelope import EnvElement, StateElement, _decoded_words, _encoded_words, _oracle_terms
@@ -25,6 +24,7 @@ from .liealg import (
     SplitDecomposition,
     _acc,
     _check_indices,
+    _Record,
     validate,
 )
 from .normalform import (
@@ -40,43 +40,50 @@ from .normalform import (
 )
 from .ring import Ring, make_ring
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 42
-    cases: int = 50
-    max_degree: int = 3
-    properties: tuple[str, ...] | None = None
+class SuiteConfig(_Record):
+    """The suite's seed, cases per property, word degree bound and property
+    selection (None: all of PROPERTY_NAMES); its defaults are
+    ``envnorm check``'s."""
 
-    def __post_init__(self):
-        for name in ("seed", "cases", "max_degree"):
-            value = getattr(self, name)
+    __slots__ = __match_args__ = ("seed", "cases", "max_degree", "properties")
+
+    def __init__(self, seed: int = 42, cases: int = 50, max_degree: int = 3,
+                 properties: tuple[str, ...] | None = None):
+        for name, value in (("seed", seed), ("cases", cases), ("max_degree", max_degree)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, not {type(value).__name__}")
-        if self.cases < 1:
+        if cases < 1:
             raise ValueError("cases must be >= 1")
-        if self.max_degree < 0:
+        if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        if self.properties is None:  # all of PROPERTY_NAMES
-            return
-        if isinstance(self.properties, str):
-            raise ValueError("properties must be a sequence of names, not a str")
-        # a copy, so the caller's list cannot change the config after its checks
-        object.__setattr__(self, "properties", tuple(self.properties))
-        if not self.properties:
-            raise ValueError("properties must name at least one property")
-        unknown = set(self.properties) - set(PROPERTY_NAMES)
-        if unknown:
-            raise ValueError(f"unknown properties: {', '.join(map(repr, sorted(unknown)))}")
-        repeated = {p for p in self.properties if self.properties.count(p) > 1}
-        if repeated:
-            raise ValueError(f"repeated properties: {', '.join(map(repr, sorted(repeated)))}")
+        if properties is not None:
+            if isinstance(properties, str):
+                raise ValueError("properties must be a sequence of names, not a str")
+            # a copy, so the caller's list cannot change the config after its checks
+            properties = tuple(properties)
+            if not properties:
+                raise ValueError("properties must name at least one property")
+            unknown = set(properties) - set(PROPERTY_NAMES)
+            if unknown:
+                raise ValueError(f"unknown properties: {', '.join(map(repr, sorted(unknown)))}")
+            repeated = {p for p in properties if properties.count(p) > 1}
+            if repeated:
+                raise ValueError(f"repeated properties: {', '.join(map(repr, sorted(repeated)))}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "properties", properties)
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    name: str
-    algebra: LieAlgebra
-    split: SplitDecomposition
+class RegistryEntry(_Record):
+    """A named algebra and split of an ExampleRegistry."""
+
+    __slots__ = __match_args__ = ("name", "algebra", "split")
+
+    def __init__(self, name: str, algebra: LieAlgebra, split: SplitDecomposition):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "split", split)
 
     @property
     def ring(self) -> Ring:
@@ -162,24 +169,33 @@ def _matrix_algebra(ring: Ring, names, mats) -> LieAlgebra:
 
     A matrix's pivot is its first entry, row-major, that no later matrix
     has, so a commutator's coordinates follow by back-substitution in basis
-    order; what is left over must be zero (for sl(n), the trace)."""
-    pivots = [
-        min(p for p in m if not any(p in later for later in mats[t + 1:]))
-        for t, m in enumerate(mats)
-    ]
+    order.  ValueError names a matrix with no pivot, and a commutator
+    [a, b] that is not an integer combination of ``mats``: a coordinate that
+    is not a whole multiple of its pivot entry, or a part the matrices do
+    not span (for sl(n), a trace), leaves a remainder."""
+    pivots = []
+    for t, m in enumerate(mats):
+        own = [p for p in m if not any(p in later for later in mats[t + 1:])]
+        if not own:
+            raise ValueError(f"matrix {names[t]} has no pivot: "
+                             "each of its entries is in a later matrix")
+        pivots.append(min(own))
 
-    def coords(m: dict) -> list:
-        rest, out = dict(m), []
+    def coords(a: int, b: int) -> list:
+        rest, out = _commutator(mats[a], mats[b]), []
         for k, (mat, p) in enumerate(zip(mats, pivots)):
             c = rest.get(p, 0) // mat[p]
             if c:
                 out.append((k, c))
                 for key, x in mat.items():
                     _acc(rest, key, -c * x)
-        assert not rest
+        if rest:
+            raise ValueError(f"[{names[a]}, {names[b]}] is not an integer combination "
+                             f"of {', '.join(names)}")
         return out
 
-    return LieAlgebra(ring, names, [[coords(_commutator(a, b)) for b in mats] for a in mats])
+    n = len(mats)
+    return LieAlgebra(ring, names, [[coords(a, b) for b in range(n)] for a in range(n)])
 
 
 def sl_algebra(n: int, ring: Ring) -> LieAlgebra:
@@ -386,21 +402,35 @@ def _render_instance(entry: RegistryEntry, instance: dict) -> tuple[str, ...]:
 # properties
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropertyFailure:
-    case: int
-    description: tuple[str, ...]
-    instance: dict = field(compare=False, default_factory=dict)
+class PropertyFailure(_Record):
+    """A failing case: its index, its rendered description and the shrunk
+    instance (a fresh ``{}`` when none is given), which ``==`` and ``hash``
+    leave out."""
+
+    __slots__ = __match_args__ = ("case", "description", "instance")
+
+    def __init__(self, case: int, description: tuple[str, ...], instance: dict | None = None):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "instance", {} if instance is None else instance)
+
+    def _key(self) -> tuple:
+        return self.case, self.description
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    entry: str
-    name: str
-    passed: int
-    failed: int
-    skipped: bool = False
-    failures: tuple[PropertyFailure, ...] = ()
+class PropertyResult(_Record):
+    """One property's counts for one registry entry, with its failures."""
+
+    __slots__ = __match_args__ = ("entry", "name", "passed", "failed", "skipped", "failures")
+
+    def __init__(self, entry: str, name: str, passed: int, failed: int,
+                 skipped: bool = False, failures: tuple[PropertyFailure, ...] = ()):
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "failures", failures)
 
 
 def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
@@ -555,10 +585,15 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
 # suite driver and report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteReport:
-    config: SuiteConfig
-    results: tuple  # ((entry name, (PropertyResult, ...)), ...)
+class SuiteReport(_Record):
+    """A suite run's config and results, ((entry name, (PropertyResult,
+    ...)), ...) in registry order."""
+
+    __slots__ = __match_args__ = ("config", "results")
+
+    def __init__(self, config: SuiteConfig, results: tuple):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "results", results)
 
     @property
     def all_pass(self) -> bool:

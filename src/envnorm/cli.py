@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,7 +57,7 @@ from .checks import (
     run_suite,
 )
 from .envelope import EnvElement, StateElement, _word_product, straighten
-from .liealg import LieAlgebra, SplitDecomposition, _acc, _negated, validate
+from .liealg import LieAlgebra, SplitDecomposition, _acc, _negated, _Record, validate
 from .normalform import ActionContext, OracleMismatchError, normal_order
 from .ring import Ring, make_ring, read_int
 
@@ -266,8 +265,7 @@ def parse_expr(text: str, algebra: LieAlgebra) -> EnvElement:
 # algebra files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(_Record):
     """Parsed, canonicalized algebra description.
 
     Brackets are stored as ((i, j), pairs) with i <= j, ``pairs`` the
@@ -276,11 +274,16 @@ class AlgebraSpec:
     reversed orientation implied; this makes parse -> print -> parse the
     identity."""
 
-    ring: Ring
-    basis: tuple[str, ...]
-    brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, object], ...]], ...]
-    part1: tuple[int, ...]
-    part2: tuple[int, ...]
+    __slots__ = __match_args__ = ("ring", "basis", "brackets", "part1", "part2")
+
+    def __init__(self, ring: Ring, basis: tuple[str, ...],
+                 brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, object], ...]], ...],
+                 part1: tuple[int, ...], part2: tuple[int, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "brackets", brackets)
+        object.__setattr__(self, "part1", part1)
+        object.__setattr__(self, "part2", part2)
 
     def build(self) -> tuple[LieAlgebra, SplitDecomposition]:
         n = len(self.basis)
@@ -531,9 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the property suite")
     p.add_argument("file", nargs="?")
     p.add_argument("--builtin", action="store_true", help="use the builtin registry")
-    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
-    p.add_argument("--cases", type=int, default=SuiteConfig.cases)
-    p.add_argument("--max-deg", type=int, default=SuiteConfig.max_degree)
+    defaults = SuiteConfig()  # the command's defaults are the suite's
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--cases", type=int, default=defaults.cases)
+    p.add_argument("--max-deg", type=int, default=defaults.max_degree)
     p.add_argument("--props", help="comma-separated property subset "
                                    f"(of: {', '.join(PROPERTY_NAMES)})")
     p.set_defaults(func=_cmd_check)

@@ -10,7 +10,6 @@ is that each part is closed under the bracket.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .ring import Ring
 
@@ -19,19 +18,70 @@ class CarrierMismatchError(ValueError):
     """Operands live over different algebras or splits."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "alternating" | "jacobi" | "partition" | "closure"
-    where: tuple[str, ...]
-    detail: str
+class _Record:
+    """An immutable value with named fields.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    its own ``__init__`` sets each one once through ``object.__setattr__``.
+    Records of one class compare and hash by ``_key()``, every field unless
+    the subclass leaves some out; they read back as ``Name(field=value, ...)``,
+    copy and pickle through their constructor, and refuse assignment and
+    deletion with ``AttributeError``.  Written out by hand, with no code
+    generated at import: the standard library's generated records load
+    ``inspect`` and ``ast`` and cost a fresh process several times the rest
+    of ``import envnorm``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    _key = _values
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Violation(_Record):
+    """One failed condition: its kind ("alternating", "jacobi", "partition"
+    or "closure"), the basis names where it fails and a description."""
+
+    __slots__ = __match_args__ = ("kind", "where", "detail")
+
+    def __init__(self, kind: str, where: tuple[str, ...], detail: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self):
         return f"{self.kind} violation at ({', '.join(self.where)}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(_Record):
+    """The violations a validation found, in its fixed order; none: ok."""
+
+    __slots__ = __match_args__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

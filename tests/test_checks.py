@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,9 +10,13 @@ import pytest
 from envnorm.checks import (
     ExampleRegistry,
     PROPERTY_NAMES,
+    PropertyFailure,
+    PropertyResult,
     RegistryEntry,
     SuiteConfig,
+    SuiteReport,
     builtin_examples,
+    heisenberg_algebra,
     _moves,
     generate,
     relator_variant,
@@ -18,13 +24,15 @@ from envnorm.checks import (
     run_suite,
     sl2_algebra,
 )
-from envnorm.cli import parse_spec
+from envnorm.cli import AlgebraSpec, build_parser, parse_spec
 from envnorm.envelope import EnvElement, StateElement
 from envnorm.liealg import (
     CarrierMismatchError,
     GVector,
     LieAlgebra,
     SplitDecomposition,
+    ValidationReport,
+    Violation,
     validate_algebra,
     validate_split,
 )
@@ -212,6 +220,68 @@ def test_config_keeps_its_own_copy_of_properties():
     assert run_suite(cfg, reg).render() == run_suite(same, reg).render()
 
 
+_SL2 = sl2_algebra(Z)
+_HEIS = heisenberg_algebra(Z)
+_VIOLATION = Violation("closure", ("e", "f"), "[e,f] has component 1*h outside part 1")
+
+# class -> (each field, in constructor order, with a value and another value;
+# how many fields come first with no default).  The value of a field with a
+# default is that default.
+_RECORDS = {
+    Violation: ({"kind": ("jacobi", "closure"), "where": (("e", "f", "h"), ("e", "f")),
+                 "detail": ("cyclic bracket sum = 1*h, expected 0", "")}, 3),
+    ValidationReport: ({"violations": ((), (_VIOLATION,))}, 1),
+    SuiteConfig: ({"seed": (42, 7), "cases": (50, 5), "max_degree": (3, 4),
+                   "properties": (None, ("oracle",))}, 0),
+    RegistryEntry: ({"name": ("sl2_Z", "heisenberg_Z"), "algebra": (_SL2, _HEIS),
+                     "split": (SplitDecomposition(_SL2, (1,), (0, 2)),
+                               SplitDecomposition(_HEIS, (0,), (1, 2)))}, 3),
+    PropertyFailure: ({"case": (3, 4), "description": (("u = e",), ("u = f",)),
+                       "instance": ({}, {"u": (0,)})}, 2),
+    PropertyResult: ({"entry": ("sl2_Z", "sl2_Q"), "name": ("oracle", "inverse"),
+                      "passed": (49, 50), "failed": (1, 0), "skipped": (False, True),
+                      "failures": ((), (PropertyFailure(3, ("u = e",)),))}, 4),
+    SuiteReport: ({"config": (SuiteConfig(), SuiteConfig(seed=7)),
+                   "results": ((), (("sl2_Z", ()),))}, 2),
+    AlgebraSpec: ({"ring": (Z, make_ring("Q")), "basis": (("a", "b"), ("a", "c")),
+                   "brackets": ((((0, 1), ((1, 1),)),), ()), "part1": ((0,), (1,)),
+                   "part2": ((1,), (0,))}, 5),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_record_value_semantics(cls):
+    fields, required = _RECORDS[cls]
+    values = {name: value for name, (value, _other) in fields.items()}
+    rec = cls(*list(values.values())[:required])
+    # positional, keyword and with every default given: the same record
+    assert rec == cls(*values.values()) == cls(**values)
+    assert hash(rec) == hash(cls(**values))
+    assert [getattr(rec, name) for name in fields] == list(values.values())
+    assert cls.__match_args__ == tuple(fields)
+    for name, value in list(values.items())[required:]:
+        if isinstance(value, dict):  # a mutable default is the record's own
+            assert getattr(rec, name) is not getattr(cls(**values), name)
+    # == and hash read every field, PropertyFailure's instance excepted
+    for name, (_value, other) in fields.items():
+        changed = cls(**{**values, name: other})
+        if (cls, name) == (PropertyFailure, "instance"):
+            assert changed == rec and hash(changed) == hash(rec)
+        else:
+            assert changed != rec, name
+    assert rec != tuple(values.values()) and rec != None  # noqa: E711
+    shown = ", ".join(f"{name}={value!r}" for name, value in values.items())
+    assert repr(rec) == f"{cls.__name__}({shown})"
+    for name, (_value, other) in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(rec, name, other)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert [getattr(rec, name) for name in fields] == list(values.values())
+    # an algebra compares by identity, so a pickled entry is judged by its repr
+    assert copy.copy(rec) == rec and repr(pickle.loads(pickle.dumps(rec))) == repr(rec)
+
+
 def test_registry_iterates_names_in_insertion_order():
     reg = builtin_examples()
     assert list(reg) == list(reg.names()) and len(list(reg)) == len(reg)
@@ -330,6 +400,9 @@ def test_default_config_is_the_cli_check():
     golden = Path(__file__).parent / "golden"
     text = run_suite(SuiteConfig(), builtin_examples()).render() + "\n"
     assert text == (golden / "check_builtin_seed42.txt").read_text(encoding="utf-8")
+    args, cfg = build_parser().parse_args(["check", "--builtin"]), SuiteConfig()
+    assert (args.seed, args.cases, args.max_deg, args.props) == (42, 50, 3, None)
+    assert (cfg.seed, cfg.cases, cfg.max_degree, cfg.properties) == (42, 50, 3, None)
     # the builtin report passes at any degree; a failure report shows the draws
     algebra, split = parse_spec((golden / "sl2_bad_jacobi.alg").read_text(encoding="utf-8")).build()
     props = tuple(p for p in PROPERTY_NAMES if p != "validate")

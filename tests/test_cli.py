@@ -595,6 +595,17 @@ def test_check_output_is_identical_across_hash_seeds():
     assert outs[0] == outs[1] and "\nTOTAL entries=8 " in outs[0]
 
 
+def test_import_loads_no_code_generating_modules():
+    # every run of the console script pays for what `import envnorm` loads,
+    # and these modules, which generate code, cost several times the rest
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import envnorm, envnorm.cli; "
+            "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert (proc.stdout, proc.stderr) == ("\n", "")
+
+
 def test_closed_stdout_exits_141_quietly():
     # the reader of the pipe is gone before the report is written
     root = Path(__file__).parent.parent

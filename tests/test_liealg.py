@@ -1,11 +1,15 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from envnorm.checks import builtin_examples, sl2_algebra, sl_algebra, sl_triangular_split
+from envnorm.checks import (
+    _matrix_algebra, builtin_examples, sl2_algebra, sl_algebra, sl_triangular_split,
+)
 from envnorm.cli import parse_spec
 from envnorm.liealg import (
     Violation,
@@ -306,6 +310,41 @@ def test_sl_table_is_the_matrix_commutator(n, ring):
             for r, c_col in itertools.product(range(n), repeat=2):
                 got[r][c_col] = got[r][c_col] + R.scalar(c) * R.scalar(mats[k][r][c_col])
         assert got == [[R.scalar(x) for x in row] for row in expected], (n, a, b)
+
+
+_E11_E22 = {(0, 0): 1, (1, 1): -1}
+
+
+@pytest.mark.parametrize("names,mats,message", [
+    # [e, f] = E11 - E22, which e and f do not span
+    (("e", "f"), [{(0, 1): 1}, {(1, 0): 1}],
+     "[e, f] is not an integer combination of e, f"),
+    # [e, f] = 2 (E11 - E22), and h's pivot entry 3 does not divide 2
+    (("e", "f", "h"), [{(0, 1): 2}, {(1, 0): 1}, {k: 3 * x for k, x in _E11_E22.items()}],
+     "[e, f] is not an integer combination of e, f, h"),
+    # each entry of a is in b
+    (("a", "b"), [{(0, 1): 1}, {(0, 1): 2}],
+     "matrix a has no pivot: each of its entries is in a later matrix"),
+], ids=["not-spanned", "not-integral", "no-pivot"])
+def test_matrix_algebra_names_what_it_cannot_read(names, mats, message):
+    with pytest.raises(ValueError) as info:
+        _matrix_algebra(Z, names, mats)
+    assert str(info.value) == message
+
+
+def test_matrix_algebra_check_holds_under_optimisation():
+    # a check, not an assert: `python -O` must not build a zero table
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from envnorm.checks import _matrix_algebra\n"
+            "from envnorm.ring import make_ring\n"
+            "try:\n"
+            "    _matrix_algebra(make_ring('Z'), ('e', 'f'), [{(0, 1): 1}, {(1, 0): 1}])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-I", "-O", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert (proc.stdout, proc.stderr) == ("[e, f] is not an integer combination of e, f\n", "")
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "Zmod 4"])
