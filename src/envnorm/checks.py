@@ -24,6 +24,7 @@ from .liealg import (
     SplitDecomposition,
     _acc,
     _check_indices,
+    _cleared,
     _Record,
     validate,
 )
@@ -169,10 +170,12 @@ def _matrix_algebra(ring: Ring, names, mats) -> LieAlgebra:
 
     A matrix's pivot is its first entry, row-major, that no later matrix
     has, so a commutator's coordinates follow by back-substitution in basis
-    order.  ValueError names a matrix with no pivot, and a commutator
-    [a, b] that is not an integer combination of ``mats``: a coordinate that
-    is not a whole multiple of its pivot entry, or a part the matrices do
-    not span (for sl(n), a trace), leaves a remainder."""
+    order.  Over Q a coordinate is the exact quotient by its pivot entry,
+    an int when it is whole.  ValueError names a matrix with no pivot, and
+    a commutator [a, b] that is not a combination of ``mats`` over the
+    ring: a part the matrices do not span (for sl(n), a trace), or over Z
+    and Z/q a coordinate that is not a whole multiple of its pivot entry,
+    leaves a remainder."""
     pivots = []
     for t, m in enumerate(mats):
         own = [p for p in m if not any(p in later for later in mats[t + 1:])]
@@ -181,16 +184,20 @@ def _matrix_algebra(ring: Ring, names, mats) -> LieAlgebra:
                              "each of its entries is in a later matrix")
         pivots.append(min(own))
 
+    exact = ring.kind == "Q"
+
     def coords(a: int, b: int) -> list:
         rest, out = _commutator(mats[a], mats[b]), []
         for k, (mat, p) in enumerate(zip(mats, pivots)):
-            c = rest.get(p, 0) // mat[p]
+            top = rest.get(p, 0)
+            c = ring.coerce(Fraction(top, mat[p])) if exact else top // mat[p]
             if c:
                 out.append((k, c))
                 for key, x in mat.items():
                     _acc(rest, key, -c * x)
         if rest:
-            raise ValueError(f"[{names[a]}, {names[b]}] is not an integer combination "
+            kind = "a rational" if exact else "an integer"
+            raise ValueError(f"[{names[a]}, {names[b]}] is not {kind} combination "
                              f"of {', '.join(names)}")
         return out
 
@@ -499,7 +506,7 @@ def _draw_relator(rng, cfg, entry):
 
 
 def _holds_oracle(ctx, u):
-    terms = _element_terms(ctx, u)
+    (terms,) = _cleared(ctx.algebra.ring, _element_terms(ctx, u))
     return _section_raw(ctx, terms) == _oracle_terms(ctx.split, terms)
 
 
@@ -513,7 +520,9 @@ def _holds_lie_action(ctx, s, g, h):
 
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):
-    terms, varied = _relator_terms(ctx.algebra, u, host, pos, x, y, coeff)
+    # one denominator for both sides
+    terms, varied = _cleared(ctx.algebra.ring,
+                             *_relator_terms(ctx.algebra, u, host, pos, x, y, coeff))
     return _section_raw(ctx, terms) == _section_raw(ctx, varied)
 
 

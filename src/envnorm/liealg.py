@@ -10,6 +10,7 @@ is that each part is closed under the bracket.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .ring import Ring
 
@@ -108,6 +109,29 @@ def _acc(d: dict, key, c, q=None) -> None:
         d[key] = s
     elif prev is not None:
         del d[key]
+
+
+def _cleared(ring: Ring, *parts) -> tuple:
+    """parts, each a raw {key: c} dict or a list of raw (key, c) pairs,
+    with every c multiplied by the least common denominator of all of
+    them, so that each is an int: a verdict linear in each argument holds
+    on the scaled arguments exactly when it holds on the given ones.  Over
+    Z and Z/q, and whenever no c is a Fraction, parts as given, uncopied."""
+    if ring.kind != "Q":
+        return parts
+    den = 1
+    for part in parts:
+        for c in part.values() if type(part) is dict else [c for _k, c in part]:
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+    if den == 1:
+        return parts
+
+    def scaled(c):
+        return c * den if type(c) is int else c.numerator * (den // c.denominator)
+
+    return tuple({k: scaled(c) for k, c in part.items()} if type(part) is dict
+                 else [(k, scaled(c)) for k, c in part] for part in parts)
 
 
 def _negated(pairs, q=None) -> list:

@@ -89,6 +89,19 @@ oracle's) compare with ==.  normal_order keeps the boxed path on
 purpose: it is the public calculator, and its env_eq is the Scalar
 arithmetic of the benchmark's degree_sweep and request_stream.
 
+Over Q a verdict runs on ints: right after encoding it clears each drawn
+argument's denominators once (liealg._cleared), multiplying every
+coefficient by their least common denominator.  This is exact because
+each verdict is linear in each drawn argument: scaling one by a nonzero
+integer scales both sides of its identity alike, keeps every support, so
+the part check names the same letter, and keeps a sum zero exactly when
+it was zero.  A table's Fraction constants stay in the forms and the
+kernel as they are.  well_defined clears u and its relator variant
+together, so both sides share one denominator.  Over Z and Z/q, and when
+no coefficient is a Fraction, the arguments pass uncopied.  The Lie
+action table stays exact: tests pin its entries to the canonical defect,
+and on a valid table its rows are empty, so clearing would save nothing.
+
 The Lie action check judges each verdict from a defect table for one
 state s: the canonical E(i, j) = e_i.(e_j.s) - e_j.(e_i.s) - [e_i, e_j].s
 for every ordered basis pair, i == j and i > j included, since a table
@@ -155,6 +168,7 @@ from .liealg import (
     SplitDecomposition,
     _acc,
     _check_indices,
+    _cleared,
     _negated,
     validate as _validate,  # ActionContext's keyword shadows the plain name
 )
@@ -386,8 +400,7 @@ def _same_element(ctx: ActionContext, a: dict, b: dict) -> bool:
 
 def check_filtration(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     """The action raises the left-word degree by at most one."""
-    support = _support(ctx, g)
-    terms = _terms(ctx, s)
+    support, terms = _cleared(ctx.algebra.ring, _support(ctx, g), _terms(ctx, s))
     return _left_degree(_act_terms(ctx, support, terms)) <= _left_degree(terms) + 1
 
 
@@ -396,7 +409,7 @@ def check_right_linearity(ctx: ActionContext, g: GVector, w1, m) -> bool:
     w1, m = tuple(w1), tuple(m)
     _check_indices(w1 + m, ctx.algebra.dim, "letter")  # StateElement.term's checks
     _check_parts(ctx.split, ((w1, m),))
-    support = _support(ctx, g)
+    (support,) = _cleared(ctx.algebra.ring, _support(ctx, g))
     q = ctx.algebra.ring.modulus
     v1, v2 = "".join(map(chr, w1)), "".join(map(chr, m))
     diff = _act_terms(ctx, support, {(v1, v2): 1})
@@ -407,8 +420,7 @@ def check_right_linearity(ctx: ActionContext, g: GVector, w1, m) -> bool:
 
 def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     """Merging the acted state equals left-multiplying the merged state by g."""
-    support = _support(ctx, g)
-    terms = _terms(ctx, s)
+    support, terms = _cleared(ctx.algebra.ring, _support(ctx, g), _terms(ctx, s))
     q = ctx.algebra.ring.modulus
     lhs = _mu_terms(_act_terms(ctx, support, terms), q)
     rhs = _word_product({chr(i): c for i, c in support}, _mu_terms(terms, q), q)
@@ -506,10 +518,11 @@ def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[b
         merge after section is the identity on the envelope).
 
     A state over another split is refused before any work."""
-    terms = _terms(ctx, s)
-    q = ctx.algebra.ring.modulus
+    ring = ctx.algebra.ring
+    (terms,) = _cleared(ring, _terms(ctx, s))
+    q = ring.modulus
     first = (_section_raw(ctx, _mu_terms(terms, q))
              == _checked(ctx, _canon_terms(ctx.algebra, terms)))
-    words = _element_terms(ctx, u)
+    (words,) = _cleared(ring, _element_terms(ctx, u))
     second = _same_element(ctx, _mu_terms(_section_raw(ctx, words), q), words)
     return first, second

@@ -58,6 +58,9 @@ GOLDEN_RUNS = (
     # at the defaults
     *(("validate_ok.txt", 0, ("validate", _spec(f"{name}.alg"))) for name in _VALID),
     *((f"check_{name}.txt", 0, ("check", _spec(f"{name}.alg"))) for name in _VALID),
+    # the Q verdicts at depth, on a table with a fractional constant
+    ("check_sl2_q_third_cases200_deg4.txt", 0,
+     ("check", _spec("sl2_q_third.alg"), "--cases", "200", "--max-deg", "4")),
     ("normal_order_sl2_unit.txt", 0, ("normal-order", _spec("sl2.alg"), "--expr", "1")),
     ("normal_order_sl2_ef.txt", 0, ("normal-order", _spec("sl2.alg"), "--expr", "e*f")),
     ("normal_order_heis_yx.txt", 0, ("normal-order", _spec("heisenberg.alg"), "--expr", "y*x")),

@@ -15,6 +15,8 @@ from envnorm.checks import (
     RegistryEntry,
     SuiteConfig,
     SuiteReport,
+    _PROPERTIES,
+    _case_rng,
     builtin_examples,
     heisenberg_algebra,
     _moves,
@@ -480,3 +482,33 @@ def test_relator_variant_rejections():
         assert str(exc.value) == message, args
     assert relator_variant(alg, u, (0, 2), 1, 0, 1, 3) == u + EnvElement(
         alg, {(0, 0, 1, 2): 3, (0, 1, 0, 2): -3, (0, 2, 2): -3})
+
+
+def test_q_verdicts_run_on_integers(monkeypatch):
+    # each verdict clears each drawn argument's denominators once and runs
+    # on ints: only the relator splice, at most one multiplication per
+    # relator term, touches a Fraction (before clearing, oracle to
+    # well_defined but lie_action: 118, 366, 240, 188, 793 and 769).
+    # lie_action does none either: a valid table's defect rows are empty
+    entry = builtin_examples()["sl2_Q"]
+    cfg = SuiteConfig()
+    cases = {name: [inst for k in range(20)
+                    for inst in draw(_case_rng(cfg, entry, name, k), cfg, entry)]
+             for name, (draw, _holds) in _PROPERTIES.items()}
+    count = [0]
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        def counted(*args, _f=getattr(Fraction, op)):
+            count[0] += 1
+            return _f(*args)
+        monkeypatch.setattr(Fraction, op, counted)
+    assert Fraction(1, 2) * 2 == 1 and count == [1]  # the counter counts
+    ctx = ActionContext(entry.algebra, entry.split, validate=False)
+    counts = {}
+    for name, (_draw, holds) in _PROPERTIES.items():
+        count[0] = 0
+        assert all(holds(ctx, **inst) for inst in cases[name]), name
+        counts[name] = count[0]
+    splice = sum((inst["x"] != inst["y"]) * 2 + len(entry.algebra.table[inst["x"]][inst["y"]])
+                 for inst in cases["well_defined"])
+    assert 0 < counts["well_defined"] <= splice, (counts, splice)
+    assert dict(counts, well_defined=0) == dict.fromkeys(counts, 0), counts

@@ -19,6 +19,7 @@ from envnorm.liealg import (
     SplitDecomposition,
     ValidationReport,
     _acc,
+    _cleared,
     validate,
     validate_algebra,
     validate_split,
@@ -330,6 +331,36 @@ def test_matrix_algebra_names_what_it_cannot_read(names, mats, message):
     with pytest.raises(ValueError) as info:
         _matrix_algebra(Z, names, mats)
     assert str(info.value) == message
+
+
+def test_matrix_algebra_divides_exactly_over_q():
+    # E12, E21, 2 (E11 - E22): [e, f] = 1/2 h2, a coordinate that is not a
+    # whole multiple of h2's pivot entry 2
+    names = ("e", "f", "h2")
+    mats = [{(0, 1): 1}, {(1, 0): 1}, {k: 2 * x for k, x in _E11_E22.items()}]
+    Q = make_ring("Q")
+    alg = _matrix_algebra(Q, names, mats)
+    assert validate_algebra(alg).ok
+    ref = LieAlgebra.from_brackets(Q, names, {
+        ("e", "f"): {"h2": Fraction(1, 2)}, ("h2", "e"): {"e": 4}, ("h2", "f"): {"f": -4}})
+    assert (alg.basis, alg.table) == (ref.basis, ref.table)
+    # a whole quotient stays an int
+    assert [type(c) for row in alg.table for cell in row for _k, c in cell].count(int) == 4
+    with pytest.raises(ValueError) as info:
+        _matrix_algebra(Z, names, mats)
+    assert str(info.value) == "[e, f] is not an integer combination of e, f, h2"
+    with pytest.raises(ValueError) as info:
+        _matrix_algebra(Q, ("e", "f"), mats[:2])
+    assert str(info.value) == "[e, f] is not a rational combination of e, f"
+
+
+def test_cleared_scales_by_one_common_denominator():
+    terms, pairs = {"ab": Fraction(1, 2), "b": 3}, [(0, Fraction(-2, 3))]
+    for ring in ("Z", "Zmod 4", "Q"):  # no Fraction: the very objects given
+        given = ({"ab": 1}, [(0, 3)])
+        assert all(a is b for a, b in zip(_cleared(make_ring(ring), *given), given))
+    assert _cleared(make_ring("Q"), terms, pairs) == ({"ab": 3, "b": 18}, [(0, -4)])
+    assert [type(c) for c in _cleared(make_ring("Q"), terms)[0].values()] == [int, int]
 
 
 def test_matrix_algebra_check_holds_under_optimisation():

@@ -408,18 +408,22 @@ _BAD_INPUTS = _BAD_SPECS + (_SKEWED,)
 # seeded_dim6_Z's part 1 has three letters, so there a word's form can
 # depend on the order of its rewrites
 _SEEDED = {"seeded_dim4_Z": (4, "Z"), "seeded_dim5_Q": (5, "Q"), "seeded_dim6_Z": (6, "Z")}
+# sl2 over Q with [e, f] = 1/3 h: a valid table with a fractional constant,
+# where a verdict's cleared ints meet Fraction forms
+_Q_THIRD = "sl2_q_third.alg"
 
 
 def _algebra_and_split(name):
-    """A builtin entry's algebra and split, a bad golden spec's, the skewed
-    sl2's or a seeded failing table's, built unvalidated."""
+    """A builtin entry's algebra and split, a bad golden spec's or
+    sl2_q_third's, the skewed sl2's or a seeded failing table's, built
+    unvalidated."""
     if name == _SKEWED:
         sl2 = sl2_algebra(Z)
         table = [list(row) for row in sl2.table]
         table[H][E] = ((E, 3),)
         algebra = LieAlgebra(Z, sl2.basis, table)
         return algebra, SplitDecomposition(algebra, (F,), (E, H))
-    if name in _BAD_SPECS:
+    if name in _BAD_SPECS or name == _Q_THIRD:
         return parse_spec((GOLDEN / name).read_text(encoding="utf-8")).build()
     if name in _SEEDED:
         dim, ring = _SEEDED[name]
@@ -547,7 +551,8 @@ def _foreign(algebra, split):
     }
 
 
-@pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_INPUTS) + list(_SEEDED))
+@pytest.mark.parametrize(
+    "name", [e.name for e in REG.entries()] + [_Q_THIRD] + list(_BAD_INPUTS) + list(_SEEDED))
 def test_raw_verdicts_match_their_public_composition(name):
     algebra, split = _algebra_and_split(name)
     entry = RegistryEntry(name, algebra, split)
@@ -579,9 +584,9 @@ def test_raw_verdicts_match_their_public_composition(name):
             assert got[0] in (CarrierMismatchError, ValueError), (prop, inst)
             assert got == _outcome(reference, c, **inst), (prop, inst)
     # some instances fail, by verdict or by raising on sl2_bad_split, except
-    # on the builtin tables and on sl2_bad_alternating, whose one bad cell,
+    # on the valid tables and on sl2_bad_alternating, whose one bad cell,
     # [e, e], neither a rewrite nor the kernel reads under f | h e
-    passing = name in REG or name == "sl2_bad_alternating.alg"
+    passing = name in REG or name in (_Q_THIRD, "sl2_bad_alternating.alg")
     assert (outcomes <= {True, (True, True)}) == passing, outcomes
 
 
