@@ -16,21 +16,26 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .envelope import EnvElement, StateElement, _decoded_words, _encoded_words, _oracle_terms
+from .envelope import (
+    EnvElement,
+    StateElement,
+    _decoded_words,
+    _encoded_words,
+    _oracle_terms,
+    _relator_terms,
+)
 from .liealg import (
-    CarrierMismatchError,
     GVector,
     LieAlgebra,
     SplitDecomposition,
     _acc,
-    _check_indices,
+    _check_carrier,
     _cleared,
     _Record,
     validate,
 )
 from .normalform import (
     ActionContext,
-    _element_terms,
     _lie_holds,
     _lie_table,
     _section_raw,
@@ -70,10 +75,7 @@ class SuiteConfig(_Record):
             repeated = {p for p in properties if properties.count(p) > 1}
             if repeated:
                 raise ValueError(f"repeated properties: {', '.join(map(repr, sorted(repeated)))}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "properties", properties)
+        super().__init__(seed, cases, max_degree, properties)
 
 
 class RegistryEntry(_Record):
@@ -82,9 +84,7 @@ class RegistryEntry(_Record):
     __slots__ = __match_args__ = ("name", "algebra", "split")
 
     def __init__(self, name: str, algebra: LieAlgebra, split: SplitDecomposition):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "split", split)
+        super().__init__(name, algebra, split)
 
     @property
     def ring(self) -> Ring:
@@ -417,9 +417,7 @@ class PropertyFailure(_Record):
     __slots__ = __match_args__ = ("case", "description", "instance")
 
     def __init__(self, case: int, description: tuple[str, ...], instance: dict | None = None):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "instance", {} if instance is None else instance)
+        super().__init__(case, description, {} if instance is None else instance)
 
     def _key(self) -> tuple:
         return self.case, self.description
@@ -432,12 +430,7 @@ class PropertyResult(_Record):
 
     def __init__(self, entry: str, name: str, passed: int, failed: int,
                  skipped: bool = False, failures: tuple[PropertyFailure, ...] = ()):
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failed", failed)
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "failures", failures)
+        super().__init__(entry, name, passed, failed, skipped, failures)
 
 
 def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
@@ -447,26 +440,6 @@ def relator_variant(algebra: LieAlgebra, u: EnvElement, host: tuple, pos: int,
     ``pos`` is a nonnegative int; past the end of ``host`` it means the end."""
     varied = _relator_terms(algebra, u, host, pos, x, y, coeff)[1]
     return EnvElement._trusted(algebra, _decoded_words(varied))
-
-
-def _relator_terms(algebra: LieAlgebra, u: EnvElement, host, pos, x, y, coeff) -> tuple:
-    """The raw {engine word: c} terms of u and of its relator variant,
-    once relator_variant's checks pass, in its order: x and y, host, pos,
-    coeff, then u's algebra.  The relator's two words cancel when x == y."""
-    _check_indices((x, y, *host), algebra.dim, "letter")
-    if isinstance(pos, bool) or not isinstance(pos, int) or pos < 0:
-        raise ValueError(f"pos {pos!r} is not a nonnegative int")
-    coeff = algebra.ring.coerce(coeff)
-    if u.algebra is not algebra:
-        raise CarrierMismatchError("elements over different algebras")
-    terms = _encoded_words(u)
-    q, pos = algebra.ring.modulus, min(pos, len(host))
-    head, tail = "".join(map(chr, host[:pos])), "".join(map(chr, host[pos:]))
-    relator = [(chr(x) + chr(y), 1), (chr(y) + chr(x), -1)] if x != y else []
-    out = dict(terms)
-    for w, c in relator + [(chr(k), -gamma) for k, gamma in algebra.table[x][y]]:
-        _acc(out, head + w + tail, coeff * c, q)
-    return terms, out
 
 
 # A row of _PROPERTIES is (draw, holds).  draw(rng, cfg, entry) returns one
@@ -506,7 +479,7 @@ def _draw_relator(rng, cfg, entry):
 
 
 def _holds_oracle(ctx, u):
-    (terms,) = _cleared(ctx.algebra.ring, _element_terms(ctx, u))
+    (terms,) = _cleared(ctx.algebra.ring, _encoded_words(u, ctx.algebra))
     return _section_raw(ctx, terms) == _oracle_terms(ctx.split, terms)
 
 
@@ -548,8 +521,8 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
     instances, fail the case at its first failing instance, shrink that
     instance and render it with the exception it raises, if any.  A ``ctx``
     over another split than ``entry``'s is refused before any draw."""
-    if ctx is not None and ctx.split is not entry.split:
-        raise CarrierMismatchError("context over a different split")
+    if ctx is not None:
+        _check_carrier(ctx.split, entry.split, "context")
     if name == "validate":
         report = validate(entry.algebra, entry.split)
         if report.ok:
@@ -601,8 +574,7 @@ class SuiteReport(_Record):
     __slots__ = __match_args__ = ("config", "results")
 
     def __init__(self, config: SuiteConfig, results: tuple):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "results", results)
+        super().__init__(config, results)
 
     @property
     def all_pass(self) -> bool:

@@ -279,11 +279,7 @@ class AlgebraSpec(_Record):
     def __init__(self, ring: Ring, basis: tuple[str, ...],
                  brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, object], ...]], ...],
                  part1: tuple[int, ...], part2: tuple[int, ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "brackets", brackets)
-        object.__setattr__(self, "part1", part1)
-        object.__setattr__(self, "part2", part2)
+        super().__init__(ring, basis, brackets, part1, part2)
 
     def build(self) -> tuple[LieAlgebra, SplitDecomposition]:
         n = len(self.basis)

@@ -69,11 +69,11 @@ only if some other call straightens it.
 from __future__ import annotations
 
 from .liealg import (
-    CarrierMismatchError,
     GVector,
     LieAlgebra,
     SplitDecomposition,
     _acc,
+    _check_carrier,
     _check_indices,
     _Combination,
 )
@@ -83,7 +83,7 @@ class EnvElement(_Combination):
     """Finite scalar combination of words over the full basis."""
 
     __slots__ = ("algebra",)
-    _mismatch = "elements over different algebras"
+    _what = "element"
 
     def __init__(self, algebra: LieAlgebra, terms=None):
         if terms:
@@ -129,7 +129,7 @@ class StateElement(_Combination):
     """Combination of pairs (word over part 1) (x) (word over part 2)."""
 
     __slots__ = ("split",)
-    _mismatch = "states over different splits"
+    _what = "state"
 
     def __init__(self, split: SplitDecomposition, terms=None):
         if terms:
@@ -236,6 +236,25 @@ def _word_product(a: dict, b: dict, q=None) -> dict:
         for w2, c2 in b.items():
             _acc(out, w1 + w2, c1 * c2, q)
     return out
+
+
+def _relator_terms(algebra: LieAlgebra, u: EnvElement, host, pos, x, y, coeff) -> tuple:
+    """The raw {engine word: c} terms of u and of its relator variant
+    (``checks.relator_variant``), once its checks pass, in its order: x and
+    y, host, pos, coeff, then u's algebra.  The relator's two words cancel
+    when x == y."""
+    _check_indices((x, y, *host), algebra.dim, "letter")
+    if isinstance(pos, bool) or not isinstance(pos, int) or pos < 0:
+        raise ValueError(f"pos {pos!r} is not a nonnegative int")
+    coeff = algebra.ring.coerce(coeff)
+    terms = _encoded_words(u, algebra)
+    q, pos = algebra.ring.modulus, min(pos, len(host))
+    head, tail = "".join(map(chr, host[:pos])), "".join(map(chr, host[pos:]))
+    relator = [(chr(x) + chr(y), 1), (chr(y) + chr(x), -1)] if x != y else []
+    out = dict(terms)
+    for w, c in relator + [(chr(k), -gamma) for k, gamma in algebra.table[x][y]]:
+        _acc(out, head + w + tail, coeff * c, q)
+    return terms, out
 
 
 def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
@@ -437,7 +456,7 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     form = _straightener(u.algebra, order)
     before = form.counts[:]
     try:
-        terms = _straighten_terms(_encoded_words(u), form, u.algebra.ring.modulus)
+        terms = _straighten_terms(_encoded_words(u, u.algebra), form, u.algebra.ring.modulus)
     finally:
         if stats is not None:
             for key, now, was in zip(("steps", "spawned"), form.counts, before):
@@ -470,11 +489,13 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
-    return StateElement._trusted(s.split, _decoded(_canon_terms(s.algebra, _encoded(s))))
+    return StateElement._trusted(s.split, _decoded(_canon_terms(s.algebra, _encoded(s, s.split))))
 
 
-def _encoded(s: StateElement) -> dict:
-    """s's terms as {(w1, w2): raw} terms of engine words."""
+def _encoded(s: StateElement, split: SplitDecomposition) -> dict:
+    """s's terms as {(w1, w2): raw} terms of engine words, once s is
+    checked to lie over split by the carrier rule."""
+    _check_carrier(s.split, split, "state")
     return {("".join(map(chr, w1)), "".join(map(chr, w2))): c.value
             for (w1, w2), c in s.terms.items()}
 
@@ -484,8 +505,10 @@ def _decoded(terms: dict) -> dict:
     return {(tuple(map(ord, w1)), tuple(map(ord, w2))): c for (w1, w2), c in terms.items()}
 
 
-def _encoded_words(u: EnvElement) -> dict:
-    """u's terms as {engine word: raw} terms."""
+def _encoded_words(u: EnvElement, algebra: LieAlgebra) -> dict:
+    """u's terms as {engine word: raw} terms, once u is checked to lie in
+    algebra by the carrier rule."""
+    _check_carrier(u.algebra, algebra, "element")
     return {"".join(map(chr, w)): c.value for w, c in u.terms.items()}
 
 
@@ -520,7 +543,5 @@ def oracle_normal_order(u: EnvElement, split: SplitDecomposition) -> StateElemen
     """Independent normal-ordering oracle: straighten under the
     split-compatible order, then cut every (now nondecreasing) word at the
     part boundary into (part-1 prefix) (x) (part-2 suffix)."""
-    if u.algebra is not split.algebra:
-        raise CarrierMismatchError("element over a different algebra")
-    terms = _oracle_terms(split, _encoded_words(u))
+    terms = _oracle_terms(split, _encoded_words(u, split.algebra))
     return StateElement._trusted(split, _decoded(terms))

@@ -22,8 +22,9 @@ class CarrierMismatchError(ValueError):
 class _Record:
     """An immutable value with named fields.
 
-    A subclass lists its fields in ``__slots__``, in constructor order, and
-    its own ``__init__`` sets each one once through ``object.__setattr__``.
+    A subclass lists its fields in ``__slots__``, in constructor order; its
+    own ``__init__`` keeps its signature, defaults and checks and ends with
+    one call to this one, which sets the fields in that order.
     Records of one class compare and hash by ``_key()``, every field unless
     the subclass leaves some out; they read back as ``Name(field=value, ...)``,
     copy and pickle through their constructor, and refuse assignment and
@@ -33,6 +34,10 @@ class _Record:
     of ``import envnorm``."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -68,9 +73,7 @@ class Violation(_Record):
     __slots__ = __match_args__ = ("kind", "where", "detail")
 
     def __init__(self, kind: str, where: tuple[str, ...], detail: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "where", where)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(kind, where, detail)
 
     def __str__(self):
         return f"{self.kind} violation at ({', '.join(self.where)}): {self.detail}"
@@ -82,7 +85,7 @@ class ValidationReport(_Record):
     __slots__ = __match_args__ = ("violations",)
 
     def __init__(self, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "violations", violations)
+        super().__init__(violations)
 
     @property
     def ok(self) -> bool:
@@ -150,6 +153,15 @@ def _check_indices(indices, n: int, what: str) -> None:
             raise ValueError(f"{what} {i!r} outside basis")
 
 
+def _check_carrier(got, carrier, what: str) -> None:
+    """The one carrier rule: CarrierMismatchError("<what> over a different
+    <kind>") unless got is carrier, kind being "split" when carrier is a
+    SplitDecomposition and "algebra" otherwise; what names the operand."""
+    if got is not carrier:
+        kind = "split" if isinstance(carrier, SplitDecomposition) else "algebra"
+        raise CarrierMismatchError(f"{what} over a different {kind}")
+
+
 def _listed_twice(part) -> list:
     """The indices ``part`` lists more than once, in sorted order."""
     return sorted({i for i in part if part.count(i) > 1})
@@ -177,7 +189,7 @@ class _Combination:
     own ``_fill``, whose part check runs on trusted states too."""
 
     __slots__ = ("terms",)
-    _mismatch = ""  # CarrierMismatchError message
+    _what = ""  # the noun of a carrier mismatch, see _check_carrier
 
     @classmethod
     def _trusted(cls, carrier, terms=None):
@@ -208,8 +220,7 @@ class _Combination:
         return self._trusted(self._carrier(), terms)
 
     def _check(self, other) -> None:
-        if self._carrier() is not other._carrier():
-            raise CarrierMismatchError(self._mismatch)
+        _check_carrier(other._carrier(), self._carrier(), self._what)
 
     def _combine(self, other, negate: bool):
         if not isinstance(other, type(self)):
@@ -352,8 +363,8 @@ class LieAlgebra:
 
     def bracket(self, v: "GVector", w: "GVector") -> "GVector":
         """Bilinear extension of the structure table."""
-        if v.algebra is not self or w.algebra is not self:
-            raise CarrierMismatchError("bracket operands from a different algebra")
+        _check_carrier(v.algebra, self, "vector")
+        _check_carrier(w.algebra, self, "vector")
         q = self.ring.modulus
         out: dict = {}
         for i, a in v.terms.items():
@@ -385,7 +396,7 @@ class GVector(_Combination):
     the linear arithmetic is the shared combination base's."""
 
     __slots__ = ("algebra",)
-    _mismatch = "vectors from different algebras"
+    _what = "vector"
 
     def __init__(self, algebra: LieAlgebra, coords=None):
         if isinstance(coords, dict):
@@ -445,8 +456,7 @@ class SplitDecomposition:
         """Zero all coordinates outside part ``which`` (1 or 2)."""
         if isinstance(which, bool) or not isinstance(which, int) or which not in (1, 2):
             raise ValueError(f"split part must be 1 or 2, not {which!r}")
-        if v.algebra is not self.algebra:
-            raise CarrierMismatchError("vector from a different algebra")
+        _check_carrier(v.algebra, self.algebra, "vector")
         part = self.part1_set if which == 1 else self.part2_set
         return GVector._trusted(self.algebra, {i: c for i, c in v.terms.items() if i in part})
 
@@ -463,8 +473,7 @@ class SplitDecomposition:
 def validate(algebra: LieAlgebra, split: SplitDecomposition) -> ValidationReport:
     """The one validation entry point: the algebra's violations (alternating,
     Jacobi), then the split's closure violations, in one report."""
-    if split.algebra is not algebra:
-        raise CarrierMismatchError("split belongs to a different algebra")
+    _check_carrier(split.algebra, algebra, "split")
     return ValidationReport(
         validate_algebra(algebra).violations
         + validate_split(algebra, split.part1, split.part2).violations

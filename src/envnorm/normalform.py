@@ -15,12 +15,12 @@ is the normal-ordering section: it inverts the factor multiplication that
 merges a state back into the envelope.
 
 The recursion reads w2 only to append it in the base case, so g.(w1, w2)
-is g.(w1, ()) with w2 appended (right-linearity, one of the checked
-identities), and by linearity in g the whole action is fixed by the basis
-kernel e_i.(w1, ()).  Each :class:`ActionContext` memoizes that kernel per
-(basis index, left word) as a {(u1, u2): raw} dict, computed straight
-from the structure table; the left word in its key and every word in its
-terms are engine words (``str``, letter i is ``chr(i)``; see envelope).
+is g.(w1, ()) with w2 appended (right-linearity), and by linearity in g the
+whole action is fixed by the basis kernel e_i.(w1, ()).  Each
+:class:`ActionContext` memoizes that kernel per (basis index, left word)
+as a {(u1, u2): raw} dict, computed straight from the structure table;
+the left word in its key and every word in its terms are engine words
+(``str``, letter i is ``chr(i)``; see envelope).
 Its values are exact, so every result equals the plain recursion's, and
 the memo is freed with the context.  The recursion nests one frame per
 letter of the left word, so a left word longer than 128 letters first has
@@ -28,6 +28,12 @@ the kernel filled at its suffixes 128 letters apart, shortest first: it
 nests at most 128 deep at any length.  An entry, like a straightener's
 form, is the memo's own dict, shared by every caller: callers read it and
 never change it.
+
+Right-linearity holds by construction, so check_right_linearity cannot
+fail on any table, failing ones too: its two sides read the same kernel
+entries and _act_terms appends the right word itself, so their difference
+is empty before it is canonicalized.  It fails only through its argument
+rules.
 
 The kernel, the action on term dicts and the Lie action table carry raw
 ring values (a ``Scalar``'s ``value``: ints, reduced into [0, q) over Z/q,
@@ -162,11 +168,11 @@ from .envelope import (
     oracle_normal_order,
 )
 from .liealg import (
-    CarrierMismatchError,
     GVector,
     LieAlgebra,
     SplitDecomposition,
     _acc,
+    _check_carrier,
     _check_indices,
     _cleared,
     _negated,
@@ -198,8 +204,7 @@ class ActionContext:
     )
 
     def __init__(self, algebra: LieAlgebra, split: SplitDecomposition, validate: bool = True):
-        if split.algebra is not algebra:
-            raise CarrierMismatchError("split belongs to a different algebra")
+        _check_carrier(split.algebra, algebra, "split")
         if validate:
             report = _validate(algebra, split)
             if not report.ok:
@@ -280,23 +285,14 @@ def _act_terms(ctx: ActionContext, support, terms: dict, out: dict | None = None
 
 def _support(ctx: ActionContext, g: GVector) -> list:
     """g's (index, raw) pairs, once g is checked to lie in ctx's algebra."""
-    if g.algebra is not ctx.algebra:
-        raise CarrierMismatchError("vector from a different algebra")
+    _check_carrier(g.algebra, ctx.algebra, "vector")
     return [(i, c.value) for i, c in g.terms.items()]
-
-
-def _terms(ctx: ActionContext, s: StateElement) -> dict:
-    """s's terms as a raw dict of engine words, once s is checked to lie
-    over ctx's split."""
-    if s.split is not ctx.split:
-        raise CarrierMismatchError("state from a different split")
-    return _encoded(s)
 
 
 def act(ctx: ActionContext, g: GVector, s: StateElement) -> StateElement:
     """Left action of g on a state representative (see module docstring).
     Linear in both arguments; the result is not canonicalized."""
-    terms = _act_terms(ctx, _support(ctx, g), _terms(ctx, s))
+    terms = _act_terms(ctx, _support(ctx, g), _encoded(s, ctx.split))
     return StateElement._trusted(ctx.split, _decoded(terms))
 
 
@@ -304,7 +300,7 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
     """Iterated action of a word over the full basis: letters act right to
     left (innermost first); the empty word acts as the identity.  A letter
     outside the basis raises ValueError."""
-    terms = _terms(ctx, s)
+    terms = _encoded(s, ctx.split)
     word = tuple(word)
     _check_indices(word, ctx.algebra.dim, "letter")
     for letter in reversed(word):
@@ -335,20 +331,12 @@ def _section_terms(ctx: ActionContext, terms: dict) -> dict:
     return out
 
 
-def _element_terms(ctx: ActionContext, u: EnvElement) -> dict:
-    """u's terms as raw {engine word: c} terms, once u is checked to lie in
-    ctx's algebra."""
-    if u.algebra is not ctx.algebra:
-        raise CarrierMismatchError("element over a different algebra")
-    return _encoded_words(u)
-
-
 def section_s(ctx: ActionContext, u: EnvElement) -> StateElement:
     """The normal-ordering section: linear extension of
     w -> (w acting on 1 (x) 1), returned in canonical form.  Each letter
     acts through _act_terms, and both factor words are straightened after
     every letter (see the module docstring)."""
-    terms = _section_terms(ctx, _element_terms(ctx, u))
+    terms = _section_terms(ctx, _encoded_words(u, ctx.algebra))
     return StateElement._trusted(ctx.split, _decoded(terms))
 
 
@@ -400,7 +388,7 @@ def _same_element(ctx: ActionContext, a: dict, b: dict) -> bool:
 
 def check_filtration(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     """The action raises the left-word degree by at most one."""
-    support, terms = _cleared(ctx.algebra.ring, _support(ctx, g), _terms(ctx, s))
+    support, terms = _cleared(ctx.algebra.ring, _support(ctx, g), _encoded(s, ctx.split))
     return _left_degree(_act_terms(ctx, support, terms)) <= _left_degree(terms) + 1
 
 
@@ -420,7 +408,7 @@ def check_right_linearity(ctx: ActionContext, g: GVector, w1, m) -> bool:
 
 def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
     """Merging the acted state equals left-multiplying the merged state by g."""
-    support, terms = _cleared(ctx.algebra.ring, _support(ctx, g), _terms(ctx, s))
+    support, terms = _cleared(ctx.algebra.ring, _support(ctx, g), _encoded(s, ctx.split))
     q = ctx.algebra.ring.modulus
     lhs = _mu_terms(_act_terms(ctx, support, terms), q)
     rhs = _word_product({chr(i): c for i, c in support}, _mu_terms(terms, q), q)
@@ -481,7 +469,7 @@ def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
     n, form = algebra.dim, _straightener(algebra)
     defects = {(i, j): {} for i in range(n) for j in range(n)}
-    for (w1, w2), c in _terms(ctx, s).items():
+    for (w1, w2), c in _encoded(s, ctx.split).items():
         for pair, v1, u2, d in _lie_row(ctx, w1):
             defect, cd = defects[pair], c * d
             for v2, c2 in form(u2 + w2).items():
@@ -519,10 +507,10 @@ def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[b
 
     A state over another split is refused before any work."""
     ring = ctx.algebra.ring
-    (terms,) = _cleared(ring, _terms(ctx, s))
+    (terms,) = _cleared(ring, _encoded(s, ctx.split))
     q = ring.modulus
     first = (_section_raw(ctx, _mu_terms(terms, q))
              == _checked(ctx, _canon_terms(ctx.algebra, terms)))
-    (words,) = _cleared(ring, _element_terms(ctx, u))
+    (words,) = _cleared(ring, _encoded_words(u, ctx.algebra))
     second = _same_element(ctx, _mu_terms(_section_raw(ctx, words), q), words)
     return first, second

@@ -180,6 +180,8 @@ ERROR_RUNS = (
     # ① is a digit but not a decimal one, so no denominator starts there
     (2, ("normal-order", _spec("sl2_borel.alg"), "--expr=-1/①2*e*e"),
      "error: line 1, col 4: unexpected character '①'\n"),
+    (2, ("normal-order", _spec("sl2_borel.alg"), "--expr", "1/0*e"),
+     "error: line 1, col 3: zero denominator\n"),
     (2, ("straighten", _SL2, "--expr", "e", "--order", "e", "f"),
      "error: --order must list every basis name exactly once\n"),
     (2, ("validate", _spec("nonexistent.alg")),

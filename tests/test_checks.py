@@ -301,6 +301,16 @@ def test_run_suite_all_pass_and_reproducible():
     assert report.render() == run_suite(cfg, reg).render()  # byte identical
 
 
+def test_run_suite_on_a_split_with_an_empty_part():
+    # every drawn word of the empty part is empty, and with part 1 empty
+    # no relator has a letter to splice in, so well_defined holds vacuously
+    alg = sl2_algebra(Z)
+    for part1, part2 in (((), (0, 1, 2)), ((0, 1, 2), ())):
+        entry = RegistryEntry("sl2", alg, SplitDecomposition(alg, part1, part2))
+        report = run_suite(SuiteConfig(cases=5), ExampleRegistry([entry]))
+        assert report.render().splitlines()[-1] == "TOTAL entries=1 pass=36 fail=0 seed=42"
+
+
 def test_corrupted_entry_gates_dependent_properties():
     reg = ExampleRegistry([_corrupted_sl2_entry()])
     cfg = SuiteConfig(seed=42, cases=3, max_degree=3)
@@ -465,7 +475,7 @@ def test_relator_variant_rejections():
         ((u, (0, 9), 1, 0, 1, 3), letter),
         ((u, (9, 2), 1, 0, 1, 3), letter),
         ((u, (0, 2), 1, 0, 1, half), (ValueError, "1/2 is not an element of Z")),
-        ((other, (0, 2), 1, 0, 1, 3), (CarrierMismatchError, "elements over different algebras")),
+        ((other, (0, 2), 1, 0, 1, 3), (CarrierMismatchError, "element over a different algebra")),
         ((other, (9,), 1, 9, 1, half), letter),
         ((other, (9, 2), 1, 0, 1, half), letter),
         ((other, (0, 2), 1, 0, 1, half), (ValueError, "1/2 is not an element of Z")),

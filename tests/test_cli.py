@@ -146,6 +146,7 @@ def test_parse_spec_errors(text, fragment):
         ("ring Z\nring Q\nbasis a\nsplit a |", "line 2: duplicate ring line"),
         ("ring Z\nbasis a\nring Zmod x", "line 3: duplicate ring line"),
         ("ring Z\nbasis a b\n\nbasis", "line 4: duplicate basis line"),
+        ("ring Z\nbasis\n", "line 2: basis line needs at least one name"),
         ("ring Z\nbasis a b\nsplit a | b\nsplit b | a", "line 4: duplicate split line"),
         ("ring Z\nbasis a b\nsplit a | b\nsplit", "line 4: duplicate split line"),
         ("", "missing ring line"),

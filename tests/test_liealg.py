@@ -264,6 +264,18 @@ def test_table_cells_are_checked_and_normalised():
     ]
 
 
+def test_algebra_needs_a_basis_of_distinct_names():
+    with pytest.raises(ValueError, match="^basis must contain at least one element$"):
+        LieAlgebra(Z, (), [])
+    with pytest.raises(ValueError, match="^duplicate basis name$"):
+        LieAlgebra(Z, ("a", "a"), [[(), ()], [(), ()]])
+
+
+def test_change_ring_needs_an_integral_table():
+    with pytest.raises(ValueError, match="^change_ring expects an integral table$"):
+        sl2_algebra(make_ring("Q")).change_ring(make_ring("Zmod 3"))
+
+
 def test_vector_constructor_checks_its_input(sl2):
     assert GVector(sl2, (0, 3, 0)) == GVector(sl2, {1: 3}) == sl2.vector({"f": 3})
     with pytest.raises(ValueError):

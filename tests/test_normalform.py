@@ -28,6 +28,7 @@ from envnorm.envelope import (
     EnvElement,
     StateElement,
     _canon_terms,
+    _encoded_words,
     _straightener,
     env_eq,
     env_mul,
@@ -37,11 +38,11 @@ from envnorm.envelope import (
     state_eq,
     straighten,
 )
-from envnorm.liealg import CarrierMismatchError, LieAlgebra, SplitDecomposition
+from envnorm.liealg import CarrierMismatchError, LieAlgebra, SplitDecomposition, validate
 from envnorm.normalform import (
     ActionContext,
     OracleMismatchError,
-    _element_terms,
+    _lie_table,
     _section_raw,
     act,
     act_word,
@@ -569,7 +570,7 @@ def test_raw_verdicts_match_their_public_composition(name):
             outcomes.add(got)
         for inst in instances:  # the raw section of an element's raw terms
             if "u" in inst:
-                got = _outcome(_section_raw, c, _element_terms(c, inst["u"]))
+                got = _outcome(_section_raw, c, _encoded_words(inst["u"], algebra))
                 ref = _outcome(section_s, c, inst["u"])
                 assert got == (_raw_terms(ref) if isinstance(ref, StateElement) else ref), inst
         own = instances[0]
@@ -577,10 +578,6 @@ def test_raw_verdicts_match_their_public_composition(name):
         for picks in list(itertools.product((0, 1), repeat=len(keys)))[1:]:
             inst = dict(own, **{key: foreign[key] for key, p in zip(keys, picks) if p})
             got = _outcome(verdict, c, **inst)
-            if prop == "inverse" and inst["s"] is foreign["s"]:
-                # the state's split is checked before any work
-                assert got == (CarrierMismatchError, "state from a different split")
-                continue
             assert got[0] in (CarrierMismatchError, ValueError), (prop, inst)
             assert got == _outcome(reference, c, **inst), (prop, inst)
     # some instances fail, by verdict or by raising on sl2_bad_split, except
@@ -616,10 +613,75 @@ def test_check_inverse_checks_the_state_split_first():
     c = ActionContext(entry.algebra, entry.split)
     other = SplitDecomposition(entry.algebra, entry.split.part1, entry.split.part2)
     s, u = StateElement.term(other, (F, F), (H, E), 3), EnvElement.unit(entry.algebra)
-    assert _outcome(check_inverse, c, u, s) == (CarrierMismatchError, "state from a different split")
+    foreign = (CarrierMismatchError, "state over a different split")
+    assert _outcome(check_inverse, c, u, s) == foreign
     assert not c._kernel  # no letter acted
-    assert _outcome(_inverse_by_composition, c, u, s) == (
-        CarrierMismatchError, "states over different splits")
+    assert _outcome(_inverse_by_composition, c, u, s) == foreign
+
+
+# A foreign carrier at every entry point that judges one: sl2_Z's own
+# vector, element and state (g, u, s) beside a vector and an element of an
+# equal sl2 that is another object (g2, u2) and a state over an equal split
+# that is another object (s2).  Each call raises the one message of
+# liealg._check_carrier, "<what> over a different <algebra|split>".
+_SL2 = REG["sl2_Z"]
+_OTHER = sl2_algebra(Z)
+_OTHER_SPLIT = SplitDecomposition(_SL2.algebra, _SL2.split.part1, _SL2.split.part2)
+_g, _g2 = _SL2.algebra.basis_vector(E), _OTHER.basis_vector(E)
+_u, _u2 = EnvElement.unit(_SL2.algebra), EnvElement.unit(_OTHER)
+_s, _s2 = StateElement.unit(_SL2.split), StateElement.unit(_OTHER_SPLIT)
+_VECTOR, _ELEMENT = "vector over a different algebra", "element over a different algebra"
+_STATE, _SPLIT = "state over a different split", "split over a different algebra"
+_FOREIGN_CARRIERS = {  # entry point -> (its call in a fresh context c, message)
+    "GVector +": (lambda c: _g + _g2, _VECTOR),
+    "GVector -": (lambda c: _g - _g2, _VECTOR),
+    "GVector ==": (lambda c: _g == _g2, _VECTOR),
+    "EnvElement +": (lambda c: _u + _u2, _ELEMENT),
+    "EnvElement -": (lambda c: _u - _u2, _ELEMENT),
+    "EnvElement ==": (lambda c: _u == _u2, _ELEMENT),
+    "env_mul": (lambda c: env_mul(_u, _u2), _ELEMENT),
+    "env_eq": (lambda c: env_eq(_u, _u2), _ELEMENT),
+    "StateElement +": (lambda c: _s + _s2, _STATE),
+    "StateElement -": (lambda c: _s - _s2, _STATE),
+    "StateElement ==": (lambda c: _s == _s2, _STATE),
+    "state_eq": (lambda c: state_eq(_s, _s2), _STATE),
+    "bracket, first": (lambda c: _SL2.algebra.bracket(_g2, _g), _VECTOR),
+    "bracket, second": (lambda c: _SL2.algebra.bracket(_g, _g2), _VECTOR),
+    "project": (lambda c: _SL2.split.project(1, _g2), _VECTOR),
+    "validate": (lambda c: validate(_OTHER, _SL2.split), _SPLIT),
+    "ActionContext": (lambda c: ActionContext(_OTHER, _SL2.split), _SPLIT),
+    "act, vector": (lambda c: act(c, _g2, _s), _VECTOR),
+    "act, state": (lambda c: act(c, _g, _s2), _STATE),
+    "act_word": (lambda c: act_word(c, (E,), _s2), _STATE),
+    "check_filtration, vector": (lambda c: check_filtration(c, _g2, _s), _VECTOR),
+    "check_filtration, state": (lambda c: check_filtration(c, _g, _s2), _STATE),
+    "check_right_linearity": (lambda c: check_right_linearity(c, _g2, (), ()), _VECTOR),
+    "check_mu_compat, vector": (lambda c: check_mu_compat(c, _g2, _s), _VECTOR),
+    "check_mu_compat, state": (lambda c: check_mu_compat(c, _g, _s2), _STATE),
+    "check_lie_action, g": (lambda c: check_lie_action(c, _g2, _g, _s), _VECTOR),
+    "check_lie_action, h": (lambda c: check_lie_action(c, _g, _g2, _s), _VECTOR),
+    "check_lie_action, s": (lambda c: check_lie_action(c, _g, _g, _s2), _STATE),
+    "_lie_table": (lambda c: _lie_table(c, _s2), _STATE),
+    "section_s": (lambda c: section_s(c, _u2), _ELEMENT),
+    "normal_order": (lambda c: normal_order(c, _u2), _ELEMENT),
+    "oracle_normal_order": (lambda c: oracle_normal_order(_u2, _SL2.split), _ELEMENT),
+    "check_inverse, element": (lambda c: check_inverse(c, _u2, _s), _ELEMENT),
+    "check_inverse, state": (lambda c: check_inverse(c, _u, _s2), _STATE),
+    "_holds_oracle": (lambda c: _holds_oracle(c, _u2), _ELEMENT),
+    "relator_variant": (lambda c: relator_variant(_SL2.algebra, _u2, (), 0, E, F, 1), _ELEMENT),
+    "_holds_well_defined": (lambda c: _holds_well_defined(c, _u2, (), 0, F, F, 1), _ELEMENT),
+    "run_property": (lambda c: run_property("oracle", SuiteConfig(cases=1),
+                                            RegistryEntry("other", _SL2.algebra, _OTHER_SPLIT), c),
+                     "context over a different split"),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(_FOREIGN_CARRIERS))
+def test_every_carrier_check_is_the_one_rule(entry_point):
+    call, message = _FOREIGN_CARRIERS[entry_point]
+    with pytest.raises(CarrierMismatchError) as exc:
+        call(ActionContext(_SL2.algebra, _SL2.split))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", [e.name for e in REG.entries()] + list(_BAD_INPUTS))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from envnorm.ring import RingMismatchError, make_ring, read_int, render_int
+from envnorm.ring import Ring, RingMismatchError, make_ring, read_int, render_int
 
 
 def test_make_ring_descriptors():
@@ -19,6 +19,13 @@ def test_make_ring_descriptors():
 def test_make_ring_rejects(bad):
     with pytest.raises(ValueError):
         make_ring(bad)
+
+
+def test_ring_constructor_rejects_an_unknown_kind_and_a_stray_modulus():
+    with pytest.raises(ValueError, match="^unknown ring kind 'R'$"):
+        Ring("R")
+    with pytest.raises(ValueError, match="^ring Z takes no modulus$"):
+        Ring("Z", 3)
 
 
 @pytest.mark.parametrize("bad", ["Zmod +7", "Zmod 1_0", "Zmod -3", "Zmod 7.0", "Zmod  0x7"])
