@@ -488,8 +488,10 @@ def _holds_inverse(ctx, u, s):
 
 
 def _holds_lie_action(ctx, s, g, h):
-    # g and h are drawn basis indices: check_lie_action on basis vectors
-    return _lie_holds(ctx, ((g, 1),), ((h, 1),), _lie_table(ctx, s))
+    # g and h are drawn basis indices: check_lie_action on basis vectors,
+    # which holds with no sum to judge when E(g, h) is empty
+    defects = _lie_table(ctx, s)
+    return not defects[g, h] or _lie_holds(ctx, ((g, 1),), ((h, 1),), defects)
 
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):

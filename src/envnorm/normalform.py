@@ -35,6 +35,23 @@ entries and _act_terms appends the right word itself, so their difference
 is empty before it is canonicalized.  It fails only through its argument
 rules.
 
+The leftmost-inversion form straightens a prefix before anything after
+it, so on every table, failing ones too, the form of a word X w is the
+sum over the terms c_m m of the form of X of c_m times the form of m w
+(envelope's prefix-reuse paragraph).  By linearity the same holds for a
+combination of words X with one word w after them: straightening the
+combination first and appending w only to what survives gives the same
+form.  Two verdicts cancel their differences that way before the right
+words come in.  check_mu_compat compares mu(g.s) with g mu(s), whose
+terms are, for each term c (w1, w2) of s, w2 appended to
+c mu(g.(w1, "")) and to c g w1.  It groups s's terms by right word w2,
+straightens each group's difference, of words with at most |w1| + 1
+letters, and appends w2 to what survives: the result straightens to the
+form of the whole difference.  On a validated table the action is
+compatible with the product, so nothing survives and no longer word is
+straightened.  The Lie-action rows below straighten their right words
+the same way.
+
 The kernel, the action on term dicts and the Lie action table carry raw
 ring values (a ``Scalar``'s ``value``: ints, reduced into [0, q) over Z/q,
 and ints or Fractions over Q), never ``Scalar``s, and read the structure
@@ -119,22 +136,27 @@ replaced when another state does; states are never changed in place, so
 identity fixes the table.
 
 The table is summed from a defect row per left word, memoized on the
-context beside the kernel: E(i, j) of the one-term state (w1, ""), its
-left words straightened and its right words u2 (two letters at most) left
-raw.  A term c (w1, w2) of s adds c times w1's row, each u2 replaced by
-the form of u2 w2.  A row is read off the kernel itself, its left words
-straightened through the declaration order's memo.  From the dim entries
-e_k.(w1, "") it takes, for each pair i < j, the commutator
-e_i.(e_j.(w1, "")) - e_j.(e_i.(w1, "")) as one dict, straightened once
-and negated for (j, i) (for i == j it is empty); from the same entries,
-each straightened once, it subtracts the bracket side read from the
-structure table as it is.  Straightening left words term by term is
-linear, so straightening the two sides apart is exact on every table,
-failing ones too, where E(j, i) need not be -E(i, j).  So the row judges
+context beside the kernel: the canonical E(i, j) of the one-term state
+(w1, ""), both words of each term straightened.  A term c (w1, w2) of s
+adds c times w1's row, each right word v2 replaced by the form of v2 w2.
+A row is read off the kernel itself, its words straightened through the
+declaration order's memo.  From the dim entries e_k.(w1, "") it takes,
+for each pair i < j, the commutator e_i.(e_j.(w1, "")) - e_j.(e_i.(w1,
+"")) as one dict, left-straightened once and negated for (j, i) (for
+i == j it is empty); from the same entries, each left-straightened once,
+it subtracts the bracket side read from the structure table as it is.
+Straightening left words term by term is linear, so straightening the
+two sides apart is exact on every table, failing ones too, where E(j, i)
+need not be -E(i, j).  Each pair's sum then has its right words (two
+letters at most) straightened, equal terms merging.  So the row judges
 the very action the calculator uses.  A left word costs, once per
-context, dim kernel entries, the actions on them and dim (dim + 1) / 2
-left straightenings; a state costs one straightening of u2 w2 per row
-term, and a verdict no bracket.
+context, dim kernel entries, the actions on them, dim (dim + 1) / 2 left
+straightenings and dim^2 right ones; a state costs one straightening of
+v2 w2 per row term, and a verdict no bracket.  On a validated table the
+law holds, so every row is empty and so is every state's table; the
+suite's lie_action row (checks._holds_lie_action) then passes each pair
+on its empty E(i, j) with no sum to judge, the verdict _lie_holds gives
+on an empty sum.
 
 This is exact on every table, failing ones too: the action reads w2 only
 to append it, every step is linear, and the form of one word is a fixed
@@ -142,10 +164,13 @@ function, so the sum is term for term the canonical table of s.  Two
 shortcuts that look natural are not exact where the table fails
 validation, since the action is then not well defined on classes and a
 word's form depends on how it was reached: keying a row on the form of w1
-rather than on w1, and straightening w2 before u2 is put in front of it.
-Straightening u2 before w2 is appended would be exact, since the
-leftmost-inversion form straightens a prefix before anything after it,
-but it saves nothing.
+rather than on w1, and straightening w2 before the row's right word is
+put in front of it.  Straightening the row's right word first is exact by
+the prefix identity above, and it is what empties the rows on a validated
+table: with its right words left raw, a row there holds the raw defect,
+whose terms cancel only once each right word is straightened, and every
+state term that reads the row straightens one word per raw term.  In the
+builtin suite at seed 42, 143 of the 172 raw rows held 4 316 terms.
 """
 
 from __future__ import annotations
@@ -193,9 +218,10 @@ class ActionContext:
     It holds three memos: the basis kernel (:func:`_basis_action`, a
     {(u1, u2): raw} dict per basis index and left word, read-only to every
     caller) and the Lie-action defect row of each left word
-    (:func:`_lie_row`), both kept for its life, and the defect table of
-    the last state a Lie-action verdict judged (:func:`_lie_table`),
-    replaced when a different state arrives.  Reuse
+    (:func:`_lie_row`, canonical, so empty on a validated table), both
+    kept for its life, and the defect table of the last state a
+    Lie-action verdict judged (:func:`_lie_table`), replaced when a
+    different state arrives.  Reuse
     one context across calls to share that work, and drop it to free the
     memory.  The module docstring sets out the Lie-action table's design."""
 
@@ -376,14 +402,15 @@ def _section_raw(ctx: ActionContext, terms: dict) -> dict:
     return _checked(ctx, _section_terms(ctx, terms))
 
 
-def _same_element(ctx: ActionContext, a: dict, b: dict) -> bool:
-    """Raw {engine word: c} terms a and b give one element of the envelope:
-    a - b straightens to nothing under the declaration order."""
+def _difference_form(ctx: ActionContext, a: dict, b: dict) -> dict:
+    """The form of a - b under the declaration order, for raw
+    {engine word: c} terms a and b: empty exactly when they give one
+    element of the envelope."""
     q = ctx.algebra.ring.modulus
     diff = dict(a)
     for w, c in b.items():
         _acc(diff, w, -c, q)
-    return not _straighten_terms(diff, _straightener(ctx.algebra), q)
+    return _straighten_terms(diff, _straightener(ctx.algebra), q)
 
 
 def check_filtration(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
@@ -407,12 +434,22 @@ def check_right_linearity(ctx: ActionContext, g: GVector, w1, m) -> bool:
 
 
 def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
-    """Merging the acted state equals left-multiplying the merged state by g."""
+    """Merging the acted state equals left-multiplying the merged state by
+    g.  The difference is judged per right word w2: the part over s's terms
+    (w1, w2) is straightened before w2 is appended to what survives (see
+    the module docstring)."""
     support, terms = _cleared(ctx.algebra.ring, _support(ctx, g), _encoded(s, ctx.split))
     q = ctx.algebra.ring.modulus
-    lhs = _mu_terms(_act_terms(ctx, support, terms), q)
-    rhs = _word_product({chr(i): c for i, c in support}, _mu_terms(terms, q), q)
-    return _same_element(ctx, lhs, rhs)
+    lefts: dict = {}  # right word -> {w1: c} of s's terms with that right word
+    for (w1, w2), c in terms.items():
+        lefts.setdefault(w2, {})[w1] = c
+    left_g = {chr(i): c for i, c in support}
+    rest: dict = {}
+    for w2, group in lefts.items():
+        acted = _mu_terms(_act_terms(ctx, support, {(w1, ""): c for w1, c in group.items()}), q)
+        for m, c in _difference_form(ctx, acted, _word_product(left_g, group, q)).items():
+            _acc(rest, m + w2, c, q)
+    return not _difference_form(ctx, rest, {})
 
 
 def _left_straightened(terms: dict, form, q) -> dict:
@@ -426,14 +463,14 @@ def _left_straightened(terms: dict, form, q) -> dict:
 
 def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     """The defect row of the left word w1, memoized on ctx: the terms
-    ((i, j), v1, u2, raw) of E(i, j) on the one-term state (w1, ""), for
-    every ordered pair, each left word v1 straightened and each right word
-    u2 (two letters at most) left raw.  The commutator of each pair i < j
-    is one dict, the second action accumulated into the first's with its
-    support negated, left-straightened once and negated for (j, i); the
-    bracket side is summed from the dim kernel entries, each
-    left-straightened once.  It is keyed by w1 as it stands; the module
-    docstring says why that is exact."""
+    ((i, j), v1, v2, raw) of the canonical E(i, j) on the one-term state
+    (w1, ""), for every ordered pair, both words straightened.  The
+    commutator of each pair i < j is one dict, the second action
+    accumulated into the first's with its support negated,
+    left-straightened once and negated for (j, i); the bracket side is
+    summed from the dim kernel entries, each left-straightened once; the
+    right words of each pair's sum are straightened last.  It is keyed by
+    w1 as it stands; the module docstring says why that is exact."""
     row = ctx._lie_rows.get(w1)
     if row is not None:
         return row
@@ -454,7 +491,7 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
         for k, b in algebra.table[i][j]:
             for key, c in straight[k].items():
                 _acc(defect, key, -b * c, q)
-        row += [(pair, v1, u2, c) for (v1, u2), c in defect.items()]
+        row += [(pair, v1, v2, c) for (v1, v2), c in _canon_terms(algebra, defect).items()]
     row = ctx._lie_rows[w1] = tuple(row)
     return row
 
@@ -470,10 +507,10 @@ def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
     n, form = algebra.dim, _straightener(algebra)
     defects = {(i, j): {} for i in range(n) for j in range(n)}
     for (w1, w2), c in _encoded(s, ctx.split).items():
-        for pair, v1, u2, d in _lie_row(ctx, w1):
+        for pair, v1, v2, d in _lie_row(ctx, w1):
             defect, cd = defects[pair], c * d
-            for v2, c2 in form(u2 + w2).items():
-                _acc(defect, (v1, v2), cd * c2, q)
+            for x2, c2 in form(v2 + w2).items():
+                _acc(defect, (v1, x2), cd * c2, q)
     ctx._lie_table = s, defects
     return defects
 
@@ -512,5 +549,5 @@ def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[b
     first = (_section_raw(ctx, _mu_terms(terms, q))
              == _checked(ctx, _canon_terms(ctx.algebra, terms)))
     (words,) = _cleared(ring, _encoded_words(u, ctx.algebra))
-    second = _same_element(ctx, _mu_terms(_section_raw(ctx, words), q), words)
+    second = not _difference_form(ctx, _mu_terms(_section_raw(ctx, words), q), words)
     return first, second

@@ -160,6 +160,13 @@ GOLDEN_RUNS = (
     # defect rows on a table the law does not hold on
     ("check_sl2_bad_jacobi_lie_action_cases30.txt", 3,
      ("check", _spec("sl2_bad_jacobi.alg"), "--props", "lie_action", *_SEED11)),
+    # four-letter left words on each failing table: the Lie-action defect
+    # rows and mu_compat's per-right-word differences, straightened before
+    # their right words are appended, on longer words than the runs above
+    *((f"check_sl2_bad_{name}_lie_mu_cases50_deg4.txt", 3,
+       ("check", _spec(f"sl2_bad_{name}.alg"), "--props", "lie_action,mu_compat",
+        "--cases", "50", "--max-deg", "4"))
+      for name in ("jacobi", "split", "alternating")),
 )
 
 _SL2, _BAD = _spec("sl2.alg"), _spec("sl2_bad_jacobi.alg")

@@ -201,17 +201,19 @@ def suffix_defect(table, q, part1, w, memo: dict) -> dict:
 
 def suffix_lie_row(table, q, part1, w1, memo: dict) -> dict:
     """w1's defect row from the suffix rule (:func:`suffix_defect`), as a
-    {((i, j), v1, u2): c} map: every left word of R(w1) straightened by the
-    worklist under the declaration order, while u2 stays raw.  ``memo``
-    keeps the worklist form of each left word under the key None."""
+    {((i, j), v1, v2): c} map: both words of every term of R(w1)
+    straightened by the worklist under the declaration order.  ``memo``
+    keeps the worklist form of each word under the key None."""
     out: dict = {}
     forms = memo.setdefault(None, {})
     for pair, defect in suffix_defect(table, q, part1, w1, memo).items():
         for (u1, u2), v in defect.items():
-            if u1 not in forms:
-                forms[u1] = worklist(table, q, {u1: 1})[0]
+            for u in (u1, u2):
+                if u not in forms:
+                    forms[u] = worklist(table, q, {u: 1})[0]
             for v1, c1 in forms[u1].items():
-                add(out, (pair, v1, u2), v * c1, q)
+                for v2, c2 in forms[u2].items():
+                    add(out, (pair, v1, v2), v * c1 * c2, q)
     return out
 
 
