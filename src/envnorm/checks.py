@@ -521,7 +521,7 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
 
     Every random property goes through the same loop: draw each case's
     instances, fail the case at its first failing instance, shrink that
-    instance and render it with the exception it raises, if any.  A ``ctx``
+    instance and render it with the ValueError it raises, if any.  A ``ctx``
     over another split than ``entry``'s is refused before any draw."""
     if ctx is not None:
         _check_carrier(ctx.split, entry.split, "context")
@@ -538,12 +538,14 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
         ctx = ActionContext(entry.algebra, entry.split, validate=False)
     draw, holds = _PROPERTIES[name]
 
-    # a predicate that raises counts as a failing instance (keeps the suite
-    # total when validation was deselected on a broken entry)
+    # a predicate that raises ValueError counts as a failing instance (keeps
+    # the suite total when validation was deselected on a broken entry); a
+    # RecursionError or any other error propagates, and cli.main maps it to
+    # its exit code (4 for a recursion overflow)
     def fails(inst):
         try:
             return not holds(ctx, **inst)
-        except Exception:
+        except ValueError:
             return True
 
     passed = failed = 0
@@ -559,7 +561,7 @@ def run_property(name: str, cfg: SuiteConfig, entry: RegistryEntry,
         desc = list(_render_instance(entry, small))
         try:
             holds(ctx, **small)
-        except Exception as exc:
+        except ValueError as exc:
             desc.append(f"raised {type(exc).__name__}: {exc}")
         failures.append(PropertyFailure(k, tuple(desc), small))
     return PropertyResult(entry.name, name, passed, failed, failures=tuple(failures))

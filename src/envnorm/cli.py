@@ -36,8 +36,11 @@ Exit codes, all set by ``main``: 0 success / all properties pass;
 1 validation failure (``normal-order`` and ``straighten`` print the report
 on stderr); 2 parse error or other rejected input, any ValueError
 (too-deep nesting and too-large expansion included); 3 property or oracle
-counterexample; 4 input too large to process (recursion limit reached);
-141 stdout closed by its reader (128 + SIGPIPE).
+counterexample (a property that raises ValueError is a failing case);
+4 input too large to process (recursion limit reached), under ``check``
+too, where a recursion overflow inside a property ends the run, as it does
+for ``normal-order`` and ``straighten``; 141 stdout closed by its reader
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations

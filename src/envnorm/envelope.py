@@ -82,7 +82,7 @@ from .liealg import (
 class EnvElement(_Combination):
     """Finite scalar combination of words over the full basis."""
 
-    __slots__ = ("algebra",)
+    __slots__ = ()
     _what = "element"
 
     def __init__(self, algebra: LieAlgebra, terms=None):
@@ -142,23 +142,13 @@ class StateElement(_Combination):
         # The part check runs on every construction, trusted ones too: it is
         # what stops a split that was never validated from producing states
         # with letters on the wrong side.
-        clean = {}
         if terms:
             _check_parts(split, terms)
-            scalar = split.algebra.ring.scalar
-            for key, c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[key] = c
         self.split = split
-        self.terms = clean
+        _Combination._fill(self, split.algebra, terms)
 
     def _carrier(self):
         return self.split
-
-    @property
-    def algebra(self) -> LieAlgebra:
-        return self.split.algebra
 
     @classmethod
     def unit(cls, split: SplitDecomposition) -> "StateElement":

@@ -179,16 +179,16 @@ class _Combination:
     constructors and the linear arithmetic shared by :class:`GVector` and the
     envelope's element types.
 
-    A subclass keeps its carrier in its own slot.  Its public constructor
-    checks every key with the out-of-basis rule, then hands its terms to
-    ``_fill``, which coerces each coefficient into the ring, drops the zeros
-    and stores the carrier.  Results whose keys are valid by construction --
-    arithmetic results (``_like``), brackets, projections, the words of
-    checked elements, the straightener's and the kernel's -- are built by
-    ``_trusted``, which runs ``_fill`` alone.  :class:`StateElement` has its
-    own ``_fill``, whose part check runs on trusted states too."""
+    A public constructor checks every key with the out-of-basis rule, then
+    hands its terms to ``_fill``, which coerces each coefficient into the
+    ring, drops the zeros and stores the algebra.  Results whose keys are
+    valid by construction -- arithmetic results (``_like``), brackets,
+    projections, the words of checked elements, the straightener's and the
+    kernel's -- are built by ``_trusted``, which runs ``_fill`` alone.
+    :class:`StateElement`'s ``_fill`` runs its part check, on trusted states
+    too, stores its split and then boxes through this one."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("algebra", "terms")
     _what = ""  # the noun of a carrier mismatch, see _check_carrier
 
     @classmethod
@@ -395,7 +395,7 @@ class GVector(_Combination):
     Built from a full coordinate sequence or an {index: coefficient} map;
     the linear arithmetic is the shared combination base's."""
 
-    __slots__ = ("algebra",)
+    __slots__ = ()
     _what = "vector"
 
     def __init__(self, algebra: LieAlgebra, coords=None):

@@ -11,6 +11,7 @@ from envnorm.checks import (
     _matrix_algebra, builtin_examples, sl2_algebra, sl_algebra, sl_triangular_split,
 )
 from envnorm.cli import parse_spec
+from envnorm.envelope import EnvElement, StateElement
 from envnorm.liealg import (
     Violation,
     CarrierMismatchError,
@@ -656,3 +657,60 @@ def test_internal_vectors_skip_the_out_of_basis_rule(monkeypatch):
         with pytest.raises(ValueError, match="outside basis"):
             build()
     assert len(calls) == 3
+
+
+class _Int(int):
+    pass
+
+
+def _raised(op):
+    """The type of the exception ``op()`` raises, or None."""
+    try:
+        op()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def _operands():
+    alg = sl2_algebra(Z)
+    split = SplitDecomposition(alg, [0], [1, 2])
+    u = EnvElement(alg, {(1, 0): 2, (2,): -1})
+    g = GVector(alg, {0: 1, 2: 3})
+    s = StateElement(split, {((0,), (1,)): 1, ((), ()): 5})
+    return alg, split, u, g, s
+
+
+# the operators and reprs of the public types that the rest of tier-1 never
+# reaches: each case gives (got, want)
+_SELDOM_USED = {
+    "element_times_scalar": lambda alg, split, u, g, s: (
+        (u * 3, 3 * u), (u.scale(3), u.scale(3))),
+    "scalar_times_vector": lambda alg, split, u, g, s: (3 * g, g.scale(3)),
+    "scalar_times_state": lambda alg, split, u, g, s: (3 * s, s.scale(3)),
+    "combination_plus_int": lambda alg, split, u, g, s: (
+        [_raised(lambda: x + 3) for x in (u, g, s)], [TypeError] * 3),
+    "scalar_with_int": lambda alg, split, u, g, s: (
+        [_raised(lambda: op(Z.scalar(2), 3)) for op in (
+            lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b)],
+        [TypeError] * 3),
+    "combination_eq_int": lambda alg, split, u, g, s: ([u == 3, g == 3, s == 3], [False] * 3),
+    "scalar_eq_int": lambda alg, split, u, g, s: (Z.scalar(2) == 2, False),
+    "ring_eq_str": lambda alg, split, u, g, s: (make_ring("Z") == "Z", False),
+    "equal_scalars_hash_equal": lambda alg, split, u, g, s: (
+        len({Z.scalar(2), make_ring("Z").scalar(2), Z.scalar(_Int(2))}), 1),
+    "reprs": lambda alg, split, u, g, s: (
+        [repr(x) for x in (u, g, s, ActionContext(alg, split), Z.scalar(-2))],
+        ["EnvElement<-1 * h + 2 * f * e>", "GVector<1*e + 3*h>",
+         "StateElement<1 * e (x) f + 5 * 1 (x) 1>",
+         "ActionContext(LieAlgebra(Z, basis=e/f/h), e | f h)", "Scalar(-2, Z)"]),
+    "coerce_int_subclass": lambda alg, split, u, g, s: (
+        [(type(v), v) for v in (Z.coerce(_Int(5)), make_ring("Zmod 3").coerce(_Int(5)))],
+        [(int, 5), (int, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SELDOM_USED))
+def test_seldom_used_operators_and_reprs(case):
+    got, want = _SELDOM_USED[case](*_operands())
+    assert got == want
