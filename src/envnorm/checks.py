@@ -12,10 +12,6 @@ persists, and reports the minimal instance with full inputs.
 
 from __future__ import annotations
 
-import hashlib
-import random
-from fractions import Fraction
-
 from .envelope import (
     EnvElement,
     StateElement,
@@ -185,12 +181,14 @@ def _matrix_algebra(ring: Ring, names, mats) -> LieAlgebra:
         pivots.append(min(own))
 
     exact = ring.kind == "Q"
+    if exact:
+        import fractions
 
     def coords(a: int, b: int) -> list:
         rest, out = _commutator(mats[a], mats[b]), []
         for k, (mat, p) in enumerate(zip(mats, pivots)):
             top = rest.get(p, 0)
-            c = ring.coerce(Fraction(top, mat[p])) if exact else top // mat[p]
+            c = ring.coerce(fractions.Fraction(top, mat[p])) if exact else top // mat[p]
             if c:
                 out.append((k, c))
                 for key, x in mat.items():
@@ -248,6 +246,8 @@ def builtin_examples() -> ExampleRegistry:
 # ---------------------------------------------------------------------------
 
 def _child_seed(seed: int, *parts) -> int:
+    import hashlib  # loaded by the suite alone, not by every command
+
     text = "|".join([str(seed), *map(str, parts)])
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -255,13 +255,17 @@ def _child_seed(seed: int, *parts) -> int:
 
 def _case_rng(cfg: SuiteConfig, entry: RegistryEntry, label: str, index: int) -> random.Random:
     """The rng of draw ``index`` for a property or generation kind ``label``."""
+    import random  # loaded by the suite alone, not by every command
+
     return random.Random(_child_seed(cfg.seed, entry.name, label, index))
 
 
 def _draw_coeff(rng: random.Random, ring: Ring):
     # small coefficients on purpose: |n| <= 9, denominators <= 9
     if ring.kind == "Q" and rng.random() < 0.5:
-        return ring.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        import fractions
+
+        return ring.scalar(fractions.Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
     return ring.scalar(rng.randint(-9, 9))
 
 

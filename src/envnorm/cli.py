@@ -45,11 +45,8 @@ for ``normal-order`` and ``straighten``; 141 stdout closed by its reader
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
 
 from .checks import (
     PROPERTY_NAMES,
@@ -154,7 +151,9 @@ def _parse_coeff(ts: _Tokens, i: int, sign: int):
     den = read_int(toks[i + 2][1])
     if den == 0:
         ts.error("zero denominator", i + 2)
-    return ring.coerce(Fraction(num, den)), i + 3
+    import fractions
+
+    return ring.coerce(fractions.Fraction(num, den)), i + 3
 
 
 # The parser works on plain {word: raw} dicts (words are tuples of basis
@@ -309,7 +308,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     seen: set[str] = set()  # the _ONCE directives read so far
 
-    # a line ends at \n, \r\n or \r only, as Path.read_text reads one
+    # a line ends at \n, \r\n or \r only, as open() in text mode reads one
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         code = raw.split("#", 1)[0].rstrip()
         line = code.lstrip()
@@ -429,7 +428,8 @@ def state_lines(s: StateElement) -> list[str]:
 
 def _read_spec(path: str) -> AlgebraSpec:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     return parse_spec(text)
@@ -484,7 +484,7 @@ def _cmd_check(args) -> int:
     else:
         spec = _read_spec(args.file)
         algebra, split = spec.build()
-        name = Path(args.file).stem
+        name = os.path.splitext(os.path.basename(args.file))[0]
         registry = ExampleRegistry([RegistryEntry(name, algebra, split)])
     properties = tuple(args.props.split(",")) if args.props is not None else None
     cfg = SuiteConfig(
@@ -506,6 +506,8 @@ _EXPR_HELP = "the expression; write one that starts with '-' as --expr=-1/2*e*e"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # loaded by the console script, not by `import envnorm.cli`
+
     parser = argparse.ArgumentParser(
         prog="envnorm",
         description="Normal ordering in enveloping algebras of split Lie algebras.",

@@ -53,17 +53,29 @@ inversion of h v is always v's.  The memo then keys on v, whose form every
 head shares.  Only the cell a rewrite reads decides closure; on a table
 that is not alternating its mirror may differ.
 
-Every word m of a prefix's form is sorted, so the prefix rule decides two
-kinds of word m z itself, with no call on m z: when m is empty or its last
-letter ranks at most z, m z is sorted and is its own form; when m starts
-with letters ranked below the closed tail that holds z, the form of m z is
-that head prepended to each word of the rest's form, and only the rest is
-straightened by a call.  Each gives the form a call on m z would, term for
-term and in the same order, with the same counts.  So the memo holds the
-words some call straightens: the words a caller passes in, those a rewrite
-spawns, the prefixes and closed tails they reduce to, and the words m z
-that neither case decides.  A word m z that one of them decides is stored
-only if some other call straightens it.
+A word made of two sorted pieces has one junction to check: it is sorted
+exactly when either piece is empty or the last letter of the first ranks
+at most the first letter of the second, and then it is its own form.  A
+word built sorted is never passed to form: it joins the form where it is
+built, with no call, no scan and no memo entry.  Three places build such
+words.  The prefix rule appends z to each word m of the prefix's form.
+The rewrite step of w = h x y, its inversion in the last pair and its
+head h sorted, builds the swapped word h y x and a bracket word h k for
+each letter k of [x, y]; x ranks above y, so h y x is sorted when h y is.
+And section_s straightens the words a kernel term builds from sorted
+ones: a left word sorted but for its last letter, and a right word sorted
+but for its first (see normalform).
+
+The prefix rule decides one more kind of word m z in place: when m
+starts with letters ranked below the closed tail that holds z, the form
+of m z is that head prepended to each word of the rest's form, and only
+the rest is straightened by a call.  Each decision gives the form a call
+would, term for term and in the same order, with the same counts: a
+sorted word's form is itself, and it costs no rewrite.  So the memo
+holds only the words some call straightens: the words a caller passes
+in, those a rewrite spawns that need a rewrite themselves, the prefixes
+and closed tails they reduce to, and the words m z that neither rule
+decides.  A sorted word is stored only when a caller passes it in.
 """
 
 from __future__ import annotations
@@ -295,8 +307,12 @@ def _straightener(algebra: LieAlgebra, order=None):
     has a head below z's closed tail takes the rest's form with the head
     prepended, and only the others are straightened by a call of their
     own; ``head_length`` states the head rule once for both places.
-    Otherwise it rewrites the last pair and recurses on the swapped word and
-    on each bracket-expansion word.  ``form.memo`` is the order's memo
+    Otherwise it rewrites the last pair: of the swapped word and the
+    bracket-expansion words, each sorted one joins the form as it stands
+    and ``form`` recurses on the others.  A word is sorted there when the
+    one junction after the sorted head is in order (the module
+    docstring's junction rule), so no word built sorted is ever passed to
+    ``form``.  ``form.memo`` is the order's memo
     (word -> form) of the words ``form`` is called on, shared by every call
     with that order and freed with the algebra; ``form.counts`` is
     ``[steps, spawned]``, the running totals of the rewrites ``form``
@@ -408,11 +424,19 @@ def _straightener(algebra: LieAlgebra, order=None):
             row = table[ord(x)][ord(y)]
             counts[0] += 1
             counts[1] += 1 + len(row)
-            result = form(head + y + x, pos)
+            # head is sorted: head + y + x and head + chr(k) are decided
+            # here, with no memo entry, when the junction is in order
+            rank_h = rank_of[head[-1]] if head else -1
+            swapped = head + y + x
+            result = {swapped: 1} if rank_h <= rank_of[y] else form(swapped, pos)
             if row:  # commuting letters share the swapped word's form
                 out = dict(result)
                 for k, c in row:
-                    for w2, c2 in form(head + chr(k), pos).items():
+                    bracket = head + chr(k)
+                    if rank_h <= rank[k]:
+                        _acc(out, bracket, c, q)
+                        continue
+                    for w2, c2 in form(bracket, pos).items():
                         _acc(out, w2, c * c2, q)
                 result = out
         memo[w] = result

@@ -74,10 +74,19 @@ equal terms merge before they are straightened, and the state left after
 the last letter is canonical as it stands, with no state_canon after it.
 This is exact because the action is well defined on U(g1) (x) U(g2) (the
 well_defined property): acting on any representative of a state gives the
-same canonical result.  A kernel term prepends at most one letter to a
-right word, which was canonical, so an acted right word w2 is sorted from
-its second letter on; unless w2[0] > w2[1] it is form's own base case,
-taken as {w2: 1} with no scan and no memo entry.  A right word c y^k
+same canonical result.  The kernel's recursion keeps or drops each letter
+of a left word and its base case appends at most one part-1 letter, so a
+kernel term's left word is a subsequence of the acted left word, which
+was canonical, with at most one letter after it: an acted left word w1 is
+sorted up to its last letter.  A kernel term prepends at most one letter
+to a right word, which was canonical too, so an acted right word w2 is
+sorted from its second letter on.  Each is thus sorted exactly when its
+one junction is in order (envelope's junction rule): unless
+w1[-2] > w1[-1] the left word is taken as {w1: 1}, and unless
+w2[0] > w2[1] the right word as {w2: 1}, with no form call, no scan and
+no memo entry; a left word that is not sorted has form scan its last
+pair alone.  So the section of sl2 e f^n, whose left words are the f^k,
+passes no word to form under the split f | e h.  A right word c y^k
 that a letter makes costs the memo a few words, since the straightener
 moves c across y^k through the prefix c y^(k-1) (see envelope).  On a table
 that fails validation the canonical form of a word can depend on the order
@@ -346,9 +355,11 @@ def _section_terms(ctx: ActionContext, terms: dict) -> dict:
             acted = _act_terms(ctx, ((ord(letter), 1),), state)
             state = {}
             for (w1, w2), c1 in acted.items():
-                # w2[1:] is sorted, so w2 is form's base case unless w2[0] > w2[1]
+                # w1[:-1] and w2[1:] are sorted, so each word is its own
+                # form unless its one junction is out of order
+                left = form(w1, len(w1) - 1) if len(w1) > 1 and w1[-2] > w1[-1] else {w1: 1}
                 right = (form(w2) if len(w2) > 1 and w2[0] > w2[1] else {w2: 1}).items()
-                for v1, c2 in form(w1).items():
+                for v1, c2 in left.items():
                     c12 = c1 * c2
                     for v2, c3 in right:
                         _acc(state, (v1, v2), c12 * c3, q)

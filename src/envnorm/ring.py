@@ -18,8 +18,6 @@ value where an element is built.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _KINDS = ("Z", "Q", "Zmod")
 # Decimal digits per int <-> str step.  CPython refuses conversions of more
 # than sys.get_int_max_str_digits() digits (4300 by default, never below 640),
@@ -146,7 +144,9 @@ class Ring:
                 if x.ring is not self and x.ring != self:
                     raise RingMismatchError(f"scalar from {x.ring} used in {self}")
                 return x.value
-            if isinstance(x, Fraction):
+            import fractions  # only a value that is no int needs it
+
+            if isinstance(x, fractions.Fraction):
                 if x.denominator != 1:
                     if self.kind == "Q":
                         return x

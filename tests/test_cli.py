@@ -607,6 +607,19 @@ def test_import_loads_no_code_generating_modules():
     assert (proc.stdout, proc.stderr) == ("\n", "")
 
 
+def test_import_loads_no_module_only_some_commands_use():
+    # argparse loads in build_parser, hashlib and random with the suite's
+    # draws, fractions (and decimal with it) where a Fraction is built or
+    # met, and a spec file is read with open(), not pathlib
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = ("argparse", "decimal", "fractions", "hashlib", "pathlib", "random")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import envnorm, envnorm.cli; "
+            f"print(*[m for m in {modules!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert (proc.stdout, proc.stderr) == ("\n", "")
+
+
 def test_closed_stdout_exits_141_quietly():
     # the reader of the pipe is gone before the report is written
     root = Path(__file__).parent.parent

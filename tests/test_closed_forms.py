@@ -15,8 +15,8 @@ import random
 import pytest
 
 from closed_forms import heisenberg_ynxm, sl2_eafb, sl2_efn, sl2_hne
-from envnorm.checks import heisenberg_algebra, sl2_algebra
-from envnorm.envelope import EnvElement, straighten
+from envnorm.checks import builtin_examples, heisenberg_algebra, sl2_algebra
+from envnorm.envelope import EnvElement, _straightener, straighten
 from envnorm.liealg import LieAlgebra, SplitDecomposition
 from envnorm.normalform import ActionContext, normal_order, section_s
 from envnorm.ring import make_ring
@@ -48,6 +48,17 @@ def test_heisenberg_ynxm(n, m, ring):
 def test_sl2_efn(n, ring):
     alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | e h
     _agree(alg, (1,), (0, 2), (0,) + (1,) * n, sl2_efn(n, RINGS[ring]))
+
+
+def test_sl2_efn_section_straightens_no_word():
+    # the section's left words f^k and its right words are built sorted, so
+    # section_s of e f^n gives the closed form with no word passed to form
+    entry = builtin_examples()["sl2_Z"]  # new, so its memos start empty; split f | e h
+    ctx = ActionContext(entry.algebra, entry.split)
+    for n in SL2:
+        u = EnvElement.word(entry.algebra, (0,) + (1,) * n)
+        assert plain(section_s(ctx, u)) == sl2_efn(n)
+        assert not _straightener(entry.algebra).memo, n
 
 
 @pytest.mark.parametrize("ring", list(RINGS))

@@ -436,6 +436,39 @@ def test_memos_hold_no_word_the_prefix_rule_decides_in_place():
     assert len(_straightener(alg, split.split_order()).memo) <= 3000
 
 
+def _fresh_tables():
+    """(name, algebra, split), each algebra new, so its memos start empty:
+    every builtin entry and the three sl2_bad_*.alg goldens."""
+    for entry in builtin_examples().entries():
+        yield entry.name, entry.algebra, entry.split
+    for bad in ("alternating", "jacobi", "split"):
+        yield (f"sl2_bad_{bad}",) + parse_spec((GOLDEN / f"sl2_bad_{bad}.alg").read_text()).build()
+
+
+def test_memos_hold_only_words_that_need_a_rewrite():
+    # A word built sorted is never passed to form: the prefix rule's m z
+    # and the rewrite step's swapped and bracket words each join the form
+    # where they are built.  So once only unsorted words have been
+    # straightened, no key of the order's memo is sorted under it.
+    rng = random.Random(35)
+    for name, alg, split in _fresh_tables():
+        orders = [None, split.split_order()] + [rng.sample(range(alg.dim), alg.dim) for _ in range(2)]
+        for order in orders:
+            rank = {chr(letter): r for r, letter in enumerate(order or range(alg.dim))}
+
+            def is_sorted(w):
+                return all(rank[a] <= rank[b] for a, b in zip(w, w[1:]))
+
+            for _ in range(30):
+                word = rng.choices(range(alg.dim), k=rng.randint(2, 6))
+                if is_sorted("".join(map(chr, word))):
+                    continue
+                u = EnvElement.word(alg, word)
+                assert plain(straighten(u, order)) == _worklist(u, order)[0], (name, order, word)
+            memo = _straightener(alg, order).memo
+            assert memo and not [w for w in memo if is_sorted(w)], (name, order)
+
+
 def test_declaration_order_straightener_is_built_once_per_algebra():
     alg = sl_algebra(3, Z)
     form = _straightener(alg)
