@@ -12,6 +12,9 @@ persists, and reports the minimal instance with full inputs.
 
 from __future__ import annotations
 
+# hashlib, random and fractions are imported in the functions that use them,
+# so `import envnorm` loads none of them (tests/test_cli.py holds that).
+
 from .envelope import (
     EnvElement,
     StateElement,
@@ -246,7 +249,7 @@ def builtin_examples() -> ExampleRegistry:
 # ---------------------------------------------------------------------------
 
 def _child_seed(seed: int, *parts) -> int:
-    import hashlib  # loaded by the suite alone, not by every command
+    import hashlib
 
     text = "|".join([str(seed), *map(str, parts)])
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
@@ -255,7 +258,7 @@ def _child_seed(seed: int, *parts) -> int:
 
 def _case_rng(cfg: SuiteConfig, entry: RegistryEntry, label: str, index: int) -> random.Random:
     """The rng of draw ``index`` for a property or generation kind ``label``."""
-    import random  # loaded by the suite alone, not by every command
+    import random
 
     return random.Random(_child_seed(cfg.seed, entry.name, label, index))
 

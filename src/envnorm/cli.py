@@ -45,6 +45,9 @@ for ``normal-order`` and ``straighten``; 141 stdout closed by its reader
 
 from __future__ import annotations
 
+# argparse and fractions are imported in the functions that use them, and a
+# spec file is read with open(), so `import envnorm.cli` loads none of them
+# and no pathlib (tests/test_cli.py holds that).
 import os
 import sys
 
@@ -506,7 +509,7 @@ _EXPR_HELP = "the expression; write one that starts with '-' as --expr=-1/2*e*e"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import argparse  # loaded by the console script, not by `import envnorm.cli`
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="envnorm",

@@ -18,6 +18,9 @@ value where an element is built.
 
 from __future__ import annotations
 
+# fractions is imported where a value that is no int arrives, so
+# `import envnorm` does not load it (tests/test_cli.py holds that).
+
 _KINDS = ("Z", "Q", "Zmod")
 # Decimal digits per int <-> str step.  CPython refuses conversions of more
 # than sys.get_int_max_str_digits() digits (4300 by default, never below 640),
@@ -144,7 +147,7 @@ class Ring:
                 if x.ring is not self and x.ring != self:
                     raise RingMismatchError(f"scalar from {x.ring} used in {self}")
                 return x.value
-            import fractions  # only a value that is no int needs it
+            import fractions
 
             if isinstance(x, fractions.Fraction):
                 if x.denominator != 1:
