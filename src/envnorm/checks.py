@@ -639,7 +639,7 @@ def run_suite(cfg: SuiteConfig, registry: ExampleRegistry) -> SuiteReport:
     for entry in registry.entries():
         per: list[PropertyResult] = []
         gated = False
-        ctx = None  # one context, and so one kernel memo, for the entry
+        ctx = None  # one context for the entry; its memos live on the algebra
         for name in props:
             if gated:
                 per.append(PropertyResult(entry.name, name, 0, 0, skipped=True))

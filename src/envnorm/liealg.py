@@ -114,6 +114,21 @@ def _acc(d: dict, key, c, q=None) -> None:
         del d[key]
 
 
+def _reduced(terms: dict, q) -> dict:
+    """A source's memo entry, raw {key: c}, as its change_ring copy reads
+    it: each c reduced into [0, q) with the zeros dropped, as a fresh dict;
+    with no modulus (a copy over Z or Q) the entry itself, shared, since
+    every memo entry is read-only to its callers."""
+    if q is None:
+        return terms
+    out = {}
+    for key, c in terms.items():
+        c %= q
+        if c:
+            out[key] = c
+    return out
+
+
 def _cleared(ring: Ring, *parts) -> tuple:
     """parts, each a raw {key: c} dict or a list of raw (key, c) pairs,
     with every c multiplied by the least common denominator of all of
@@ -274,7 +289,8 @@ class LieAlgebra:
     table until :func:`validate_algebra` says the Lie axioms hold.
     """
 
-    __slots__ = ("ring", "basis", "index", "table", "dim", "_forms", "__weakref__")
+    __slots__ = ("ring", "basis", "index", "table", "dim", "_forms", "_kernels", "_lie_rows",
+                 "_source", "__weakref__")
 
     def __init__(self, ring: Ring, basis_names, table):
         basis = tuple(basis_names)
@@ -313,9 +329,15 @@ class LieAlgebra:
                     out.append(tuple(sorted(acc.items())))
             rows.append(tuple(out))
         self.table = tuple(rows)
-        # the only private state: one straightener per order, which owns its
-        # memo and its rewrite counts, see envelope._straightener
+        # the private state, every memo freed with the algebra: one
+        # straightener per order, which owns its memo and its rewrite counts
+        # (envelope._straightener), and the action kernel and the Lie-action
+        # rows of each split's parts, which every context over the algebra
+        # and those parts shares (normalform.ActionContext)
         self._forms: dict = {}  # rank (None: declaration order) -> form
+        self._kernels: dict = {}  # parts -> {(basis index, left word): entry}
+        self._lie_rows: dict = {}  # parts -> {left word: defect row}
+        self._source = None  # the integral algebra a change_ring copy reads, see there
 
     @classmethod
     def from_brackets(cls, ring: Ring, basis_names, brackets) -> "LieAlgebra":
@@ -380,10 +402,25 @@ class LieAlgebra:
         """Same basis and table with coefficients reinterpreted in ``ring``.
 
         Only defined from Z (integral tables), e.g. reduction mod q.
+
+        The copy records the integral algebra it reduces, its source: this
+        one, or this one's own source if it is a copy itself.  On a miss,
+        the copy's kernel and Lie rows, and its straighteners for each word
+        a caller passes in, first read the source's entry for the same key
+        (the same order, the same split parts), reduced into [0, q) with
+        zeros dropped (:func:`_reduced`); an entry the source lacks is
+        computed in the copy's own ring.  This
+        is exact on every table, failing ones too: each entry is a Z-linear
+        function of the table, computed along a word path that no
+        coefficient changes, and reduction mod q is a ring homomorphism,
+        under which a cell that reduces to zero only drops terms whose
+        reduced coefficient is 0 anyway.  The copy keeps its source alive.
         """
         if self.ring.kind != "Z":
             raise ValueError("change_ring expects an integral table")
-        return LieAlgebra(ring, self.basis, self.table)
+        copy = LieAlgebra(ring, self.basis, self.table)
+        copy._source = self if self._source is None else self._source
+        return copy
 
     def __repr__(self):
         return f"LieAlgebra({self.ring.descriptor()}, basis={'/'.join(self.basis)})"

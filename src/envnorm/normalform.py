@@ -16,16 +16,32 @@ merges a state back into the envelope.
 
 The recursion reads w2 only to append it in the base case, so g.(w1, w2)
 is g.(w1, ()) with w2 appended (right-linearity), and by linearity in g the
-whole action is fixed by the basis kernel e_i.(w1, ()).  Each
-:class:`ActionContext` memoizes that kernel per (basis index, left word)
-as a {(u1, u2): raw} dict, computed straight from the structure table;
-the left word in its key and every word in its terms are engine words
-(``str``, letter i is ``chr(i)``; see envelope).
-Its values are exact, so every result equals the plain recursion's, and
-the memo is freed with the context.  The recursion nests one frame per
-letter of the left word, so a left word longer than 128 letters first has
-the kernel filled at its suffixes 128 letters apart, shortest first: it
-nests at most 128 deep at any length.  An entry, like a straightener's
+whole action is fixed by the basis kernel e_i.(w1, ()).  It is memoized
+per (basis index, left word) as a {(u1, u2): raw} dict, computed straight
+from the structure table; the left word in its key and every word in its
+terms are engine words (``str``, letter i is ``chr(i)``; see envelope).
+The memo lives on the algebra, keyed by the split's parts, beside the
+straighteners' memos: every :class:`ActionContext` over that algebra and
+those parts shares it, and it is freed with the algebra.  Its values are
+exact, so every result equals the plain recursion's.
+
+A reduction (``LieAlgebra.change_ring``) reads its integral source's
+memos: on a miss, its kernel, its Lie rows and its straightener (for a
+word a caller passes in) first look up the source's entry for the same
+key (the same order, the same parts) and store it reduced into [0, q),
+zeros dropped, or as it stands over Z or Q.  An entry the source lacks
+is computed in the reduction's own ring, so a reduction over Z/q never
+computes over Z.  This is exact on every table, failing ones too: each
+entry is a Z-linear function of the structure table, computed along a
+word path that no coefficient changes, and a cell that is zero mod q
+only removes terms whose reduced coefficient is 0 anyway.  So the
+builtin suite's sl3 reductions mod 2, 3 and 4 read much of what sl3 over
+Z already built.
+
+The kernel's recursion nests one frame per letter of the left word, so a
+left word longer than 128 letters first has the kernel filled at its
+suffixes 128 letters apart, shortest first: it nests at most 128 deep at
+any length.  An entry, like a straightener's
 form, is the memo's own dict, shared by every caller: callers read it and
 never change it.
 
@@ -145,21 +161,22 @@ replaced when another state does; states are never changed in place, so
 identity fixes the table.
 
 The table is summed from a defect row per left word, memoized on the
-context beside the kernel: the canonical E(i, j) of the one-term state
-(w1, ""), both words of each term straightened.  A term c (w1, w2) of s
-adds c times w1's row, each right word v2 replaced by the form of v2 w2.
-A row is read off the kernel itself, its words straightened through the
-declaration order's memo.  From the dim entries e_k.(w1, "") it takes,
-for each pair i < j, the commutator e_i.(e_j.(w1, "")) - e_j.(e_i.(w1,
-"")) as one dict, left-straightened once and negated for (j, i) (for
-i == j it is empty); from the same entries, each left-straightened once,
-it subtracts the bracket side read from the structure table as it is.
-Straightening left words term by term is linear, so straightening the
-two sides apart is exact on every table, failing ones too, where E(j, i)
-need not be -E(i, j).  Each pair's sum then has its right words (two
-letters at most) straightened, equal terms merging.  So the row judges
-the very action the calculator uses.  A left word costs, once per
-context, dim kernel entries, the actions on them, dim (dim + 1) / 2 left
+algebra beside the kernel, keyed by the split's parts: the canonical
+E(i, j) of the one-term state (w1, ""), both words of each term
+straightened.  A term c (w1, w2) of s adds c times w1's row, each right
+word v2 replaced by the form of v2 w2.  A row is read off the kernel
+itself, its words straightened through the declaration order's memo.
+From the dim entries e_k.(w1, "") it takes, for each pair i < j, the
+commutator e_i.(e_j.(w1, "")) - e_j.(e_i.(w1, "")) as one dict,
+left-straightened once and negated for (j, i) (for i == j it is empty);
+from the same entries, each left-straightened once, it subtracts the
+bracket side read from the structure table as it is.  Straightening left
+words term by term is linear, so straightening the two sides apart is
+exact on every table, failing ones too, where E(j, i) need not be
+-E(i, j).  Each pair's sum then has its right words (two letters at
+most) straightened, equal terms merging.  So the row judges the very
+action the calculator uses.  A left word costs, once per algebra and
+parts, dim kernel entries, the actions on them, dim (dim + 1) / 2 left
 straightenings and dim^2 right ones; a state costs one straightening of
 v2 w2 per row term, and a verdict no bracket.  On a validated table the
 law holds, so every row is empty and so is every state's table; the
@@ -210,6 +227,7 @@ from .liealg import (
     _check_indices,
     _cleared,
     _negated,
+    _reduced,
     validate as _validate,  # ActionContext's keyword shadows the plain name
 )
 
@@ -224,15 +242,19 @@ class OracleMismatchError(RuntimeError):
 class ActionContext:
     """A validated (algebra, split) pair that all operations here run in.
 
-    It holds three memos: the basis kernel (:func:`_basis_action`, a
-    {(u1, u2): raw} dict per basis index and left word, read-only to every
-    caller) and the Lie-action defect row of each left word
-    (:func:`_lie_row`, canonical, so empty on a validated table), both
-    kept for its life, and the defect table of the last state a
-    Lie-action verdict judged (:func:`_lie_table`), replaced when a
-    different state arrives.  Reuse
-    one context across calls to share that work, and drop it to free the
-    memory.  The module docstring sets out the Lie-action table's design."""
+    It reads two memos that live on its algebra, keyed by the split's
+    parts: the basis kernel (:func:`_basis_action`, a {(u1, u2): raw} dict
+    per basis index and left word, read-only to every caller) and the
+    Lie-action defect row of each left word (:func:`_lie_row`, canonical,
+    so empty on a validated table).  ``_kernel`` and ``_lie_rows`` are the
+    algebra's dicts, shared by every context over that algebra and those
+    parts and freed with the algebra, as its straighteners' memos are; a
+    reduction's memos first read its source's (see the module docstring).
+    Its own state is the defect table of the last state a Lie-action
+    verdict judged (:func:`_lie_table`), replaced when a different state
+    arrives.  Contexts are cheap: the work they share stays with the
+    algebra, so drop the algebra to free the memory.  The module docstring
+    sets out the Lie-action table's design."""
 
     __slots__ = (
         "algebra", "split", "_parts", "_kernel", "_lie_rows", "_lie_table", "__weakref__",
@@ -248,8 +270,10 @@ class ActionContext:
         self.split = split
         # the parts' engine letters, for the part check on engine words
         self._parts = frozenset(map(chr, split.part1)), frozenset(map(chr, split.part2))
-        self._kernel: dict = {}  # (basis index, left word) -> e_i acting on (w1, "")
-        self._lie_rows: dict = {}  # left word -> its defect row, see _lie_row
+        # the algebra's memos for these parts, shared by every context over
+        # the algebra and its parts
+        self._kernel = algebra._kernels.setdefault(self._parts, {})
+        self._lie_rows = algebra._lie_rows.setdefault(self._parts, {})
         self._lie_table = None  # (s, {(i, j): canonical E(i, j)}), see _lie_table
 
     def unit_state(self) -> StateElement:
@@ -261,14 +285,19 @@ class ActionContext:
 
 def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
     """e_i acting on (w1, "") as a {(u1, u2): raw} dict of engine words,
-    memoized on ctx and returned as the memo's own dict, which callers
-    never change; the recursion step is
+    memoized in ctx's kernel (its algebra's, for its parts; a miss first
+    reads a reduction's source, see the module docstring) and returned as
+    the memo's own dict, which callers never change; the recursion step is
     e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t)).  Each u2 is one letter or
     empty."""
     key = (i, w1)
     hit = ctx._kernel.get(key)
     if hit is not None:
         return hit
+    if ctx.algebra._source is not None:
+        hit = _read_source_kernel(ctx, key)
+        if hit is not None:
+            return hit
     if not w1:
         pair = (chr(i), "") if i in ctx.split.part1_set else ("", chr(i))
         result = {pair: 1}
@@ -286,6 +315,18 @@ def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
         result = out
     ctx._kernel[key] = result
     return result
+
+
+def _read_source_kernel(ctx: ActionContext, key) -> dict | None:
+    """A reduction's kernel miss: its source's entry for key, reduced and
+    stored in ctx's kernel, or None if the source lacks it.  A function of
+    its own, so that the miss path of :func:`_basis_action` on an algebra
+    with no source gains no local and little code: with the read inline,
+    the benchmark's request_stream read ``op_p90_ms`` 3-5 % higher."""
+    hit = ctx.algebra._source._kernels.get(ctx._parts, {}).get(key)
+    if hit is not None:
+        hit = ctx._kernel[key] = _reduced(hit, ctx.algebra.ring.modulus)
+    return hit
 
 
 def _fill_checkpoints(ctx: ActionContext, w1: str) -> None:
@@ -473,7 +514,9 @@ def _left_straightened(terms: dict, form, q) -> dict:
 
 
 def _lie_row(ctx: ActionContext, w1: str) -> tuple:
-    """The defect row of the left word w1, memoized on ctx: the terms
+    """The defect row of the left word w1, memoized in ctx's rows (its
+    algebra's, for its parts; a miss first reads a reduction's source,
+    reduced, see the module docstring): the terms
     ((i, j), v1, v2, raw) of the canonical E(i, j) on the one-term state
     (w1, ""), for every ordered pair, both words straightened.  The
     commutator of each pair i < j is one dict, the second action
@@ -486,6 +529,13 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     if row is not None:
         return row
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
+    if algebra._source is not None:  # the source's row, if it has one, reduced
+        row = algebra._source._lie_rows.get(ctx._parts, {}).get(w1)
+        if row is not None:
+            if q is not None:
+                row = tuple([(pair, v1, v2, c % q) for pair, v1, v2, c in row if c % q])
+            ctx._lie_rows[w1] = row
+            return row
     n, form = algebra.dim, _straightener(algebra)
     acted = [_basis_action(ctx, k, w1) for k in range(n)]
     straight = [_left_straightened(entry, form, q) for entry in acted]

@@ -9,6 +9,7 @@ import pytest
 import envnorm.normalform as normalform
 from envnorm.checks import (
     _PROPERTIES,
+    ExampleRegistry,
     RegistryEntry,
     SuiteConfig,
     _case_rng,
@@ -19,6 +20,7 @@ from envnorm.checks import (
     generate,
     relator_variant,
     run_property,
+    run_suite,
     sl2_algebra,
     sl_algebra,
     sl_triangular_split,
@@ -230,6 +232,97 @@ def test_shared_memo_values_are_never_changed(name):
     changed = [key for memo, key, value, items in snapshot
                if memo.get(key) is not value or list(value.items()) != items]
     assert changed == []
+
+
+def test_contexts_over_one_algebra_and_parts_share_its_memos():
+    alg = sl_algebra(3, Z)
+    split = sl_triangular_split(alg, 3)
+    a = ActionContext(alg, split)
+    b = ActionContext(alg, SplitDecomposition(alg, split.part1, split.part2))
+    assert a._kernel is b._kernel and a._lie_rows is b._lie_rows
+    other = ActionContext(alg, SplitDecomposition(alg, split.part2, split.part1),
+                          validate=False)
+    assert other._kernel is not a._kernel and other._lie_rows is not a._lie_rows
+    section_s(a, EnvElement.word(alg, tuple(reversed(range(alg.dim)))))
+    assert b._kernel and not other._kernel
+
+
+_REDUCED = ("sl3.alg", "sl2_bad_split.alg", "sl2_bad_jacobi.alg", "sl2_bad_alternating.alg")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("spec", _REDUCED)
+def test_a_reduction_reads_what_a_direct_build_computes(spec, q):
+    # a change_ring copy reads its source's forms, kernel and rows on a
+    # miss, reduced mod q: its report and every entry it holds that its
+    # source holds too (every entry it read is one) must be what the same
+    # table read with `ring Zmod q`, which has no source, computes
+    text = (GOLDEN / spec).read_text(encoding="utf-8")
+    cfg = SuiteConfig(seed=5, cases=30, properties=_PROPERTIES.keys())
+    name = spec.removesuffix(".alg")
+
+    def report(algebra, split):
+        return run_suite(cfg, ExampleRegistry([RegistryEntry(name, algebra, split)])).render()
+
+    source, split = parse_spec(text).build()
+    report(source, split)
+    reduction = source.change_ring(make_ring(f"Zmod {q}"))
+    direct_text = text.replace("ring Z\n", f"ring Zmod {q}\n")
+    direct, direct_split = parse_spec(direct_text).build()
+    assert reduction.table == direct.table
+    assert (report(reduction, SplitDecomposition(reduction, split.part1, split.part2))
+            == report(direct, direct_split))
+
+    fresh, fresh_split = parse_spec(direct_text).build()
+    ctx = ActionContext(fresh, fresh_split, validate=False)
+    forms = kernel = rows = 0
+    for rank, form in reduction._forms.items():
+        theirs = source._forms.get(rank)
+        if rank is None or theirs is None:
+            continue
+        order = sorted(range(fresh.dim), key=rank.__getitem__)
+        for w in form.memo.keys() & theirs.memo.keys():
+            assert form.memo[w] == _straightener(fresh, order)(w), (order, w)
+            forms += 1
+    for parts, memo in reduction._kernels.items():
+        for key in memo.keys() & source._kernels.get(parts, {}).keys():
+            assert memo[key] == normalform._basis_action(ctx, *key), key
+            kernel += 1
+    for parts, memo in reduction._lie_rows.items():
+        for w1 in memo.keys() & source._lie_rows.get(parts, {}).keys():
+            got = {(pair, v1, v2): c for pair, v1, v2, c in memo[w1]}
+            assert got == {(pair, v1, v2): c
+                           for pair, v1, v2, c in normalform._lie_row(ctx, w1)}, w1
+            rows += 1
+    assert forms and kernel and rows
+    # what the reduction read, it did not straighten again
+    assert reduction._forms[None].counts[0] < direct._forms[None].counts[0]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_a_reduction_counts_no_step_for_a_word_its_source_straightened(q):
+    source = sl_algebra(3, Z)
+    ring = make_ring(f"Zmod {q}")
+    rng = random.Random(f"reduced-steps-{q}")
+    words = [tuple(rng.choices(range(source.dim), k=rng.randint(2, 6))) for _ in range(30)]
+    split_order = sl_triangular_split(source, 3).split_order()
+
+    def steps(algebra, order):
+        stats = {}
+        results = [straighten(EnvElement.word(algebra, w), order, stats=stats).terms
+                   for w in words]
+        return stats, results
+
+    for order in (None, split_order):
+        cold = source.change_ring(ring)  # its source has straightened nothing
+        direct = LieAlgebra(ring, source.basis, source.table)
+        assert steps(cold, order) == steps(direct, order)
+        assert steps(cold, order)[0]["steps"] == 0  # its own memo now
+        steps(source, order)
+        warm = source.change_ring(ring)
+        got, results = steps(warm, order)
+        assert got == {"steps": 0, "spawned": 0}
+        assert results == steps(LieAlgebra(ring, source.basis, source.table), order)[1]
 
 
 def test_public_results_hold_tuple_words():
@@ -620,8 +713,9 @@ def test_suite_lie_action_row_is_check_lie_action_on_basis_vectors(name):
 
 def test_check_inverse_checks_the_state_split_first():
     # the composition judged the whole first half, a section included,
-    # before its == found the state over another split
-    entry = REG["sl2_Z"]
+    # before its == found the state over another split; a freshly built
+    # algebra, since contexts over REG's share its kernel
+    entry = builtin_examples()["sl2_Z"]
     c = ActionContext(entry.algebra, entry.split)
     other = SplitDecomposition(entry.algebra, entry.split.part1, entry.split.part2)
     s, u = StateElement.term(other, (F, F), (H, E), 3), EnvElement.unit(entry.algebra)
@@ -845,7 +939,7 @@ def test_lie_action_fails_a_fault_planted_in_the_kernel(monkeypatch):
         return {pair: 2 * c if pair[1] else c for pair, c in terms.items()}
 
     monkeypatch.setattr(normalform, "_basis_action", faulty)
-    entry = REG["sl3_Z"]
+    entry = builtin_examples()["sl3_Z"]  # fresh: REG's algebra may hold its rows
     ctx = ActionContext(entry.algebra, entry.split)
     result = run_property("lie_action", SuiteConfig(cases=5), entry, ctx)
     assert result.failed > 0
@@ -916,9 +1010,12 @@ def test_section_equals_the_raw_action_path(name):
     # section_s canonicalizes its left factors after every letter; the raw
     # path acts through act_word and canonicalizes once, at the end.  In
     # worst order every part-1 letter acts across the whole part-2 prefix.
-    entry = REG[name]
+    # The section runs on a freshly built algebra, whose kernel only it
+    # fills; the raw path on REG's copy, each state moved across by its terms.
+    entry = builtin_examples()[name]
     alg, split = entry.algebra, entry.split
-    raw_ctx = ActionContext(alg, split, validate=False)
+    raw_split = REG[name].split
+    raw_ctx = ActionContext(raw_split.algebra, raw_split, validate=False)
     fresh = ActionContext(alg, split, validate=False)
     rng = random.Random(f"worst-order-{name}")
     for degree in range(1, 9):
@@ -928,10 +1025,10 @@ def test_section_equals_the_raw_action_path(name):
             rng.choice([-3, -1, 1, 2, 5])
             for _ in range(2)
         })
-        raw = StateElement.zero(split)
+        raw = StateElement.zero(raw_split)
         for w, c in u.terms.items():
             raw = raw + act_word(raw_ctx, w, raw_ctx.unit_state()).scale(c)
-        assert section_s(fresh, u) == state_canon(raw), u
+        assert section_s(fresh, u) == StateElement(split, state_canon(raw).terms), u
     # the kernel was asked about sorted left words only
     left_words = {w1 for _i, w1 in fresh._kernel}
     assert left_words and all(list(w1) == sorted(w1) for w1 in left_words)
