@@ -263,20 +263,41 @@ def _case_rng(cfg: SuiteConfig, entry: RegistryEntry, label: str, index: int) ->
     return random.Random(_child_seed(cfg.seed, entry.name, label, index))
 
 
+# Every integer draw reads the generator through _below, which is
+# CPython's own Random._randbelow_with_getrandbits: randint(lo, hi) is
+# lo + _below(rng, hi - lo + 1) and choice(seq) is seq[_below(rng, len(seq))],
+# value for value and state for state.  It calls getrandbits itself because
+# randint passes through three Python frames of random.py before it reaches
+# getrandbits, and choice through two.  tests/test_checks.py pins the stream:
+# test_below_is_the_stream_of_randrange against random.Random, and
+# test_generate_draws_are_pinned and test_draws_match_a_term_by_term_reference
+# on the suite's draws.
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n) for n >= 1, drawn as ``rng.randrange(n)``
+    draws it."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw_coeff(rng: random.Random, ring: Ring):
     # small coefficients on purpose: |n| <= 9, denominators <= 9
     if ring.kind == "Q" and rng.random() < 0.5:
         import fractions
 
-        return ring.scalar(fractions.Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-    return ring.scalar(rng.randint(-9, 9))
+        return ring.scalar(fractions.Fraction(_below(rng, 19) - 9, _below(rng, 9) + 1))
+    return ring.scalar(_below(rng, 19) - 9)
 
 
 def _draw_word(rng: random.Random, letters, max_degree: int) -> tuple:
-    # letters is a tuple or a range: rng.choice draws the same stream from either
+    # letters is a tuple or a range: indexing draws the same stream from either
     if not letters:
         return ()
-    return tuple(rng.choice(letters) for _ in range(rng.randint(0, max_degree)))
+    n = len(letters)
+    return tuple([letters[_below(rng, n)] for _ in range(_below(rng, max_degree + 1))])
 
 
 # A draw of several terms accumulates them, in the order drawn, into one
@@ -292,7 +313,7 @@ def _draw_vector(rng: random.Random, algebra: LieAlgebra) -> GVector:
 def _draw_env(rng: random.Random, algebra: LieAlgebra, max_degree: int) -> EnvElement:
     letters = range(algebra.dim)
     terms: dict = {}
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(_below(rng, 3) + 1):
         w = _draw_word(rng, letters, max_degree)
         c = _draw_coeff(rng, algebra.ring)
         if c:
@@ -302,7 +323,7 @@ def _draw_env(rng: random.Random, algebra: LieAlgebra, max_degree: int) -> EnvEl
 
 def _draw_state(rng: random.Random, split: SplitDecomposition, max_degree: int) -> StateElement:
     terms: dict = {}
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(_below(rng, 3) + 1):
         w1 = _draw_word(rng, split.part1, max_degree)
         w2 = _draw_word(rng, split.part2, max_degree)
         c = _draw_coeff(rng, split.algebra.ring)
@@ -478,9 +499,9 @@ def _draw_relator(rng, cfg, entry):
     return [{
         "u": _draw_env(rng, alg, cfg.max_degree),
         "host": host,
-        "pos": rng.randint(0, len(host)),
-        "x": rng.choice(part1),
-        "y": rng.choice(part1),
+        "pos": _below(rng, len(host) + 1),
+        "x": part1[_below(rng, len(part1))],
+        "y": part1[_below(rng, len(part1))],
         "coeff": _draw_coeff(rng, alg.ring),
     }]
 
@@ -496,9 +517,9 @@ def _holds_inverse(ctx, u, s):
 
 def _holds_lie_action(ctx, s, g, h):
     # g and h are drawn basis indices: check_lie_action on basis vectors,
-    # which holds with no sum to judge when E(g, h) is empty
+    # which holds with no sum to judge when E(g, h) is empty or missing
     defects = _lie_table(ctx, s)
-    return not defects[g, h] or _lie_holds(ctx, ((g, 1),), ((h, 1),), defects)
+    return not defects.get((g, h)) or _lie_holds(ctx, ((g, 1),), ((h, 1),), defects)
 
 
 def _holds_well_defined(ctx, u, host, pos, x, y, coeff):

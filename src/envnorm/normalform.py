@@ -156,9 +156,11 @@ for every ordered basis pair, i == j and i > j included, since a table
 under test need not be alternating.  The action, the bracket and
 canonicalization are all linear, so the canonical difference of the two
 sides for g and h is sum g_i h_j E(i, j), and the law holds when that is
-empty.  The table is built whole when s arrives, kept on the context and
+empty.  The table is built when s arrives, kept on the context and
 replaced when another state does; states are never changed in place, so
-identity fixes the table.
+identity fixes the table.  It holds only the pairs some term of s's rows
+reaches, and a pair it lacks has an empty defect: on a validated table
+every row is empty, so the table is too, with no dict per pair.
 
 The table is summed from a defect row per left word, memoized on the
 algebra beside the kernel, keyed by the split's parts: the canonical
@@ -173,16 +175,18 @@ from the same entries, each left-straightened once, it subtracts the
 bracket side read from the structure table as it is.  Straightening left
 words term by term is linear, so straightening the two sides apart is
 exact on every table, failing ones too, where E(j, i) need not be
--E(i, j).  Each pair's sum then has its right words (two letters at
-most) straightened, equal terms merging.  So the row judges the very
-action the calculator uses.  A left word costs, once per algebra and
-parts, dim kernel entries, the actions on them, dim (dim + 1) / 2 left
-straightenings and dim^2 right ones; a state costs one straightening of
-v2 w2 per row term, and a verdict no bracket.  On a validated table the
-law holds, so every row is empty and so is every state's table; the
-suite's lie_action row (checks._holds_lie_action) then passes each pair
-on its empty E(i, j) with no sum to judge, the verdict _lie_holds gives
-on an empty sum.
+-E(i, j).  Each pair's sum that is not empty then has its right words
+(two letters at most) straightened, equal terms merging; its left words
+are forms already, each a word of a left-straightened dict, and a form's
+word is its own form, so this is the canonical sum term for term and in
+the same order.  So the row judges the very action the calculator uses.
+A left word costs, once per algebra and parts, dim kernel entries, the
+actions on them, dim (dim + 1) / 2 left straightenings and at most dim^2
+right ones; a state costs one straightening of v2 w2 per row term, and a
+verdict no bracket.  On a validated table the law holds, so every row is
+empty and so is every state's table; the suite's lie_action row
+(checks._holds_lie_action) then passes each pair on its empty E(i, j)
+with no sum to judge, the verdict _lie_holds gives on an empty sum.
 
 This is exact on every table, failing ones too: the action reads w2 only
 to append it, every step is linear, and the form of one word is a fixed
@@ -513,6 +517,17 @@ def _left_straightened(terms: dict, form, q) -> dict:
     return out
 
 
+def _right_straightened(terms: dict, form, q) -> dict:
+    """Raw {(u1, u2): c} terms with each right word u2 replaced by its form:
+    _canon_terms' result, term for term and in order, when every left word
+    u1 is a form already."""
+    out: dict = {}
+    for (u1, u2), c in terms.items():
+        for v2, c2 in form(u2).items():
+            _acc(out, (u1, v2), c * c2, q)
+    return out
+
+
 def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     """The defect row of the left word w1, memoized in ctx's rows (its
     algebra's, for its parts; a miss first reads a reduction's source,
@@ -522,9 +537,11 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     commutator of each pair i < j is one dict, the second action
     accumulated into the first's with its support negated,
     left-straightened once and negated for (j, i); the bracket side is
-    summed from the dim kernel entries, each left-straightened once; the
-    right words of each pair's sum are straightened last.  It is keyed by
-    w1 as it stands; the module docstring says why that is exact."""
+    summed from the dim kernel entries, each left-straightened once.  A
+    pair whose sum is empty adds no term; the others have only their
+    right words straightened last (:func:`_right_straightened`), since
+    every left word is a form already.  It is keyed by w1 as it stands;
+    the module docstring says why that is exact."""
     row = ctx._lie_rows.get(w1)
     if row is not None:
         return row
@@ -552,7 +569,9 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
         for k, b in algebra.table[i][j]:
             for key, c in straight[k].items():
                 _acc(defect, key, -b * c, q)
-        row += [(pair, v1, v2, c) for (v1, v2), c in _canon_terms(algebra, defect).items()]
+        if defect:
+            row += [(pair, v1, v2, c)
+                    for (v1, v2), c in _right_straightened(defect, form, q).items()]
     row = ctx._lie_rows[w1] = tuple(row)
     return row
 
@@ -560,16 +579,17 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
 def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
     """s's defect table, {(i, j): E(i, j)} of raw term dicts of engine
     words, summed from the rows of s's left words (see the module
-    docstring): ctx's own if s was the last state judged, else built whole,
-    s checked and encoded once, and kept."""
+    docstring): ctx's own if s was the last state judged, else built, s
+    checked and encoded once, and kept.  It holds only the pairs some row
+    term reaches; a pair it lacks has an empty E(i, j), so readers take
+    pairs with ``.get``."""
     if ctx._lie_table is not None and ctx._lie_table[0] is s:
         return ctx._lie_table[1]
-    algebra, q = ctx.algebra, ctx.algebra.ring.modulus
-    n, form = algebra.dim, _straightener(algebra)
-    defects = {(i, j): {} for i in range(n) for j in range(n)}
+    q, form = ctx.algebra.ring.modulus, _straightener(ctx.algebra)
+    defects: dict = {}
     for (w1, w2), c in _encoded(s, ctx.split).items():
         for pair, v1, v2, d in _lie_row(ctx, w1):
-            defect, cd = defects[pair], c * d
+            defect, cd = defects.setdefault(pair, {}), c * d
             for x2, c2 in form(v2 + w2).items():
                 _acc(defect, (v1, x2), cd * c2, q)
     ctx._lie_table = s, defects
@@ -578,15 +598,18 @@ def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
 
 def _lie_holds(ctx: ActionContext, gs, hs, defects: dict) -> bool:
     """check_lie_action's core, on g's and h's (index, raw) support pairs
-    and the state's defect table (:func:`_lie_table`); the part check runs
-    on a nonempty sum, as on a state of it."""
+    and the state's defect table (:func:`_lie_table`), where a missing pair
+    adds nothing; the part check runs on a nonempty sum, as on a state of
+    it."""
     q = ctx.algebra.ring.modulus
     diff: dict = {}
     for i, gi in gs:
         for j, hj in hs:
-            c = gi * hj
-            for key, d in defects[i, j].items():
-                _acc(diff, key, c * d, q)
+            defect = defects.get((i, j))
+            if defect:
+                c = gi * hj
+                for key, d in defect.items():
+                    _acc(diff, key, c * d, q)
     return not _checked(ctx, diff)
 
 

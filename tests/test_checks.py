@@ -16,6 +16,7 @@ from envnorm.checks import (
     SuiteConfig,
     SuiteReport,
     _PROPERTIES,
+    _below,
     _case_rng,
     builtin_examples,
     heisenberg_algebra,
@@ -157,6 +158,23 @@ def test_draws_match_a_term_by_term_reference(cfg):
                 want = _term_by_term_draw(kind, cfg, entry, i)
                 assert type(got) is type(want), (entry.name, kind, i)
                 assert list(got.terms.items()) == list(want.terms.items()), (entry.name, kind, i)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+def test_below_is_the_stream_of_randrange(seed):
+    # the draws read random.Random through _below: each call must give the
+    # value randrange, randint or choice gives and leave the generator in
+    # the state it leaves, for every n a draw can ask for and more
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(1, 41):
+        for lo in (-9, 0, 1):
+            assert _below(ours, n) == theirs.randrange(n), (seed, n)
+            assert ours.getstate() == theirs.getstate()
+            assert lo + _below(ours, n) == theirs.randint(lo, lo + n - 1), (seed, n, lo)
+            assert ours.getstate() == theirs.getstate()
+            for seq in (tuple(range(lo, lo + 2 * n, 2)), range(lo, lo + n)):
+                assert seq[_below(ours, len(seq))] == theirs.choice(seq), (seed, n, seq)
+                assert ours.getstate() == theirs.getstate()
 
 
 def test_generate_degree_bound():
