@@ -88,7 +88,7 @@ from .liealg import (
     _check_carrier,
     _check_indices,
     _Combination,
-    _reduced,
+    _read_source,
 )
 
 
@@ -336,18 +336,17 @@ def _straightener(algebra: LieAlgebra, order=None):
     one dict lookup.
 
     On a reduction (``LieAlgebra.change_ring``) a word a caller passes in
-    that the memo lacks is first looked up in the source's straightener
-    for the same order, if the source has built one; a word found there
-    is stored reduced into [0, q), zeros dropped (over Z or Q, as it
-    stands), and costs no rewrite, so ``form.counts`` adds nothing for it.
-    A word the source lacks is straightened in the reduction's own ring,
-    exactly as on an algebra with no source, and the words its
+    that the memo lacks is first read from the source's straightener for
+    the same order, if the source has built one (``liealg._read_source``);
+    a word found there costs no rewrite, so ``form.counts`` adds nothing
+    for it.  A word the source lacks is straightened in the reduction's
+    own ring, exactly as on an algebra with no source, and the words its
     straightening reaches are not looked up.  That lookup is a function of
     its own around the rewriting step, ``step``, which recurses through
     itself: so an algebra with no source runs ``step`` with no check (one
     inside it cost long words 2-6 %), and a reduction nests no deeper than
     an algebra with no source (a lookup on every recursion would nest two
-    frames a letter).  ``LieAlgebra.change_ring`` says why the lookup is
+    frames a letter).  ``LieAlgebra.change_ring`` says why the read is
     exact.
     """
     forms = algebra._forms
@@ -470,10 +469,9 @@ def _straightener(algebra: LieAlgebra, order=None):
                 return hit
             source = sources.get(rank)
             if source is not None:
-                hit = source.memo.get(w)
+                hit = _read_source(memo, source.memo, w, q)
                 if hit is not None:
-                    result = memo[w] = _reduced(hit, q)
-                    return result
+                    return hit
             return step(w, start)
 
     form.memo, form.counts = memo, counts

@@ -114,19 +114,26 @@ def _acc(d: dict, key, c, q=None) -> None:
         del d[key]
 
 
-def _reduced(terms: dict, q) -> dict:
-    """A source's memo entry, raw {key: c}, as its change_ring copy reads
-    it: each c reduced into [0, q) with the zeros dropped, as a fresh dict;
-    with no modulus (a copy over Z or Q) the entry itself, shared, since
-    every memo entry is read-only to its callers."""
-    if q is None:
-        return terms
-    out = {}
-    for key, c in terms.items():
-        c %= q
-        if c:
-            out[key] = c
-    return out
+def _read_source(memo: dict, source: dict, key, q) -> dict | None:
+    """A change_ring copy's read of its source's memo on a miss: the source
+    entry under key, a raw {k: c} dict, stored in memo under key and
+    returned, each c reduced into [0, q) with the zeros dropped, as a fresh
+    dict; with no modulus (a copy over Z or Q) the entry itself, shared,
+    since every memo entry is read-only to its callers.  None, and nothing
+    stored, if the source lacks key.  ``LieAlgebra.change_ring`` says why
+    the read is exact."""
+    entry = source.get(key)
+    if entry is None:
+        return None
+    if q is not None:
+        reduced = {}
+        for k, c in entry.items():
+            c %= q
+            if c:
+                reduced[k] = c
+        entry = reduced
+    memo[key] = entry
+    return entry
 
 
 def _cleared(ring: Ring, *parts) -> tuple:
@@ -408,8 +415,8 @@ class LieAlgebra:
         the copy's kernel and Lie rows, and its straighteners for each word
         a caller passes in, first read the source's entry for the same key
         (the same order, the same split parts), reduced into [0, q) with
-        zeros dropped (:func:`_reduced`); an entry the source lacks is
-        computed in the copy's own ring.  This
+        zeros dropped, through :func:`_read_source`; an entry the source
+        lacks is computed in the copy's own ring.  This
         is exact on every table, failing ones too: each entry is a Z-linear
         function of the table, computed along a word path that no
         coefficient changes, and reduction mod q is a ring homomorphism,

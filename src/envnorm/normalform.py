@@ -27,16 +27,12 @@ exact, so every result equals the plain recursion's.
 
 A reduction (``LieAlgebra.change_ring``) reads its integral source's
 memos: on a miss, its kernel, its Lie rows and its straightener (for a
-word a caller passes in) first look up the source's entry for the same
-key (the same order, the same parts) and store it reduced into [0, q),
-zeros dropped, or as it stands over Z or Q.  An entry the source lacks
-is computed in the reduction's own ring, so a reduction over Z/q never
-computes over Z.  This is exact on every table, failing ones too: each
-entry is a Z-linear function of the structure table, computed along a
-word path that no coefficient changes, and a cell that is zero mod q
-only removes terms whose reduced coefficient is 0 anyway.  So the
-builtin suite's sl3 reductions mod 2, 3 and 4 read much of what sl3 over
-Z already built.
+word a caller passes in) first read the source's entry for the same key
+(the same order, the same parts) through ``liealg._read_source``.  An
+entry the source lacks is computed in the reduction's own ring, so a
+reduction over Z/q never computes over Z.  ``change_ring`` says why this
+is exact on every table, failing ones too.  So the builtin suite's sl3
+reductions mod 2, 3 and 4 read much of what sl3 over Z already built.
 
 The kernel's recursion nests one frame per letter of the left word, so a
 left word longer than 128 letters first has the kernel filled at its
@@ -73,11 +69,12 @@ ring values (a ``Scalar``'s ``value``: ints, reduced into [0, q) over Z/q,
 and ints or Fractions over Q), never ``Scalar``s, and read the structure
 table, which holds raw values too, as it is.  Over Z and Z/q a form
 holds only strs and ints, so the cyclic garbage collector never tracks
-it; a kernel entry's keys are tuples, so the collector tracks it as built
-and untracks it, with its keys, at its first full collection.  The
-public functions take and return ``GVector``s and ``StateElement``s of
-scalars and tuple words, converting at their constructors: a state's words
-are encoded as it enters and decoded where an element is built.
+it; a kernel entry's and a Lie row's keys are tuples, so the collector
+tracks each as built and untracks it, with its keys, at its first full
+collection.  The public functions take and return ``GVector``s and
+``StateElement``s of scalars and tuple words, converting at their
+constructors: a state's words are encoded as it enters and decoded where
+an element is built.
 
 act and act_word return the raw action on tensor-level representatives,
 never canonicalized.  section_s is that action with canonicalization
@@ -165,8 +162,9 @@ every row is empty, so the table is too, with no dict per pair.
 The table is summed from a defect row per left word, memoized on the
 algebra beside the kernel, keyed by the split's parts: the canonical
 E(i, j) of the one-term state (w1, ""), both words of each term
-straightened.  A term c (w1, w2) of s adds c times w1's row, each right
-word v2 replaced by the form of v2 w2.  A row is read off the kernel
+straightened, as one raw term dict {((i, j), v1, v2): c}, the shape of
+every other memo entry.  A term c (w1, w2) of s adds c times w1's row,
+each right word v2 replaced by the form of v2 w2.  A row is read off the kernel
 itself, its words straightened through the declaration order's memo.
 From the dim entries e_k.(w1, "") it takes, for each pair i < j, the
 commutator e_i.(e_j.(w1, "")) - e_j.(e_i.(w1, "")) as one dict,
@@ -231,7 +229,7 @@ from .liealg import (
     _check_indices,
     _cleared,
     _negated,
-    _reduced,
+    _read_source,
     validate as _validate,  # ActionContext's keyword shadows the plain name
 )
 
@@ -249,11 +247,12 @@ class ActionContext:
     It reads two memos that live on its algebra, keyed by the split's
     parts: the basis kernel (:func:`_basis_action`, a {(u1, u2): raw} dict
     per basis index and left word, read-only to every caller) and the
-    Lie-action defect row of each left word (:func:`_lie_row`, canonical,
-    so empty on a validated table).  ``_kernel`` and ``_lie_rows`` are the
-    algebra's dicts, shared by every context over that algebra and those
-    parts and freed with the algebra, as its straighteners' memos are; a
-    reduction's memos first read its source's (see the module docstring).
+    Lie-action defect row of each left word (:func:`_lie_row`, a raw term
+    dict, canonical, so empty on a validated table).  ``_kernel`` and
+    ``_lie_rows`` are the algebra's dicts, shared by every context over
+    that algebra and those parts and freed with the algebra, as its
+    straighteners' memos are; a reduction's memos first read its source's
+    (:func:`_read_source`).
     Its own state is the defect table of the last state a Lie-action
     verdict judged (:func:`_lie_table`), replaced when a different state
     arrives.  Contexts are cheap: the work they share stays with the
@@ -290,16 +289,17 @@ class ActionContext:
 def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
     """e_i acting on (w1, "") as a {(u1, u2): raw} dict of engine words,
     memoized in ctx's kernel (its algebra's, for its parts; a miss first
-    reads a reduction's source, see the module docstring) and returned as
-    the memo's own dict, which callers never change; the recursion step is
-    e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t)).  Each u2 is one letter or
+    reads a reduction's source through :func:`_read_source`) and returned
+    as the memo's own dict, which callers never change; the recursion step
+    is e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t)).  Each u2 is one letter or
     empty."""
     key = (i, w1)
     hit = ctx._kernel.get(key)
     if hit is not None:
         return hit
     if ctx.algebra._source is not None:
-        hit = _read_source_kernel(ctx, key)
+        hit = _read_source(ctx._kernel, ctx.algebra._source._kernels.get(ctx._parts, {}), key,
+                           ctx.algebra.ring.modulus)
         if hit is not None:
             return hit
     if not w1:
@@ -319,18 +319,6 @@ def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
         result = out
     ctx._kernel[key] = result
     return result
-
-
-def _read_source_kernel(ctx: ActionContext, key) -> dict | None:
-    """A reduction's kernel miss: its source's entry for key, reduced and
-    stored in ctx's kernel, or None if the source lacks it.  A function of
-    its own, so that the miss path of :func:`_basis_action` on an algebra
-    with no source gains no local and little code: with the read inline,
-    the benchmark's request_stream read ``op_p90_ms`` 3-5 % higher."""
-    hit = ctx.algebra._source._kernels.get(ctx._parts, {}).get(key)
-    if hit is not None:
-        hit = ctx._kernel[key] = _reduced(hit, ctx.algebra.ring.modulus)
-    return hit
 
 
 def _fill_checkpoints(ctx: ActionContext, w1: str) -> None:
@@ -528,12 +516,12 @@ def _right_straightened(terms: dict, form, q) -> dict:
     return out
 
 
-def _lie_row(ctx: ActionContext, w1: str) -> tuple:
+def _lie_row(ctx: ActionContext, w1: str) -> dict:
     """The defect row of the left word w1, memoized in ctx's rows (its
-    algebra's, for its parts; a miss first reads a reduction's source,
-    reduced, see the module docstring): the terms
-    ((i, j), v1, v2, raw) of the canonical E(i, j) on the one-term state
-    (w1, ""), for every ordered pair, both words straightened.  The
+    algebra's, for its parts; a miss first reads a reduction's source
+    through :func:`_read_source`), stored only once complete: the raw term
+    dict {((i, j), v1, v2): c} of the canonical E(i, j) on the one-term
+    state (w1, ""), for every ordered pair, both words straightened.  The
     commutator of each pair i < j is one dict, the second action
     accumulated into the first's with its support negated,
     left-straightened once and negated for (j, i); the bracket side is
@@ -546,12 +534,9 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
     if row is not None:
         return row
     algebra, q = ctx.algebra, ctx.algebra.ring.modulus
-    if algebra._source is not None:  # the source's row, if it has one, reduced
-        row = algebra._source._lie_rows.get(ctx._parts, {}).get(w1)
+    if algebra._source is not None:
+        row = _read_source(ctx._lie_rows, algebra._source._lie_rows.get(ctx._parts, {}), w1, q)
         if row is not None:
-            if q is not None:
-                row = tuple([(pair, v1, v2, c % q) for pair, v1, v2, c in row if c % q])
-            ctx._lie_rows[w1] = row
             return row
     n, form = algebra.dim, _straightener(algebra)
     acted = [_basis_action(ctx, k, w1) for k in range(n)]
@@ -563,16 +548,16 @@ def _lie_row(ctx: ActionContext, w1: str) -> tuple:
             _act_terms(ctx, ((j, -1),), acted[i], diff)
             defects[i, j] = _left_straightened(diff, form, q)
             defects[j, i] = dict(_negated(defects[i, j].items(), q))
-    row = []
+    row = {}
     for pair, defect in defects.items():
         i, j = pair
         for k, b in algebra.table[i][j]:
             for key, c in straight[k].items():
                 _acc(defect, key, -b * c, q)
         if defect:
-            row += [(pair, v1, v2, c)
-                    for (v1, v2), c in _right_straightened(defect, form, q).items()]
-    row = ctx._lie_rows[w1] = tuple(row)
+            for (v1, v2), c in _right_straightened(defect, form, q).items():
+                row[pair, v1, v2] = c
+    ctx._lie_rows[w1] = row
     return row
 
 
@@ -588,7 +573,7 @@ def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
     q, form = ctx.algebra.ring.modulus, _straightener(ctx.algebra)
     defects: dict = {}
     for (w1, w2), c in _encoded(s, ctx.split).items():
-        for pair, v1, v2, d in _lie_row(ctx, w1):
+        for (pair, v1, v2), d in _lie_row(ctx, w1).items():
             defect, cd = defects.setdefault(pair, {}), c * d
             for x2, c2 in form(v2 + w2).items():
                 _acc(defect, (v1, x2), cd * c2, q)

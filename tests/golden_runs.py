@@ -20,12 +20,14 @@ through ``envnorm.cli.main``. Run as a script, with no arguments,
 
 runs every row of both tables through the installed ``envnorm`` console
 script, compares the exit code and the stdout and stderr bytes, names every
-row that differs and exits 1 if any does. The module imports only the
+row that differs and exits 1 if any does; with no ``envnorm`` on ``PATH`` it
+says so in one line and exits 2. The module imports only the
 standard library, never ``envnorm``, so the script judges the installed
 program and nothing else (``tests/test_reference.py`` holds it to that).
 """
 
 import difflib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +254,10 @@ def _pinned(row):
 
 
 def main() -> int:
+    if shutil.which("envnorm") is None:
+        print("no envnorm console script on PATH; install it with `pip install -e .`",
+              file=sys.stderr)
+        return 2
     rows = GOLDEN_RUNS + ERROR_RUNS
     differ = []
     for row in rows:

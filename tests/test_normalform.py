@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import envnorm.envelope as envelope
+import envnorm.liealg as liealg
 import envnorm.normalform as normalform
 from envnorm.checks import (
     _PROPERTIES,
@@ -178,7 +180,7 @@ def test_memo_values_are_not_tracked_by_the_collector(ring):
     forms = [form for a in (alg, bad) for f in a._forms.values() for form in f.memo.values()]
     kernel = list(c._kernel.values()) + list(failing._kernel.values())
     rows = list(c._lie_rows.values()) + list(failing._lie_rows.values())
-    entries = [entry for row in rows for entry in row]
+    entries = [entry for row in rows for item in row.items() for entry in item]
     assert forms and kernel and rows and entries
     assert [v for v in forms + kernel + rows + entries if gc.is_tracked(v)] == []
 
@@ -290,9 +292,7 @@ def test_a_reduction_reads_what_a_direct_build_computes(spec, q):
             kernel += 1
     for parts, memo in reduction._lie_rows.items():
         for w1 in memo.keys() & source._lie_rows.get(parts, {}).keys():
-            got = {(pair, v1, v2): c for pair, v1, v2, c in memo[w1]}
-            assert got == {(pair, v1, v2): c
-                           for pair, v1, v2, c in normalform._lie_row(ctx, w1)}, w1
+            assert memo[w1] == normalform._lie_row(ctx, w1), w1
             rows += 1
     assert forms and kernel and rows
     # what the reduction read, it did not straighten again
@@ -323,6 +323,49 @@ def test_a_reduction_counts_no_step_for_a_word_its_source_straightened(q):
         got, results = steps(warm, order)
         assert got == {"steps": 0, "spawned": 0}
         assert results == steps(LieAlgebra(ring, source.basis, source.table), order)[1]
+
+
+def test_read_source_is_the_one_read_of_a_reduction(monkeypatch):
+    read = liealg._read_source
+    source = {"k": {"a": 3, "b": 4, "c": -1}, "zeros": {"a": 4, "b": -8}}
+    memo = {}
+    assert read(memo, source, "k", 4) == {"a": 3, "c": 3}
+    assert memo == {"k": {"a": 3, "c": 3}}
+    # an entry that vanishes mod q is stored empty, so a read row stays empty
+    zeros = read(memo, source, "zeros", 4)
+    assert zeros == {} and not zeros and memo["zeros"] is zeros
+    memo = {}
+    assert read(memo, source, "k", None) is source["k"] is memo["k"]  # shared over Z or Q
+    memo = {}
+    assert read(memo, source, "missing", 4) is None and memo == {}
+
+    # a Zmod 4 copy of a warm sl3 over Z reads its kernel entries, its rows
+    # and its forms through the one read
+    reads = []
+
+    def counting(memo, source, key, q):
+        hit = read(memo, source, key, q)
+        if hit is not None:
+            reads.append(memo)
+        return hit
+
+    monkeypatch.setattr(envelope, "_read_source", counting)
+    monkeypatch.setattr(normalform, "_read_source", counting)
+    alg = sl_algebra(3, Z)
+    split = sl_triangular_split(alg, 3)
+    u = tuple(reversed(range(alg.dim)))
+    warm = ActionContext(alg, split)
+    normal_order(warm, EnvElement.word(alg, u))
+    _judge_every_basis_pair(warm, 5)
+    assert reads == []  # an algebra with no source reads nothing
+    reduction = alg.change_ring(make_ring("Zmod 4"))
+    c = ActionContext(reduction, SplitDecomposition(reduction, split.part1, split.part2))
+    normal_order(c, EnvElement.word(reduction, u))
+    _judge_every_basis_pair(c, 5)
+    forms = [f.memo for f in reduction._forms.values()]
+    assert any(memo is c._kernel for memo in reads)
+    assert any(memo is c._lie_rows for memo in reads)
+    assert any(memo is form for memo in reads for form in forms)
 
 
 def test_public_results_hold_tuple_words():
@@ -892,10 +935,33 @@ def test_lie_row_equals_the_suffix_rule(name):
     random.Random(f"row-{name}").shuffle(words)
     for w1 in words:
         row = normalform._lie_row(c, "".join(map(chr, w1)))
-        got = {(pair, tuple(map(ord, v1)), tuple(map(ord, v2))): d for pair, v1, v2, d in row}
-        assert len(got) == len(row)
+        got = {(pair, tuple(map(ord, v1)), tuple(map(ord, v2))): d
+               for (pair, v1, v2), d in row.items()}
         expected = reference.suffix_lie_row(algebra.table, algebra.ring.modulus, split.part1, w1, memo)
         assert got == expected, (name, w1)
+
+
+def test_a_row_that_fails_to_build_is_not_memoized(monkeypatch):
+    # a row is stored only once complete: after a build that raises, the
+    # next call builds the whole row, never an empty one that would pass
+    algebra, split = _algebra_and_split("sl2_bad_jacobi.alg")
+    c = ActionContext(algebra, split, validate=False)
+    w1 = (split.part1[0],) * 2
+    word = "".join(map(chr, w1))
+    expected = reference.suffix_lie_row(algebra.table, algebra.ring.modulus, split.part1, w1, {})
+    assert len(expected) == 4
+
+    def overflow(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(normalform, "_right_straightened", overflow)
+    with pytest.raises(RecursionError):
+        normalform._lie_row(c, word)
+    assert word not in c._lie_rows
+    monkeypatch.undo()
+    row = normalform._lie_row(c, word)
+    assert {(pair, tuple(map(ord, v1)), tuple(map(ord, v2))): d
+            for (pair, v1, v2), d in row.items()} == expected
 
 
 @pytest.mark.parametrize("name", [e.name for e in REG.entries()] + ["sl2_bad_jacobi.alg"])
