@@ -28,7 +28,7 @@ from envnorm.envelope import (
 from envnorm.liealg import GVector, LieAlgebra, SplitDecomposition
 from envnorm.normalform import ActionContext, act, normal_order, section_s
 from envnorm.ring import RingMismatchError, make_ring
-from failing_tables import random_failing_table
+from failing_tables import failing_tables
 import reference
 from reference import plain
 
@@ -192,32 +192,12 @@ def test_oracle_matches_worklist_cut_at_the_boundary():
             assert plain(oracle_normal_order(u, split)) == expected, entry.name
 
 
-FAILING_RINGS = ("Z", "Zmod 3", "Zmod 4", "Q")
-
-
-def _failing_tables():
-    """(name, algebra, split): the three sl2_bad_*.alg goldens, and seeded
-    random 3-5-dimensional tables that fail both axioms, over each ring."""
-    rng = random.Random(30)
-    for ring in FAILING_RINGS:
-        for bad in ("alternating", "jacobi", "split"):
-            text = (GOLDEN / f"sl2_bad_{bad}.alg").read_text()
-            yield (f"sl2_bad_{bad} {ring}",) + parse_spec(text.replace("ring Z", f"ring {ring}")).build()
-        for dim in (3, 4, 4, 5):
-            cut = rng.randint(1, dim - 1)
-            letters = list(range(dim))
-            rng.shuffle(letters)
-            parts = (tuple(sorted(letters[:cut])), tuple(sorted(letters[cut:])))
-            alg = random_failing_table(rng, make_ring(ring), dim, parts)
-            yield f"random dim {dim} {ring}", alg, SplitDecomposition(alg, *parts)
-
-
 def test_straighten_and_state_canon_match_worklist_on_failing_tables():
     # On a table that fails validation the normal form depends on the
     # rewriting strategy; the memoized straightener must still give the
     # leftmost-inversion result, word for word, under every order.
     rng = random.Random(31)
-    for name, alg, split in _failing_tables():
+    for name, alg, split in failing_tables():
         orders = [None]
         for _ in range(2):
             orders.append(list(range(alg.dim)))
@@ -244,7 +224,7 @@ def test_section_is_canonical_on_failing_tables():
     # ValueError from the part check.
     rng = random.Random(32)
     returned = 0
-    for name, alg, split in _failing_tables():
+    for name, alg, split in failing_tables():
         ctx = ActionContext(alg, split, validate=False)
         for _ in range(15):
             u = _random_elt(rng, alg, 4)

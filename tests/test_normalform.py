@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -59,7 +60,7 @@ from envnorm.normalform import (
     section_s,
 )
 from envnorm.ring import make_ring
-from failing_tables import random_failing_table
+from failing_tables import failing_tables, random_failing_table
 import reference
 from reference import plain
 
@@ -477,11 +478,29 @@ def test_normal_order_round_trips_merged_states():
 
 
 def test_normal_order_oracle_mismatch_raises(ctx, monkeypatch):
-    monkeypatch.setattr(
-        normalform, "oracle_normal_order", lambda u, split: StateElement.unit(split)
-    )
-    with pytest.raises(OracleMismatchError):
+    # the oracle's raw terms, planted where normal_order reads them: the
+    # unit state, 1 (x) 1; the message renders both states in full
+    monkeypatch.setattr(normalform, "_oracle_terms", lambda split, words: {("", ""): 1})
+    message = ("section disagrees with straightening oracle on 1 * e * f: "
+               "1 * f (x) e + 1 * 1 (x) h vs 1 * 1 (x) 1")
+    with pytest.raises(OracleMismatchError, match=f"^{re.escape(message)}$"):
         normal_order(ctx, EnvElement.word(ctx.algebra, (E, F)))
+
+
+def test_normal_order_builds_only_its_result(ctx, monkeypatch):
+    # on a passing check the section and the oracle are compared as raw
+    # terms: the one state built is the result
+    u = EnvElement.word(ctx.algebra, (E, E, F, H)) + EnvElement.word(ctx.algebra, (F, E), 3)
+    built = []
+    fill = StateElement._fill
+
+    def counting(self, split, terms):
+        built.append(self)
+        fill(self, split, terms)
+
+    monkeypatch.setattr(StateElement, "_fill", counting)
+    result = normal_order(ctx, u)
+    assert len(built) == 1 and built[0] is result
 
 
 def test_normal_order_inverse_mismatch_raises(ctx, monkeypatch):
@@ -681,6 +700,36 @@ _COMPOSED = {
     "mu_compat": (check_mu_compat, _mu_compat_by_composition),
     "well_defined": (_holds_well_defined, _well_defined_by_composition),
 }
+
+
+def _normal_order_by_composition(c, u):
+    """normal_order as it read when it boxed the section and the oracle as
+    two states and compared them with !=: the reference its raw comparison
+    must agree with, outcome for outcome."""
+    result = section_s(c, u)
+    oracle = oracle_normal_order(u, c.split)
+    if result != oracle:
+        raise OracleMismatchError(
+            f"section disagrees with straightening oracle on {u}: {result} vs {oracle}")
+    if not env_eq(mu_state(result), u):
+        raise OracleMismatchError(f"factor multiplication does not invert the section on {u}")
+    return result
+
+
+def test_normal_order_matches_its_boxed_composition():
+    # the same state, the same part-check ValueError or the same
+    # OracleMismatchError text, on every builtin entry and failing table
+    rng = random.Random(35)
+    tables = [(e.name, e.algebra, e.split) for e in REG.entries()] + list(failing_tables())
+    kinds = set()
+    for name, algebra, split in tables:
+        c = ActionContext(algebra, split, validate=False)
+        for _ in range(40):
+            u = _rand_elt(rng, c, 4)
+            got = _outcome(normal_order, c, u)
+            assert got == _outcome(_normal_order_by_composition, c, u), (name, u)
+            kinds.add(type(got) if isinstance(got, StateElement) else got[0])
+    assert kinds == {StateElement, ValueError, OracleMismatchError}
 
 
 def _foreign(algebra, split):

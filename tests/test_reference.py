@@ -40,3 +40,25 @@ def test_src_catches_no_broad_exception():
             if node.type is None or any(isinstance(c, ast.Name) and c.id in broad for c in caught):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_normal_order_and_the_verdicts_compose_raw_cores():
+    # normal_order and every verdict read raw terms and build no element
+    # on the way; the one boxed step left is normal_order's second check,
+    # env_eq on mu_state of its result
+    boxed = {"section_s", "oracle_normal_order", "state_canon", "state_eq", "straighten",
+             "act", "act_word"}
+    normal_order_only = {"env_eq", "mu_state"}
+    found = []
+    for name in ("normalform.py", "checks.py"):
+        tree = ast.parse((HERE.parent / "src" / "envnorm" / name).read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in boxed or (callee in normal_order_only and func.name != "normal_order"):
+                    found.append(f"{name}:{node.lineno} {func.name} calls {callee}")
+    assert found == []
