@@ -26,7 +26,10 @@ An expression parses to a {word: coefficient} dict; terms that cancel are
 dropped. A bracket value is an expression that is linear after that
 cancellation: every word left has one letter. So '2*(e - f)' and
 'e*f - e*f' (zero) are bracket values, and 'e*f' and '1' are not. Error
-columns count from the start of the line, on bracket lines too.
+columns count from the start of the line, on bracket lines too. A plain
+linear value, such as '-2*e + h - 3*f', is read directly, without the
+grammar; every other value goes through the grammar, with the same result
+and the same errors.
 
 Expressions nest at most 200 parentheses deep, and no product or sum in
 one may expand to more than 100000 terms. Integers (coefficients and the
@@ -297,6 +300,52 @@ class AlgebraSpec(_Record):
         return algebra, SplitDecomposition(algebra, self.part1, self.part2)
 
 
+def _plain_linear(text: str, ring: Ring, index: dict) -> list | None:
+    """The sorted (k, c) pairs of a plain linear bracket value, or None.
+
+    A plain value is terms ``[-][n*]name`` joined by '+' or '-', with
+    blanks (spaces or tabs) between terms and operators and none inside a
+    term; n is ASCII digits and name a declared basis name, and no term
+    after a binary '-' has a sign. Its pairs are those the grammar gives:
+    each coefficient coerced as ``_parse_coeff`` does, the terms summed by
+    ``_acc`` in order, zeros dropped. Any other text gives None, for the
+    grammar to read or reject."""
+    words = text.replace("\t", " ").split(" ")
+    if len(words) > 2 * _MAX_TERMS:  # the grammar's bound on a sum might apply
+        return None
+    q = ring.modulus
+    acc: dict = {}
+    op = "+"  # the operator before the next term; None after a term
+    for word in words:
+        if not word:
+            continue
+        if op is None:
+            if word != "+" and word != "-":
+                return None
+            op = word
+            continue
+        sign = 1 if op == "+" else -1
+        if word[0] == "-":
+            if sign < 0:
+                return None
+            sign, word = -1, word[1:]
+        n, star, name = word.rpartition("*")
+        k = index.get(name)
+        if k is None:
+            return None
+        if star:
+            if not (n.isascii() and n.isdigit()):
+                return None
+            c = ring.coerce(sign * read_int(n))
+        else:
+            c = sign
+        _acc(acc, k, c, q)
+        op = None
+    if op is not None:  # no term, or a trailing operator
+        return None
+    return sorted(acc.items())
+
+
 _VALID_NAME = lambda s: bool(s) and s[0] in _NAME_START and all(c in _NAME_CONT for c in s)
 _ONCE = ("ring", "basis", "split")  # the directives each file holds exactly once
 
@@ -355,13 +404,15 @@ def parse_spec(text: str) -> AlgebraSpec:
             if (i, j) in written:
                 raise ParseError(f"bracket ({a},{b}) declared twice", lineno)
             written.add((i, j))
-            # tokenize the value in place so that columns count along the line
-            ts = _Tokens(_tokenize(code, lineno, eq + 1), lineno, ring, index)
-            terms = _parse_terms(ts)
-            pairs = [(w[0], c) for w, c in terms.items() if len(w) == 1]
-            if len(pairs) != len(terms):
-                ts.error("bracket value must be a linear combination of basis names", 0)
-            pairs.sort()
+            pairs = _plain_linear(code[eq + 1:], ring, index)
+            if pairs is None:
+                # tokenize the value in place so that columns count along the line
+                ts = _Tokens(_tokenize(code, lineno, eq + 1), lineno, ring, index)
+                terms = _parse_terms(ts)
+                pairs = [(w[0], c) for w, c in terms.items() if len(w) == 1]
+                if len(pairs) != len(terms):
+                    ts.error("bracket value must be a linear combination of basis names", 0)
+                pairs.sort()
             if i > j:
                 pairs = _negated(pairs, ring.modulus)
             pairs = tuple(pairs)

@@ -186,6 +186,9 @@ ERROR_RUNS = (
     (2, ("check", "--builtin", "--cases", "0"), "error: cases must be >= 1\n"),
     (2, ("normal-order", _SL2, "--expr", "e*("),
      "error: line 1, col 4: expected a basis name, '1' or '('\n"),
+    # a bracket value that is not plain linear goes through the expression grammar
+    (2, ("validate", _spec("rejected/sl2_double_minus.alg")),
+     "error: line 4, col 19: expected a basis name, '1' or '('\n"),
     # ① is a digit but not a decimal one, so no denominator starts there
     (2, ("normal-order", _spec("sl2_borel.alg"), "--expr=-1/①2*e*e"),
      "error: line 1, col 4: unexpected character '①'\n"),

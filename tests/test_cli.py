@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 from closed_forms import sl2_eafb, sl2_efn, sl2_hne
+from envnorm import cli
 from envnorm.checks import (
-    RegistryEntry, SuiteConfig, run_property, shrink, sl2_algebra, sl_algebra,
-    sl_triangular_split,
+    RegistryEntry, SuiteConfig, builtin_examples, run_property, shrink, sl2_algebra,
+    sl_algebra, sl_triangular_split,
 )
 from envnorm.cli import (
+    AlgebraSpec,
     ParseError,
     format_spec,
     main,
@@ -218,6 +220,136 @@ def test_bracket_error_columns_count_from_line_start(capsys, tmp_path, line, mes
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def _outcome(text: str):
+    """parse_spec's spec with its coefficients' types, or its error text."""
+    try:
+        spec = parse_spec(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+    return spec, [type(c) for _key, pairs in spec.brackets for _k, c in pairs]
+
+
+def _builtin_spec_texts() -> list[str]:
+    texts = []
+    for entry in builtin_examples().entries():
+        alg, split = entry.algebra, entry.split
+        brackets = tuple(((i, j), tuple(alg.table[i][j]))
+                         for i, j in itertools.combinations_with_replacement(range(alg.dim), 2)
+                         if alg.table[i][j])
+        texts.append(format_spec(AlgebraSpec(alg.ring, alg.basis, brackets,
+                                             split.part1, split.part2)))
+    return texts
+
+
+_PLAIN_RINGS = ("Z", "Q", "Zmod 2", "Zmod 4")
+_PLAIN_BASIS = ("a", "b", "x", "y1", "Z_2")
+
+
+def _plain_value(rng, modulus: int) -> str:
+    """A seeded plain linear value: repeated names, zero and leading-zero
+    coefficients, multiples of the modulus, 4400-digit coefficients and
+    '+ -n*x' terms, spaced by spaces and tabs."""
+    out = []
+    for t in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if roll < 0.3:
+            coeff = ""
+        elif roll < 0.5:
+            coeff = str(rng.randint(0, 9))
+        elif roll < 0.65:
+            coeff = "0" * rng.randint(1, 3) + str(rng.randint(0, 99))
+        elif roll < 0.85:
+            coeff = str(modulus * rng.randint(1, 3))
+        else:
+            coeff = rng.choice("123456789") + "".join(rng.choices(string.digits, k=4399))
+        term = f"{coeff}*{rng.choice(_PLAIN_BASIS[:3])}" if coeff else rng.choice(_PLAIN_BASIS)
+        op = "+" if t == 0 else rng.choice("+-")
+        sign = "-" if op == "+" and rng.random() < 0.3 else ""
+        blank = [rng.choice((" ", "  ", "\t", " \t ")) for _ in range(2)]
+        out.append(sign + term if t == 0 else f"{blank[0]}{op}{blank[1]}{sign}{term}")
+    return "".join(out)
+
+
+def _plain_spec_texts() -> list[str]:
+    """12 specs a ring, each with four plain bracket values (the first
+    spec's fixed), on cells of both orientations."""
+    rng = random.Random(11)
+    cells = list(itertools.combinations_with_replacement(_PLAIN_BASIS, 2))
+    texts = []
+    for ring in _PLAIN_RINGS:
+        modulus = int(ring.split()[-1]) if ring.startswith("Zmod") else 3
+        fixed = [f"{modulus}*a", "a - a", "2*a + -2*b - b + 2*b", "b + 1*b"]
+        for k in range(12):
+            values = fixed if k == 0 else [_plain_value(rng, modulus) for _ in range(4)]
+            lines = [f"ring {ring}", "basis " + " ".join(_PLAIN_BASIS)]
+            for (a, b), value in zip(rng.sample(cells, len(values)), values):
+                a, b = (a, b) if rng.random() < 0.5 else (b, a)
+                lines.append(f"bracket {a} {b} = {value}")
+            texts.append("\n".join(lines + ["split a b | x y1 Z_2"]) + "\n")
+    return texts
+
+
+# values at and past the edge of the plain shape, all but '0*h' left to the
+# grammar; the first five hold blanks other than space and tab
+_GRAMMAR_VALUES = (
+    "h\x0c+ e", "h\xa0+ e", "h +\u2028e", "h\x0b+ e", "h\u3000+\u3000e", "²*h", "٣*h",
+    "h - -e", "h +", "+h", "0*h", "h + 1", "2 * h", "e*f - e*f", "2*(e - f)", "1/3*h",
+    "h + g", "2h", "h e", "-", "h + +e", "h ++ e", "h+e", "*h", "2*", "3*h*e",
+)
+
+
+def _grammar_spec_texts() -> list[str]:
+    return [f"ring {ring}\nbasis e f h\nbracket e f = {value}\nsplit e | f h\n"
+            for ring in ("Z", "Q") for value in _GRAMMAR_VALUES]
+
+
+def _golden_spec_texts() -> list[str]:
+    return [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.rglob("*.alg"))]
+
+
+def _counting_tokenize(monkeypatch) -> list:
+    """Patch cli._tokenize to record each call; returns the call list."""
+    calls, tokenize = [], cli._tokenize
+    monkeypatch.setattr(cli, "_tokenize", lambda *args: calls.append(args) or tokenize(*args))
+    return calls
+
+
+def test_plain_bracket_values_read_as_the_grammar_reads_them(monkeypatch, int_digits):
+    int_digits(4300)  # the long coefficients pass CPython's default limit
+    plain = _plain_spec_texts()
+    calls = _counting_tokenize(monkeypatch)
+    direct = [_outcome(text) for text in plain]
+    assert calls == []  # every seeded value is read without the grammar
+    corpus = plain + _golden_spec_texts() + _builtin_spec_texts() + _grammar_spec_texts()
+    direct += [_outcome(text) for text in corpus[len(plain):]]
+    monkeypatch.setattr(cli, "_plain_linear", lambda *_args: None)
+    for text, got in zip(corpus, direct):
+        assert got == _outcome(text), text[:200]
+
+
+def test_plain_bracket_values_keep_the_bound_on_a_sum(monkeypatch):
+    # both readings look _MAX_TERMS up when called, so a small one shows its edge
+    monkeypatch.setattr(cli, "_MAX_TERMS", 3)
+    texts = [f"ring Z\nbasis {' '.join(_PLAIN_BASIS)}\nbracket a b = {value}\n"
+             "split a b | x y1 Z_2\n"
+             for value in ("a + b + x", "a + b + x - x", "a + b + x + y1 - y1", "a + b + x + y1")]
+    direct = [_outcome(text) for text in texts]
+    assert isinstance(direct[1][0], AlgebraSpec) and "more than 3 terms" in direct[2][0]
+    monkeypatch.setattr(cli, "_plain_linear", lambda *_args: None)
+    assert direct == [_outcome(text) for text in texts]
+
+
+def test_plain_bracket_values_skip_the_tokenizer(monkeypatch):
+    calls = _counting_tokenize(monkeypatch)
+    for name in ("sl2.alg", "sl3.alg", "sl4.alg", "heisenberg.alg"):
+        parse_spec(golden(name))
+    for text in _builtin_spec_texts():
+        parse_spec(text)
+    assert calls == []
+    parse_spec(golden("sl2_q_third.alg"))
+    assert [(line, code[start:]) for code, line, start in calls] == [(5, " 1/3*h")]
+
+
 def test_wrong_table_parses_then_fails_validation():
     # [h,f] = -2*e instead of -2*f: the file is grammatical, the algebra is not
     text = "ring Z\nbasis e f h\nbracket e f = h\nbracket h e = 2*e\nbracket h f = -2*e\nsplit f | h e\n"
@@ -255,8 +387,6 @@ def test_exit_code_table(monkeypatch, capsys, argv, patch, code, err_start):
     """Each failure class through main: its exit code, the start of stderr,
     no traceback, and nothing on stdout. A patched row forces a class no
     input can reach."""
-    import envnorm.cli as cli
-
     if patch is not None:
         monkeypatch.setattr(cli, patch[0], _raises(patch[1]))
     got, out, err = run_cli(capsys, *argv)
@@ -328,8 +458,6 @@ def _expand(factors, scale=1):
 
 def test_parse_expr_expands_products_of_sums():
     # the parser's word product against a local double loop, on every builtin algebra
-    from envnorm.checks import builtin_examples
-
     rng = random.Random(43)
     for entry in builtin_examples().entries():
         alg = entry.algebra
