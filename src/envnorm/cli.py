@@ -2,7 +2,10 @@
 
 File format (UTF-8, a leading byte-order mark allowed; line oriented: a
 line ends at a newline, LF, CR LF or CR, and a form feed or U+2028 stays
-part of its line; '#' starts a comment, blank lines are ignored):
+part of its line; '#' starts a comment, blank lines are ignored; any
+blank that str.split() splits on separates a directive's words and is
+dropped at the ends of a line, while only space and tab separate the parts
+of a bracket value <expr>):
 
     ring Z | ring Q | ring Zmod <q>    # <q> in decimal digits, q >= 2
     basis <name>+
@@ -72,6 +75,7 @@ _NAME_CONT = _NAME_START | set("0123456789_")
 _OPS = set("*+-/()")
 _MAX_NESTING = 200  # parenthesis levels; each costs three parser frames
 _MAX_TERMS = 100_000  # words a product or a sum may expand to
+_DIGITS = {str(d): d for d in range(10)}  # one ASCII digit -> its value
 
 
 class ParseError(ValueError):
@@ -282,21 +286,35 @@ class AlgebraSpec(_Record):
     reversed orientation implied; this makes parse -> print -> parse the
     identity."""
 
-    __slots__ = __match_args__ = ("ring", "basis", "brackets", "part1", "part2")
+    __match_args__ = ("ring", "basis", "brackets", "part1", "part2")
+    # _canonical: made by parse_spec, so the brackets are in the form above
+    __slots__ = (*__match_args__, "_canonical")
 
     def __init__(self, ring: Ring, basis: tuple[str, ...],
                  brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, object], ...]], ...],
                  part1: tuple[int, ...], part2: tuple[int, ...]):
         super().__init__(ring, basis, brackets, part1, part2)
+        object.__setattr__(self, "_canonical", False)
 
     def build(self) -> tuple[LieAlgebra, SplitDecomposition]:
+        """The algebra and split.  A spec ``parse_spec`` made is canonical:
+        its pairs and their mirrors, reduced by ``_negated``, are the
+        algebra's table as they stand (``LieAlgebra._trusted``).  The table
+        of any other spec, each mirror (k, -c) unreduced, goes through the
+        checked constructor, which canonicalizes it or raises its
+        ValueError."""
         n = len(self.basis)
+        canonical = self._canonical
+        q = self.ring.modulus if canonical else None
         table = [[()] * n for _ in range(n)]
         for (i, j), pairs in self.brackets:
             table[i][j] = pairs
             if i != j:
-                table[j][i] = [(k, -c) for k, c in pairs]
-        algebra = LieAlgebra(self.ring, self.basis, table)
+                table[j][i] = _negated(pairs, q)
+        if canonical:
+            algebra = LieAlgebra._trusted(self.ring, self.basis, tuple(map(tuple, table)))
+        else:
+            algebra = LieAlgebra(self.ring, self.basis, table)
         return algebra, SplitDecomposition(algebra, self.part1, self.part2)
 
 
@@ -310,7 +328,9 @@ def _plain_linear(text: str, ring: Ring, index: dict) -> list | None:
     each coefficient coerced as ``_parse_coeff`` does, the terms summed by
     ``_acc`` in order, zeros dropped. Any other text gives None, for the
     grammar to read or reject."""
-    words = text.replace("\t", " ").split(" ")
+    if "\t" in text:
+        text = text.replace("\t", " ")
+    words = text.split(" ")
     if len(words) > 2 * _MAX_TERMS:  # the grammar's bound on a sum might apply
         return None
     q = ring.modulus
@@ -334,9 +354,12 @@ def _plain_linear(text: str, ring: Ring, index: dict) -> list | None:
         if k is None:
             return None
         if star:
-            if not (n.isascii() and n.isdigit()):
-                return None
-            c = ring.coerce(sign * read_int(n))
+            c = _DIGITS.get(n)  # one digit, the common coefficient
+            if c is None:
+                if not (n.isascii() and n.isdigit()):
+                    return None
+                c = read_int(n)
+            c = ring.coerce(sign * c)
         else:
             c = sign
         _acc(acc, k, c, q)
@@ -361,17 +384,62 @@ def parse_spec(text: str) -> AlgebraSpec:
     seen: set[str] = set()  # the _ONCE directives read so far
 
     # a line ends at \n, \r\n or \r only, as open() in text mode reads one
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
-        code = raw.split("#", 1)[0].rstrip()
-        line = code.lstrip()
-        if not line:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        code = raw.rstrip()
+        # a bracket line's head, names and '=<value>'; any other line's head
+        words = code.split(None, 3)
+        if not words:
             continue
-        words = line.split()
         head = words[0]
-        if head in _ONCE:
-            if head in seen:
-                raise ParseError(f"duplicate {head} line", lineno)
-            seen.add(head)
+        if head == "bracket":
+            if ring is None:
+                raise ParseError("bracket before ring line", lineno)
+            # the common line: a and b basis names, which hold no '=', so the
+            # line's first '=' starts its fourth word
+            if (len(words) == 4 and words[3][0] == "="
+                    and words[1] in index and words[2] in index):
+                _kw, a, b, value = words
+                value = value[1:]
+            else:
+                eq = code.find("=")
+                if eq < 0:
+                    raise ParseError("bracket line needs '='", lineno)
+                parts = code[:eq].split()
+                if len(parts) != 3:
+                    raise ParseError("expected 'bracket <a> <b> = <expr>'", lineno)
+                _kw, a, b = parts
+                for name in (a, b):
+                    if name not in index:
+                        raise ParseError(f"unknown name {name!r}", lineno)
+                value = code[eq + 1:]
+            i, j = index[a], index[b]
+            if (i, j) in written:
+                raise ParseError(f"bracket ({a},{b}) declared twice", lineno)
+            written.add((i, j))
+            pairs = _plain_linear(value, ring, index)
+            if pairs is None:
+                # tokenize the value in place so that columns count along the line
+                ts = _Tokens(_tokenize(code, lineno, len(code) - len(value)), lineno, ring, index)
+                terms = _parse_terms(ts)
+                pairs = [(w[0], c) for w, c in terms.items() if len(w) == 1]
+                if len(pairs) != len(terms):
+                    ts.error("bracket value must be a linear combination of basis names", 0)
+                pairs.sort()
+            pairs = _negated(pairs, ring.modulus) if i > j else tuple(pairs)
+            if stored.setdefault((i, j) if i <= j else (j, i), pairs) != pairs:
+                raise ParseError(
+                    f"bracket ({a},{b}) conflicts with the opposite orientation", lineno)
+            continue
+        if head not in _ONCE:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+        if head in seen:
+            raise ParseError(f"duplicate {head} line", lineno)
+        seen.add(head)
+        words = code.split()
         if head == "ring":
             try:
                 ring = make_ring(" ".join(words[1:]))
@@ -387,40 +455,8 @@ def parse_spec(text: str) -> AlgebraSpec:
                     raise ParseError(f"duplicate basis name {name!r}", lineno)
                 index[name] = len(basis)
                 basis.append(name)
-        elif head == "bracket":
-            if ring is None:
-                raise ParseError("bracket before ring line", lineno)
-            eq = code.find("=")
-            if eq < 0:
-                raise ParseError("bracket line needs '='", lineno)
-            parts = code[:eq].split()
-            if len(parts) != 3:
-                raise ParseError("expected 'bracket <a> <b> = <expr>'", lineno)
-            _kw, a, b = parts
-            for name in (a, b):
-                if name not in index:
-                    raise ParseError(f"unknown name {name!r}", lineno)
-            i, j = index[a], index[b]
-            if (i, j) in written:
-                raise ParseError(f"bracket ({a},{b}) declared twice", lineno)
-            written.add((i, j))
-            pairs = _plain_linear(code[eq + 1:], ring, index)
-            if pairs is None:
-                # tokenize the value in place so that columns count along the line
-                ts = _Tokens(_tokenize(code, lineno, eq + 1), lineno, ring, index)
-                terms = _parse_terms(ts)
-                pairs = [(w[0], c) for w, c in terms.items() if len(w) == 1]
-                if len(pairs) != len(terms):
-                    ts.error("bracket value must be a linear combination of basis names", 0)
-                pairs.sort()
-            if i > j:
-                pairs = _negated(pairs, ring.modulus)
-            pairs = tuple(pairs)
-            if stored.setdefault((i, j) if i <= j else (j, i), pairs) != pairs:
-                raise ParseError(
-                    f"bracket ({a},{b}) conflicts with the opposite orientation", lineno)
-        elif head == "split":
-            rest = line[len("split"):].strip()
+        else:  # split
+            rest = code.lstrip()[len("split"):].strip()
             if rest.count("|") != 1:
                 raise ParseError("split line needs exactly one '|'", lineno)
             part_of: dict[str, int] = {}  # name -> split part, in the order listed
@@ -442,15 +478,15 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise ParseError(f"{unassigned[0]!r} unassigned in split", lineno)
             split = tuple(tuple(index[name] for name, p in part_of.items() if p == part)
                           for part in (1, 2))
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
 
     for head in _ONCE:
         if head not in seen:
             raise ParseError(f"missing {head} line")
 
     brackets = tuple((key, pairs) for key, pairs in sorted(stored.items()) if pairs)
-    return AlgebraSpec(ring, tuple(basis), brackets, split[0], split[1])
+    spec = AlgebraSpec(ring, tuple(basis), brackets, split[0], split[1])
+    object.__setattr__(spec, "_canonical", True)  # so build trusts its brackets
+    return spec
 
 
 def format_spec(spec: AlgebraSpec) -> str:

@@ -379,7 +379,8 @@ def _straightener(algebra: LieAlgebra, order=None):
         b = by_rank[t]
         for a in by_rank[t + 1:]:
             for k, _c in table[a][b]:
-                low = min(low, rank[k])
+                if rank[k] < low:
+                    low = rank[k]
         closed[t] = low >= t
     floor_of, t = {}, 0
     for r, i in enumerate(by_rank):

@@ -22,9 +22,11 @@ class CarrierMismatchError(ValueError):
 class _Record:
     """An immutable value with named fields.
 
-    A subclass lists its fields in ``__slots__``, in constructor order; its
-    own ``__init__`` keeps its signature, defaults and checks and ends with
-    one call to this one, which sets the fields in that order.
+    A subclass lists its fields in ``__match_args__``, in constructor order,
+    and its slots in ``__slots__``: the fields, then any private state that
+    is no field; its own ``__init__`` keeps its signature, defaults and
+    checks and ends with one call to this one, which sets the fields in
+    that order.
     Records of one class compare and hash by ``_key()``, every field unless
     the subclass leaves some out; they read back as ``Name(field=value, ...)``,
     copy and pickle through their constructor, and refuse assignment and
@@ -36,11 +38,11 @@ class _Record:
     __slots__ = ()
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self.__match_args__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     _key = _values
 
@@ -53,7 +55,7 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -159,12 +161,12 @@ def _cleared(ring: Ring, *parts) -> tuple:
                  else [(k, scaled(c)) for k, c in part] for part in parts)
 
 
-def _negated(pairs, q=None) -> list:
+def _negated(pairs, q=None) -> tuple:
     """The (k, -c) pairs of raw (k, c) pairs, reduced into [0, q) with a
-    modulus q."""
+    modulus q, as a tuple."""
     if q is None:
-        return [(k, -c) for k, c in pairs]
-    return [(k, -c % q) for k, c in pairs]
+        return tuple([(k, -c) for k, c in pairs])
+    return tuple([(k, -c % q) for k, c in pairs])
 
 
 def _check_indices(indices, n: int, what: str) -> None:
@@ -294,6 +296,12 @@ class LieAlgebra:
     with c != 0, in increasing k.  Every k of the table is judged by the
     out-of-basis rule before any c is read.  Nothing is assumed about the
     table until :func:`validate_algebra` says the Lie axioms hold.
+
+    The constructor, :meth:`from_brackets` and :meth:`change_ring` take
+    that path.  Only ``cli.AlgebraSpec.build``, on a spec ``parse_spec``
+    made, trusts its table: it hands ``_trusted`` a tuple table already in
+    the stored form, which is kept as it is.  Both end in ``_fill``, the one
+    place the fields and memos are set.
     """
 
     __slots__ = ("ring", "basis", "index", "table", "dim", "_forms", "_kernels", "_lie_rows",
@@ -306,10 +314,6 @@ class LieAlgebra:
             raise ValueError("basis must contain at least one element")
         if len(set(basis)) != n:
             raise ValueError("duplicate basis name")
-        self.ring = ring
-        self.basis = basis
-        self.dim = n
-        self.index = {name: i for i, name in enumerate(basis)}
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("structure table must be n x n")
         cells = [[tuple(cell) for cell in row] for row in table]
@@ -335,7 +339,24 @@ class LieAlgebra:
                             acc[k] = c
                     out.append(tuple(sorted(acc.items())))
             rows.append(tuple(out))
-        self.table = tuple(rows)
+        self._fill(ring, basis, tuple(rows))
+
+    @classmethod
+    def _trusted(cls, ring: Ring, basis: tuple, table: tuple) -> "LieAlgebra":
+        """The algebra over a table already in the constructor's stored
+        form: a tuple of n row tuples of cell tuples, every (k, c) pair's k
+        in the basis, c a nonzero raw value of ``ring``, k increasing; the
+        basis a tuple of n >= 1 distinct names.  Nothing is checked."""
+        new = cls.__new__(cls)
+        new._fill(ring, basis, table)
+        return new
+
+    def _fill(self, ring: Ring, basis: tuple, table: tuple) -> None:
+        self.ring = ring
+        self.basis = basis
+        self.dim = len(basis)
+        self.index = {name: i for i, name in enumerate(basis)}
+        self.table = table
         # the private state, every memo freed with the algebra: one
         # straightener per order, which owns its memo and its rewrite counts
         # (envelope._straightener), and the action kernel and the Lie-action
@@ -556,7 +577,7 @@ def validate_algebra(alg: LieAlgebra) -> ValidationReport:
             )
     for i in range(n):
         for j in range(i + 1, n):
-            if table[i][j] != tuple(_negated(table[j][i], q)):
+            if table[i][j] != _negated(table[j][i], q):
                 found.append(
                     Violation("alternating", (names[i], names[j]),
                               f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]")

@@ -59,6 +59,9 @@ GOLDEN_RUNS = (
     # each valid algebra and split: exactly "ok", and every property passing
     # at the defaults
     *(("validate_ok.txt", 0, ("validate", _spec(f"{name}.alg"))) for name in _VALID),
+    # sl3 with directive words split by NBSP and U+3000 and a comment after
+    # each bracket value
+    ("validate_ok.txt", 0, ("validate", _spec("sl3_blank_words.alg"))),
     *((f"check_{name}.txt", 0, ("check", _spec(f"{name}.alg"))) for name in _VALID),
     # the Q verdicts at depth, on a table with a fractional constant
     ("check_sl2_q_third_cases200_deg4.txt", 0,

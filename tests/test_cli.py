@@ -165,6 +165,93 @@ def test_once_only_directive_messages(text, message):
     assert str(err.value) == message
 
 
+# Directive lines as they are read: any blank that str.split() splits on
+# (space, tab, NBSP, U+3000, form feed, vertical tab, U+2028, ...) splits a
+# directive's words and is stripped from the ends of a line, '#' ends the
+# code of every line, and a line ends at LF, CR LF or CR; only space and tab
+# split a bracket value, so any other blank inside one is an unexpected
+# character. Error columns count every character of the line.
+_E_F_H = "ring Z\nbasis e f h\nbracket e f = h\nbracket h e = 2*e\nsplit e | f h\n"
+
+
+@pytest.mark.parametrize("text", [
+    "ring\xa0Z\nbasis\xa0e\xa0f\xa0h\nbracket\xa0e\xa0f\xa0= h\nbracket h\xa0e = 2*e\n"
+    "split\xa0e\xa0|\xa0f\xa0h\n",
+    "ring\u3000Z\nbasis e\u3000f h\nbracket e\u3000f = h\nbracket\u3000h e = 2*e\n"
+    "split\u3000e\u3000|\u3000f\u3000h\n",
+    "ring\fZ\nbasis\x0be f h\nbracket\fe\x0bf = h\nbracket h\x0be = 2*e\nsplit e |\ff h\n",
+    "\fring Z\n\fbasis e f h\n\f\nbracket e f = h\n\x0bbracket h e = 2*e\n\f  split e | f h\n",
+    "ring Z\u2028\nbasis e f h\u2028\nbracket e f = h\u2028\nbracket h e = 2*e \u2028\n"
+    "split e | f h\u2028\n",
+    "ring Z # the ring\nbasis e f h#names\nbracket e f = h # [e,f]\n"
+    "bracket h e = 2*e#[h,e]\n# bracket f h = 2*f\nsplit e | f h   # the split\n",
+    "ring Z\r\nbasis e f h\r\nbracket e f = h\rbracket h e = 2*e\r\nsplit e | f h\r",
+    "ring Z\rbasis e f h\r\rbracket e f = h # x\r\nbracket h e = 2*e\n\r\nsplit e | f h",
+    "ring Z\nbasis e f h\nbracket e f= h\nbracket h e =2*e\nsplit e | f h\n",
+    "ring Z\nbasis e f h\nbracket  e  f=h#x\nbracket h e = 02*e + 0*f - 00*h\nsplit e | f h\n",
+])
+def test_directive_words_split_on_any_blank(text):
+    assert parse_spec(text) == parse_spec(_E_F_H)
+
+
+@pytest.mark.parametrize("line,error", [
+    # only space and tab split a bracket value
+    ("bracket e f = h\xa0+ e", ("unexpected character '\\xa0'", 3, 16)),
+    ("bracket e f =\xa0h", ("unexpected character '\\xa0'", 3, 14)),
+    ("bracket e f = h\u3000+ e", ("unexpected character '\\u3000'", 3, 16)),
+    ("bracket e f = h\f+ e", ("unexpected character '\\x0c'", 3, 16)),
+    ("bracket e f = h\x0b+ e", ("unexpected character '\\x0b'", 3, 16)),
+    ("bracket e f = h +\u2028e", ("unexpected character '\\u2028'", 3, 18)),
+    # columns count the blanks before the value, whatever they are
+    ("bracket e\xa0f = zz", ("unknown name 'zz'", 3, 15)),
+    ("bracket\u3000e f = 3*zz", ("unknown name 'zz'", 3, 17)),
+    ("bracket e f\xa0= h + zz", ("unknown name 'zz'", 3, 19)),
+    ("\fbracket e f = zz", ("unknown name 'zz'", 3, 16)),
+    ("\f bracket e\x0bf = zz # a comment", ("unknown name 'zz'", 3, 17)),
+    ("bracket e f = h + zz # a comment", ("unknown name 'zz'", 3, 19)),
+    ("bracket e f = # h", ("expected a basis name, '1' or '('", 3, 14)),
+    ("bracket e f =", ("expected a basis name, '1' or '('", 3, 14)),
+    ("bracket e f == h", ("unexpected character '='", 3, 14)),
+    ("bracket e f = h = e", ("unexpected character '='", 3, 17)),
+    # the words before the first '=' are the directive's
+    ("bracket=e f = h", ("unknown directive 'bracket=e'", 3, None)),
+    ("bracket e=f = h", ("expected 'bracket <a> <b> = <expr>'", 3, None)),
+    ("bracket e=f h =e", ("expected 'bracket <a> <b> = <expr>'", 3, None)),
+    ("bracket e f g =h", ("expected 'bracket <a> <b> = <expr>'", 3, None)),
+    ("bracket e f g = h", ("expected 'bracket <a> <b> = <expr>'", 3, None)),
+    ("bracket\xa0e f", ("bracket line needs '='", 3, None)),
+    ("bracket\u2028", ("bracket line needs '='", 3, None)),
+    ("bracketx e f = h", ("unknown directive 'bracketx'", 3, None)),
+    (" = h", ("unknown directive '='", 3, None)),
+    ("bracket e zz = h", ("unknown name 'zz'", 3, None)),
+])
+def test_directive_line_errors_are_pinned(line, error):
+    text = f"ring Z\nbasis e f h\n{line}\nsplit e | f h\n"
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    message, lineno, col = error
+    prefix = f"line {lineno}" + (f", col {col}: " if col is not None else ": ")
+    assert (str(err.value), err.value.line, err.value.col) == (prefix + message, lineno, col)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("ring Z\rbasis e f h\r\nbracket e f = h\rbracket h zz = e\r\nsplit e | f h\n",
+     ("line 4: unknown name 'zz'", 4, None)),
+    ("ring Z\r\nbasis e f h\r\n\r\nbracket e f = zz\r\nsplit e | f h\n",
+     ("line 4, col 15: unknown name 'zz'", 4, 15)),
+    ("ring\xa0Zmod\u3000x\n", ("line 1: malformed ring descriptor 'Zmod x'", 1, None)),
+    ("ring Zmod  4 x\fy\n", ("line 1: malformed ring descriptor 'Zmod 4 x y'", 1, None)),
+    ("ring Z = 3\n", ("line 1: malformed ring descriptor 'Z = 3'", 1, None)),
+    ("ring Z\nbasis e f=g\n", ("line 2: invalid basis name 'f=g'", 2, None)),
+    ("ring Z\nbasis e\xa0f\u3000e\n", ("line 2: duplicate basis name 'e'", 2, None)),
+    ("bracket e f = h\nring Z\n", ("line 1: bracket before ring line", 1, None)),
+])
+def test_line_ends_and_directive_words_in_errors(text, error):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert (str(err.value), err.value.line, err.value.col) == error
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_spec("ring Z\nbasis a b\nbracket a zz = b\nsplit a | b")
@@ -348,6 +435,72 @@ def test_plain_bracket_values_skip_the_tokenizer(monkeypatch):
     assert calls == []
     parse_spec(golden("sl2_q_third.alg"))
     assert [(line, code[start:]) for code, line, start in calls] == [(5, " 1/3*h")]
+
+
+def _checked_algebra(spec: AlgebraSpec) -> LieAlgebra:
+    """The spec's algebra through the public constructor, from a dense n x n
+    list table whose mirror cells hold the negated pairs as they are."""
+    n = len(spec.basis)
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j), pairs in spec.brackets:
+        table[i][j] = list(pairs)
+        if i != j:
+            table[j][i] = [(k, -c) for k, c in pairs]
+    return LieAlgebra(spec.ring, spec.basis, table)
+
+
+def _algebra_fields(algebra: LieAlgebra) -> tuple:
+    types = [type(c) for row in algebra.table for cell in row for _k, c in cell]
+    return (algebra.ring, algebra.basis, algebra.index, algebra.dim, algebra.table, types)
+
+
+def test_build_matches_the_checked_constructor(int_digits):
+    int_digits(4300)  # the seeded plain specs hold 4400-digit coefficients
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.rglob("*.alg"))
+             if path.parent.name != "rejected"]
+    for text in texts + _builtin_spec_texts() + _plain_spec_texts():
+        spec = parse_spec(text)
+        algebra, split = spec.build()
+        assert _algebra_fields(algebra) == _algebra_fields(_checked_algebra(spec)), text[:200]
+        assert split.algebra is algebra
+        assert (split.part1, split.part2) == (tuple(sorted(spec.part1)), tuple(sorted(spec.part2)))
+        q = spec.ring.modulus
+        if q is not None:  # the mirrors too are reduced into [0, q)
+            assert all(0 < c < q for row in algebra.table for cell in row for _k, c in cell)
+
+
+_Z4 = make_ring("Zmod 4")
+
+
+@pytest.mark.parametrize("ring,brackets", [
+    (Z, (((0, 1), ((3, 1),)),)),  # k out of range
+    (Z, (((0, 1), ((-1, 1),)),)),
+    (Z, (((0, 1), ((True, 1),)),)),
+    (Z, (((0, 1), ((2, 0),)),)),  # a zero coefficient, and an empty cell
+    (Z, (((0, 1), ()),)),
+    (_Z4, (((0, 1), ((2, 5), (0, -1))),)),  # unreduced and unsorted
+    (Z, (((0, 1), ((2, 1), (0, 1))),)),  # unsorted
+    (Z, (((0, 1), ((2, 1), (2, 2), (0, 1), (2, -3))),)),  # a repeated k
+    (Z, (((1, 0), ((2, 1),)),)),  # the lower orientation
+    (Z, (((0, 1), ((2, Fraction(4, 2)),)),)),
+    (Z, (((0, 1), ((2, Fraction(1, 2)),)),)),
+    (Z, (((0, 1), ((2, True),)),)),
+    (_Z4, (((0, 1), ((2, _Z4.scalar(3)),)),)),  # a Scalar
+    (Z, (((0, 1), ((2, _Z4.scalar(3)),)),)),  # a Scalar of another ring
+    (make_ring("Q"), (((0, 1), ((2, Fraction(3, 3)), (1, Fraction(-1, 2)))),)),
+])
+def test_a_direct_spec_builds_as_the_checked_constructor(ring, brackets):
+    # a spec not made by parse_spec ends in the checked constructor's table
+    # or its ValueError
+    spec = AlgebraSpec(ring, ("e", "f", "h"), brackets, (0,), (1, 2))
+    try:
+        expected = _algebra_fields(_checked_algebra(spec))
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            spec.build()
+        assert str(err.value) == str(exc)
+    else:
+        assert _algebra_fields(spec.build()[0]) == expected
 
 
 def test_wrong_table_parses_then_fails_validation():

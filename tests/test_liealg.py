@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from envnorm.liealg import (
     validate_split,
 )
 from envnorm.normalform import ActionContext
-from envnorm.ring import Scalar, make_ring
+from envnorm.ring import Ring, Scalar, make_ring
 from reference import commutator, plain, sl_matrix
 
 Z = make_ring("Z")
@@ -410,6 +411,36 @@ def test_build_validate_and_bracket_do_no_scalar_arithmetic(monkeypatch, ring):
         alg.bracket(bv(i), bv(j))
     assert alg.ring.one * alg.ring.one  # the counter counts
     assert calls == ["__mul__"]
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "Zmod 4"])
+def test_a_parsed_table_is_canonicalized_once(monkeypatch, ring):
+    # parse_spec coerces each written coefficient once and build none: it
+    # trusts the parsed pairs, and reduces their mirrors itself
+    calls = []
+    coerce = Ring.coerce
+    monkeypatch.setattr(Ring, "coerce", lambda self, x: calls.append(x) or coerce(self, x))
+    text = (Path(__file__).parent / "golden" / "sl3.alg").read_text(encoding="utf-8")
+    text = text.replace("ring Z\n", f"ring {ring}\n")
+    spec = parse_spec(text)
+    # every coefficient sl3.alg writes, with its sign ('-2*E12')
+    written = [int(c) for line in text.splitlines() if line.startswith("bracket")
+               for c in re.findall(r"-?\d+(?=\*)", line.partition("=")[2])]
+    assert len(written) == 4
+    assert calls == [0, 1] + written  # the ring's zero and one, then each coefficient
+    calls.clear()
+    alg, _split = spec.build()
+    assert calls == []
+    assert alg.table == LieAlgebra(alg.ring, alg.basis, alg.table).table
+    # an algebra built any other way takes the checked constructor, which
+    # coerces every pair of its table
+    sl2_z = sl_algebra(2, Z)
+    for build in (lambda: LieAlgebra.from_brackets(alg.ring, ("e", "f"), {("e", "f"): {"e": 2}}),
+                  lambda: sl2_z.change_ring(alg.ring),
+                  lambda: _matrix_algebra(alg.ring, ("e", "h"), [{(0, 1): 1}, {(0, 0): 1}])):
+        calls.clear()
+        table = build().table
+        assert len(calls) >= sum(len(cell) for row in table for cell in row) > 0
 
 
 def test_sl_triangular_split_parts():
