@@ -335,19 +335,17 @@ def _straightener(algebra: LieAlgebra, order=None):
     ``_straightener(algebra)``, the call every canonicalization makes, is
     one dict lookup.
 
-    On a reduction (``LieAlgebra.change_ring``) a word a caller passes in
-    that the memo lacks is first read from the source's straightener for
-    the same order, if the source has built one (``liealg._read_source``);
-    a word found there costs no rewrite, so ``form.counts`` adds nothing
-    for it.  A word the source lacks is straightened in the reduction's
-    own ring, exactly as on an algebra with no source, and the words its
-    straightening reaches are not looked up.  That lookup is a function of
-    its own around the rewriting step, ``step``, which recurses through
-    itself: so an algebra with no source runs ``step`` with no check (one
-    inside it cost long words 2-6 %), and a reduction nests no deeper than
-    an algebra with no source (a lookup on every recursion would nest two
-    frames a letter).  ``LieAlgebra.change_ring`` says why the read is
-    exact.
+    On a reduction (``LieAlgebra.change_ring``) every word the memo lacks
+    is first read from the source's straightener for the same order, if
+    the source has built one (``liealg._read_source``); a word found there
+    costs no rewrite, so ``form.counts`` adds nothing for it.  A word the
+    source lacks is straightened in the reduction's own ring, exactly as
+    on an algebra with no source.  ``form`` looks a word up through
+    ``lookup``, chosen once per straightener: the memo's own ``get`` on an
+    algebra with no source, so it pays nothing for the read, and on a
+    reduction a function that returns before ``form`` recurses, so a
+    reduction nests no deeper than an algebra with no source.
+    ``LieAlgebra.change_ring`` says why the read is exact.
     """
     forms = algebra._forms
     if order is None:
@@ -397,9 +395,22 @@ def _straightener(algebra: LieAlgebra, order=None):
             i += 1
         return i
 
-    def step(w, start=0):
+    if algebra._source is None:
+        lookup = memo.get
+    else:
+        sources = algebra._source._forms
+
+        def lookup(w):
+            hit = memo.get(w)
+            if hit is None:
+                source = sources.get(rank)
+                if source is not None:
+                    hit = _read_source(memo, source.memo, w, q)
+            return hit
+
+    def form(w, start=0):
         # w[:start] is known to be sorted, so the scan starts at its last pair
-        hit = memo.get(w)
+        hit = lookup(w)
         if hit is not None:
             return hit
         last = len(w) - 1
@@ -413,13 +424,13 @@ def _straightener(algebra: LieAlgebra, order=None):
             i = head_length(w, min(map(floor_of.__getitem__, w[pos + 1:])))
             if i:
                 head = w[:i]
-                result = memo[w] = {head + v: c for v, c in step(w[i:], pos + 1 - i).items()}
+                result = memo[w] = {head + v: c for v, c in form(w[i:], pos + 1 - i).items()}
                 return result
         if pos < last - 1:  # straighten the prefix, then append the last letter
             z = w[last]
             rank_z, floor_z = rank_of[z], floor_of[z]
             out: dict = {}
-            for m, c in step(w[:last], pos + 1).items():
+            for m, c in form(w[:last], pos + 1).items():
                 # m is sorted: m z is decided here, with no memo entry,
                 # when it is sorted or m has a head below z's closed tail
                 if not m or rank_of[m[-1]] <= rank_z:
@@ -428,10 +439,10 @@ def _straightener(algebra: LieAlgebra, order=None):
                 if rank_of[m[0]] < floor_z:
                     i = head_length(m, floor_z)
                     head = m[:i]
-                    for v, c2 in step(m[i:] + z, len(m) - i).items():
+                    for v, c2 in form(m[i:] + z, len(m) - i).items():
                         _acc(out, head + v, c * c2, q)
                 else:
-                    for w2, c2 in step(m + z, len(m)).items():
+                    for w2, c2 in form(m + z, len(m)).items():
                         _acc(out, w2, c * c2, q)
             result = out
         else:  # rewrite the last pair
@@ -444,7 +455,7 @@ def _straightener(algebra: LieAlgebra, order=None):
             # here, with no memo entry, when the junction is in order
             rank_h = rank_of[head[-1]] if head else -1
             swapped = head + y + x
-            result = {swapped: 1} if rank_h <= rank_of[y] else step(swapped, pos)
+            result = {swapped: 1} if rank_h <= rank_of[y] else form(swapped, pos)
             if row:  # commuting letters share the swapped word's form
                 out = dict(result)
                 for k, c in row:
@@ -452,28 +463,11 @@ def _straightener(algebra: LieAlgebra, order=None):
                     if rank_h <= rank[k]:
                         _acc(out, bracket, c, q)
                         continue
-                    for w2, c2 in step(bracket, pos).items():
+                    for w2, c2 in form(bracket, pos).items():
                         _acc(out, w2, c * c2, q)
                 result = out
         memo[w] = result
         return result
-
-    # on an algebra with no source, form is the step itself; a reduction's
-    # form first reads its source's form of each word a caller passes in
-    sources = None if algebra._source is None else algebra._source._forms
-    if sources is None:
-        form = step
-    else:
-        def form(w, start=0):
-            hit = memo.get(w)
-            if hit is not None:
-                return hit
-            source = sources.get(rank)
-            if source is not None:
-                hit = _read_source(memo, source.memo, w, q)
-                if hit is not None:
-                    return hit
-            return step(w, start)
 
     form.memo, form.counts = memo, counts
     forms[rank] = form

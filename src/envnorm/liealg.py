@@ -432,17 +432,17 @@ class LieAlgebra:
         Only defined from Z (integral tables), e.g. reduction mod q.
 
         The copy records the integral algebra it reduces, its source: this
-        one, or this one's own source if it is a copy itself.  On a miss,
-        the copy's kernel and Lie rows, and its straighteners for each word
-        a caller passes in, first read the source's entry for the same key
-        (the same order, the same split parts), reduced into [0, q) with
-        zeros dropped, through :func:`_read_source`; an entry the source
-        lacks is computed in the copy's own ring.  This
-        is exact on every table, failing ones too: each entry is a Z-linear
-        function of the table, computed along a word path that no
-        coefficient changes, and reduction mod q is a ring homomorphism,
-        under which a cell that reduces to zero only drops terms whose
-        reduced coefficient is 0 anyway.  The copy keeps its source alive.
+        one, or this one's own source if it is a copy itself.  On every
+        miss, the copy's kernel, Lie rows and straighteners first read the
+        source's entry for the same key (the same order, the same split
+        parts), reduced into [0, q) with zeros dropped, through
+        :func:`_read_source`; an entry the source lacks is computed in the
+        copy's own ring.  This is exact on every table, failing ones too:
+        each entry is a Z-linear function of the table, computed along a
+        word path that no coefficient changes, and reduction mod q is a
+        ring homomorphism, under which a cell that reduces to zero only
+        drops terms whose reduced coefficient is 0 anyway.  The copy keeps
+        its source alive.
         """
         if self.ring.kind != "Z":
             raise ValueError("change_ring expects an integral table")

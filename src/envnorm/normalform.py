@@ -26,9 +26,9 @@ those parts shares it, and it is freed with the algebra.  Its values are
 exact, so every result equals the plain recursion's.
 
 A reduction (``LieAlgebra.change_ring``) reads its integral source's
-memos: on a miss, its kernel, its Lie rows and its straightener (for a
-word a caller passes in) first read the source's entry for the same key
-(the same order, the same parts) through ``liealg._read_source``.  An
+memos: on every miss, its kernel, its Lie rows and its straighteners
+first read the source's entry for the same key (the same order, the same
+parts) through ``liealg._read_source``.  An
 entry the source lacks is computed in the reduction's own ring, so a
 reduction over Z/q never computes over Z.  ``change_ring`` says why this
 is exact on every table, failing ones too.  So the builtin suite's sl3

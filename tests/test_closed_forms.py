@@ -3,7 +3,9 @@
 Heisenberg y^n x^m, sl(2) e f^n, sl(2) e^a f^b and sl(2) h^n e have normal
 forms in closed form (``closed_forms``, plain integers, no envnorm import).  Both section_s and
 normal_order(check=True), which also runs the straightening oracle, must
-give them exactly, over Z and over Z/2, Z/3 and Z/4.  The straightener nests
+give them exactly, over Z and over Z/2, Z/3 and Z/4, and over Z/2, Z/3 and
+Z/4 again on change_ring copies of an integral algebra that has already
+normal-ordered a shorter word of the family.  The straightener nests
 about two calls per letter of the word, so under the default recursion limit
 of 1 000 a word stays under about 500 letters: normal_order of y^n x, e f^n
 and h^n e raises RecursionError from n = 498 in a plain script, and the
@@ -29,9 +31,27 @@ SL2_EAFB = [(1, 1), (2, 3), (5, 4), (8, 8), (12, 10), (16, 16), (24, 20)]
 SL2_HNE = [1, 5, 30, 60, 300, 400]
 
 
-def _agree(alg, part1, part2, word, expected):
+# each family: its algebra, its split's parts, its word of a size, and its
+# closed form of that size over Z or mod a modulus
+FAMILIES = {
+    "heisenberg_ynxm": (heisenberg_algebra, (0,), (1, 2),  # x, y, c; split x | y c
+                        lambda n, m: (1,) * n + (0,) * m, heisenberg_ynxm),
+    "sl2_efn": (sl2_algebra, (1,), (0, 2),  # e, f, h; split f | e h
+                lambda n: (0,) + (1,) * n, sl2_efn),
+    "sl2_eafb": (sl2_algebra, (1,), (0, 2), lambda a, b: (0,) * a + (1,) * b, sl2_eafb),
+    "sl2_hne": (sl2_algebra, (1,), (2, 0),  # split f | h e
+                lambda n: (2,) * n + (0,), sl2_hne),
+}
+
+
+def _agree(family, size, ring, alg=None):
+    """section_s and normal_order(check=True) of the family's word of that
+    size over ring (on alg, a fresh algebra if None) give its closed form."""
+    make, part1, part2, word, closed = FAMILIES[family]
+    alg = make(make_ring(ring)) if alg is None else alg
     ctx = ActionContext(alg, SplitDecomposition(alg, part1, part2))
-    u = EnvElement.word(alg, word)
+    u = EnvElement.word(alg, word(*size))
+    expected = closed(*size, RINGS[ring])
     assert plain(section_s(ctx, u)) == expected
     assert plain(normal_order(ctx, u, check=True)) == expected
 
@@ -39,15 +59,13 @@ def _agree(alg, part1, part2, word, expected):
 @pytest.mark.parametrize("ring", list(RINGS))
 @pytest.mark.parametrize("n, m", HEISENBERG)
 def test_heisenberg_ynxm(n, m, ring):
-    alg = heisenberg_algebra(make_ring(ring))  # x, y, c; split x | y c
-    _agree(alg, (0,), (1, 2), (1,) * n + (0,) * m, heisenberg_ynxm(n, m, RINGS[ring]))
+    _agree("heisenberg_ynxm", (n, m), ring)
 
 
 @pytest.mark.parametrize("ring", list(RINGS))
 @pytest.mark.parametrize("n", SL2)
 def test_sl2_efn(n, ring):
-    alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | e h
-    _agree(alg, (1,), (0, 2), (0,) + (1,) * n, sl2_efn(n, RINGS[ring]))
+    _agree("sl2_efn", (n,), ring)
 
 
 def test_sl2_efn_section_straightens_no_word():
@@ -64,15 +82,44 @@ def test_sl2_efn_section_straightens_no_word():
 @pytest.mark.parametrize("ring", list(RINGS))
 @pytest.mark.parametrize("a, b", SL2_EAFB)
 def test_sl2_eafb(a, b, ring):
-    alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | e h
-    _agree(alg, (1,), (0, 2), (0,) * a + (1,) * b, sl2_eafb(a, b, RINGS[ring]))
+    _agree("sl2_eafb", (a, b), ring)
 
 
 @pytest.mark.parametrize("ring", list(RINGS))
 @pytest.mark.parametrize("n", SL2_HNE)
 def test_sl2_hne(n, ring):
-    alg = sl2_algebra(make_ring(ring))  # e, f, h; split f | h e
-    _agree(alg, (1,), (2, 0), (2,) * n + (0,), sl2_hne(n, RINGS[ring]))
+    _agree("sl2_hne", (n,), ring)
+
+
+@pytest.fixture(scope="module")
+def warm_sources():
+    """(family, size) -> the family's integral algebra, built on first use."""
+    return {}
+
+
+SIZES = {"heisenberg_ynxm": HEISENBERG, "sl2_efn": [(n,) for n in SL2],
+         "sl2_eafb": SL2_EAFB, "sl2_hne": [(n,) for n in SL2_HNE]}
+
+
+@pytest.mark.parametrize("ring", [ring for ring, q in RINGS.items() if q])
+@pytest.mark.parametrize("family, size", [
+    pytest.param(family, size, id=f"{family}-{'-'.join(map(str, size))}")
+    for family, sizes in SIZES.items() for size in sizes
+])
+def test_reductions_of_a_warm_source(family, size, ring, warm_sources):
+    # A change_ring copy reads its integral source on every miss, inside
+    # its own recursion too.  Its source first normal-orders the family's
+    # word with the first exponent halved, so the copy's straightening and
+    # kernel reach words the source holds: the closed forms judge those
+    # reads with no engine code of their own.
+    make, part1, part2, word, _closed = FAMILIES[family]
+    source = warm_sources.get((family, size))
+    if source is None:
+        source = warm_sources[family, size] = make(make_ring("Z"))
+        shorter = EnvElement.word(source, word(size[0] // 2, *size[1:]))
+        normal_order(ActionContext(source, SplitDecomposition(source, part1, part2)), shorter,
+                     check=True)
+    _agree(family, size, ring, source.change_ring(make_ring(ring)))
 
 
 def _wide_heisenberg(ring, pairs=150):

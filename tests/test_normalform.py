@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from envnorm.checks import (
     _holds_well_defined,
     builtin_examples,
     generate,
+    heisenberg_algebra,
     relator_variant,
     run_property,
     run_suite,
@@ -367,6 +369,98 @@ def test_read_source_is_the_one_read_of_a_reduction(monkeypatch):
     assert any(memo is c._kernel for memo in reads)
     assert any(memo is c._lie_rows for memo in reads)
     assert any(memo is form for memo in reads for form in forms)
+
+
+def test_every_straightener_is_its_rewriting_step():
+    # a reduction reads its source inside the rewriting step's own lookup,
+    # so no algebra's form is a wrapper around that step
+    source = sl_algebra(3, Z)
+    ring = make_ring("Zmod 4")
+    orders = (None, sl_triangular_split(source, 3).split_order())
+    cold = source.change_ring(ring)
+    forms = [_straightener(cold, order) for order in orders]  # before its source holds any
+    u = EnvElement.word(source, tuple(reversed(range(source.dim))))
+    for order in orders:
+        straighten(u, order)
+    warm = source.change_ring(ring)
+    forms += [_straightener(alg, order) for alg in (source, warm) for order in orders]
+    assert len(forms) == 6 and len({form.__code__ for form in forms}) == 1
+    # the cold reduction's were built while its source held no form
+    assert not any(form.memo for form in forms[:2]) and all(form.memo for form in forms[2:4])
+
+
+def test_a_reduction_reads_its_source_inside_its_own_recursion():
+    # The worst-order word w z (w fully inverted, z one more letter) is
+    # passed to the reduction alone, but straightening it first straightens
+    # its prefix w, which the warm source holds: the reduction reads it
+    # there and rewrites less than a direct `ring Zmod 4` build.
+    text = (GOLDEN / "sl3.alg").read_text(encoding="utf-8")
+    source, split = parse_spec(text).build()
+    ring_q = make_ring("Zmod 4")
+    for order in (None, split.split_order()):
+        w = tuple(reversed(order or range(source.dim)))
+        straighten(EnvElement.word(source, w), order)
+        reduction = source.change_ring(ring_q)
+        direct = parse_spec(text.replace("ring Z\n", "ring Zmod 4\n")).build()[0]
+        wz = w + (w[0],)
+        assert "".join(map(chr, wz)) not in _straightener(source, order).memo
+        assert "".join(map(chr, w)) in _straightener(source, order).memo
+        got, want = {}, {}
+        assert (straighten(EnvElement.word(reduction, wz), order, stats=got).terms
+                == straighten(EnvElement.word(direct, wz), order, stats=want).terms)
+        assert got["steps"] < want["steps"], (order, got, want)
+
+
+def _largest_straightened(make, hi):
+    """The largest n below hi for which straighten of heisenberg y^n x
+    passes, each try on a fresh algebra from make()."""
+    lo = 0  # y^0 x passes; y^hi x fails
+    while hi - lo > 1:
+        n = (lo + hi) // 2
+        try:
+            straighten(EnvElement.word(make(), (1,) * n + (0,)))
+        except RecursionError:
+            hi = n
+        else:
+            lo = n
+    return lo
+
+
+def test_a_reduction_nests_no_deeper_than_its_source():
+    # The source read returns before the rewriting step recurses, so it
+    # adds no frame: a cold reduction reaches as long a word as the
+    # integral algebra, and a warm one reaches further, since its recursion
+    # stops at the first word its source holds.
+    ring = make_ring("Zmod 2")
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        integral = _largest_straightened(lambda: heisenberg_algebra(Z), 300)
+        cold = _largest_straightened(lambda: heisenberg_algebra(Z).change_ring(ring), 300)
+        source = heisenberg_algebra(Z)
+        straighten(EnvElement.word(source, (1,) * integral + (0,)))
+        warm = _largest_straightened(lambda: source.change_ring(ring), 600)
+    finally:
+        sys.setrecursionlimit(old)
+    assert 50 < integral == cold < warm, (integral, cold, warm)
+
+
+def test_the_builtin_reductions_rewrite_counts():
+    # after the builtin suite at seed 42 (`envnorm check --builtin`), the
+    # sl3 reductions' rewrite steps summed over both orders, their kernel
+    # entries and their Lie rows: deterministic counts
+    reg = builtin_examples()
+    run_suite(SuiteConfig(), reg)
+    got = {}
+    for q in (2, 3, 4):
+        alg = reg[f"sl3_Z{q}"].algebra
+        forms = {id(form): form for form in alg._forms.values()}.values()
+        got[q] = (sum(form.counts[0] for form in forms),
+                  sum(map(len, alg._kernels.values())), sum(map(len, alg._lie_rows.values())))
+    assert got == {2: (45, 1357, 28), 3: (34, 1322, 27), 4: (38, 1322, 37)}
 
 
 def test_public_results_hold_tuple_words():
