@@ -331,37 +331,22 @@ def _straightener(algebra: LieAlgebra, order=None):
     ``form`` is built once per order and kept on the algebra, in
     ``algebra._forms`` under the order's rank tuple, so later calls with
     that order return that same function and its closed-tail table is
-    built once.  The declaration order's is also kept under ``None``, so
-    ``_straightener(algebra)``, the call every canonicalization makes, is
-    one dict lookup.
+    built once.  ``order`` is taken as a permutation of the basis indices:
+    :func:`straighten` checks a caller's.
 
-    On a reduction (``LieAlgebra.change_ring``) every word the memo lacks
-    is first read from the source's straightener for the same order, if
-    the source has built one (``liealg._read_source``); a word found there
-    costs no rewrite, so ``form.counts`` adds nothing for it.  A word the
-    source lacks is straightened in the reduction's own ring, exactly as
-    on an algebra with no source.  ``form`` looks a word up through
-    ``lookup``, chosen once per straightener: the memo's own ``get`` on an
-    algebra with no source, so it pays nothing for the read, and on a
-    reduction a function that returns before ``form`` recurses, so a
-    reduction nests no deeper than an algebra with no source.
-    ``LieAlgebra.change_ring`` says why the read is exact.
+    ``form`` looks a word up through ``lookup``, chosen once per
+    straightener: the memo's own ``get`` on an algebra with no source; on
+    a reduction a function that on a miss reads the memo of the source's
+    straightener for the same order, bound here, and returns before
+    ``form`` recurses (the read rule is ``LieAlgebra.change_ring``'s).  A
+    word read there costs no rewrite, so ``form.counts`` adds nothing.
     """
-    forms = algebra._forms
-    if order is None:
-        form = forms.get(None)
-        if form is not None:
-            return form
     n = algebra.dim
     if order is None:
         rank = tuple(range(n))
     else:
-        order = tuple(order)
-        _check_indices(order, n, "index")
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of the basis indices")
         rank = tuple(sorted(range(n), key=order.__getitem__))  # rank[i]: position of i
-    form = forms.get(rank)
+    form = algebra._forms.get(rank)
     if form is not None:
         return form
     memo: dict = {}
@@ -398,14 +383,12 @@ def _straightener(algebra: LieAlgebra, order=None):
     if algebra._source is None:
         lookup = memo.get
     else:
-        sources = algebra._source._forms
+        source = _straightener(algebra._source, order).memo
 
         def lookup(w):
             hit = memo.get(w)
             if hit is None:
-                source = sources.get(rank)
-                if source is not None:
-                    hit = _read_source(memo, source.memo, w, q)
+                hit = _read_source(memo, source, w, q)
             return hit
 
     def form(w, start=0):
@@ -470,9 +453,7 @@ def _straightener(algebra: LieAlgebra, order=None):
         return result
 
     form.memo, form.counts = memo, counts
-    forms[rank] = form
-    if rank == tuple(range(n)):
-        forms[None] = form
+    algebra._forms[rank] = form
     return form
 
 
@@ -493,7 +474,13 @@ def straighten(u: EnvElement, order=None, *, stats=None) -> EnvElement:
     adjacent inversions.  With ``stats`` a dict, adds to its "steps" the
     rewrites this call performs and to its "spawned" the words they spawn,
     read off the order's ``form.counts``, also when the call raises; words
-    straightened before under the same order count zero."""
+    straightened before under the same order count zero.  An ``order``
+    that is not a permutation of the basis indices raises ValueError."""
+    if order is not None:
+        order = tuple(order)
+        _check_indices(order, u.algebra.dim, "index")
+        if sorted(order) != list(range(u.algebra.dim)):
+            raise ValueError("order must be a permutation of the basis indices")
     form = _straightener(u.algebra, order)
     before = form.counts[:]
     try:
@@ -512,11 +499,11 @@ def env_eq(u: EnvElement, v: EnvElement) -> bool:
     return straighten(u - v).is_zero()
 
 
-def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
+def _canon_terms(terms: dict, form, q) -> dict:
     """{(w1, w2): raw} terms of engine words with both factor words
-    straightened under the declaration order, as a fresh raw dict with no
-    zero coefficient."""
-    form, q = _straightener(algebra), algebra.ring.modulus
+    replaced by ``form`` of them (the declaration order's, see
+    :func:`_straightener`), as a fresh raw dict with no zero coefficient:
+    :func:`state_canon`'s core."""
     out: dict = {}
     for (w1, w2), c in terms.items():
         left, right = form(w1).items(), form(w2).items()
@@ -530,7 +517,8 @@ def _canon_terms(algebra: LieAlgebra, terms: dict) -> dict:
 def state_canon(s: StateElement) -> StateElement:
     """Canonical state: both factor words straightened to nondecreasing form
     within their own subalgebra (declaration order restricted to each part)."""
-    return StateElement._trusted(s.split, _decoded(_canon_terms(s.algebra, _encoded(s, s.split))))
+    terms = _canon_terms(_encoded(s, s.split), _straightener(s.algebra), s.algebra.ring.modulus)
+    return StateElement._trusted(s.split, _decoded(terms))
 
 
 def _encoded(s: StateElement, split: SplitDecomposition) -> dict:

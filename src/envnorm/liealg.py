@@ -117,13 +117,12 @@ def _acc(d: dict, key, c, q=None) -> None:
 
 
 def _read_source(memo: dict, source: dict, key, q) -> dict | None:
-    """A change_ring copy's read of its source's memo on a miss: the source
-    entry under key, a raw {k: c} dict, stored in memo under key and
-    returned, each c reduced into [0, q) with the zeros dropped, as a fresh
-    dict; with no modulus (a copy over Z or Q) the entry itself, shared,
-    since every memo entry is read-only to its callers.  None, and nothing
-    stored, if the source lacks key.  ``LieAlgebra.change_ring`` says why
-    the read is exact."""
+    """The source's entry under key, a raw {k: c} dict, stored in memo
+    under key and returned: the entry itself, shared, where reduction mod q
+    changes nothing (no modulus, no term, or every c in [1, q)), since every
+    memo entry is read-only to its callers; else a fresh dict of each c
+    reduced into [0, q), zeros dropped.  None, and nothing stored, if the
+    source lacks key.  The read rule is ``LieAlgebra.change_ring``'s."""
     entry = source.get(key)
     if entry is None:
         return None
@@ -133,7 +132,8 @@ def _read_source(memo: dict, source: dict, key, q) -> dict | None:
             c %= q
             if c:
                 reduced[k] = c
-        entry = reduced
+        if reduced != entry:
+            entry = reduced
     memo[key] = entry
     return entry
 
@@ -362,7 +362,7 @@ class LieAlgebra:
         # (envelope._straightener), and the action kernel and the Lie-action
         # rows of each split's parts, which every context over the algebra
         # and those parts shares (normalform.ActionContext)
-        self._forms: dict = {}  # rank (None: declaration order) -> form
+        self._forms: dict = {}  # rank -> form
         self._kernels: dict = {}  # parts -> {(basis index, left word): entry}
         self._lie_rows: dict = {}  # parts -> {left word: defect row}
         self._source = None  # the integral algebra a change_ring copy reads, see there
@@ -436,8 +436,10 @@ class LieAlgebra:
         miss, the copy's kernel, Lie rows and straighteners first read the
         source's entry for the same key (the same order, the same split
         parts), reduced into [0, q) with zeros dropped, through
-        :func:`_read_source`; an entry the source lacks is computed in the
-        copy's own ring.  This is exact on every table, failing ones too:
+        :func:`_read_source`; a straightener reads the memo of the source's
+        straightener for its order, built with it if the source has none
+        yet.  An entry the source lacks is computed in the copy's own
+        ring.  This is exact on every table, failing ones too:
         each entry is a Z-linear function of the table, computed along a
         word path that no coefficient changes, and reduction mod q is a
         ring homomorphism, under which a cell that reduces to zero only

@@ -25,14 +25,9 @@ straighteners' memos: every :class:`ActionContext` over that algebra and
 those parts shares it, and it is freed with the algebra.  Its values are
 exact, so every result equals the plain recursion's.
 
-A reduction (``LieAlgebra.change_ring``) reads its integral source's
-memos: on every miss, its kernel, its Lie rows and its straighteners
-first read the source's entry for the same key (the same order, the same
-parts) through ``liealg._read_source``.  An
-entry the source lacks is computed in the reduction's own ring, so a
-reduction over Z/q never computes over Z.  ``change_ring`` says why this
-is exact on every table, failing ones too.  So the builtin suite's sl3
-reductions mod 2, 3 and 4 read much of what sl3 over Z already built.
+On a reduction (``LieAlgebra.change_ring``) a miss in the kernel or the
+Lie rows first reads the source's entry for the same parts
+(``liealg._read_source``; ``change_ring`` states the rule).
 
 The kernel's recursion nests one frame per letter of the left word, so a
 left word longer than 128 letters first has the kernel filled at its
@@ -81,7 +76,8 @@ never canonicalized.  section_s is that action with canonicalization
 after every letter: it walks each word rightmost letter first, acts with
 the letter on the state's {(w1, w2): raw} terms through _act_terms, as
 act_word does, and straightens both factor words of every merged term
-under the declaration order (envelope._straightener).  So the kernel only
+under the declaration order (the context's ``_form``, see
+envelope._straightener).  So the kernel only
 ever sees sorted left words and does not fill for every ordering of them,
 equal terms merge before they are straightened, and the state left after
 the last letter is canonical as it stands, with no state_canon after it.
@@ -254,17 +250,18 @@ class ActionContext:
     Lie-action defect row of each left word (:func:`_lie_row`, a raw term
     dict, canonical, so empty on a validated table).  ``_kernel`` and
     ``_lie_rows`` are the algebra's dicts, shared by every context over
-    that algebra and those parts and freed with the algebra, as its
-    straighteners' memos are; a reduction's memos first read its source's
-    (:func:`_read_source`).
-    Its own state is the defect table of the last state a Lie-action
-    verdict judged (:func:`_lie_table`), replaced when a different state
-    arrives.  Contexts are cheap: the work they share stays with the
+    that algebra and those parts and freed with the algebra, and ``_form``
+    is its declaration-order straightener (envelope._straightener), looked
+    up once here: every core straightens through it.  Its own state is
+    the defect table of the last state a Lie-action verdict judged
+    (:func:`_lie_table`), replaced when a different state arrives.
+    Contexts are cheap: the work they share stays with the
     algebra, so drop the algebra to free the memory.  The module docstring
     sets out the Lie-action table's design."""
 
     __slots__ = (
-        "algebra", "split", "_parts", "_kernel", "_lie_rows", "_lie_table", "__weakref__",
+        "algebra", "split", "_parts", "_form", "_kernel", "_lie_rows", "_lie_table",
+        "__weakref__",
     )
 
     def __init__(self, algebra: LieAlgebra, split: SplitDecomposition, validate: bool = True):
@@ -277,6 +274,7 @@ class ActionContext:
         self.split = split
         # the parts' engine letters, for the part check on engine words
         self._parts = frozenset(map(chr, split.part1)), frozenset(map(chr, split.part2))
+        self._form = _straightener(algebra)  # the declaration order's
         # the algebra's memos for these parts, shared by every context over
         # the algebra and its parts
         self._kernel = algebra._kernels.setdefault(self._parts, {})
@@ -292,10 +290,11 @@ class ActionContext:
 
 def _basis_action(ctx: ActionContext, i: int, w1: str) -> dict:
     """e_i acting on (w1, "") as a {(u1, u2): raw} dict of engine words,
-    memoized in ctx's kernel (its algebra's, for its parts; a miss first
-    reads a reduction's source through :func:`_read_source`) and returned
-    as the memo's own dict, which callers never change; the recursion step
-    is e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t)).  Each u2 is one letter or
+    memoized in ctx's kernel (its algebra's, for its parts; on a
+    reduction a miss first reads the source, see
+    ``LieAlgebra.change_ring``) and returned as the memo's own dict, which
+    callers never change; the recursion step is
+    e_i.(x.t) = [e_i, e_x].(t) + x.(e_i.(t)).  Each u2 is one letter or
     empty."""
     key = (i, w1)
     hit = ctx._kernel.get(key)
@@ -383,8 +382,7 @@ def act_word(ctx: ActionContext, word, s: StateElement) -> StateElement:
 def _section_terms(ctx: ActionContext, terms: dict) -> dict:
     """The section of raw {engine word: c} element terms, as canonical raw
     {(w1, w2): c} state terms: :func:`section_s`'s core."""
-    q = ctx.algebra.ring.modulus
-    form = _straightener(ctx.algebra)
+    q, form = ctx.algebra.ring.modulus, ctx._form
     out: dict = {}
     for w, c in terms.items():
         state = {("", ""): c}
@@ -457,7 +455,7 @@ def _difference_form(ctx: ActionContext, a: dict, b: dict) -> dict:
     diff = dict(a)
     for w, c in b.items():
         _acc(diff, w, -c, q)
-    return _straighten_terms(diff, _straightener(ctx.algebra), q)
+    return _straighten_terms(diff, ctx._form, q)
 
 
 def check_filtration(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
@@ -477,7 +475,7 @@ def check_right_linearity(ctx: ActionContext, g: GVector, w1, m) -> bool:
     diff = _act_terms(ctx, support, {(v1, v2): 1})
     for (u1, u2), c in _act_terms(ctx, support, {(v1, ""): 1}).items():
         _acc(diff, (u1, u2 + v2), -c, q)
-    return not _checked(ctx, _canon_terms(ctx.algebra, diff))
+    return not _checked(ctx, _canon_terms(diff, ctx._form, q))
 
 
 def check_mu_compat(ctx: ActionContext, g: GVector, s: StateElement) -> bool:
@@ -521,12 +519,12 @@ def _right_straightened(terms: dict, form, q) -> dict:
 
 def _lie_row(ctx: ActionContext, w1: str) -> dict:
     """The defect row of the left word w1, memoized in ctx's rows (its
-    algebra's, for its parts; a miss first reads a reduction's source
-    through :func:`_read_source`), stored only once complete: the raw term
-    dict {((i, j), v1, v2): c} of the canonical E(i, j) on the one-term
-    state (w1, ""), for every ordered pair, both words straightened.  The
-    commutator of each pair i < j is one dict, the second action
-    accumulated into the first's with its support negated,
+    algebra's, for its parts; on a reduction a miss first reads the
+    source, see ``LieAlgebra.change_ring``), stored only once complete:
+    the raw term dict {((i, j), v1, v2): c} of the canonical E(i, j) on
+    the one-term state (w1, ""), for every ordered pair, both words
+    straightened.  The commutator of each pair i < j is one dict, the
+    second action accumulated into the first's with its support negated,
     left-straightened once and negated for (j, i); the bracket side is
     summed from the dim kernel entries, each left-straightened once.  A
     pair whose sum is empty adds no term; the others have only their
@@ -541,7 +539,7 @@ def _lie_row(ctx: ActionContext, w1: str) -> dict:
         row = _read_source(ctx._lie_rows, algebra._source._lie_rows.get(ctx._parts, {}), w1, q)
         if row is not None:
             return row
-    n, form = algebra.dim, _straightener(algebra)
+    n, form = algebra.dim, ctx._form
     acted = [_basis_action(ctx, k, w1) for k in range(n)]
     straight = [_left_straightened(entry, form, q) for entry in acted]
     defects = {(i, i): {} for i in range(n)}
@@ -573,7 +571,7 @@ def _lie_table(ctx: ActionContext, s: StateElement) -> dict:
     pairs with ``.get``."""
     if ctx._lie_table is not None and ctx._lie_table[0] is s:
         return ctx._lie_table[1]
-    q, form = ctx.algebra.ring.modulus, _straightener(ctx.algebra)
+    q, form = ctx.algebra.ring.modulus, ctx._form
     defects: dict = {}
     for (w1, w2), c in _encoded(s, ctx.split).items():
         for (pair, v1, v2), d in _lie_row(ctx, w1).items():
@@ -619,7 +617,7 @@ def check_inverse(ctx: ActionContext, u: EnvElement, s: StateElement) -> tuple[b
     (terms,) = _cleared(ring, _encoded(s, ctx.split))
     q = ring.modulus
     first = (_section_raw(ctx, _mu_terms(terms, q))
-             == _checked(ctx, _canon_terms(ctx.algebra, terms)))
+             == _checked(ctx, _canon_terms(terms, ctx._form, q)))
     (words,) = _cleared(ring, _encoded_words(u, ctx.algebra))
     second = not _difference_form(ctx, _mu_terms(_section_raw(ctx, words), q), words)
     return first, second

@@ -283,7 +283,7 @@ def test_a_reduction_reads_what_a_direct_build_computes(spec, q):
     forms = kernel = rows = 0
     for rank, form in reduction._forms.items():
         theirs = source._forms.get(rank)
-        if rank is None or theirs is None:
+        if theirs is None:
             continue
         order = sorted(range(fresh.dim), key=rank.__getitem__)
         for w in form.memo.keys() & theirs.memo.keys():
@@ -299,7 +299,7 @@ def test_a_reduction_reads_what_a_direct_build_computes(spec, q):
             rows += 1
     assert forms and kernel and rows
     # what the reduction read, it did not straighten again
-    assert reduction._forms[None].counts[0] < direct._forms[None].counts[0]
+    assert _straightener(reduction).counts[0] < _straightener(direct).counts[0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -369,6 +369,56 @@ def test_read_source_is_the_one_read_of_a_reduction(monkeypatch):
     assert any(memo is c._kernel for memo in reads)
     assert any(memo is c._lie_rows for memo in reads)
     assert any(memo is form for memo in reads for form in forms)
+
+
+def test_read_source_shares_an_entry_reduction_leaves_unchanged():
+    read = liealg._read_source
+    source = {"same": {"a": 1, "b": 3}, "empty": {}, "zero": {"a": 1, "b": 4},
+              "negative": {"a": -1}, "large": {"a": 5}}
+    memo = {}
+    for key in ("same", "empty"):  # reduction leaves each as it is
+        assert read(memo, source, key, 4) is source[key] is memo[key], key
+    for key, want in (("zero", {"a": 1}), ("negative", {"a": 3}), ("large", {"a": 1})):
+        got = read(memo, source, key, 4)
+        assert got == want and got is not source[key] and memo[key] is got, key
+
+
+def test_a_context_holds_the_declaration_order_straightener():
+    alg = sl_algebra(3, Z)
+    c = ActionContext(alg, sl_triangular_split(alg, 3))
+    assert c._form is _straightener(alg)
+    assert ActionContext(alg, c.split)._form is c._form
+
+
+def test_each_order_has_one_straightener_and_no_alias():
+    alg = sl_algebra(3, Z)
+    split = sl_triangular_split(alg, 3)
+    c = ActionContext(alg, split)
+    u = EnvElement.word(alg, tuple(reversed(range(alg.dim))))
+    section_s(c, u)
+    oracle_normal_order(u, split)
+    straighten(u)
+    straighten(u, range(alg.dim))
+    by_split = tuple(sorted(range(alg.dim), key=split.split_order().__getitem__))
+    assert sorted(alg._forms) == sorted([tuple(range(alg.dim)), by_split])
+
+
+@pytest.mark.parametrize("split_order", [False, True])
+def test_a_reduction_reads_what_its_source_straightens_after_it(split_order):
+    # the reduction's straightener exists before its source holds any form
+    # of the order, and still reads what the source straightens later
+    source = sl_algebra(3, Z)
+    order = sl_triangular_split(source, 3).split_order() if split_order else None
+    ring = make_ring("Zmod 4")
+    reduction = source.change_ring(ring)
+    form = _straightener(reduction, order)
+    word = tuple(reversed(range(source.dim)))
+    straighten(EnvElement.word(source, word), order)
+    stats = {}
+    got = straighten(EnvElement.word(reduction, word), order, stats=stats)
+    assert stats == {"steps": 0, "spawned": 0} and form.memo
+    direct = LieAlgebra(ring, source.basis, source.table)
+    assert got.terms == straighten(EnvElement.word(direct, word), order).terms
 
 
 def test_every_straightener_is_its_rewriting_step():
@@ -1004,7 +1054,8 @@ def test_lie_action_table_is_one_state_deep_and_fill_order_free(name):
             gi, gj = basis[i], basis[j]
             diff = (act(c, gi, act(c, gj, last)) - act(c, gj, act(c, gi, last))
                     - act(c, algebra.bracket(gi, gj), last))
-            assert table[1].get((i, j), {}) == _canon_terms(algebra, _raw_terms(diff)), (i, j)
+            want = _canon_terms(_raw_terms(diff), c._form, algebra.ring.modulus)
+            assert table[1].get((i, j), {}) == want, (i, j)
 
     held = weakref.ref(c)
     del c, table
@@ -1054,7 +1105,8 @@ def test_lie_action_table_is_exact_when_states_share_left_words(name):
                 diff = (act(ref, gi, act(ref, gj, s)) - act(ref, gj, act(ref, gi, s))
                         - act(ref, algebra.bracket(gi, gj), s))
                 assert (table[1].get((i, j), {})
-                        == _canon_terms(algebra, _raw_terms(diff))), (name, i, j, s)
+                        == _canon_terms(_raw_terms(diff), c._form, algebra.ring.modulus)
+                        ), (name, i, j, s)
     assert len(c._lie_rows) < judged  # a row is built once per left word, then reused
 
 
